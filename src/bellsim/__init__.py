@@ -44,7 +44,7 @@ from .quantum import (
     psi_minus,
     tensor,
 )
-from .randomness import RngModel, output_predictability, raw_bits, xor_extract
+from .randomness import RngModel, output_predictability, raw_bits
 from .readout import (
     ReadoutBasisSet,
     ReadoutModel,

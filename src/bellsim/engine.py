@@ -9,8 +9,11 @@ completion are synthesised from the timing budget with a configurable jitter.
 
 Every logged trial carries all of a, b, x, y: there is no no-answer branch
 anywhere, so discarded-trial selection effects cannot arise by construction.
-Trials are strictly sequential; replicas of a whole experiment may run in
-parallel with independently derived seeds.
+Each purpose has its own random stream, and each stream is drawn once per
+block of trials; because the streams are independent, this yields the same
+values as drawing trial by trial, and records come out in trial order.
+Replicas of a whole experiment may run in parallel with independently
+derived seeds.
 """
 
 from __future__ import annotations
@@ -20,11 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SimulationConfig, config_hash
-from .randomness import RngModel, raw_bits, xor_extract
+from .randomness import setting_bits
 from .readout import measure_in_basis, rotated_povm
 from .spacetime import SpacetimeEvent
 
 OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+
+# Trials sampled per block by run_experiment; any size gives the same records.
+BLOCK_TRIALS = 4096
 
 
 class EngineError(ValueError):
@@ -132,10 +138,6 @@ def replica_seed(master_seed: int, replica: int):
     return (master_seed, replica)
 
 
-def _setting_bit(model: RngModel, rng: np.random.Generator) -> int:
-    return xor_extract(model, raw_bits(model, model.raw_bits_per_output, rng))
-
-
 def outcome_distribution(cfg: SimulationConfig) -> np.ndarray:
     """P[a, b, outcome-pair] over OUTCOME_PAIRS from the heralded state.
 
@@ -158,19 +160,24 @@ def outcome_distribution(cfg: SimulationConfig) -> np.ndarray:
     return table
 
 
-def _timestamps(cfg: SimulationConfig, timing_rng: np.random.Generator) -> dict[str, float]:
+def _timestamps(cfg: SimulationConfig, timing_rng: np.random.Generator,
+                count: int) -> dict[str, list[float]]:
+    """Timestamp columns of ``count`` trials, keyed and ordered as TrialRecord fields."""
     t = cfg.timing
-    jitter = timing_rng.uniform(-t.jitter_ns, t.jitter_ns, size=5) if t.jitter_ns > 0 \
-        else np.zeros(5)
-    t_choice_a = t.choice_delay_ns + jitter[0]
-    t_choice_b = t.choice_delay_ns + jitter[1]
-    return {
-        "t_herald_ns": cfg.herald_delay_ns() + jitter[2],
+    jitter = timing_rng.uniform(-t.jitter_ns, t.jitter_ns, size=(count, 5)) \
+        if t.jitter_ns > 0 else np.zeros((count, 5))
+    t_choice_a = t.choice_delay_ns + jitter[:, 0]
+    t_choice_b = t.choice_delay_ns + jitter[:, 1]
+    columns = {
+        "t_herald_ns": cfg.herald_delay_ns() + jitter[:, 2],
         "t_choice_a_ns": t_choice_a,
         "t_choice_b_ns": t_choice_b,
-        "t_read_done_a_ns": t_choice_a + t.choice_to_readout_ns + t.readout_duration_ns + jitter[3],
-        "t_read_done_b_ns": t_choice_b + t.choice_to_readout_ns + t.readout_duration_ns + jitter[4],
+        "t_read_done_a_ns": t_choice_a + t.choice_to_readout_ns + t.readout_duration_ns
+        + jitter[:, 3],
+        "t_read_done_b_ns": t_choice_b + t.choice_to_readout_ns + t.readout_duration_ns
+        + jitter[:, 4],
     }
+    return {key: col.tolist() for key, col in columns.items()}
 
 
 def run_trial(cfg: SimulationConfig, idx: int, streams: TrialStreams,
@@ -181,16 +188,17 @@ def run_trial(cfg: SimulationConfig, idx: int, streams: TrialStreams,
     if force_settings is not None:
         a, b = force_settings
     else:
-        a = _setting_bit(cfg.rng, streams.settings_a)
-        b = _setting_bit(cfg.rng, streams.settings_b)
+        a = setting_bits(cfg.rng, 1, streams.settings_a)[0]
+        b = setting_bits(cfg.rng, 1, streams.settings_b)[0]
     basis = cfg.basis_set()
     state = cfg.heralded_state().spin_state
     x, post = measure_in_basis(state, basis.angle("A", a), cfg.readout_model("A"),
                                streams.outcomes, subsystem="spin_a")
     y, _ = measure_in_basis(post, basis.angle("B", b), cfg.readout_model("B"),
                             streams.outcomes, subsystem="spin_b")
+    times = {key: col[0] for key, col in _timestamps(cfg, streams.timing, 1).items()}
     return TrialRecord(idx=idx, a=int(a), b=int(b), x=int(x), y=int(y),
-                       attempts=attempts, **_timestamps(cfg, streams.timing))
+                       attempts=attempts, **times)
 
 
 def record_events(record: TrialRecord) -> tuple[SpacetimeEvent, ...]:
@@ -221,26 +229,35 @@ def run_experiment(cfg: SimulationConfig, n_trials: int | None = None,
         raise EngineError("trial count must be non-negative")
     streams = TrialStreams.from_seed(seed)
     p = herald_probability(cfg.link)
-    table = outcome_distribution(cfg)
-    cumulative = table.cumsum(axis=2)
-    rng_model = cfg.rng
+    cumulative = outcome_distribution(cfg).cumsum(axis=2)
+    period_ns = cfg.link.attempt_period_ns
     budget_ns = None if hours is None else hours * 3600.0 * 1e9
     log = TrialLog(config_hash=config_hash(cfg), seed=seed)
     elapsed_ns = 0.0
-    idx = 0
-    while True:
-        if n_trials is not None and idx >= n_trials:
+    while n_trials is None or len(log) < n_trials:
+        size = BLOCK_TRIALS if n_trials is None else min(BLOCK_TRIALS, n_trials - len(log))
+        attempts = streams.attempts.geometric(p, size=size)
+        m = size  # trials of this block that fit the budget
+        if budget_ns is not None:
+            # same left-to-right running sum as adding one trial at a time
+            steps = attempts * period_ns
+            steps[0] += elapsed_ns
+            elapsed = np.cumsum(steps)
+            m = int(np.searchsorted(elapsed, budget_ns, side="right"))
+            if m < size:
+                log.partial = n_trials is not None
+            else:
+                elapsed_ns = float(elapsed[-1])
+        a = setting_bits(cfg.rng, m, streams.settings_a)
+        b = setting_bits(cfg.rng, m, streams.settings_b)
+        u = streams.outcomes.random(m)
+        # outcome-pair index: searchsorted(side="right") of u in each trial's row
+        pairs = (cumulative[a, b] <= u[:, None]).sum(axis=1)
+        times = _timestamps(cfg, streams.timing, m)
+        for a_i, b_i, pair, n_att, *t in zip(a.tolist(), b.tolist(), pairs.tolist(),
+                                             attempts[:m].tolist(), *times.values()):
+            x, y = OUTCOME_PAIRS[pair]
+            log.append(TrialRecord(len(log), a_i, b_i, x, y, *t, attempts=n_att))
+        if m < size:
             break
-        attempts = int(streams.attempts.geometric(p))
-        elapsed_ns += attempts * cfg.link.attempt_period_ns
-        if budget_ns is not None and elapsed_ns > budget_ns:
-            log.partial = n_trials is not None
-            break
-        a = _setting_bit(rng_model, streams.settings_a)
-        b = _setting_bit(rng_model, streams.settings_b)
-        u = streams.outcomes.random()
-        x, y = OUTCOME_PAIRS[int(np.searchsorted(cumulative[a, b], u, side="right"))]
-        log.append(TrialRecord(idx=idx, a=a, b=b, x=x, y=y, attempts=attempts,
-                               **_timestamps(cfg, streams.timing)))
-        idx += 1
     return log

@@ -10,7 +10,6 @@ bad line. Writing is deterministic: identical logs serialise byte-identically
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 from .engine import TrialLog, TrialRecord
 
@@ -62,13 +61,6 @@ def write_log(log: TrialLog, path) -> None:
             fh.write(json.dumps(record_to_dict(rec), separators=(",", ":")) + "\n")
 
 
-def serialize_log(log: TrialLog) -> str:
-    lines = [json.dumps(header_dict(log), separators=(",", ":"))]
-    lines.extend(json.dumps(record_to_dict(rec), separators=(",", ":"))
-                 for rec in log.records)
-    return "\n".join(lines) + "\n"
-
-
 def _parse_line(raw: str, line_no: int) -> dict:
     try:
         data = json.loads(raw)
@@ -110,8 +102,3 @@ def read_log(path) -> TrialLog:
             )
         log.append(rec)
     return log
-
-
-def records_to_csv_rows(records: Iterable[TrialRecord]) -> Iterable[tuple]:
-    for rec in records:
-        yield tuple(getattr(rec, key) for key in RECORD_KEYS)

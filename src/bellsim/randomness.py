@@ -60,16 +60,6 @@ def raw_bits(model: RngModel, count: int, rng: np.random.Generator) -> np.ndarra
     return (rng.random(count) < p_one).astype(np.uint8)
 
 
-def xor_extract(model: RngModel, block: np.ndarray) -> int:
-    """Parity of one raw-bit block of exactly the configured length."""
-    block = np.asarray(block)
-    if block.shape != (model.raw_bits_per_output,):
-        raise RandomnessError(
-            f"block length {block.shape} does not match k={model.raw_bits_per_output}"
-        )
-    return int(block.sum()) & 1
-
-
 def setting_bits(model: RngModel, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` extracted basis-choice bits (one block of raw bits each)."""
     if count < 0:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .quantum import QuantumState, StateError, _embed
 
@@ -92,14 +91,22 @@ def calibrate_readout(mean_fidelity: float, duration_us: float = 3.7,
         m = ReadoutModel(r_b, r_d, flip_rate_per_us, duration_us)
         return fidelity_vs_duration(m, duration_us)[0] - target_plus
 
-    upper = 1e6
-    if gap(upper) < 0:
+    lo, hi = 1e-9, 1e6
+    if gap(hi) < 0:
         raise ReadoutError(
             f"anchor F+={target_plus:.6f} unreachable: spin flips cap the bright "
-            f"fidelity at {gap(upper) + target_plus:.6f}"
+            f"fidelity at {gap(hi) + target_plus:.6f}"
         )
-    r_b = brentq(gap, 1e-9, upper, xtol=1e-12)
-    return ReadoutModel(float(r_b), r_d, flip_rate_per_us, duration_us)
+    # F+ does not decrease in the bright rate: bisect down to adjacent floats
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if gap(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return ReadoutModel(hi, r_d, flip_rate_per_us, duration_us)
 
 
 def _projectors(theta: float) -> tuple[np.ndarray, np.ndarray]:

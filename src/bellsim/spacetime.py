@@ -21,16 +21,7 @@ from typing import Iterable, Sequence
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
-EVENT_LABELS = (
-    "choice-A",
-    "choice-B",
-    "readout-done-A",
-    "readout-done-B",
-    "herald-C",
-    "choice-commit",
-)
-
-_REQUIRED_LABELS = ("choice-A", "choice-B", "readout-done-A", "readout-done-B", "herald-C")
+EVENT_LABELS = ("choice-A", "choice-B", "readout-done-A", "readout-done-B", "herald-C")
 
 
 class AuditError(ValueError):
@@ -137,7 +128,7 @@ def _event_times(events: Iterable[SpacetimeEvent]) -> dict[str, float]:
     times: dict[str, float] = {}
     for ev in events:
         times[ev.label] = ev.t_ns
-    missing = [lab for lab in _REQUIRED_LABELS if lab not in times]
+    missing = [lab for lab in EVENT_LABELS if lab not in times]
     if missing:
         raise AuditError(f"missing event(s): {', '.join(missing)}")
     return times

@@ -15,7 +15,7 @@ import numpy as np
 from bellsim import bell_stats as bs
 from bellsim import engine, heralding, optimizer, quantum, randomness, spacetime
 from bellsim.config import default_config
-from bellsim.logio import serialize_log
+from bellsim.logio import write_log
 from bellsim.readout import ReadoutBasisSet, ReadoutModel, rotated_povm
 
 from test_heralding import oracle_psi_minus_herald
@@ -143,7 +143,7 @@ def test_c10_optimizer_crossover():
                       f"{tuned.epsilon / math.pi:.4f} pi, S(eps*) > S(0)", ok)
 
 
-def test_c11_property_suites():
+def test_c11_property_suites(tmp_path):
     start = time.time()
     rng = np.random.default_rng(77)
     ok = True
@@ -197,9 +197,9 @@ def test_c11_property_suites():
     ok = ok and abs(attempts.mean() - 1 / p) < 3 * sigma
 
     # byte-identical seeded replay
-    log_a = engine.run_experiment(fast, n_trials=200, seed=99)
-    log_b = engine.run_experiment(fast, n_trials=200, seed=99)
-    ok = ok and serialize_log(log_a) == serialize_log(log_b)
+    write_log(engine.run_experiment(fast, n_trials=200, seed=99), tmp_path / "a.jsonl")
+    write_log(engine.run_experiment(fast, n_trials=200, seed=99), tmp_path / "b.jsonl")
+    ok = ok and (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
     elapsed = time.time() - start
     ok = ok and elapsed < 300.0

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -333,3 +337,14 @@ def test_bad_config_key_is_usage_error(tmp_path, capsys):
 
 def test_missing_required_argument_is_usage_error():
     assert run(["analyze"]) == 1
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so modules the tests imported do not count
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, bellsim.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

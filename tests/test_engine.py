@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -7,11 +9,16 @@ import pytest
 from bellsim import bell_stats as bs
 from bellsim import engine
 from bellsim.config import LinkConfig, default_config
-from bellsim.logio import serialize_log
+from bellsim.logio import write_log
 
 SQRT2 = math.sqrt(2.0)
 
 CFG = default_config()
+
+
+def log_bytes(log, path) -> bytes:
+    write_log(log, path)
+    return path.read_bytes()
 
 
 def fast_cfg(**experiment):
@@ -175,18 +182,63 @@ def test_setting_frequencies_uniform():
         assert abs(bits.mean() - 0.5) < 3 * 0.5 / math.sqrt(len(bits))
 
 
-def test_replay_is_byte_identical():
+def test_replay_is_byte_identical(tmp_path):
     cfg = fast_cfg()
     log1 = engine.run_experiment(cfg, n_trials=100, seed=21)
     log2 = engine.run_experiment(cfg, n_trials=100, seed=21)
-    assert serialize_log(log1) == serialize_log(log2)
+    assert log_bytes(log1, tmp_path / "1.jsonl") == log_bytes(log2, tmp_path / "2.jsonl")
 
 
-def test_different_seeds_differ():
+def test_different_seeds_differ(tmp_path):
     cfg = fast_cfg()
     log1 = engine.run_experiment(cfg, n_trials=100, seed=21)
     log2 = engine.run_experiment(cfg, n_trials=100, seed=22)
-    assert serialize_log(log1) != serialize_log(log2)
+    assert log_bytes(log1, tmp_path / "1.jsonl") != log_bytes(log2, tmp_path / "2.jsonl")
+
+
+@pytest.mark.parametrize("kwargs, n, partial, digest", [
+    (dict(n_trials=245, seed=59), 245, False,
+     "04d73894c0d7174e9a09bc6a851cdd91fd3d9f3aac3653efc0ee5f742d2832d6"),
+    # 95 % of the expected duration of 20,000 trials: the budget ends the run
+    (dict(n_trials=20_000, hours=0.95 * 20_000 / 6.4e-9 * 20_000 / 3.6e12, seed=(7, 0)),
+     18_967, True, "5933e3ef453f4a4649ae771cb13ef0e9091ae485fc19b8c241108cafc858bed4"),
+])
+def test_logs_are_pinned_by_digest(tmp_path, kwargs, n, partial, digest):
+    log = engine.run_experiment(CFG, **kwargs)
+    assert (len(log), log.partial) == (n, partial)
+    assert hashlib.sha256(log_bytes(log, tmp_path / "log.jsonl")).hexdigest() == digest
+
+
+def exact_hours(budget_ns: float) -> float:
+    """Hours that run_experiment turns into exactly ``budget_ns``."""
+    hours = budget_ns / 3.6e12
+    for _ in range(8):
+        ns = hours * 3600.0 * 1e9
+        if ns == budget_ns:
+            return hours
+        hours = math.nextafter(hours, math.inf if ns < budget_ns else 0.0)
+    raise AssertionError(f"no hours value converts to {budget_ns!r} ns")
+
+
+def test_budget_cut_late_in_the_run_keeps_the_leading_records():
+    # The cut falls thousands of trials in, past the first sampling block. A
+    # period of 0.3 ns makes the running total round, and the budget sits
+    # exactly on the total of the first `cut` trials summed one at a time:
+    # that trial still fits, and a budget one ulp shorter drops it.
+    period = 0.3
+    cfg = fast_cfg()
+    cfg = dataclasses.replace(cfg, link=dataclasses.replace(cfg.link, attempt_period_ns=period))
+    full = engine.run_experiment(cfg, n_trials=10_000, seed=17)
+    cut = 7_000
+    elapsed = list(itertools.accumulate(r.attempts * period for r in full.records))
+    hours = exact_hours(elapsed[cut - 1])
+    for budget, kept in ((hours, cut), (math.nextafter(hours, 0.0), cut - 1)):
+        log = engine.run_experiment(cfg, n_trials=10_000, hours=budget, seed=17)
+        assert log.partial
+        assert log.records == full.records[:kept]
+    unbounded = engine.run_experiment(cfg, n_trials=None, hours=hours, seed=17)
+    assert not unbounded.partial
+    assert unbounded.records == full.records[:cut]
 
 
 def test_hours_budget_truncates_and_flags_partial():

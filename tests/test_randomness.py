@@ -27,18 +27,23 @@ def test_zero_count_gives_empty_sequence():
     assert rnd.raw_bits(model, 0, np.random.default_rng(3)).size == 0
 
 
+class FixedUniforms:
+    """Stands in for a generator: ``random(count)`` returns preset values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, count):
+        assert count == self.values.size
+        return self.values
+
+
 def test_parity_of_all_zeros_and_single_one():
-    model = rnd.RngModel(raw_bits_per_output=8)
-    assert rnd.xor_extract(model, np.zeros(8, dtype=np.uint8)) == 0
-    block = np.zeros(8, dtype=np.uint8)
-    block[5] = 1
-    assert rnd.xor_extract(model, block) == 1
-
-
-def test_wrong_block_length_rejected():
-    model = rnd.RngModel(raw_bits_per_output=32)
-    with pytest.raises(rnd.RandomnessError):
-        rnd.xor_extract(model, np.zeros(31, dtype=np.uint8))
+    # a uniform below P(1) = 1/2 makes a raw 1; block i is raw bits 8i..8i+7
+    model = rnd.RngModel(excess_predictability=0.0, raw_bits_per_output=8)
+    zeros, one_at_5 = [0.9] * 8, [0.9] * 5 + [0.1] + [0.9] * 2
+    bits = rnd.setting_bits(model, 3, FixedUniforms(zeros + one_at_5 + zeros))
+    assert bits.tolist() == [0, 1, 0]
 
 
 # ---- output predictability ---------------------------------------------------
