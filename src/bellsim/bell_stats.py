@@ -10,8 +10,9 @@ n is stochastically dominated by a binomial, and its exact tail is a valid
 p-value bound. Input predictability tau relaxes the per-trial win bound to
 3/4 + c tau (the adjustment coefficient is configurable and conservative).
 
-The binomial tail is summed in exact rational arithmetic, never a naive
-float loop.
+The binomial tail is exact and never a float loop: with the win bound
+q = Q/D, the numerator of P(X >= k) over D^n is summed on plain integers by
+Horner's rule, and one final division (correctly rounded) gives the float.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .quantum import QuantumState, expectation
 from .readout import ReadoutBasisSet, ReadoutModel, effective_observable
@@ -113,17 +114,36 @@ def conventional_pvalue(s: float, sigma_s: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
+def _scaled_tails(n: int, q: Fraction, k: int) -> Iterator[tuple[int, int]]:
+    """Yield (j, A_j) for j = n, n-1, ..., k, with P(X >= j) = A_j Q^j / D^n.
+
+    X ~ Binomial(n, Q/D) and R = D - Q. A_j = sum_{i >= j} C(n, i) Q^(i-j)
+    R^(n-i) is summed on integers by Horner's rule from the top, updating
+    C(n, j) and R^(n-j) one step at a time; no gcd is ever taken.
+    """
+    big_q, big_r = q.numerator, q.denominator - q.numerator
+    acc, comb, r_pow = 0, 1, 1
+    for j in range(n, k - 1, -1):
+        acc = acc * big_q + comb * r_pow
+        yield j, acc
+        comb = comb * j // (n - j + 1)
+        r_pow *= big_r
+
+
+def _tail_ratio(k: int, n: int, q: Fraction) -> tuple[int, int]:
+    """Integer numerator and denominator D^n of P(X >= k), X ~ Binomial(n, q)."""
+    for _, acc in _scaled_tails(n, q, k):
+        pass
+    return acc * q.numerator**k, q.denominator**n
+
+
 def binomial_tail(k: int, n: int, q: Fraction) -> Fraction:
-    """P(X >= k) for X ~ Binomial(n, q), in exact rational arithmetic."""
+    """P(X >= k) for X ~ Binomial(n, q), exactly."""
     if n < 0 or not 0 <= k <= n:
         raise StatisticsError(f"invalid tail arguments k={k}, n={n}")
     if not 0 <= q <= 1:
         raise StatisticsError("q must be in [0, 1]")
-    one_minus = 1 - q
-    total = Fraction(0)
-    for j in range(k, n + 1):
-        total += math.comb(n, j) * q**j * one_minus**(n - j)
-    return total
+    return Fraction(*_tail_ratio(k, n, q))
 
 
 def win_probability_bound(tau_out: float,
@@ -152,8 +172,8 @@ def complete_pvalue(k: int, n: int, tau_out: float = 0.0,
     q = win_probability_bound(tau_out, win_adjustment)
     if q >= 1:
         return 1.0
-    p = binomial_tail(k, n, q)
-    return float(min(max(p, Fraction(0)), Fraction(1)))
+    numerator, denominator = _tail_ratio(k, n, q)
+    return numerator / denominator  # int / int is correctly rounded
 
 
 @dataclass(frozen=True)
@@ -176,22 +196,25 @@ def p_vs_i_curve(n: int, tau_out: float = 0.0,
         raise StatisticsError("n must be >= 1")
     if k_values is None:
         k_values = range(n + 1)
-    q = win_probability_bound(tau_out, win_adjustment)
-    rows = []
-    # one pass of exact suffix sums instead of re-summing each tail
-    if q < 1:
-        pmf = [math.comb(n, j) * q**j * (1 - q)**(n - j) for j in range(n + 1)]
-        suffix = [Fraction(0)] * (n + 2)
-        for j in range(n, -1, -1):
-            suffix[j] = suffix[j + 1] + pmf[j]
-    q0 = 0.75
-    sd = math.sqrt(n * q0 * (1 - q0))
+    k_values = list(k_values)
     for k in k_values:
         if not 0 <= k <= n:
             raise StatisticsError(f"k={k} outside [0, {n}]")
-        p_c = 1.0 if q >= 1 else float(min(max(suffix[k], Fraction(0)), Fraction(1)))
+    q = win_probability_bound(tau_out, win_adjustment)
+    p_complete = {}  # stays empty when the win bound reaches 1: every p is 1
+    if q < 1 and k_values:
+        # one Horner pass gives every row, each from its exact tail numerator
+        denominator = q.denominator**n
+        q_pow = q.numerator**n
+        for j, acc in _scaled_tails(n, q, min(k_values)):
+            p_complete[j] = acc * q_pow / denominator
+            q_pow //= q.numerator
+    q0 = 0.75
+    sd = math.sqrt(n * q0 * (1 - q0))
+    rows = []
+    for k in k_values:
         z = (k - n * q0) / sd
-        rows.append(CurveRow(int(k), i_statistic(k, n), p_c,
+        rows.append(CurveRow(int(k), i_statistic(k, n), p_complete.get(k, 1.0),
                              0.5 * math.erfc(z / math.sqrt(2.0))))
     return rows
 

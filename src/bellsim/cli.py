@@ -172,7 +172,7 @@ def cmd_analyze(args) -> int:
                                        win_adjustment=cfg.statistics.win_adjustment)
         _write_csv(args.curve, ("k", "I", "p_complete", "p_conventional"),
                    [(r.k, r.i, r.p_complete, r.p_conventional) for r in rows])
-    _emit_json(result.to_dict(), args.out)
+    _emit_json({**result.to_dict(), "partial": log.partial}, args.out)
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ derived seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,11 +139,13 @@ def replica_seed(master_seed: int, replica: int):
     return (master_seed, replica)
 
 
+@lru_cache(maxsize=16)
 def outcome_distribution(cfg: SimulationConfig) -> np.ndarray:
     """P[a, b, outcome-pair] over OUTCOME_PAIRS from the heralded state.
 
     Born probabilities of the two commuting one-sided POVMs; identical to
-    measuring the sides one after the other.
+    measuring the sides one after the other. Cached per config; the table is
+    read-only because every caller shares it.
     """
     rho = cfg.heralded_state().spin_state.density_matrix()
     basis = cfg.basis_set()
@@ -157,6 +160,7 @@ def outcome_distribution(cfg: SimulationConfig) -> np.ndarray:
                 eff = np.kron(ea[0 if x == 1 else 1], eb[0 if y == 1 else 1])
                 table[a, b, i] = max(0.0, float(np.real(np.trace(rho @ eff))))
             table[a, b] /= table[a, b].sum()
+    table.setflags(write=False)
     return table
 
 

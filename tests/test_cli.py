@@ -91,6 +91,22 @@ def test_analyze_reports_headline_quantities(tmp_path, fast_config, capsys):
     assert 0.0 <= payload["p_complete"] <= 1.0
 
 
+def test_analyze_reports_whether_the_log_is_partial(tmp_path, fast_config, capsys):
+    from bellsim import engine
+    from bellsim.config import load_config
+
+    link = load_config(fast_config).link
+    hours = 120 / engine.herald_probability(link) * link.attempt_period_ns / 3600e9
+    full = make_log(tmp_path, fast_config, n=100)
+    cut = tmp_path / "cut.jsonl"
+    assert run(["simulate", "--config", fast_config, "--n", "245", "--hours", str(hours),
+                "--seed", "8", "--out", str(cut)]) == 0
+    assert "(partial)" in capsys.readouterr().out
+    for path, partial in ((full, False), (cut, True)):
+        assert run(["analyze", str(path), "--config", fast_config]) == 0
+        assert json.loads(capsys.readouterr().out)["partial"] is partial
+
+
 def test_analyze_synthetic_equal_cells_log(tmp_path, capsys):
     # hand-built log: 61 trials per cell except (1,1) with 62, k = 196, n = 245
     from bellsim.engine import TrialLog, TrialRecord

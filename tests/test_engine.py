@@ -274,6 +274,14 @@ def test_outcome_distribution_matches_sequential_measurement():
     assert np.max(np.abs(freq - table[0, 1])) < 5 * math.sqrt(0.25 / n)
 
 
+def test_outcome_distribution_is_cached_and_read_only():
+    cfg = fast_cfg()
+    table = engine.outcome_distribution(cfg)
+    assert engine.outcome_distribution(dataclasses.replace(cfg)) is table
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1.0
+
+
 def test_record_events_cover_the_audit_labels():
     rec = engine.run_trial(fast_cfg(), 0, engine.TrialStreams.from_seed(1))
     labels = {e.label for e in engine.record_events(rec)}

@@ -1,6 +1,7 @@
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -9,9 +10,12 @@ from scipy.integrate import quad
 
 from bellsim import bell_stats as bs
 from bellsim import quantum as q
+from bellsim.config import load_config
 from bellsim.readout import ReadoutBasisSet, ReadoutModel, calibrate_readout
 
 SQRT2 = math.sqrt(2.0)
+DEFAULT_TAU = load_config(
+    Path(__file__).resolve().parents[1] / "configs" / "default.yaml").rng.tau_out
 
 
 @dataclass
@@ -201,13 +205,54 @@ def test_exact_tail_is_a_fraction():
     assert tail == Fraction(5, 16)
 
 
+def fraction_sum_tail(k, n, q):
+    """Term-by-term Fraction sum: the tail as the package computed it before."""
+    total = Fraction(0)
+    for j in range(k, n + 1):
+        total += math.comb(n, j) * q**j * (1 - q)**(n - j)
+    return total
+
+
+@pytest.mark.parametrize("q_win", [
+    Fraction(1, 3), Fraction(7, 10), Fraction(3, 4) + 3 * Fraction(2.1e-23),
+    Fraction(0), Fraction(1),
+])
+def test_binomial_tail_equals_fraction_sum(q_win):
+    for n in (0, 1, 2, 7, 40):
+        for k in {k for k in (0, n // 3, n // 2, n - 1, n) if k >= 0}:
+            assert bs.binomial_tail(k, n, q_win) == fraction_sum_tail(k, n, q_win)
+
+
+def test_complete_pvalue_is_the_correctly_rounded_exact_tail():
+    for tau in (0.0, DEFAULT_TAU, 0.01, 0.07):
+        q_win = bs.win_probability_bound(tau)
+        for k, n in ((196, 245), (0, 245), (245, 245), (1, 1), (150, 300), (7, 10)):
+            assert bs.complete_pvalue(k, n, tau) == float(fraction_sum_tail(k, n, q_win))
+
+
+def test_complete_pvalue_matches_oracle_at_n_4000():
+    q_win = bs.win_probability_bound(DEFAULT_TAU)
+    mp.mp.dps = 60
+    oracle = float(mp_binomial_tail(3100, 4000, mp.mpf(q_win.numerator) / q_win.denominator))
+    assert abs(bs.complete_pvalue(3100, 4000, DEFAULT_TAU) - oracle) / oracle < 1e-12
+
+
 # ---- p versus I curve -------------------------------------------------------------------
 
 
 def test_curve_row_consistency_with_complete_pvalue():
-    rows = {r.k: r for r in bs.p_vs_i_curve(245, 0.0)}
-    assert rows[196].p_complete == bs.complete_pvalue(196, 245, 0.0)
+    for tau in (0.0, DEFAULT_TAU):
+        rows = bs.p_vs_i_curve(245, tau)
+        assert [r.k for r in rows] == list(range(246))
+        for r in rows:
+            assert r.p_complete == bs.complete_pvalue(r.k, 245, tau)
     assert rows[196].i == 2.4
+
+
+def test_curve_subset_of_k_matches_full_curve():
+    full = bs.p_vs_i_curve(245, DEFAULT_TAU)
+    assert bs.p_vs_i_curve(245, DEFAULT_TAU, k_values=[200, 196, 240]) == \
+        [full[200], full[196], full[240]]
 
 
 def test_curve_endpoints():
