@@ -18,7 +18,7 @@ from .bell_stats import (
     p_vs_i_curve,
 )
 from .config import SimulationConfig, config_hash, default_config, load_config
-from .engine import TrialLog, TrialRecord, herald_probability, run_experiment, run_trial
+from .engine import TrialLog, TrialRecord, herald_probability, run_experiment
 from .heralding import (
     HeraldPattern,
     InterferenceModel,
@@ -26,9 +26,7 @@ from .heralding import (
     SpinPhotonErrorModel,
     beam_splitter,
     event_ready_state,
-    herald,
     hom_visibility,
-    joint_source_state,
     spin_photon_state,
 )
 from .logio import read_log, write_log

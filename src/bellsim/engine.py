@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import SimulationConfig, config_hash
 from .randomness import setting_bits
-from .readout import measure_in_basis, rotated_povm
+from .readout import rotated_povm
 from .spacetime import SpacetimeEvent
 
 OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
@@ -182,27 +182,6 @@ def _timestamps(cfg: SimulationConfig, timing_rng: np.random.Generator,
         + jitter[:, 4],
     }
     return {key: col.tolist() for key, col in columns.items()}
-
-
-def run_trial(cfg: SimulationConfig, idx: int, streams: TrialStreams,
-              force_settings: tuple[int, int] | None = None) -> TrialRecord:
-    """One event-ready trial, sampled with sequential readout collapse."""
-    p = herald_probability(cfg.link)
-    attempts = int(streams.attempts.geometric(p))
-    if force_settings is not None:
-        a, b = force_settings
-    else:
-        a = setting_bits(cfg.rng, 1, streams.settings_a)[0]
-        b = setting_bits(cfg.rng, 1, streams.settings_b)[0]
-    basis = cfg.basis_set()
-    state = cfg.heralded_state().spin_state
-    x, post = measure_in_basis(state, basis.angle("A", a), cfg.readout_model("A"),
-                               streams.outcomes, subsystem="spin_a")
-    y, _ = measure_in_basis(post, basis.angle("B", b), cfg.readout_model("B"),
-                            streams.outcomes, subsystem="spin_b")
-    times = {key: col[0] for key, col in _timestamps(cfg, streams.timing, 1).items()}
-    return TrialRecord(idx=idx, a=int(a), b=int(b), x=int(x), y=int(y),
-                       attempts=attempts, **times)
 
 
 def record_events(record: TrialRecord) -> tuple[SpacetimeEvent, ...]:

@@ -14,8 +14,12 @@ bin, and detector dark counts / excitation-laser leakage enter as independent
 false-click events per detection window.
 
 All photonic states are second-quantised on a truncated Fock space (a few
-modes, at most two photons), carried as one dense subsystem of a
-:class:`~bellsim.quantum.QuantumState`.
+modes, at most two photons). The event-ready build never forms the joint
+spin-photon density matrix: each classical flip branch of the two nodes is
+carried as one weighted ket over the spin pair and the Fock space, all
+branches cross the beam splitter in one matrix product, and each herald
+pattern is a weight per Fock basis state. Only the final 4x4 two-spin state
+is validated as a :class:`~bellsim.quantum.QuantumState`.
 """
 
 from __future__ import annotations
@@ -115,8 +119,9 @@ class PhotonicModeSpace:
             raise HeraldingError(f"unknown mode {mode}") from None
 
 
+@lru_cache(maxsize=1)
 def default_mode_space() -> PhotonicModeSpace:
-    """Two input and two output ports, two time bins, two sectors."""
+    """Two input and two output ports, two time bins, two sectors; built once."""
     modes = tuple(
         (port, time_bin, sector)
         for port in INPUT_PORTS + OUTPUT_PORTS
@@ -361,49 +366,13 @@ def photon_ket(space: PhotonicModeSpace, modes: Iterable[Mode]) -> QuantumState:
     return QuantumState(vec, ((PHOTON_SUBSYSTEM, space.dim),))
 
 
-def joint_source_state(space: PhotonicModeSpace,
-                       errors: SpinPhotonErrorModel,
-                       visibility: float) -> QuantumState:
-    """Both nodes' spins and photons before the beam splitter.
-
-    Node A emits into its shared mode; node B emits into sqrt(V) shared +
-    sqrt(1-V) private, so the mode overlap squared equals the interference
-    visibility. The classical spin-flip mixtures of both nodes are applied.
-    """
-    if not 0.0 <= visibility <= 1.0:
-        raise HeraldingError("visibility must be in [0, 1]")
-    amp_shared = math.sqrt(visibility)
-    amp_private = math.sqrt(1.0 - visibility)
-    dim = space.dim
-    e_a = errors.for_side("A")
-    e_b = errors.for_side("B")
-    rho = np.zeros((4 * dim, 4 * dim), dtype=np.complex128)
-    for w_a, fe_a, fl_a in _flip_branches(*e_a):
-        for w_b, fe_b, fl_b in _flip_branches(*e_b):
-            vec = np.zeros(4 * dim, dtype=np.complex128)
-            for bin_a, bin_b in product(TIME_BINS, repeat=2):
-                s_a = (0 if bin_a == EARLY else 1) ^ (fe_a if bin_a == EARLY else fl_a)
-                s_b = (0 if bin_b == EARLY else 1) ^ (fe_b if bin_b == EARLY else fl_b)
-                spin_idx = s_a * 2 + s_b
-                for sector_b, amp_b in ((SHARED, amp_shared), (PRIVATE, amp_private)):
-                    if amp_b == 0.0:
-                        continue
-                    occ = [0] * len(space.modes)
-                    occ[space.mode_index((PORT_A_IN, bin_a, SHARED))] += 1
-                    occ[space.mode_index((PORT_B_IN, bin_b, sector_b))] += 1
-                    vec[spin_idx * dim + space.index(tuple(occ))] += 0.5 * amp_b
-            rho += (w_a * w_b) * np.outer(vec, vec.conj())
-    return QuantumState(
-        rho, (("spin_a", 2), ("spin_b", 2), (PHOTON_SUBSYSTEM, dim))
-    )
-
-
 def _detection_windows() -> tuple[tuple[str, str], ...]:
     return tuple((port, time_bin) for port in OUTPUT_PORTS for time_bin in TIME_BINS)
 
 
-def _visible_occupations(space: PhotonicModeSpace) -> dict:
-    """Group Fock indices by detector-visible counts (sectors are unresolved)."""
+@lru_cache(maxsize=8)
+def _visible_groups(space: PhotonicModeSpace) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+    """Fock indices grouped by detector-visible counts (sectors are unresolved)."""
     windows = _detection_windows()
     groups: dict = {}
     for i, occ in enumerate(space.basis):
@@ -415,7 +384,7 @@ def _visible_occupations(space: PhotonicModeSpace) -> dict:
             if port in OUTPUT_PORTS:
                 visible[windows.index((port, time_bin))] += n
         groups.setdefault(tuple(visible), []).append(i)
-    return groups
+    return tuple((visible, np.array(indices)) for visible, indices in groups.items())
 
 
 def _click_set_probability(visible: Sequence[int], clicked: Sequence[bool],
@@ -441,75 +410,47 @@ class HeraldResult:
     pattern_probabilities: tuple[tuple[HeraldPattern, float], ...]
 
 
-def herald(state: QuantumState, space: PhotonicModeSpace, model: InterferenceModel,
-           patterns: Sequence[HeraldPattern] | HeraldPattern | None = None,
-           subsystem: str = PHOTON_SUBSYSTEM) -> HeraldResult:
-    """Condition on a detection pattern and return the projected spin state.
+def _branch_kets(space: PhotonicModeSpace, errors: SpinPhotonErrorModel,
+                 visibility: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and spin-pair x Fock kets of the (A x B) flip branches at the source.
 
-    ``state`` must hold two spins plus the photonic subsystem, already past
-    the beam splitter. ``patterns`` may be a single pattern or several
-    mutually exclusive ones (default: both singlet coincidences); the
-    conditional states are mixed with their pattern weights.
+    Node A emits into its shared mode; node B emits into sqrt(V) shared +
+    sqrt(1-V) private, so the mode overlap squared equals the interference
+    visibility. Returns weights of shape (n,) and kets of shape (n, 4, dim),
+    one per branch of nonzero weight, with the spin index s_a * 2 + s_b.
     """
-    if patterns is None:
-        patterns = psi_minus_patterns()
-    elif isinstance(patterns, HeraldPattern):
-        patterns = (patterns,)
-    if state.names != ("spin_a", "spin_b", subsystem):
-        raise HeraldingError(
-            f"herald expects subsystems ('spin_a', 'spin_b', {subsystem!r}), got {state.names}"
-        )
-    if state.subsystem_dim(subsystem) != space.dim:
-        raise HeraldingError("photonic subsystem dimension does not match the mode space")
-    windows = _detection_windows()
-    dim = space.dim
-    rho = state.density_matrix().reshape(4, dim, 4, dim)
-    groups = _visible_occupations(space)
-    total = np.zeros((4, 4), dtype=np.complex128)
-    total_prob = 0.0
-    per_pattern = []
-    for pattern in patterns:
-        clicked = [w in pattern.clicks for w in windows]
-        cond = np.zeros((4, 4), dtype=np.complex128)
-        for visible, indices in groups.items():
-            weight = _click_set_probability(visible, clicked, model)
-            if weight == 0.0:
+    emissions = []  # (bin A, bin B, Fock index of the photon pair, amplitude)
+    for bin_a, bin_b in product(TIME_BINS, repeat=2):
+        for sector_b, amp_b in ((SHARED, math.sqrt(visibility)),
+                                (PRIVATE, math.sqrt(1.0 - visibility))):
+            if amp_b == 0.0:
                 continue
-            block = rho[:, indices, :, :][:, :, :, indices]
-            cond += weight * np.einsum("ikjk->ij", block)
-        p = float(np.trace(cond).real)
-        per_pattern.append((pattern, p))
-        total += cond
-        total_prob += p
-    if total_prob < 1e-15:
-        raise UnheraldableError("requested detection pattern has zero probability")
-    spin = QuantumState(total / total_prob, (("spin_a", 2), ("spin_b", 2)))
-    return HeraldResult(total_prob, spin, tuple(per_pattern))
+            occ = [0] * len(space.modes)
+            occ[space.mode_index((PORT_A_IN, bin_a, SHARED))] += 1
+            occ[space.mode_index((PORT_B_IN, bin_b, sector_b))] += 1
+            emissions.append((bin_a, bin_b, space.index(tuple(occ)), 0.5 * amp_b))
+    weights, kets = [], []
+    for w_a, fe_a, fl_a in _flip_branches(*errors.for_side("A")):
+        for w_b, fe_b, fl_b in _flip_branches(*errors.for_side("B")):
+            ket = np.zeros((4, space.dim), dtype=np.complex128)
+            for bin_a, bin_b, k, amp in emissions:
+                # ideal: spin up (0) with the early photon, down (1) with the late
+                s_a = fe_a if bin_a == EARLY else 1 ^ fl_a
+                s_b = fe_b if bin_b == EARLY else 1 ^ fl_b
+                ket[s_a * 2 + s_b, k] += amp
+            weights.append(w_a * w_b)
+            kets.append(ket)
+    return np.array(weights), np.array(kets)
 
 
-def click_pattern_distribution(state: QuantumState, space: PhotonicModeSpace,
-                               model: InterferenceModel,
-                               subsystem: str = PHOTON_SUBSYSTEM) -> dict:
-    """Probability of every click subset of the four detection windows.
-
-    The values sum to one: each photon-count configuration produces exactly
-    one click set. Useful for budget checks and completeness tests.
-    """
-    windows = _detection_windows()
-    dim = space.dim
-    rho = state.density_matrix().reshape(4, dim, 4, dim)
-    groups = _visible_occupations(space)
-    weights = {}
-    for visible, indices in groups.items():
-        block = rho[:, indices, :, :][:, :, :, indices]
-        weights[visible] = float(np.einsum("ikik->", block).real)
-    out = {}
-    for clicked in product((False, True), repeat=len(windows)):
-        p = 0.0
-        for visible, w in weights.items():
-            p += w * _click_set_probability(visible, clicked, model)
-        out[frozenset(w for w, c in zip(windows, clicked) if c)] = p
-    return out
+def _pattern_weights(space: PhotonicModeSpace, pattern: HeraldPattern,
+                     model: InterferenceModel) -> np.ndarray:
+    """P(exactly the pattern's clicks | Fock basis state), per basis index."""
+    clicked = [w in pattern.clicks for w in _detection_windows()]
+    weights = np.zeros(space.dim)
+    for visible, indices in _visible_groups(space):
+        weights[indices] = _click_set_probability(visible, clicked, model)
+    return weights
 
 
 @lru_cache(maxsize=64)
@@ -522,14 +463,32 @@ def event_ready_state(model: InterferenceModel,
     losses aside) and the conditional two-spin density matrix. With
     ``include_same_port`` the same-port early/late coincidences are accepted
     too, without any feed-forward correction, which degrades the state.
+
+    Each flip branch b with weight w_b is a ket psi_b over spin pair x Fock
+    space; past the beam splitter, pattern p leaves the unnormalised spin
+    state sum_b w_b (psi_b * wt_p) psi_b^dag, where wt_p is the pattern's
+    click probability per Fock basis state.
     """
     space = default_mode_space()
-    joint = joint_source_state(space, errors, model.visibility)
-    mixed = beam_splitter(joint, space)
+    branch_weights, kets = _branch_kets(space, errors, model.visibility)
+    kets = kets @ beam_splitter_unitary(space).T  # on the photonic axis of every branch
     patterns = psi_minus_patterns()
     if include_same_port:
         patterns = patterns + psi_plus_patterns()
-    return herald(mixed, space, model, patterns)
+    total = np.zeros((4, 4), dtype=np.complex128)
+    total_prob = 0.0
+    per_pattern = []
+    for pattern in patterns:
+        clicked = kets * _pattern_weights(space, pattern, model)
+        cond = np.einsum("b,bik,bjk->ij", branch_weights, clicked, kets.conj())
+        p = float(np.trace(cond).real)
+        per_pattern.append((pattern, p))
+        total += cond
+        total_prob += p
+    if total_prob < 1e-15:
+        raise UnheraldableError("requested detection pattern has zero probability")
+    spin = QuantumState(total / total_prob, (("spin_a", 2), ("spin_b", 2)))
+    return HeraldResult(total_prob, spin, tuple(per_pattern))
 
 
 @dataclass(frozen=True)

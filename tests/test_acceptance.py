@@ -18,6 +18,7 @@ from bellsim.config import default_config
 from bellsim.logio import write_log
 from bellsim.readout import ReadoutBasisSet, ReadoutModel, rotated_povm
 
+from test_engine import run_trial
 from test_heralding import oracle_psi_minus_herald
 from test_quantum import random_channel, random_density_matrix
 
@@ -103,7 +104,7 @@ def test_c08_locality_audit_margins():
     window = spacetime.light_time_ns(geometry, "A", "B")
     # nominal (jitter-free) schedule from the configured budget
     cfg = dataclasses.replace(CFG, timing=dataclasses.replace(CFG.timing, jitter_ns=0.0))
-    rec = engine.run_trial(cfg, 0, engine.TrialStreams.from_seed(0))
+    rec = run_trial(cfg, 0, engine.TrialStreams.from_seed(0))
     rep = spacetime.audit_trial(engine.record_events(rec), geometry, budget)
     margin = min(c.margin_ns for c in rep.checks)
     ok = (rep.all_pass and abs(window - 4269.6) < 0.1

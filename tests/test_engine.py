@@ -10,6 +10,8 @@ from bellsim import bell_stats as bs
 from bellsim import engine
 from bellsim.config import LinkConfig, default_config
 from bellsim.logio import write_log
+from bellsim.randomness import setting_bits
+from bellsim.readout import measure_in_basis
 
 SQRT2 = math.sqrt(2.0)
 
@@ -61,7 +63,31 @@ def test_expected_heralds_in_a_long_run():
     assert 200 <= heralds_220h <= 300  # a few event-ready signals per hour
 
 
-# ---- run_trial -------------------------------------------------------------------
+# ---- run_trial: the sequential-collapse oracle -----------------------------------
+
+
+def run_trial(cfg, idx, streams, force_settings=None):
+    """One event-ready trial, sampled with sequential readout collapse.
+
+    Side A is measured on the heralded state and side B on the post-measurement
+    state, one trial at a time; the engine's outcome table must agree with it.
+    Settings and timestamps come from the same helpers as the block loop.
+    """
+    attempts = int(streams.attempts.geometric(engine.herald_probability(cfg.link)))
+    if force_settings is not None:
+        a, b = force_settings
+    else:
+        a = setting_bits(cfg.rng, 1, streams.settings_a)[0]
+        b = setting_bits(cfg.rng, 1, streams.settings_b)[0]
+    basis = cfg.basis_set()
+    state = cfg.heralded_state().spin_state
+    x, post = measure_in_basis(state, basis.angle("A", a), cfg.readout_model("A"),
+                               streams.outcomes, subsystem="spin_a")
+    y, _ = measure_in_basis(post, basis.angle("B", b), cfg.readout_model("B"),
+                            streams.outcomes, subsystem="spin_b")
+    times = {key: col[0] for key, col in engine._timestamps(cfg, streams.timing, 1).items()}
+    return engine.TrialRecord(idx=idx, a=int(a), b=int(b), x=int(x), y=int(y),
+                              attempts=attempts, **times)
 
 
 def test_forced_settings_correlation_matches_closed_form():
@@ -70,7 +96,7 @@ def test_forced_settings_correlation_matches_closed_form():
     n = 4000
     products = []
     for i in range(n):
-        rec = engine.run_trial(cfg, i, streams, force_settings=(0, 0))
+        rec = run_trial(cfg, i, streams, force_settings=(0, 0))
         products.append(rec.x * rec.y)
     observed = np.mean(products)
     expected = bs.expected_correlations(
@@ -83,7 +109,7 @@ def test_forced_settings_correlation_matches_closed_form():
 
 def test_trial_record_fields_and_ordering():
     cfg = fast_cfg()
-    rec = engine.run_trial(cfg, 0, engine.TrialStreams.from_seed(7))
+    rec = run_trial(cfg, 0, engine.TrialStreams.from_seed(7))
     assert rec.a in (0, 1) and rec.b in (0, 1)
     assert rec.x in (-1, 1) and rec.y in (-1, 1)
     assert rec.t_choice_a_ns < rec.t_read_done_a_ns
@@ -93,8 +119,8 @@ def test_trial_record_fields_and_ordering():
 
 def test_run_trial_deterministic_given_seed():
     cfg = fast_cfg()
-    rec1 = engine.run_trial(cfg, 0, engine.TrialStreams.from_seed(42))
-    rec2 = engine.run_trial(cfg, 0, engine.TrialStreams.from_seed(42))
+    rec1 = run_trial(cfg, 0, engine.TrialStreams.from_seed(42))
+    rec2 = run_trial(cfg, 0, engine.TrialStreams.from_seed(42))
     assert rec1 == rec2
 
 
@@ -110,7 +136,7 @@ def test_fully_mixed_state_gives_zero_correlation():
         spin_photon_errors=h.SpinPhotonErrorModel(0.5, 0.5, 0.5, 0.5),
     )
     streams = engine.TrialStreams.from_seed(2)
-    products = [engine.run_trial(cfg, i, streams).x * engine.run_trial(cfg, i, streams).y
+    products = [run_trial(cfg, i, streams).x * run_trial(cfg, i, streams).y
                 for i in range(1500)]
     assert abs(np.mean(products)) < 4 / math.sqrt(len(products))
 
@@ -268,7 +294,7 @@ def test_outcome_distribution_matches_sequential_measurement():
     n = 6000
     counts = np.zeros(4)
     for i in range(n):
-        rec = engine.run_trial(cfg, i, streams, force_settings=(0, 1))
+        rec = run_trial(cfg, i, streams, force_settings=(0, 1))
         counts[engine.OUTCOME_PAIRS.index((rec.x, rec.y))] += 1
     freq = counts / n
     assert np.max(np.abs(freq - table[0, 1])) < 5 * math.sqrt(0.25 / n)
@@ -283,13 +309,13 @@ def test_outcome_distribution_is_cached_and_read_only():
 
 
 def test_record_events_cover_the_audit_labels():
-    rec = engine.run_trial(fast_cfg(), 0, engine.TrialStreams.from_seed(1))
+    rec = run_trial(fast_cfg(), 0, engine.TrialStreams.from_seed(1))
     labels = {e.label for e in engine.record_events(rec)}
     assert labels == {"choice-A", "choice-B", "readout-done-A", "readout-done-B", "herald-C"}
 
 
 def test_append_only_index_enforced():
     log = engine.TrialLog(config_hash="x", seed=0)
-    rec = engine.run_trial(fast_cfg(), 1, engine.TrialStreams.from_seed(1))
+    rec = run_trial(fast_cfg(), 1, engine.TrialStreams.from_seed(1))
     with pytest.raises(engine.EngineError):
         log.append(rec)
