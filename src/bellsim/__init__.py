@@ -48,7 +48,6 @@ from .readout import (
     ReadoutModel,
     calibrate_readout,
     fidelity_vs_duration,
-    measure_in_basis,
     readout_channel,
 )
 from .spacetime import Geometry, SpacetimeEvent, TimingBudget, audit_trial, determination_bound, light_time_ns

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .quantum import QuantumState, expectation
-from .readout import ReadoutBasisSet, ReadoutModel, effective_observable
-from .quantum import Observable
+from .quantum import QuantumState, correlation_tensor
+from .readout import ReadoutBasisSet, ReadoutModel, observable_components
 
 SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 CHSH_SIGNS = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): -1.0}
@@ -222,13 +221,12 @@ def p_vs_i_curve(n: int, tau_out: float = 0.0,
 def expected_correlations(state: QuantumState, readout_a: ReadoutModel,
                           readout_b: ReadoutModel,
                           basis: ReadoutBasisSet) -> dict[tuple[int, int], float]:
-    """Predicted E(a,b) from the state, the readout POVMs, and the angles."""
-    out = {}
-    for a, b in SETTING_PAIRS:
-        obs_a = Observable(effective_observable(readout_a, basis.angle("A", a)))
-        obs_b = Observable(effective_observable(readout_b, basis.angle("B", b)))
-        out[(a, b)] = expectation(state, obs_a, obs_b)
-    return out
+    """Predicted E(a,b) from the state, the readout POVMs, and the angles,
+    all four from one :func:`correlation_tensor` of the state."""
+    tensor = correlation_tensor(state)
+    return {(a, b): float(observable_components(readout_a, basis.angle("A", a)) @ tensor
+                          @ observable_components(readout_b, basis.angle("B", b)))
+            for a, b in SETTING_PAIRS}
 
 
 def chsh_combination(correlations: Mapping[tuple[int, int], float]) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bell_stats, engine, heralding, logio, optimizer, quantum, spacetime
 from .config import ConfigError, SimulationConfig, default_config, load_config
-from .readout import effective_observable
+from .readout import observable_components
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,15 +84,15 @@ def _read_log(path):
 
 def _colinear_correlations(cfg: SimulationConfig) -> list[tuple[str, str, float]]:
     """Expected correlations for co-linear readout (Z-Z and X-X axes)."""
-    rho = cfg.heralded_state().spin_state
+    tensor = quantum.correlation_tensor(cfg.heralded_state().spin_state)
     model_a = cfg.readout_model("A")
     model_b = cfg.readout_model("B")
     rows = []
     for basis_name, theta in (("ZZ", 0.0), ("XX", math.pi / 2)):
+        u_a = observable_components(model_a, theta)
         for orientation, theta_b in (("parallel", theta), ("antiparallel", theta + math.pi)):
-            obs_a = quantum.Observable(effective_observable(model_a, theta))
-            obs_b = quantum.Observable(effective_observable(model_b, theta_b))
-            rows.append((basis_name, orientation, quantum.expectation(rho, obs_a, obs_b)))
+            u_b = observable_components(model_b, theta_b)
+            rows.append((basis_name, orientation, float(u_a @ tensor @ u_b)))
     return rows
 
 
@@ -278,7 +278,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("optimize", help="choose the readout tilt for the configured model")
     add_config(p)
-    p.add_argument("--seed", type=int, metavar="U64", help="unused; accepted for uniformity")
     p.add_argument("--out", metavar="PATH", help="write the JSON result here instead of stdout")
     p.set_defaults(func=cmd_optimize)
     return parser

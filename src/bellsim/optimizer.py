@@ -5,8 +5,11 @@ A, -(3/4)pi - eps and (3/4)pi + eps on side B. A positive tilt trades some of
 the weaker X-X correlation for the stronger Z-Z correlation, which pays off
 exactly when interference visibility (not readout) limits the state.
 
-Search is a coarse grid scan followed by a derivative-free coordinate polish
-with shrinking step; ties break toward the smallest |eps|. Deterministic.
+No search is needed: every correlation is bilinear in the state's (I, Z, X)
+correlation tensor and the readout components (F+ - F-, (F+ + F- - 1) cos
+theta, (F+ + F- - 1) sin theta), so S(eps) = c0 + c1 cos eps + c2 sin eps
+exactly. The optimum is atan2(c2, c1), moved into the bounds at the point
+nearest to it modulo 2 pi.
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ import math
 from dataclasses import dataclass
 
 from .bell_stats import chsh_combination, expected_correlations
-from .quantum import QuantumState
-from .readout import ReadoutBasisSet, ReadoutModel
+from .quantum import QuantumState, correlation_tensor
+from .readout import ReadoutBasisSet, ReadoutModel, observable_components
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
 OBJECTIVES = ("expected-s", "expected-complete-significance")
+
+DEGENERACY_SPAN = 1e-9  # S flatter than this over the bounds carries no tilt preference
 
 
 class OptimizerError(ValueError):
@@ -29,13 +34,13 @@ class OptimizerError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizationSpec:
+    """Objective and tilt bounds; ``grid_points`` and ``tolerance_rad`` are unused."""
+
     objective: str = "expected-s"
     epsilon_min: float = -math.pi / 8
     epsilon_max: float = math.pi / 8
     grid_points: int = 64
     tolerance_rad: float = 1e-4
-    min_step_rad: float = 1e-5
-    degeneracy_span: float = 1e-9
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -54,19 +59,41 @@ def expected_s(state: QuantumState, readout_a: ReadoutModel, readout_b: ReadoutM
     return chsh_combination(expected_correlations(state, readout_a, readout_b, basis))
 
 
-def _win_rate(s: float) -> float:
-    # per-trial win probability under uniform settings
-    return 0.5 + s / 8.0
+def tilt_coefficients(state: QuantumState, readout_a: ReadoutModel,
+                      readout_b: ReadoutModel) -> tuple[float, float, float]:
+    """(c0, c1, c2) with S(eps) = c0 + c1 cos eps + c2 sin eps for the symmetric tilt.
+
+    With v_a = u_A(a) T at A's angles 0 and pi/2, u_B(-+beta) = (g0, g1 cos beta,
+    -+g1 sin beta) and beta = 3pi/4 + eps: S = 2 g0 v_0[I] + 2 g1 (v_0[Z] cos beta
+    - v_1[X] sin beta).
+    """
+    tensor = correlation_tensor(state)
+    v0 = observable_components(readout_a, 0.0) @ tensor
+    v1 = observable_components(readout_a, math.pi / 2) @ tensor
+    g0, g1, _ = observable_components(readout_b, 0.0)
+    zz, xx = float(v0[1]), float(v1[2])
+    root2_g1 = math.sqrt(2.0) * float(g1)
+    return 2.0 * float(g0) * float(v0[0]), -root2_g1 * (zz + xx), root2_g1 * (xx - zz)
+
+
+def _nearest_in(lo: float, hi: float, target: float) -> float:
+    """The point of [lo, hi] nearest to ``target`` modulo 2 pi."""
+    inside = target + 2.0 * math.pi * math.ceil((lo - target) / (2.0 * math.pi))
+    if inside <= hi:
+        return inside
+    return min((lo, hi), key=lambda x: abs(math.remainder(x - target, 2.0 * math.pi)))
 
 
 def _significance_rate(s: float) -> float:
     """Large-deviation exponent of the memory-robust test per trial.
 
-    KL(q || 3/4) for q = 1/2 + S/8; a strictly increasing function of S
-    above the classical bound, so both objectives share their maximiser.
+    KL(q || 3/4) for the win rate q = 1/2 + S/8 above the local bound 3/4,
+    zero at or below it: non-decreasing in S, so both objectives share their
+    maximiser. S is checked against the Tsirelson bound first, so q < 1.
     """
-    q = min(max(_win_rate(s), 1e-12), 1 - 1e-12)
-    q0 = 0.75
+    q, q0 = 0.5 + s / 8.0, 0.75
+    if q <= q0:
+        return 0.0
     return q * math.log(q / q0) + (1 - q) * math.log((1 - q) / (1 - q0))
 
 
@@ -81,58 +108,26 @@ class OptimizationResult:
 
 def optimize(spec: OptimizationSpec, state: QuantumState,
              readout_a: ReadoutModel, readout_b: ReadoutModel) -> OptimizationResult:
-    """Search the tilt maximising the configured objective.
+    """The tilt maximising the configured objective, in closed form.
 
-    Grid scan over [epsilon_min, epsilon_max], then coordinate descent with a
-    halving step down to ``min_step_rad``. A flat objective (span below
-    ``degeneracy_span`` across the grid) is flagged degenerate and the
-    canonical tilt 0 is returned.
+    Both objectives are non-decreasing in S, so this is the S maximiser in
+    [epsilon_min, epsilon_max]. S spreading by less than ``DEGENERACY_SPAN``
+    over the bounds is flagged degenerate and the canonical tilt 0 (or the
+    lower bound, if 0 is outside) is returned.
     """
-
-    def objective(eps: float) -> float:
-        s = expected_s(state, readout_a, readout_b, ReadoutBasisSet.from_tilt(eps))
-        if not math.isfinite(s):
-            raise OptimizerError(f"objective is not finite at eps={eps}")
-        if s > TSIRELSON + 1e-9:
-            raise OptimizerError(f"expected S={s} above the quantum ceiling")
-        if spec.objective == "expected-s":
-            return s
-        return _significance_rate(s)
-
-    span = spec.epsilon_max - spec.epsilon_min
-    grid = [spec.epsilon_min + span * i / (spec.grid_points - 1)
-            for i in range(spec.grid_points)]
-    values = [objective(e) for e in grid]
-    if max(values) - min(values) < spec.degeneracy_span:
-        eps = 0.0 if spec.epsilon_min <= 0.0 <= spec.epsilon_max else grid[0]
-        basis = ReadoutBasisSet.from_tilt(eps)
-        return OptimizationResult(eps, basis, objective(eps),
-                                  expected_s(state, readout_a, readout_b, basis), True)
-
-    def better(value, eps, best_value, best_eps) -> bool:
-        if value > best_value + 1e-15:
-            return True
-        return abs(value - best_value) <= 1e-15 and abs(eps) < abs(best_eps)
-
-    best_eps, best_value = grid[0], values[0]
-    for e, v in zip(grid[1:], values[1:]):
-        if better(v, e, best_value, best_eps):
-            best_eps, best_value = e, v
-
-    step = span / (spec.grid_points - 1)
-    while step > spec.min_step_rad:
-        moved = True
-        while moved:
-            moved = False
-            for candidate in (best_eps - step, best_eps + step):
-                if not spec.epsilon_min <= candidate <= spec.epsilon_max:
-                    continue
-                v = objective(candidate)
-                if better(v, candidate, best_value, best_eps):
-                    best_eps, best_value = candidate, v
-                    moved = True
-        step /= 2.0
-
-    basis = ReadoutBasisSet.from_tilt(best_eps)
-    return OptimizationResult(best_eps, basis, best_value,
-                              expected_s(state, readout_a, readout_b, basis), False)
+    _, c1, c2 = tilt_coefficients(state, readout_a, readout_b)
+    lo, hi = spec.epsilon_min, spec.epsilon_max
+    peak = math.atan2(c2, c1)
+    eps, trough = _nearest_in(lo, hi, peak), _nearest_in(lo, hi, peak + math.pi)
+    degenerate = (c1 * (math.cos(eps) - math.cos(trough))
+                  + c2 * (math.sin(eps) - math.sin(trough))) < DEGENERACY_SPAN
+    if degenerate:
+        eps = 0.0 if lo <= 0.0 <= hi else lo
+    basis = ReadoutBasisSet.from_tilt(eps)
+    s = expected_s(state, readout_a, readout_b, basis)
+    if not math.isfinite(s):
+        raise OptimizerError(f"objective is not finite at eps={eps}")
+    if s > TSIRELSON + 1e-9:
+        raise OptimizerError(f"expected S={s} above the quantum ceiling")
+    value = s if spec.objective == "expected-s" else _significance_rate(s)
+    return OptimizationResult(eps, basis, value, s, degenerate)

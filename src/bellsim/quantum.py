@@ -241,6 +241,19 @@ def expectation(state: QuantumState, obs_a: Observable, obs_b: Observable) -> fl
     return float(value.real)
 
 
+def correlation_tensor(state: QuantumState) -> np.ndarray:
+    """T[i, j] = Tr(rho sigma_i (x) sigma_j) for sigma_i, sigma_j in (I, Z, X).
+
+    Every product of two observables in the Z-X plane, u_A . (I, Z, X) on the
+    first qubit and u_B . (I, Z, X) on the second, has <A (x) B> = u_A T u_B.
+    """
+    if tuple(d for _, d in state.subsystems) != (2, 2):
+        raise StateError(f"correlation tensor needs a two-qubit state, got {state.subsystems}")
+    paulis = np.array([PAULI_I, PAULI_Z, PAULI_X])
+    rho = state.density_matrix().reshape(2, 2, 2, 2)
+    return np.einsum("abcd,ica,jdb->ij", rho, paulis, paulis).real
+
+
 def _embed(op: np.ndarray, state: QuantumState, name: str) -> np.ndarray:
     """Lift an operator on one subsystem to the joint space by kron with identities."""
     idx = state.subsystem_index(name)

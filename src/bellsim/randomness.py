@@ -9,7 +9,9 @@ biased raw bits, the parity of k bits has excess predictability
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,14 +23,18 @@ class RandomnessError(ValueError):
 def output_predictability(tau_raw: float, k: int) -> float:
     """Excess predictability of the XOR of k raw bits with bias ``tau_raw``.
 
-    2^(k-1) tau^k, clamped to [0, 0.5]; written as 0.5 (2 tau)^k so it never
-    overflows. Monotone in tau and decreasing in k for tau < 0.5.
+    2^(k-1) tau^k, clamped to [0, 0.5]. It is computed exactly from the float
+    ``tau_raw`` and rounded up to the nearest float, so the win bound and the
+    p-value built on it are never too small. Monotone in tau and decreasing
+    in k for tau < 0.5.
     """
     if not 0.0 <= tau_raw <= 0.5:
         raise RandomnessError("raw excess predictability must be in [0, 0.5]")
     if k < 1:
         raise RandomnessError("block length must be >= 1")
-    return min(0.5, 0.5 * (2.0 * tau_raw) ** k)
+    exact = Fraction(1, 2) * (2 * Fraction(tau_raw)) ** k
+    out = float(exact)
+    return min(0.5, out if Fraction(out) >= exact else math.nextafter(out, math.inf))
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import QuantumState, StateError, _embed
-
-POVM_ATOL = 1e-12
-
 
 class ReadoutError(ValueError):
     """Invalid readout model input."""
@@ -133,43 +129,12 @@ def rotated_povm(model: ReadoutModel, theta: float) -> tuple[np.ndarray, np.ndar
     return e_plus, np.eye(2, dtype=np.complex128) - e_plus
 
 
-def effective_observable(model: ReadoutModel, theta: float) -> np.ndarray:
-    """E+ - E-: the +-1-valued noisy observable along the tilted axis."""
-    e_plus, e_minus = rotated_povm(model, theta)
-    return e_plus - e_minus
-
-
-def _sqrt_psd(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def measure_in_basis(state: QuantumState, theta: float, model: ReadoutModel,
-                     rng: np.random.Generator,
-                     subsystem: str = "spin") -> tuple[int, QuantumState]:
-    """Sample one readout outcome on the named spin of a (possibly joint) state.
-
-    Returns the outcome in {+1, -1} and the post-measurement state of the
-    full system (collapsed with the square-root instrument). Deterministic
-    given the random generator's state.
-    """
-    if state.subsystem_dim(subsystem) != 2:
-        raise StateError(f"subsystem {subsystem!r} is not a qubit")
-    e_plus, e_minus = rotated_povm(model, theta)
-    rho = state.density_matrix()
-    big_plus = _embed(e_plus, state, subsystem)
-    p_plus = float(np.real(np.trace(rho @ big_plus)))
-    p_plus = min(max(p_plus, 0.0), 1.0)
-    if rng.random() < p_plus:
-        outcome, effect, p = +1, e_plus, p_plus
-    else:
-        outcome, effect, p = -1, e_minus, 1.0 - p_plus
-    if p < 1e-15:
-        raise ReadoutError("attempted collapse onto a zero-probability outcome")
-    k = _embed(_sqrt_psd(effect), state, subsystem)
-    post = k @ rho @ k.conj().T / p
-    return outcome, QuantumState(post, state.subsystems)
+def observable_components(model: ReadoutModel, theta: float) -> np.ndarray:
+    """(I, Z, X) components of E+ - E- from :func:`rotated_povm`: (F+ - F-) I
+    + (F+ + F- - 1) (cos theta Z + sin theta X)."""
+    f_plus, f_minus = model.fidelities
+    contrast = f_plus + f_minus - 1.0
+    return np.array([f_plus - f_minus, contrast * math.cos(theta), contrast * math.sin(theta)])
 
 
 @dataclass(frozen=True)

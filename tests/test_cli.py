@@ -337,6 +337,12 @@ def test_optimize_ideal_model(tmp_path, capsys):
     assert abs(payload["epsilon_rad"]) < 1e-3
 
 
+def test_optimize_rejects_seed(capsys):
+    # the optimum is deterministic; a seed flag would be a knob that does nothing
+    assert run(["optimize", "--seed", "3"]) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
 # ---- usage errors -------------------------------------------------------------------
 
 

@@ -10,8 +10,9 @@ from bellsim import bell_stats as bs
 from bellsim import engine
 from bellsim.config import LinkConfig, default_config
 from bellsim.logio import write_log
+from bellsim.quantum import QuantumState, StateError, _embed
 from bellsim.randomness import setting_bits
-from bellsim.readout import measure_in_basis
+from bellsim.readout import ReadoutError, ReadoutModel, rotated_povm
 
 SQRT2 = math.sqrt(2.0)
 
@@ -64,6 +65,39 @@ def test_expected_heralds_in_a_long_run():
 
 
 # ---- run_trial: the sequential-collapse oracle -----------------------------------
+
+
+def _sqrt_psd(m: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(m)
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def measure_in_basis(state: QuantumState, theta: float, model: ReadoutModel,
+                     rng: np.random.Generator,
+                     subsystem: str = "spin") -> tuple[int, QuantumState]:
+    """Sample one readout outcome on the named spin of a (possibly joint) state.
+
+    Returns the outcome in {+1, -1} and the post-measurement state of the
+    full system (collapsed with the square-root instrument). Deterministic
+    given the random generator's state.
+    """
+    if state.subsystem_dim(subsystem) != 2:
+        raise StateError(f"subsystem {subsystem!r} is not a qubit")
+    e_plus, e_minus = rotated_povm(model, theta)
+    rho = state.density_matrix()
+    big_plus = _embed(e_plus, state, subsystem)
+    p_plus = float(np.real(np.trace(rho @ big_plus)))
+    p_plus = min(max(p_plus, 0.0), 1.0)
+    if rng.random() < p_plus:
+        outcome, effect, p = +1, e_plus, p_plus
+    else:
+        outcome, effect, p = -1, e_minus, 1.0 - p_plus
+    if p < 1e-15:
+        raise ReadoutError("attempted collapse onto a zero-probability outcome")
+    k = _embed(_sqrt_psd(effect), state, subsystem)
+    post = k @ rho @ k.conj().T / p
+    return outcome, QuantumState(post, state.subsystems)
 
 
 def run_trial(cfg, idx, streams, force_settings=None):

@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from bellsim import bell_stats as bs
 from bellsim import heralding as h
 from bellsim import optimizer as opt
 from bellsim import quantum as q
 from bellsim.config import default_config
-from bellsim.readout import ReadoutBasisSet, ReadoutModel
+from bellsim.readout import ReadoutBasisSet, ReadoutModel, rotated_povm
 
 SQRT2 = math.sqrt(2.0)
 NO_ERRORS = h.SpinPhotonErrorModel(0.0, 0.0, 0.0, 0.0)
@@ -17,10 +19,128 @@ def perfect_readout():
     return ReadoutModel(1e9, 0.0, 0.0, duration_us=10.0)
 
 
-def calibrated_inputs():
+def calibrated_inputs(visibility=None):
     cfg = default_config()
+    if visibility is not None:
+        cfg = dataclasses.replace(
+            cfg, interference=dataclasses.replace(cfg.interference, visibility=visibility))
     state = cfg.heralded_state().spin_state
     return state, cfg.readout_model("A"), cfg.readout_model("B")
+
+
+# ---- reference: per-Observable correlations and the grid scan with polish ---------
+
+
+def reference_correlations(state, readout_a, readout_b, basis):
+    """E(a,b) as <A (x) B> of the validated noisy observables E+ - E-."""
+    def observable(model, theta):
+        e_plus, e_minus = rotated_povm(model, theta)
+        return q.Observable(e_plus - e_minus)
+
+    return {(a, b): q.expectation(state, observable(readout_a, basis.angle("A", a)),
+                                  observable(readout_b, basis.angle("B", b)))
+            for a, b in bs.SETTING_PAIRS}
+
+
+def reference_s(state, readout_a, readout_b, eps):
+    basis = ReadoutBasisSet.from_tilt(eps)
+    return bs.chsh_combination(reference_correlations(state, readout_a, readout_b, basis))
+
+
+def reference_optimize(state, readout_a, readout_b, lo=-math.pi / 8, hi=math.pi / 8,
+                       grid_points=64, min_step=1e-5):
+    """Grid scan over [lo, hi], then coordinate polish with a halving step.
+
+    Ties break toward the smallest |eps|. Returns (eps, S).
+    """
+    def better(value, eps, best_value, best_eps):
+        if value > best_value + 1e-15:
+            return True
+        return abs(value - best_value) <= 1e-15 and abs(eps) < abs(best_eps)
+
+    def s_at(eps):
+        return reference_s(state, readout_a, readout_b, eps)
+
+    grid = [lo + (hi - lo) * i / (grid_points - 1) for i in range(grid_points)]
+    best_eps, best_value = grid[0], s_at(grid[0])
+    for e in grid[1:]:
+        v = s_at(e)
+        if better(v, e, best_value, best_eps):
+            best_eps, best_value = e, v
+    step = (hi - lo) / (grid_points - 1)
+    while step > min_step:
+        moved = True
+        while moved:
+            moved = False
+            for candidate in (best_eps - step, best_eps + step):
+                if lo <= candidate <= hi:
+                    v = s_at(candidate)
+                    if better(v, candidate, best_value, best_eps):
+                        best_eps, best_value = candidate, v
+                        moved = True
+        step /= 2.0
+    return best_eps, best_value
+
+
+def random_inputs(rng):
+    """A random two-qubit state (half of them mixed with the singlet) and two readouts."""
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    if rng.random() < 0.5:
+        singlet = q.psi_minus().density_matrix()
+        weight = rng.uniform(0.5, 1.0)
+        rho = weight * singlet + (1 - weight) * rho
+    state = q.QuantumState(rho, (("spin_a", 2), ("spin_b", 2)))
+
+    def readout():
+        return ReadoutModel(rng.uniform(0.2, 5.0), rng.uniform(0.0, 0.1),
+                            rng.uniform(0.0, 0.1), duration_us=rng.uniform(0.5, 5.0))
+
+    return state, readout(), readout()
+
+
+RANDOM_CASES = [random_inputs(np.random.default_rng([2718, i])) for i in range(24)]
+
+
+@pytest.mark.parametrize("case", range(len(RANDOM_CASES)))
+def test_tensor_correlations_match_observable_path(case):
+    state, ra, rb = RANDOM_CASES[case]
+    rng = np.random.default_rng(case)
+    for _ in range(3):
+        a0, a1, b0, b1 = rng.uniform(-math.pi, math.pi, 4)
+        basis = ReadoutBasisSet(a0, a1, b0, b1)
+        got = bs.expected_correlations(state, ra, rb, basis)
+        want = reference_correlations(state, ra, rb, basis)
+        for pair in bs.SETTING_PAIRS:
+            assert abs(got[pair] - want[pair]) < 1e-12
+
+
+@pytest.mark.parametrize("case", range(len(RANDOM_CASES)))
+def test_tilt_coefficients_reproduce_s(case):
+    state, ra, rb = RANDOM_CASES[case]
+    c0, c1, c2 = opt.tilt_coefficients(state, ra, rb)
+    for eps in np.random.default_rng(case).uniform(-math.pi, math.pi, 5):
+        assert abs(c0 + c1 * math.cos(eps) + c2 * math.sin(eps)
+                   - reference_s(state, ra, rb, eps)) < 1e-12
+
+
+@pytest.mark.parametrize("case", range(len(RANDOM_CASES)))
+def test_closed_form_matches_grid_search(case):
+    state, ra, rb = RANDOM_CASES[case]
+    ref_eps, ref_s = reference_optimize(state, ra, rb)
+    result = opt.optimize(opt.OptimizationSpec(), state, ra, rb)
+    assert abs(result.epsilon - ref_eps) < 1e-5
+    assert result.expected_s >= ref_s - 1e-12
+    assert abs(result.expected_s - reference_s(state, ra, rb, result.epsilon)) < 1e-12
+
+
+def test_calibrated_model_matches_grid_search():
+    state, ra, rb = calibrated_inputs()
+    ref_eps, ref_s = reference_optimize(state, ra, rb)
+    result = opt.optimize(opt.OptimizationSpec(), state, ra, rb)
+    assert abs(result.epsilon - ref_eps) < 1e-5
+    assert result.expected_s >= ref_s - 1e-12
 
 
 # ---- expected S ------------------------------------------------------------------
@@ -66,12 +186,49 @@ def test_calibrated_model_prefers_small_positive_tilt():
     assert result.expected_s > s_zero
 
 
+@pytest.mark.parametrize("lo, hi, want", [
+    (0.1, 0.3, 0.1),                   # optimum below the bounds
+    (-0.3, -0.1, -0.1),                # optimum above the bounds
+    (3.0, 3.5, 3.5),                   # 3.5 is nearer to 0 modulo 2 pi than 3.0
+    (2 * math.pi - 0.2, 2 * math.pi + 0.2, 2 * math.pi),  # inside, one turn away
+])
+def test_optimum_outside_bounds_sits_on_the_nearest_point(lo, hi, want):
+    # the ideal singlet with perfect readout peaks at eps = 0 (mod 2 pi)
+    spec = opt.OptimizationSpec(epsilon_min=lo, epsilon_max=hi)
+    result = opt.optimize(spec, q.psi_minus(), perfect_readout(), perfect_readout())
+    assert abs(result.epsilon - want) < 1e-12
+    assert not result.degenerate
+    ref_eps, ref_s = reference_optimize(q.psi_minus(), perfect_readout(), perfect_readout(),
+                                        lo, hi)
+    assert abs(result.epsilon - ref_eps) < 1e-5
+    assert result.expected_s >= ref_s - 1e-12
+
+
 def test_significance_objective_finds_the_same_tilt():
     state, ra, rb = calibrated_inputs()
     r_s = opt.optimize(opt.OptimizationSpec(objective="expected-s"), state, ra, rb)
     r_sig = opt.optimize(opt.OptimizationSpec(objective="expected-complete-significance"),
                          state, ra, rb)
     assert abs(r_s.epsilon - r_sig.epsilon) < 1e-3
+
+
+def test_objectives_agree_below_the_local_bound_region():
+    # at V = 0.7 S dips below 2 inside the default bounds; a rate that also grew
+    # below 2 would pull the significance objective to the far bound
+    state, ra, rb = calibrated_inputs(visibility=0.7)
+    r_s = opt.optimize(opt.OptimizationSpec(objective="expected-s"), state, ra, rb)
+    r_sig = opt.optimize(opt.OptimizationSpec(objective="expected-complete-significance"),
+                         state, ra, rb)
+    assert r_sig.epsilon == r_s.epsilon
+    assert r_sig.expected_s == r_s.expected_s
+
+
+def test_significance_rate_is_non_decreasing_in_s():
+    values = [opt._significance_rate(s) for s in np.linspace(-2 * SQRT2, 2 * SQRT2, 401)]
+    assert all(b >= a for a, b in zip(values, values[1:]))
+    assert opt._significance_rate(2.0) == 0.0
+    assert opt._significance_rate(1.5) == 0.0
+    assert opt._significance_rate(2.4) > 0.0
 
 
 def test_uninformative_readout_flags_degeneracy():
@@ -108,6 +265,13 @@ def test_tsirelson_ceiling_respected():
     state, ra, rb = calibrated_inputs()
     result = opt.optimize(opt.OptimizationSpec(), state, ra, rb)
     assert result.expected_s <= 2 * SQRT2 + 1e-9
+
+
+@pytest.mark.parametrize("bad_s", [math.nan, math.inf, 2 * SQRT2 + 1e-6])
+def test_final_s_is_checked(monkeypatch, bad_s):
+    monkeypatch.setattr(opt, "expected_s", lambda *args: bad_s)
+    with pytest.raises(opt.OptimizerError):
+        opt.optimize(opt.OptimizationSpec(), q.psi_minus(), perfect_readout(), perfect_readout())
 
 
 def test_spec_validation():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -122,6 +123,20 @@ def test_extracted_bits_are_unbiased_despite_raw_bias():
 def test_output_predictability_range(tau, k):
     out = rnd.output_predictability(tau, k)
     assert 0.0 <= out <= max(tau, 0.0) + 1e-15
+
+
+@given(st.floats(0.0, 0.5), st.integers(1, 64))
+def test_output_predictability_rounds_up(tau, k):
+    # a tau_out below the exact value would lower the win bound and the p-value
+    exact = Fraction(1, 2) * (2 * Fraction(tau)) ** k
+    out = rnd.output_predictability(tau, k)
+    assert Fraction(out) >= min(exact, Fraction(1, 2))
+    if 0.0 < out < 0.5:  # and it is the smallest such float
+        assert Fraction(math.nextafter(out, 0.0)) < exact
+
+
+def test_output_predictability_default_point():
+    assert rnd.output_predictability(0.1, 32) == 2.147483648000004e-23
 
 
 def test_model_validation():

