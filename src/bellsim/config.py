@@ -3,8 +3,8 @@
 Every module's parameters live in one frozen dataclass tree whose defaults
 are the calibrated working point of the simulated experiment (interference
 contrast 0.90, mean readout fidelities 0.971/0.963, tilt 0.026 pi, herald
-probability 6.4e-9 per attempt, 1280 m site separation, the 160/480/3700 ns
-timing budget). ``configs/default.yaml`` in the repository mirrors these
+probability 6.4e-9 per attempt, 1280 m site separation, the 480/3700 ns timing
+budget). ``configs/default.yaml`` in the repository mirrors these
 defaults with commentary. Unknown keys in a config file are rejected with
 their full path.
 """
@@ -74,7 +74,6 @@ class GeometryConfig:
 
 @dataclass(frozen=True)
 class TimingConfig:
-    choice_duration_ns: float = 160.0
     choice_to_readout_ns: float = 480.0
     readout_duration_ns: float = 3700.0
     sync_allowance_ns: float = 16.0
@@ -146,7 +145,6 @@ class SimulationConfig:
     def timing_budget(self) -> TimingBudget:
         t = self.timing
         return TimingBudget(
-            choice_duration_ns=t.choice_duration_ns,
             choice_to_readout_ns=t.choice_to_readout_ns,
             readout_duration_ns=t.readout_duration_ns,
             sync_allowance_ns=t.sync_allowance_ns,

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +50,7 @@ OUTPUT_PORTS = (PORT_OUT_1, PORT_OUT_2)
 TIME_BINS = (EARLY, LATE)
 SECTORS = (SHARED, PRIVATE)
 
-PHOTON_SUBSYSTEM = "photons"
+MAX_PHOTONS = 2  # Fock truncation: total photons over all modes
 
 
 class HeraldingError(ValueError):
@@ -63,11 +63,9 @@ class UnheraldableError(HeraldingError):
 
 @dataclass(frozen=True)
 class PhotonicModeSpace:
-    """Truncated Fock space over an ordered list of labelled optical modes."""
+    """Fock space of at most ``MAX_PHOTONS`` photons over an ordered list of modes."""
 
     modes: tuple[Mode, ...]
-    mode_cutoff: int = 2
-    max_total_photons: int = 2
 
     # derived lookup tables, excluded from equality/hash
     _basis: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
@@ -78,10 +76,6 @@ class PhotonicModeSpace:
         object.__setattr__(self, "modes", modes)
         if len(set(modes)) != len(modes):
             raise HeraldingError("mode list contains duplicates")
-        if self.mode_cutoff < 2:
-            raise HeraldingError("per-mode occupation cutoff must be >= 2")
-        if self.max_total_photons < 1:
-            raise HeraldingError("total photon cap must be >= 1")
         basis = tuple(self._enumerate_basis())
         object.__setattr__(self, "_basis", basis)
         object.__setattr__(self, "_index", {occ: i for i, occ in enumerate(basis)})
@@ -93,7 +87,7 @@ class PhotonicModeSpace:
             if remaining_slots == 0:
                 yield tuple(prefix)
                 return
-            for count in range(min(self.mode_cutoff, self.max_total_photons - used) + 1):
+            for count in range(MAX_PHOTONS - used + 1):
                 yield from rec(prefix + [count], remaining_slots - 1, used + count)
 
         return rec([], n_modes, 0)
@@ -268,7 +262,7 @@ def _expand_creation_product(space: PhotonicModeSpace, occupation: Sequence[int]
             poly = new
     out = {}
     for occ, amp in poly.items():
-        if sum(occ) > space.max_total_photons or any(n > space.mode_cutoff for n in occ):
+        if sum(occ) > MAX_PHOTONS:
             raise HeraldingError(f"photon number above cutoff in occupation {occ}")
         target_norm = 1.0
         for n in occ:
@@ -332,38 +326,6 @@ def beam_splitter_unitary(space: PhotonicModeSpace) -> np.ndarray:
     u = mode_transform_unitary(space, _beam_splitter_images(space))
     u.setflags(write=False)
     return u
-
-
-def beam_splitter(state: QuantumState, space: PhotonicModeSpace,
-                  subsystem: str = PHOTON_SUBSYSTEM) -> QuantumState:
-    """Interfere the input-port modes on the 50:50 beam splitter."""
-    if state.subsystem_dim(subsystem) != space.dim:
-        raise HeraldingError(
-            f"subsystem {subsystem!r} has dimension {state.subsystem_dim(subsystem)}, "
-            f"space needs {space.dim}"
-        )
-    u = beam_splitter_unitary(space)
-    idx = state.subsystem_index(subsystem)
-    left = 1
-    for _, d in state.subsystems[:idx]:
-        left *= d
-    right = 1
-    for _, d in state.subsystems[idx + 1:]:
-        right *= d
-    big = np.kron(np.kron(np.eye(left), u), np.eye(right))
-    if state.is_ket:
-        return QuantumState(big @ state.data, state.subsystems)
-    return QuantumState(big @ state.density_matrix() @ big.conj().T, state.subsystems)
-
-
-def photon_ket(space: PhotonicModeSpace, modes: Iterable[Mode]) -> QuantumState:
-    """Fock ket with one photon in each listed mode (repeats allowed)."""
-    occ = [0] * len(space.modes)
-    for mode in modes:
-        occ[space.mode_index(mode)] += 1
-    vec = np.zeros(space.dim, dtype=np.complex128)
-    vec[space.index(tuple(occ))] = 1.0
-    return QuantumState(vec, ((PHOTON_SUBSYSTEM, space.dim),))
 
 
 def _detection_windows() -> tuple[tuple[str, str], ...]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,6 +67,8 @@ class QuantumState:
             dim *= d
         if dim > DIM_CAP:
             raise CapacityError(f"joint dimension {dim} exceeds cap {DIM_CAP}")
+        if not np.isfinite(data).all():
+            raise StateError("state data has non-finite entries")
         if data.ndim == 1:
             if data.shape != (dim,):
                 raise StateError(f"amplitude vector has length {data.shape[0]}, expected {dim}")
@@ -168,26 +169,7 @@ class Channel:
 # Pauli matrices in the up/down basis.
 PAULI_I = _readonly_complex(np.eye(2))
 PAULI_X = _readonly_complex([[0, 1], [1, 0]])
-PAULI_Y = _readonly_complex([[0, -1j], [1j, 0]])
 PAULI_Z = _readonly_complex([[1, 0], [0, -1]])
-
-
-def basis_ket(index: int, subsystems: Iterable[Subsystem]) -> QuantumState:
-    subs = tuple(subsystems)
-    dim = 1
-    for _, d in subs:
-        dim *= d
-    vec = np.zeros(dim, dtype=np.complex128)
-    vec[index] = 1.0
-    return QuantumState(vec, subs)
-
-
-def spin_up(name: str = "spin") -> QuantumState:
-    return basis_ket(0, [(name, 2)])
-
-
-def spin_down(name: str = "spin") -> QuantumState:
-    return basis_ket(1, [(name, 2)])
 
 
 def psi_minus(name_a: str = "spin_a", name_b: str = "spin_b") -> QuantumState:
@@ -196,28 +178,6 @@ def psi_minus(name_a: str = "spin_a", name_b: str = "spin_b") -> QuantumState:
     vec[1] = 1 / math.sqrt(2)
     vec[2] = -1 / math.sqrt(2)
     return QuantumState(vec, ((name_a, 2), (name_b, 2)))
-
-
-def maximally_mixed(subsystems: Iterable[Subsystem]) -> QuantumState:
-    subs = tuple(subsystems)
-    dim = 1
-    for _, d in subs:
-        dim *= d
-    return QuantumState(np.eye(dim) / dim, subs)
-
-
-def tensor(s1: QuantumState, s2: QuantumState) -> QuantumState:
-    """Tensor product of two states; kets stay kets, otherwise density form."""
-    overlap = set(s1.names) & set(s2.names)
-    if overlap:
-        raise StateError(f"subsystem names collide: {sorted(overlap)}")
-    dim = s1.dim * s2.dim
-    if dim > DIM_CAP:
-        raise CapacityError(f"joint dimension {dim} exceeds cap {DIM_CAP}")
-    subs = s1.subsystems + s2.subsystems
-    if s1.is_ket and s2.is_ket:
-        return QuantumState(np.kron(s1.data, s2.data), subs)
-    return QuantumState(np.kron(s1.density_matrix(), s2.density_matrix()), subs)
 
 
 def bloch_observable(theta: float) -> Observable:
@@ -284,43 +244,6 @@ def apply_channel(state: QuantumState, channel: Channel, subsystem: str) -> Quan
     return QuantumState(out, state.subsystems)
 
 
-def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
-    """Trace out every subsystem not named in ``keep`` (original order kept)."""
-    keep_set = set(keep)
-    unknown = keep_set - set(state.names)
-    if unknown:
-        raise StateError(f"unknown subsystem(s) {sorted(unknown)}; have {state.names}")
-    if keep_set == set(state.names):
-        return state
-    if not keep_set:
-        raise StateError("cannot trace out every subsystem")
-    subs = state.subsystems
-    n = len(subs)
-    dims = [d for _, d in subs]
-    rho = state.density_matrix().reshape(dims + dims)
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    row, col, out_row, out_col = [], [], [], []
-    next_letter = 0
-    for i, (name, _) in enumerate(subs):
-        if name in keep_set:
-            r, c = letters[next_letter], letters[next_letter + 1]
-            next_letter += 2
-            out_row.append(r)
-            out_col.append(c)
-        else:
-            r = c = letters[next_letter]
-            next_letter += 1
-        row.append(r)
-        col.append(c)
-    subscripts = "".join(row) + "".join(col) + "->" + "".join(out_row) + "".join(out_col)
-    kept = tuple(s for s in subs if s[0] in keep_set)
-    dim_out = 1
-    for _, d in kept:
-        dim_out *= d
-    reduced = np.einsum(subscripts, rho).reshape(dim_out, dim_out)
-    return QuantumState(reduced, kept)
-
-
 def fidelity_to_pure(state: QuantumState, target: QuantumState) -> float:
     """<psi|rho|psi> against a pure target with matching dimension."""
     if not target.is_ket:
@@ -329,30 +252,3 @@ def fidelity_to_pure(state: QuantumState, target: QuantumState) -> float:
         raise StateError(f"dimension mismatch: state {state.dim}, target {target.dim}")
     psi = target.data
     return float(np.real(psi.conj() @ state.density_matrix() @ psi))
-
-
-def identity_channel(dim: int = 2) -> Channel:
-    return Channel((np.eye(dim, dtype=np.complex128),))
-
-
-def bit_flip_channel(p: float) -> Channel:
-    """Flip the qubit basis states with probability ``p``."""
-    if not 0.0 <= p <= 1.0:
-        raise StateError("flip probability must be in [0, 1]")
-    ops = []
-    if p < 1.0:
-        ops.append(math.sqrt(1 - p) * np.asarray(PAULI_I))
-    if p > 0.0:
-        ops.append(math.sqrt(p) * np.asarray(PAULI_X))
-    return Channel(tuple(ops))
-
-
-def depolarizing_channel(p: float) -> Channel:
-    """Replace the qubit state by the maximally mixed one with probability ``p``."""
-    if not 0.0 <= p <= 1.0:
-        raise StateError("depolarizing probability must be in [0, 1]")
-    ops = [math.sqrt(1 - 3 * p / 4) * np.asarray(PAULI_I)]
-    for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
-        if p > 0.0:
-            ops.append(math.sqrt(p / 4) * np.asarray(pauli))
-    return Channel(tuple(ops))

@@ -39,19 +39,16 @@ def output_predictability(tau_raw: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class RngModel:
-    """Raw-bit bias, extraction block length, and the time reserved for it."""
+    """Raw-bit bias and extraction block length."""
 
     excess_predictability: float = 0.1
     raw_bits_per_output: int = 32
-    extraction_time_ns: float = 160.0
 
     def __post_init__(self):
         if not 0.0 <= self.excess_predictability <= 0.5:
             raise RandomnessError("excess predictability must be in [0, 0.5]")
         if self.raw_bits_per_output < 1:
             raise RandomnessError("raw bits per output must be >= 1")
-        if self.extraction_time_ns < 0:
-            raise RandomnessError("extraction time must be non-negative")
 
     @property
     def tau_out(self) -> float:

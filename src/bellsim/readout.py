@@ -30,6 +30,9 @@ class ReadoutModel:
     duration_us: float = 3.7
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.bright_rate_per_us, self.dark_rate_per_us,
+                                       self.flip_rate_per_us, self.duration_us))):
+            raise ReadoutError("rates and duration must be finite")
         if min(self.bright_rate_per_us, self.dark_rate_per_us, self.flip_rate_per_us) < 0:
             raise ReadoutError("rates must be non-negative")
         if self.duration_us <= 0:
@@ -110,11 +113,6 @@ def _projectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
     n = np.array([[c, s], [s, -c]], dtype=np.complex128)
     eye = np.eye(2, dtype=np.complex128)
     return (eye + n) / 2, (eye - n) / 2
-
-
-def readout_channel(model: ReadoutModel) -> tuple[np.ndarray, np.ndarray]:
-    """Binary POVM (E+, E-) for thresholded readout along Z."""
-    return rotated_povm(model, 0.0)
 
 
 def rotated_povm(model: ReadoutModel, theta: float) -> tuple[np.ndarray, np.ndarray]:

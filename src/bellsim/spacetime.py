@@ -35,15 +35,8 @@ class Geometry:
     ab_m: float = 1280.0
     ac_m: float = 640.0
     cb_m: float = 640.0
-    points_3d: tuple[tuple[str, tuple[float, float, float]], ...] | None = None
 
     def __post_init__(self):
-        if self.points_3d is not None:
-            pts = tuple((str(n), tuple(float(x) for x in p)) for n, p in self.points_3d)
-            object.__setattr__(self, "points_3d", pts)
-            names = {n for n, _ in pts}
-            if not {"A", "B", "C"} <= names:
-                raise AuditError("3-D geometry needs points for A, B and C")
         if min(self.ab_m, self.ac_m, self.cb_m) <= 0:
             raise AuditError("distances must be positive")
 
@@ -51,11 +44,6 @@ class Geometry:
         x, y = x.upper(), y.upper()
         if x == y:
             return 0.0
-        if self.points_3d is not None:
-            pts = dict(self.points_3d)
-            if x not in pts or y not in pts:
-                raise AuditError(f"unknown site in pair ({x}, {y})")
-            return math.dist(pts[x], pts[y])
         pair = frozenset((x, y))
         table = {
             frozenset(("A", "B")): self.ab_m,
@@ -76,19 +64,14 @@ def light_time_ns(geometry: Geometry, site_x: str, site_y: str) -> float:
 class TimingBudget:
     """Durations of the per-trial steps and the synchronisation allowance (ns)."""
 
-    choice_duration_ns: float = 160.0
     choice_to_readout_ns: float = 480.0
     readout_duration_ns: float = 3700.0
     sync_allowance_ns: float = 16.0
 
     def __post_init__(self):
-        if min(self.choice_duration_ns, self.choice_to_readout_ns,
-               self.readout_duration_ns, self.sync_allowance_ns) < 0:
+        if min(self.choice_to_readout_ns, self.readout_duration_ns,
+               self.sync_allowance_ns) < 0:
             raise AuditError("budget durations must be non-negative")
-
-    def slack_ns(self, window_ns: float) -> float:
-        """Window headroom left after choosing, rotating, and reading out."""
-        return window_ns - (self.choice_to_readout_ns + self.readout_duration_ns)
 
 
 @dataclass(frozen=True)
@@ -155,20 +138,3 @@ def audit_trial(events: Sequence[SpacetimeEvent], geometry: Geometry,
     )
     checks.append(LocalityCheck("herald-outside-future-cone-of-choices", m, m > allowance))
     return LocalityReport(tuple(checks))
-
-
-def determination_bound(geometry: Geometry, budget: TimingBudget,
-                        readout_ns: float | None = None) -> float:
-    """Headroom for models that pre-determine the inputs before recording.
-
-    Slack (ns) between the space-like separation window and the time actually
-    consumed: window - choice-to-readout - readout - sync allowance. Shrinking
-    the readout grows the slack, i.e. excludes models that fix the inputs
-    further in advance.
-    """
-    if readout_ns is None:
-        readout_ns = budget.readout_duration_ns
-    if readout_ns > budget.readout_duration_ns:
-        raise AuditError("shortened readout cannot exceed the nominal duration")
-    window = light_time_ns(geometry, "A", "B")
-    return window - budget.choice_to_readout_ns - readout_ns - budget.sync_allowance_ns

@@ -357,6 +357,13 @@ def test_bad_config_key_is_usage_error(tmp_path, capsys):
     assert "visibillity" in capsys.readouterr().err
 
 
+def test_removed_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "old.yaml"
+    cfg.write_text("rng:\n  extraction_time_ns: 160.0\n")
+    assert run(["characterize", "--config", str(cfg)]) == 1
+    assert "rng.extraction_time_ns" in capsys.readouterr().err
+
+
 def test_missing_required_argument_is_usage_error():
     assert run(["analyze"]) == 1
 

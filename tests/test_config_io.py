@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,26 @@ def test_unknown_key_rejected_with_path(tmp_path):
     path.write_text("interference:\n  visibilty: 0.9\n")
     with pytest.raises(cfg_mod.ConfigError, match="interference.visibilty"):
         cfg_mod.load_config(path)
+
+
+@pytest.mark.parametrize("section, key", [("rng", "extraction_time_ns"),
+                                          ("timing", "choice_duration_ns")])
+def test_removed_key_rejected_with_path(tmp_path, section, key):
+    path = tmp_path / "old.yaml"
+    path.write_text(f"{section}:\n  {key}: 160.0\n")
+    with pytest.raises(cfg_mod.ConfigError, match=f"{section}.{key}"):
+        cfg_mod.load_config(path)
+
+
+def test_import_loads_only_the_model_modules():
+    # a fresh interpreter, so modules the tests imported do not count
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, bellsim.config; print(sorted(m for m in sys.modules if m in "
+            "('bellsim.cli', 'bellsim.bell_stats', 'bellsim.logio', 'bellsim.optimizer')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_unknown_top_level_key_rejected(tmp_path):

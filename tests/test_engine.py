@@ -256,17 +256,34 @@ def test_different_seeds_differ(tmp_path):
     assert log_bytes(log1, tmp_path / "1.jsonl") != log_bytes(log2, tmp_path / "2.jsonl")
 
 
-@pytest.mark.parametrize("kwargs, n, partial, digest", [
+@pytest.fixture(scope="module", params=[
     (dict(n_trials=245, seed=59), 245, False,
-     "04d73894c0d7174e9a09bc6a851cdd91fd3d9f3aac3653efc0ee5f742d2832d6"),
+     "9bb0284bd5bf08ce210fd16623c18d63bbf1f011799b84c163bfe82efe1b82e6",
+     "7c63d5b1e54e72202885842d61e48494e698620461259a5e6146fc5ce61dc7ec"),
     # 95 % of the expected duration of 20,000 trials: the budget ends the run
     (dict(n_trials=20_000, hours=0.95 * 20_000 / 6.4e-9 * 20_000 / 3.6e12, seed=(7, 0)),
-     18_967, True, "5933e3ef453f4a4649ae771cb13ef0e9091ae485fc19b8c241108cafc858bed4"),
-])
-def test_logs_are_pinned_by_digest(tmp_path, kwargs, n, partial, digest):
+     18_967, True,
+     "e3dc1e1d1e6845050c01fff007fff3e54b9aa4dc7d0e0511031772e26966daae",
+     "a5d30157e5387007b20be5b4f87c42752d53bb19cef3bb0ed4ac936a8ef4ce6d"),
+], ids=["seed59", "budget-cut"])
+def pinned_log(request, tmp_path_factory):
+    """(log bytes, file digest, body digest) of a default-config run."""
+    kwargs, n, partial, digest, body_digest = request.param
     log = engine.run_experiment(CFG, **kwargs)
     assert (len(log), log.partial) == (n, partial)
-    assert hashlib.sha256(log_bytes(log, tmp_path / "log.jsonl")).hexdigest() == digest
+    return log_bytes(log, tmp_path_factory.mktemp("pinned") / "log.jsonl"), digest, body_digest
+
+
+def test_logs_are_pinned_by_digest(pinned_log):
+    data, digest, _ = pinned_log
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_log_bodies_are_pinned_by_digest(pinned_log):
+    # every line after the header: a config change that moves only the
+    # header's config_hash leaves the trials themselves untouched
+    data, _, body_digest = pinned_log
+    assert hashlib.sha256(data.partition(b"\n")[2]).hexdigest() == body_digest
 
 
 def exact_hours(budget_ns: float) -> float:

@@ -196,15 +196,7 @@ def test_error_model_rejects_out_of_range():
 
 # ---- beam splitter ----------------------------------------------------------------
 
-
-def test_single_photon_splits_evenly():
-    space = h.default_mode_space()
-    state = h.photon_ket(space, [(h.PORT_A_IN, h.EARLY, h.SHARED)])
-    out = h.beam_splitter(state, space)
-    amp1 = out.data[space.index(_occ(space, [(h.PORT_OUT_1, h.EARLY, h.SHARED)]))]
-    amp2 = out.data[space.index(_occ(space, [(h.PORT_OUT_2, h.EARLY, h.SHARED)]))]
-    assert abs(abs(amp1) ** 2 - 0.5) < 1e-12
-    assert abs(abs(amp2) ** 2 - 0.5) < 1e-12
+PHOTON_SUBSYSTEM = "photons"
 
 
 def _occ(space, modes):
@@ -212,6 +204,28 @@ def _occ(space, modes):
     for m in modes:
         occ[space.mode_index(m)] += 1
     return tuple(occ)
+
+
+def photon_ket(space, modes):
+    """Fock ket with one photon in each listed mode (repeats allowed)."""
+    vec = np.zeros(space.dim, dtype=np.complex128)
+    vec[space.index(_occ(space, modes))] = 1.0
+    return q.QuantumState(vec, ((PHOTON_SUBSYSTEM, space.dim),))
+
+
+def beam_splitter(state, space):
+    """A photons-only ket through the 50:50 beam splitter."""
+    return q.QuantumState(h.beam_splitter_unitary(space) @ state.data, state.subsystems)
+
+
+def test_single_photon_splits_evenly():
+    space = h.default_mode_space()
+    state = photon_ket(space, [(h.PORT_A_IN, h.EARLY, h.SHARED)])
+    out = beam_splitter(state, space)
+    amp1 = out.data[space.index(_occ(space, [(h.PORT_OUT_1, h.EARLY, h.SHARED)]))]
+    amp2 = out.data[space.index(_occ(space, [(h.PORT_OUT_2, h.EARLY, h.SHARED)]))]
+    assert abs(abs(amp1) ** 2 - 0.5) < 1e-12
+    assert abs(abs(amp2) ** 2 - 0.5) < 1e-12
 
 
 def _coincidence_probability(space, out_state):
@@ -230,9 +244,9 @@ def _coincidence_probability(space, out_state):
 
 def test_hom_dip_for_indistinguishable_photons():
     space = h.default_mode_space()
-    state = h.photon_ket(space, [(h.PORT_A_IN, h.EARLY, h.SHARED),
+    state = photon_ket(space, [(h.PORT_A_IN, h.EARLY, h.SHARED),
                                  (h.PORT_B_IN, h.EARLY, h.SHARED)])
-    out = h.beam_splitter(state, space)
+    out = beam_splitter(state, space)
     assert _coincidence_probability(space, out) < 1e-12
 
 
@@ -244,9 +258,9 @@ def test_distinguishable_photons_coincide_half_the_time():
     assert abs(cross - 0.5) < 1e-15
 
     space = h.default_mode_space()
-    state = h.photon_ket(space, [(h.PORT_A_IN, h.EARLY, h.SHARED),
+    state = photon_ket(space, [(h.PORT_A_IN, h.EARLY, h.SHARED),
                                  (h.PORT_B_IN, h.EARLY, h.PRIVATE)])
-    out = h.beam_splitter(state, space)
+    out = beam_splitter(state, space)
     assert abs(_coincidence_probability(space, out) - 0.5) < 1e-12
 
 
@@ -257,7 +271,7 @@ def test_beam_splitter_preserves_norm_on_random_inputs(seed):
     space = h.default_mode_space()
     vec = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     vec /= np.linalg.norm(vec)
-    out = h.beam_splitter(q.QuantumState(vec, ((h.PHOTON_SUBSYSTEM, space.dim),)), space)
+    out = beam_splitter(q.QuantumState(vec, ((PHOTON_SUBSYSTEM, space.dim),)), space)
     assert abs(np.linalg.norm(out.data) - 1.0) < 1e-10
 
 

@@ -160,7 +160,7 @@ def test_expected_s_ideal_quarter_pi_tilt():
 
 
 def test_expected_s_fully_mixed_is_zero():
-    mixed = q.maximally_mixed((("spin_a", 2), ("spin_b", 2)))
+    mixed = q.QuantumState(np.eye(4) / 4, (("spin_a", 2), ("spin_b", 2)))
     s = opt.expected_s(mixed, perfect_readout(), perfect_readout(),
                        ReadoutBasisSet.from_tilt(0.0))
     assert abs(s) < 1e-12

@@ -10,6 +10,7 @@ from bellsim import readout as r
 from test_engine import measure_in_basis
 
 SQRT2 = math.sqrt(2.0)
+SPIN_UP = q.QuantumState(np.array([1.0, 0.0]), (("spin", 2),))
 
 
 # ---- fidelity curve ------------------------------------------------------------
@@ -62,14 +63,14 @@ def test_average_fidelity_has_interior_maximum():
 
 def test_perfect_model_gives_projective_z():
     model = r.ReadoutModel(1e9, 0.0, 0.0, duration_us=10.0)
-    e_plus, e_minus = r.readout_channel(model)
+    e_plus, e_minus = r.rotated_povm(model, 0.0)
     np.testing.assert_allclose(e_plus, np.diag([1.0, 0.0]), atol=1e-9)
     np.testing.assert_allclose(e_minus, np.diag([0.0, 1.0]), atol=1e-9)
 
 
 def test_bright_state_click_probability_matches_f_plus():
     model = r.calibrate_readout(0.971)
-    e_plus, _ = r.readout_channel(model)
+    e_plus, _ = r.rotated_povm(model, 0.0)
     p = float(np.real(e_plus[0, 0]))
     assert abs(p - model.fidelities[0]) < 1e-12
 
@@ -114,7 +115,7 @@ def test_singlet_anticorrelation_after_first_collapse():
 def test_up_state_along_x_is_unbiased():
     rng = np.random.default_rng(11)
     model = perfect_model()
-    outcomes = [measure_in_basis(q.spin_up(), math.pi / 2, model, rng)[0]
+    outcomes = [measure_in_basis(SPIN_UP, math.pi / 2, model, rng)[0]
                 for _ in range(4000)]
     mean = np.mean(outcomes)
     assert abs(mean) < 3 / math.sqrt(4000)  # 3 sigma
@@ -122,9 +123,9 @@ def test_up_state_along_x_is_unbiased():
 
 def test_sampling_is_deterministic_given_seed():
     model = r.calibrate_readout(0.971)
-    a = [measure_in_basis(q.spin_up(), 0.3, model, np.random.default_rng(5))[0]
+    a = [measure_in_basis(SPIN_UP, 0.3, model, np.random.default_rng(5))[0]
          for _ in range(20)]
-    b = [measure_in_basis(q.spin_up(), 0.3, model, np.random.default_rng(5))[0]
+    b = [measure_in_basis(SPIN_UP, 0.3, model, np.random.default_rng(5))[0]
          for _ in range(20)]
     assert a == b
 
@@ -187,3 +188,13 @@ def test_model_validation():
         r.ReadoutModel(1.0, 0.0, 0.0, duration_us=0.0)
     with pytest.raises(r.ReadoutError):
         r.calibrate_readout(0.4)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["bright_rate_per_us", "dark_rate_per_us",
+                                   "flip_rate_per_us", "duration_us"])
+def test_model_rejects_non_finite_fields(field, value):
+    fields = dict(bright_rate_per_us=1.0, dark_rate_per_us=0.0, flip_rate_per_us=0.0,
+                  duration_us=3.7)
+    with pytest.raises(r.ReadoutError, match="finite"):
+        r.ReadoutModel(**{**fields, field: value})

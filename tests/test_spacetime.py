@@ -43,13 +43,6 @@ def test_unknown_site_rejected():
         sp.light_time_ns(GEOMETRY, "A", "D")
 
 
-def test_three_d_geometry_overrides_path_lengths():
-    g = sp.Geometry(points_3d=(("A", (0.0, 0.0, 0.0)), ("B", (3.0, 4.0, 0.0)),
-                               ("C", (0.0, 0.0, 5.0))))
-    assert abs(g.distance_m("A", "B") - 5.0) < 1e-12
-    assert abs(g.distance_m("A", "C") - 5.0) < 1e-12
-
-
 # ---- audit ------------------------------------------------------------------------
 
 
@@ -138,36 +131,6 @@ def test_pass_iff_every_margin_clears_allowance():
         assert check.passed == (check.margin_ns > BUDGET.sync_allowance_ns)
 
 
-# ---- determination bound -----------------------------------------------------------
-
-
-def test_determination_bound_nominal():
-    slack = sp.determination_bound(GEOMETRY, BUDGET)
-    assert abs(slack - 73.6) < 0.1  # 4269.62 - 480 - 3700 - 16
-
-
-def test_determination_bound_shortened_readout():
-    slack = sp.determination_bound(GEOMETRY, BUDGET, readout_ns=3083.6)
-    assert abs(slack - 690.0) < 0.05
-
-
-def test_determination_bound_monotone_in_readout():
-    readouts = [3700.0, 3500.0, 3000.0, 2000.0]
-    slacks = [sp.determination_bound(GEOMETRY, BUDGET, readout_ns=t) for t in readouts]
-    assert all(b > a for a, b in zip(slacks, slacks[1:]))
-
-
-def test_determination_bound_zero_when_window_exactly_used():
-    window = sp.light_time_ns(GEOMETRY, "A", "B")
-    budget = sp.TimingBudget(choice_to_readout_ns=480.0, readout_duration_ns=window - 480.0 - 16.0,
-                             sync_allowance_ns=16.0)
-    assert abs(sp.determination_bound(GEOMETRY, budget)) < 1e-9
-
-
-def test_budget_slack():
-    assert abs(BUDGET.slack_ns(4269.62) - 89.62) < 1e-9
-
-
 def test_validation():
     with pytest.raises(sp.AuditError):
         sp.Geometry(ab_m=-1.0)
@@ -175,5 +138,3 @@ def test_validation():
         sp.TimingBudget(readout_duration_ns=-5.0)
     with pytest.raises(sp.AuditError):
         sp.SpacetimeEvent("not-a-label", "A", 0.0)
-    with pytest.raises(sp.AuditError):
-        sp.determination_bound(GEOMETRY, BUDGET, readout_ns=5000.0)

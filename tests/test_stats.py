@@ -297,7 +297,7 @@ def test_expected_correlations_ideal_pattern():
 
 
 def test_expected_correlations_fully_mixed_state():
-    mixed = q.maximally_mixed((("spin_a", 2), ("spin_b", 2)))
+    mixed = q.QuantumState(np.eye(4) / 4, (("spin_a", 2), ("spin_b", 2)))
     e = bs.expected_correlations(mixed, calibrate_readout(0.971), calibrate_readout(0.963),
                                  ReadoutBasisSet.from_tilt(0.026 * math.pi))
     offset = np.mean(list(e.values()))  # readout asymmetry adds a constant
