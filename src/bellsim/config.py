@@ -66,19 +66,17 @@ class LinkConfig:
 
 
 @dataclass(frozen=True)
-class GeometryConfig:
-    ab_m: float = 1280.0
-    ac_m: float = 640.0
-    cb_m: float = 640.0
-
-
-@dataclass(frozen=True)
 class TimingConfig:
     choice_to_readout_ns: float = 480.0
     readout_duration_ns: float = 3700.0
     sync_allowance_ns: float = 16.0
     choice_delay_ns: float = 2500.0
     jitter_ns: float = 5.0
+
+    def __post_init__(self):
+        negative = [f.name for f in dataclasses.fields(self) if getattr(self, f.name) < 0]
+        if negative:
+            raise ConfigError(f"must be non-negative: {', '.join(negative)}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,7 @@ class SimulationConfig:
     basis: BasisConfig = BasisConfig()
     rng: RngModel = RngModel()
     link: LinkConfig = LinkConfig()
-    geometry: GeometryConfig = GeometryConfig()
+    geometry: Geometry = Geometry()
     timing: TimingConfig = TimingConfig()
     experiment: ExperimentSection = ExperimentSection()
     statistics: StatisticsConfig = StatisticsConfig()
@@ -139,8 +137,7 @@ class SimulationConfig:
                                  self.heralding.include_same_port)
 
     def spacetime_geometry(self) -> Geometry:
-        g = self.geometry
-        return Geometry(ab_m=g.ab_m, ac_m=g.ac_m, cb_m=g.cb_m)
+        return self.geometry
 
     def timing_budget(self) -> TimingBudget:
         t = self.timing
@@ -212,6 +209,8 @@ def _coerce_scalar(value, annotation, path: str):
     if annotation is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if annotation is int:
         if isinstance(value, bool) or not isinstance(value, int):

@@ -1,4 +1,4 @@
-"""Mode-level model of heralded spin-spin entanglement generation.
+"""Two-photon model of heralded spin-spin entanglement generation.
 
 Each node entangles its spin with the emission time bin of a single photon,
 |up, early> + |down, late>, the photons meet on a 50:50 beam splitter at the
@@ -13,44 +13,40 @@ Spin-photon imperfections are classical flip mixtures conditioned on the time
 bin, and detector dark counts / excitation-laser leakage enter as independent
 false-click events per detection window.
 
-All photonic states are second-quantised on a truncated Fock space (a few
-modes, at most two photons). The event-ready build never forms the joint
-spin-photon density matrix: each classical flip branch of the two nodes is
-carried as one weighted ket over the spin pair and the Fock space, all
-branches cross the beam splitter in one matrix product, and each herald
-pattern is a weight per Fock basis state. Only the final 4x4 two-spin state
+The link always carries exactly two photons, one per node, so the photonic
+state past the beam splitter is a symmetrised amplitude over ordered pairs of
+the 8 output modes of one photon (2 ports x 2 time bins x 2 sectors). The
+event-ready build never forms the joint spin-photon density matrix: each
+classical flip branch of the two nodes is carried as one weighted ket over
+the spin pair and the photon pair, and each herald pattern is a click
+probability per pair of detection windows. Only the final 4x4 two-spin state
 is validated as a :class:`~bellsim.quantum.QuantumState`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .quantum import ATOL, QuantumState, fidelity_to_pure, psi_minus
+from .quantum import QuantumState, fidelity_to_pure, psi_minus
 
-Mode = tuple[str, str, str]  # (port, time_bin, sector)
-
-PORT_A_IN = "A-in"
-PORT_B_IN = "B-in"
 PORT_OUT_1 = "C-out-1"
 PORT_OUT_2 = "C-out-2"
 EARLY = "early"
 LATE = "late"
-SHARED = "shared"
-PRIVATE = "private"
 
-INPUT_PORTS = (PORT_A_IN, PORT_B_IN)
 OUTPUT_PORTS = (PORT_OUT_1, PORT_OUT_2)
 TIME_BINS = (EARLY, LATE)
-SECTORS = (SHARED, PRIVATE)
+WINDOWS = tuple((port, time_bin) for port in OUTPUT_PORTS for time_bin in TIME_BINS)
 
-MAX_PHOTONS = 2  # Fock truncation: total photons over all modes
+# one photon's amplitude into (out-1, out-2) at the 50:50 beam splitter
+SPLIT_A = (1 / math.sqrt(2), 1 / math.sqrt(2))
+SPLIT_B = (1 / math.sqrt(2), -1 / math.sqrt(2))
 
 
 class HeraldingError(ValueError):
@@ -59,70 +55,6 @@ class HeraldingError(ValueError):
 
 class UnheraldableError(HeraldingError):
     """The requested detection pattern has zero probability."""
-
-
-@dataclass(frozen=True)
-class PhotonicModeSpace:
-    """Fock space of at most ``MAX_PHOTONS`` photons over an ordered list of modes."""
-
-    modes: tuple[Mode, ...]
-
-    # derived lookup tables, excluded from equality/hash
-    _basis: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        modes = tuple(tuple(m) for m in self.modes)
-        object.__setattr__(self, "modes", modes)
-        if len(set(modes)) != len(modes):
-            raise HeraldingError("mode list contains duplicates")
-        basis = tuple(self._enumerate_basis())
-        object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "_index", {occ: i for i, occ in enumerate(basis)})
-
-    def _enumerate_basis(self):
-        n_modes = len(self.modes)
-
-        def rec(prefix, remaining_slots, used):
-            if remaining_slots == 0:
-                yield tuple(prefix)
-                return
-            for count in range(MAX_PHOTONS - used + 1):
-                yield from rec(prefix + [count], remaining_slots - 1, used + count)
-
-        return rec([], n_modes, 0)
-
-    @property
-    def dim(self) -> int:
-        return len(self._basis)
-
-    @property
-    def basis(self) -> tuple[tuple[int, ...], ...]:
-        return self._basis
-
-    def index(self, occupation: Sequence[int]) -> int:
-        occ = tuple(occupation)
-        if occ not in self._index:
-            raise HeraldingError(f"occupation {occ} outside the truncated space")
-        return self._index[occ]
-
-    def mode_index(self, mode: Mode) -> int:
-        try:
-            return self.modes.index(tuple(mode))
-        except ValueError:
-            raise HeraldingError(f"unknown mode {mode}") from None
-
-
-@lru_cache(maxsize=1)
-def default_mode_space() -> PhotonicModeSpace:
-    """Two input and two output ports, two time bins, two sectors; built once."""
-    modes = tuple(
-        (port, time_bin, sector)
-        for port in INPUT_PORTS + OUTPUT_PORTS
-        for time_bin in TIME_BINS
-        for sector in SECTORS
-    )
-    return PhotonicModeSpace(modes)
 
 
 @dataclass(frozen=True)
@@ -235,129 +167,14 @@ def spin_photon_state(side: str, errors: SpinPhotonErrorModel) -> QuantumState:
     return QuantumState(rho, (("spin", 2), ("time_bin", 2)))
 
 
-def _expand_creation_product(space: PhotonicModeSpace, occupation: Sequence[int],
-                             images: list) -> dict:
-    """Expand prod_m (sum_j U[j,m] c_j^dag)^{n_m} |0> into Fock amplitudes.
-
-    ``images[m]`` lists (target_mode_index, amplitude) pairs for source mode m.
-    Returns {occupation_tuple: amplitude} with Fock normalisation included.
-    """
-    n_modes = len(space.modes)
-    source_norm = 1.0
-    for n in occupation:
-        source_norm *= math.factorial(n)
-    # polynomial over creation-operator monomials, keyed by occupation vectors
-    poly = {tuple([0] * n_modes): 1.0 + 0.0j}
-    for m, n in enumerate(occupation):
-        for _ in range(n):
-            new: dict = {}
-            for occ, amp in poly.items():
-                for j, c in images[m]:
-                    if c == 0.0:
-                        continue
-                    lifted = list(occ)
-                    lifted[j] += 1
-                    key = tuple(lifted)
-                    new[key] = new.get(key, 0.0 + 0.0j) + amp * c
-            poly = new
-    out = {}
-    for occ, amp in poly.items():
-        if sum(occ) > MAX_PHOTONS:
-            raise HeraldingError(f"photon number above cutoff in occupation {occ}")
-        target_norm = 1.0
-        for n in occ:
-            target_norm *= math.factorial(n)
-        out[occ] = amp * math.sqrt(target_norm) / math.sqrt(source_norm)
-    return out
-
-
-def mode_transform_unitary(space: PhotonicModeSpace, mode_images: dict) -> np.ndarray:
-    """Fock-space unitary induced by a single-particle mode unitary.
-
-    ``mode_images`` maps a source mode to its image as a list of
-    (target mode, amplitude) pairs; unlisted modes map to themselves. The
-    single-particle matrix must be unitary, which makes the induced map
-    unitary on every photon-number sector of the truncated space.
-    """
-    n_modes = len(space.modes)
-    single = np.zeros((n_modes, n_modes), dtype=np.complex128)
-    for m, mode in enumerate(space.modes):
-        if mode in mode_images:
-            for target, amp in mode_images[mode]:
-                single[space.mode_index(target), m] = amp
-        else:
-            single[m, m] = 1.0
-    if float(np.max(np.abs(single.conj().T @ single - np.eye(n_modes)))) > ATOL:
-        raise HeraldingError("mode map is not unitary")
-    images = [[(j, single[j, m]) for j in range(n_modes) if single[j, m] != 0.0]
-              for m in range(n_modes)]
-    u = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    for col, occ in enumerate(space.basis):
-        for occ_out, amp in _expand_creation_product(space, occ, images).items():
-            u[space.index(occ_out), col] = amp
-    return u
-
-
-def _beam_splitter_images(space: PhotonicModeSpace) -> dict:
-    """50:50 beam-splitter map per time bin and sector, input to output ports."""
-    s = 1 / math.sqrt(2)
-    images = {}
-    for time_bin in TIME_BINS:
-        for sector in SECTORS:
-            a_in = (PORT_A_IN, time_bin, sector)
-            b_in = (PORT_B_IN, time_bin, sector)
-            out1 = (PORT_OUT_1, time_bin, sector)
-            out2 = (PORT_OUT_2, time_bin, sector)
-            present = {m for m in (a_in, b_in, out1, out2) if m in space.modes}
-            if not present:
-                continue
-            if present != {a_in, b_in, out1, out2}:
-                raise HeraldingError(f"mode space is missing partners for bin {time_bin}/{sector}")
-            images[a_in] = [(out1, s), (out2, s)]
-            images[b_in] = [(out1, s), (out2, -s)]
-            # unitary completion: the output labels fold back onto the inputs
-            images[out1] = [(a_in, s), (b_in, s)]
-            images[out2] = [(a_in, s), (b_in, -s)]
-    return images
-
-
-@lru_cache(maxsize=8)
-def beam_splitter_unitary(space: PhotonicModeSpace) -> np.ndarray:
-    u = mode_transform_unitary(space, _beam_splitter_images(space))
-    u.setflags(write=False)
-    return u
-
-
-def _detection_windows() -> tuple[tuple[str, str], ...]:
-    return tuple((port, time_bin) for port in OUTPUT_PORTS for time_bin in TIME_BINS)
-
-
-@lru_cache(maxsize=8)
-def _visible_groups(space: PhotonicModeSpace) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-    """Fock indices grouped by detector-visible counts (sectors are unresolved)."""
-    windows = _detection_windows()
-    groups: dict = {}
-    for i, occ in enumerate(space.basis):
-        visible = [0] * len(windows)
-        for m, n in enumerate(occ):
-            if n == 0:
-                continue
-            port, time_bin, _ = space.modes[m]
-            if port in OUTPUT_PORTS:
-                visible[windows.index((port, time_bin))] += n
-        groups.setdefault(tuple(visible), []).append(i)
-    return tuple((visible, np.array(indices)) for visible, indices in groups.items())
-
-
 def _click_set_probability(visible: Sequence[int], clicked: Sequence[bool],
                            model: InterferenceModel) -> float:
     """P(exactly this click set | photon counts per window)."""
-    windows = _detection_windows()
     eta = {PORT_OUT_1: model.detector_efficiency[0],
            PORT_OUT_2: model.detector_efficiency[1]}
     f = model.false_click_prob
     p = 1.0
-    for w, (port, _) in enumerate(windows):
+    for w, (port, _) in enumerate(WINDOWS):
         p_silent = (1.0 - eta[port]) ** visible[w] * (1.0 - f)
         p *= (1.0 - p_silent) if clicked[w] else p_silent
     return p
@@ -372,47 +189,67 @@ class HeraldResult:
     pattern_probabilities: tuple[tuple[HeraldPattern, float], ...]
 
 
-def _branch_kets(space: PhotonicModeSpace, errors: SpinPhotonErrorModel,
-                 visibility: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and spin-pair x Fock kets of the (A x B) flip branches at the source.
+def _two_photon_amplitudes(bin_a: int, bin_b: int, sector_b: int) -> np.ndarray:
+    """Amplitude of one photon per node past the beam splitter, per ordered mode pair.
 
-    Node A emits into its shared mode; node B emits into sqrt(V) shared +
-    sqrt(1-V) private, so the mode overlap squared equals the interference
-    visibility. Returns weights of shape (n,) and kets of shape (n, 4, dim),
-    one per branch of nonzero weight, with the spin index s_a * 2 + s_b.
+    Output mode m = window * 2 + sector, with the windows in ``WINDOWS`` order
+    and sector 0 shared, 1 private. Node A's photon is in the shared sector of
+    time bin ``bin_a``, node B's in ``sector_b`` of ``bin_b`` (bins 0 early,
+    1 late). With c[i, j] the amplitude of A's photon in mode i and B's in j,
+    the 8x8 result is c + c^T: every photon pair sits on both (i, j) and
+    (j, i), and half its squared entries summed over ordered pairs are the
+    Fock probabilities, Hong-Ou-Mandel bunching included.
     """
-    emissions = []  # (bin A, bin B, Fock index of the photon pair, amplitude)
-    for bin_a, bin_b in product(TIME_BINS, repeat=2):
-        for sector_b, amp_b in ((SHARED, math.sqrt(visibility)),
-                                (PRIVATE, math.sqrt(1.0 - visibility))):
+    a = np.zeros(8)
+    b = np.zeros(8)
+    for port in (0, 1):
+        a[(port * 2 + bin_a) * 2] = SPLIT_A[port]
+        b[(port * 2 + bin_b) * 2 + sector_b] = SPLIT_B[port]
+    c = np.outer(a, b)
+    return c + c.T
+
+
+def _branch_kets(errors: SpinPhotonErrorModel,
+                 visibility: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and spin-pair x photon-pair kets of the (A x B) flip branches.
+
+    Node A emits into the shared sector; node B emits into sqrt(V) shared +
+    sqrt(1-V) private, so the mode overlap squared equals the interference
+    visibility. Returns weights of shape (n,) and real kets of shape
+    (n, 4, 64), already past the beam splitter, one per branch of nonzero
+    weight, with the spin index s_a * 2 + s_b.
+    """
+    emissions = []  # (bin A, bin B, photon-pair amplitude)
+    for bin_a, bin_b in product((0, 1), repeat=2):
+        for sector_b, amp_b in ((0, math.sqrt(visibility)), (1, math.sqrt(1.0 - visibility))):
             if amp_b == 0.0:
                 continue
-            occ = [0] * len(space.modes)
-            occ[space.mode_index((PORT_A_IN, bin_a, SHARED))] += 1
-            occ[space.mode_index((PORT_B_IN, bin_b, sector_b))] += 1
-            emissions.append((bin_a, bin_b, space.index(tuple(occ)), 0.5 * amp_b))
+            pair = _two_photon_amplitudes(bin_a, bin_b, sector_b).ravel()
+            emissions.append((bin_a, bin_b, 0.5 * amp_b * pair))
     weights, kets = [], []
     for w_a, fe_a, fl_a in _flip_branches(*errors.for_side("A")):
         for w_b, fe_b, fl_b in _flip_branches(*errors.for_side("B")):
-            ket = np.zeros((4, space.dim), dtype=np.complex128)
-            for bin_a, bin_b, k, amp in emissions:
+            ket = np.zeros((4, 64))
+            for bin_a, bin_b, amp in emissions:
                 # ideal: spin up (0) with the early photon, down (1) with the late
-                s_a = fe_a if bin_a == EARLY else 1 ^ fl_a
-                s_b = fe_b if bin_b == EARLY else 1 ^ fl_b
-                ket[s_a * 2 + s_b, k] += amp
+                s_a = fe_a if bin_a == 0 else 1 ^ fl_a
+                s_b = fe_b if bin_b == 0 else 1 ^ fl_b
+                ket[s_a * 2 + s_b] += amp
             weights.append(w_a * w_b)
             kets.append(ket)
     return np.array(weights), np.array(kets)
 
 
-def _pattern_weights(space: PhotonicModeSpace, pattern: HeraldPattern,
-                     model: InterferenceModel) -> np.ndarray:
-    """P(exactly the pattern's clicks | Fock basis state), per basis index."""
-    clicked = [w in pattern.clicks for w in _detection_windows()]
-    weights = np.zeros(space.dim)
-    for visible, indices in _visible_groups(space):
-        weights[indices] = _click_set_probability(visible, clicked, model)
-    return weights
+def _pattern_weights(pattern: HeraldPattern, model: InterferenceModel) -> np.ndarray:
+    """P(exactly the pattern's clicks | photon pair), per ordered output-mode pair."""
+    clicked = [w in pattern.clicks for w in WINDOWS]
+    table = np.zeros((4, 4))
+    for u, v in product(range(4), repeat=2):
+        visible = [0] * 4
+        visible[u] += 1
+        visible[v] += 1
+        table[u, v] = _click_set_probability(visible, clicked, model)
+    return np.kron(table, np.ones((2, 2))).ravel()  # sectors are unresolved
 
 
 @lru_cache(maxsize=64)
@@ -426,14 +263,12 @@ def event_ready_state(model: InterferenceModel,
     ``include_same_port`` the same-port early/late coincidences are accepted
     too, without any feed-forward correction, which degrades the state.
 
-    Each flip branch b with weight w_b is a ket psi_b over spin pair x Fock
-    space; past the beam splitter, pattern p leaves the unnormalised spin
-    state sum_b w_b (psi_b * wt_p) psi_b^dag, where wt_p is the pattern's
-    click probability per Fock basis state.
+    Each flip branch b with weight w_b is a real ket psi_b over spin pair x
+    ordered output-mode pair past the beam splitter; pattern p leaves the
+    unnormalised spin state sum_b w_b (psi_b * wt_p) psi_b^T / 2, where wt_p
+    is the pattern's click probability per mode pair.
     """
-    space = default_mode_space()
-    branch_weights, kets = _branch_kets(space, errors, model.visibility)
-    kets = kets @ beam_splitter_unitary(space).T  # on the photonic axis of every branch
+    branch_weights, kets = _branch_kets(errors, model.visibility)
     patterns = psi_minus_patterns()
     if include_same_port:
         patterns = patterns + psi_plus_patterns()
@@ -441,9 +276,10 @@ def event_ready_state(model: InterferenceModel,
     total_prob = 0.0
     per_pattern = []
     for pattern in patterns:
-        clicked = kets * _pattern_weights(space, pattern, model)
-        cond = np.einsum("b,bik,bjk->ij", branch_weights, clicked, kets.conj())
-        p = float(np.trace(cond).real)
+        clicked = kets * _pattern_weights(pattern, model)
+        # half: every photon pair is counted as both (i, j) and (j, i)
+        cond = 0.5 * np.einsum("b,bik,bjk->ij", branch_weights, clicked, kets)
+        p = float(np.trace(cond))
         per_pattern.append((pattern, p))
         total += cond
         total_prob += p

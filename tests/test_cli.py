@@ -364,6 +364,39 @@ def test_removed_config_key_is_usage_error(tmp_path, capsys):
     assert "rng.extraction_time_ns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("yaml_text, command", [
+    ("timing:\n  readout_duration_ns: .nan\n", ["simulate", "--n", "5"]),
+    ("statistics:\n  win_adjustment: .nan\n", ["analyze", "LOG"]),
+    ("geometry:\n  ab_m: .nan\n", ["audit", "LOG"]),
+    ("link:\n  attempt_period_ns: .inf\n", ["simulate", "--hours", "1"]),
+], ids=["readout-nan", "win-adjustment-nan", "ab-nan", "attempt-period-inf"])
+def test_non_finite_config_float_is_usage_error(tmp_path, fast_config, capsys,
+                                                yaml_text, command):
+    log = make_log(tmp_path, fast_config, n=5)
+    cfg = tmp_path / "non_finite.yaml"
+    cfg.write_text(yaml_text)
+    argv = [str(log) if arg == "LOG" else arg for arg in command]
+    if command[0] == "simulate":
+        argv += ["--out", str(tmp_path / "out.jsonl")]
+    capsys.readouterr()
+    assert run(argv + ["--config", str(cfg)]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("yaml_text", [
+    "geometry:\n  ab_m: -5\n",
+    "timing:\n  sync_allowance_ns: -1\n",
+    "timing:\n  jitter_ns: -0.5\n",
+], ids=["negative-ab", "negative-sync-allowance", "negative-jitter"])
+def test_invalid_geometry_or_timing_fails_at_load(tmp_path, fast_config, capsys, yaml_text):
+    log = make_log(tmp_path, fast_config, n=5)
+    cfg = tmp_path / "invalid.yaml"
+    cfg.write_text(yaml_text)
+    capsys.readouterr()
+    assert run(["audit", str(log), "--config", str(cfg)]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_missing_required_argument_is_usage_error():
     assert run(["analyze"]) == 1
 

@@ -1,5 +1,6 @@
 import math
-from itertools import product
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -67,51 +68,109 @@ def oracle_psi_minus_herald(visibility):
 #
 # The joint spin-pair x Fock density matrix (4 x 153 = 612 dimensional) carried
 # through the beam splitter as kron(eye(4), U) and projected on the herald
-# windows block by block. event_ready_state must reproduce it.
+# windows block by block. event_ready_state must reproduce it. The Fock space
+# holds at most two photons over 16 modes: two input and two output ports,
+# two time bins, shared and private sectors. Its basis states are sorted
+# tuples of occupied mode indices, one entry per photon.
+
+SECTORS = ("shared", "private")
+MODES = tuple((port, time_bin, sector)
+              for port in ("A-in", "B-in", h.PORT_OUT_1, h.PORT_OUT_2)
+              for time_bin in h.TIME_BINS for sector in SECTORS)
+FOCK_BASIS = tuple(occ for n in range(3) for occ in combinations_with_replacement(range(16), n))
+FOCK_INDEX = {occ: i for i, occ in enumerate(FOCK_BASIS)}
+FOCK_DIM = len(FOCK_BASIS)
+# in the order h._click_set_probability reads the visible counts
+WINDOWS = tuple((port, time_bin) for port in (h.PORT_OUT_1, h.PORT_OUT_2)
+                for time_bin in h.TIME_BINS)
 
 
-def joint_source_state(space, errors, visibility):
+def _permanent(m):
+    return sum(math.prod(m[i, j] for i, j in enumerate(perm))
+               for perm in permutations(range(len(m))))
+
+
+def _single_photon_splitter():
+    """16x16 mode map: 50:50 per time bin and sector, outputs folded back on inputs."""
+    s = 1 / SQRT2
+    u = np.zeros((16, 16))
+    for time_bin, sector in product(h.TIME_BINS, SECTORS):
+        a, b, o1, o2 = (MODES.index((port, time_bin, sector))
+                        for port in ("A-in", "B-in", h.PORT_OUT_1, h.PORT_OUT_2))
+        u[[o1, o2, o1, o2], [a, a, b, b]] = (s, s, s, -s)
+        u[[a, b, a, b], [o1, o1, o2, o2]] = (s, s, s, -s)  # unitary completion
+    return u
+
+
+@lru_cache(maxsize=1)
+def reference_splitter():
+    """Fock-space beam splitter from permanents of the single-photon map."""
+    single = _single_photon_splitter()
+    u = np.zeros((FOCK_DIM, FOCK_DIM))
+    for col, occ_in in enumerate(FOCK_BASIS):
+        for row, occ_out in enumerate(FOCK_BASIS):
+            if len(occ_out) == len(occ_in):
+                norm = math.prod(math.factorial(occ.count(m))
+                                 for occ in (occ_in, occ_out) for m in set(occ))
+                u[row, col] = _permanent(single[np.ix_(occ_out, occ_in)]) / math.sqrt(norm)
+    return u
+
+
+def fock_index(*modes):
+    return FOCK_INDEX[tuple(sorted(MODES.index(m) for m in modes))]
+
+
+def _visible(occ):
+    """Photon counts per detection window (sectors are unresolved)."""
+    return tuple(sum(MODES[m][:2] == w for m in occ) for w in WINDOWS)
+
+
+@lru_cache(maxsize=1)
+def _visible_groups():
+    groups = {}
+    for i, occ in enumerate(FOCK_BASIS):
+        groups.setdefault(_visible(occ), []).append(i)
+    return tuple((visible, np.array(indices)) for visible, indices in groups.items())
+
+
+def joint_source_state(errors, visibility):
     """Both nodes' spins and photons before the beam splitter, as one dense matrix."""
-    dim = space.dim
-    rho = np.zeros((4 * dim, 4 * dim), dtype=np.complex128)
+    rho = np.zeros((4 * FOCK_DIM, 4 * FOCK_DIM), dtype=np.complex128)
     for w_a, fe_a, fl_a in h._flip_branches(*errors.for_side("A")):
         for w_b, fe_b, fl_b in h._flip_branches(*errors.for_side("B")):
-            vec = np.zeros(4 * dim, dtype=np.complex128)
+            vec = np.zeros(4 * FOCK_DIM, dtype=np.complex128)
             for bin_a, bin_b in product(h.TIME_BINS, repeat=2):
                 s_a = (0 if bin_a == h.EARLY else 1) ^ (fe_a if bin_a == h.EARLY else fl_a)
                 s_b = (0 if bin_b == h.EARLY else 1) ^ (fe_b if bin_b == h.EARLY else fl_b)
-                for sector_b, amp_b in ((h.SHARED, math.sqrt(visibility)),
-                                        (h.PRIVATE, math.sqrt(1.0 - visibility))):
+                for sector_b, amp_b in (("shared", math.sqrt(visibility)),
+                                        ("private", math.sqrt(1.0 - visibility))):
                     if amp_b == 0.0:
                         continue
-                    occ = [0] * len(space.modes)
-                    occ[space.mode_index((h.PORT_A_IN, bin_a, h.SHARED))] += 1
-                    occ[space.mode_index((h.PORT_B_IN, bin_b, sector_b))] += 1
-                    vec[(s_a * 2 + s_b) * dim + space.index(tuple(occ))] += 0.5 * amp_b
+                    k = fock_index(("A-in", bin_a, "shared"), ("B-in", bin_b, sector_b))
+                    vec[(s_a * 2 + s_b) * FOCK_DIM + k] += 0.5 * amp_b
             rho += (w_a * w_b) * np.outer(vec, vec.conj())
     return rho
 
 
-def dense_beam_splitter(rho, space):
-    big = np.kron(np.eye(4), h.beam_splitter_unitary(space))
+def dense_beam_splitter(rho):
+    big = np.kron(np.eye(4), reference_splitter())
     return big @ rho @ big.conj().T
 
 
-def herald(rho, space, model, patterns=None):
+def herald(rho, model, patterns=None):
     """Condition the dense state past the beam splitter on herald patterns."""
     if patterns is None:
         patterns = h.psi_minus_patterns()
     elif isinstance(patterns, h.HeraldPattern):
         patterns = (patterns,)
-    windows = h._detection_windows()
-    rho = rho.reshape(4, space.dim, 4, space.dim)
+    rho = rho.reshape(4, FOCK_DIM, 4, FOCK_DIM)
     total = np.zeros((4, 4), dtype=np.complex128)
     total_prob = 0.0
     per_pattern = []
     for pattern in patterns:
-        clicked = [w in pattern.clicks for w in windows]
+        clicked = [w in pattern.clicks for w in WINDOWS]
         cond = np.zeros((4, 4), dtype=np.complex128)
-        for visible, indices in h._visible_groups(space):
+        for visible, indices in _visible_groups():
             weight = h._click_set_probability(visible, clicked, model)
             if weight == 0.0:
                 continue
@@ -127,28 +186,26 @@ def herald(rho, space, model, patterns=None):
     return h.HeraldResult(total_prob, spin, tuple(per_pattern))
 
 
-def click_pattern_distribution(rho, space, model):
+def click_pattern_distribution(rho, model):
     """Probability of every click subset of the four detection windows."""
-    windows = h._detection_windows()
-    rho = rho.reshape(4, space.dim, 4, space.dim)
+    rho = rho.reshape(4, FOCK_DIM, 4, FOCK_DIM)
     out = {}
-    for clicked in product((False, True), repeat=len(windows)):
+    for clicked in product((False, True), repeat=len(WINDOWS)):
         p = 0.0
-        for visible, indices in h._visible_groups(space):
+        for visible, indices in _visible_groups():
             block = rho[:, indices, :, :][:, :, :, indices]
             p += (float(np.einsum("ikik->", block).real)
                   * h._click_set_probability(visible, clicked, model))
-        out[frozenset(w for w, c in zip(windows, clicked) if c)] = p
+        out[frozenset(w for w, c in zip(WINDOWS, clicked) if c)] = p
     return out
 
 
 def dense_event_ready_state(model, errors, include_same_port=False):
-    space = h.default_mode_space()
-    mixed = dense_beam_splitter(joint_source_state(space, errors, model.visibility), space)
+    mixed = dense_beam_splitter(joint_source_state(errors, model.visibility))
     patterns = h.psi_minus_patterns()
     if include_same_port:
         patterns = patterns + h.psi_plus_patterns()
-    return herald(mixed, space, model, patterns)
+    return herald(mixed, model, patterns)
 
 
 # ---- spin-photon state ---------------------------------------------------------
@@ -195,59 +252,40 @@ def test_error_model_rejects_out_of_range():
 
 
 # ---- beam splitter ----------------------------------------------------------------
-
-PHOTON_SUBSYSTEM = "photons"
-
-
-def _occ(space, modes):
-    occ = [0] * len(space.modes)
-    for m in modes:
-        occ[space.mode_index(m)] += 1
-    return tuple(occ)
+#
+# h._two_photon_amplitudes gives c + c^T over ordered pairs of the 8 output
+# modes of one photon, m = window * 2 + sector; half its squared entries,
+# summed over the ordered pairs of two windows, is the probability of finding
+# the photons there.
 
 
-def photon_ket(space, modes):
-    """Fock ket with one photon in each listed mode (repeats allowed)."""
-    vec = np.zeros(space.dim, dtype=np.complex128)
-    vec[space.index(_occ(space, modes))] = 1.0
-    return q.QuantumState(vec, ((PHOTON_SUBSYSTEM, space.dim),))
+def window_pair_probabilities(amp):
+    """{sorted (window, window): probability} of where the two photons land."""
+    per_pair = 0.5 * (np.abs(amp.reshape(4, 2, 4, 2)) ** 2).sum(axis=(1, 3))
+    out = {}
+    for u, v in product(range(4), repeat=2):
+        key = tuple(sorted((WINDOWS[u], WINDOWS[v])))
+        out[key] = out.get(key, 0.0) + per_pair[u, v]
+    return out
 
 
-def beam_splitter(state, space):
-    """A photons-only ket through the 50:50 beam splitter."""
-    return q.QuantumState(h.beam_splitter_unitary(space) @ state.data, state.subsystems)
+def _coincidence_probability(amp):
+    """P(one photon in each output port), summing bins and sectors."""
+    return sum(p for (w1, w2), p in window_pair_probabilities(amp).items() if w1[0] != w2[0])
 
 
 def test_single_photon_splits_evenly():
-    space = h.default_mode_space()
-    state = photon_ket(space, [(h.PORT_A_IN, h.EARLY, h.SHARED)])
-    out = beam_splitter(state, space)
-    amp1 = out.data[space.index(_occ(space, [(h.PORT_OUT_1, h.EARLY, h.SHARED)]))]
-    amp2 = out.data[space.index(_occ(space, [(h.PORT_OUT_2, h.EARLY, h.SHARED)]))]
-    assert abs(abs(amp1) ** 2 - 0.5) < 1e-12
-    assert abs(abs(amp2) ** 2 - 0.5) < 1e-12
-
-
-def _coincidence_probability(space, out_state):
-    """P(one photon in each output port), summing bins and sectors."""
-    total = 0.0
-    for i, occ in enumerate(space.basis):
-        counts = {h.PORT_OUT_1: 0, h.PORT_OUT_2: 0}
-        for m, n in enumerate(occ):
-            port = space.modes[m][0]
-            if port in counts:
-                counts[port] += n
-        if counts[h.PORT_OUT_1] == 1 and counts[h.PORT_OUT_2] == 1:
-            total += abs(out_state.data[i]) ** 2
-    return total
+    # A's photon early, B's photon late: each leaves by either port half the time
+    probs = window_pair_probabilities(h._two_photon_amplitudes(0, 1, 0))
+    for window in WINDOWS:
+        p = sum(p for pair, p in probs.items() if window in pair)
+        assert abs(p - 0.5) < 1e-12
 
 
 def test_hom_dip_for_indistinguishable_photons():
-    space = h.default_mode_space()
-    state = photon_ket(space, [(h.PORT_A_IN, h.EARLY, h.SHARED),
-                                 (h.PORT_B_IN, h.EARLY, h.SHARED)])
-    out = beam_splitter(state, space)
-    assert _coincidence_probability(space, out) < 1e-12
+    amp = h._two_photon_amplitudes(0, 0, 0)
+    assert _coincidence_probability(amp) < 1e-12
+    assert abs(sum(window_pair_probabilities(amp).values()) - 1.0) < 1e-12
 
 
 def test_distinguishable_photons_coincide_half_the_time():
@@ -257,38 +295,51 @@ def test_distinguishable_photons_coincide_half_the_time():
     cross = abs(amps[1]) ** 2 + abs(amps[2]) ** 2
     assert abs(cross - 0.5) < 1e-15
 
-    space = h.default_mode_space()
-    state = photon_ket(space, [(h.PORT_A_IN, h.EARLY, h.SHARED),
-                                 (h.PORT_B_IN, h.EARLY, h.PRIVATE)])
-    out = beam_splitter(state, space)
-    assert abs(_coincidence_probability(space, out) - 0.5) < 1e-12
+    amp = h._two_photon_amplitudes(0, 0, 1)
+    assert abs(_coincidence_probability(amp) - 0.5) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_beam_splitter_preserves_norm_on_random_inputs(seed):
+    # the 8 emissions are orthonormal two-photon inputs; any superposition
+    # of them keeps its norm through the splitter
     rng = np.random.default_rng(seed)
-    space = h.default_mode_space()
-    vec = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    vec /= np.linalg.norm(vec)
-    out = beam_splitter(q.QuantumState(vec, ((PHOTON_SUBSYSTEM, space.dim),)), space)
-    assert abs(np.linalg.norm(out.data) - 1.0) < 1e-10
+    weights = rng.normal(size=8) + 1j * rng.normal(size=8)
+    weights /= np.linalg.norm(weights)
+    amp = sum(w * h._two_photon_amplitudes(*emission)
+              for w, emission in zip(weights, product((0, 1), repeat=3)))
+    assert abs(0.5 * np.sum(np.abs(amp) ** 2) - 1.0) < 1e-10
 
 
 def test_beam_splitter_unitary_is_unitary():
-    space = h.default_mode_space()
-    u = h.beam_splitter_unitary(space)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(space.dim))) < 1e-10
+    u = reference_splitter()
+    assert np.max(np.abs(u.conj().T @ u - np.eye(FOCK_DIM))) < 1e-10
+
+
+@pytest.mark.parametrize("bin_a, bin_b, sector_b", list(product((0, 1), repeat=3)))
+def test_two_photon_amplitudes_match_reference_splitter(bin_a, bin_b, sector_b):
+    k = fock_index(("A-in", h.TIME_BINS[bin_a], "shared"),
+                   ("B-in", h.TIME_BINS[bin_b], SECTORS[sector_b]))
+    fock_out = reference_splitter()[:, k]
+    amp = h._two_photon_amplitudes(bin_a, bin_b, sector_b)
+    outputs = [m for m in MODES if m[0] in (h.PORT_OUT_1, h.PORT_OUT_2)]
+    for m1, m2 in combinations_with_replacement(outputs, 2):
+        i, j = (WINDOWS.index(m[:2]) * 2 + SECTORS.index(m[2]) for m in (m1, m2))
+        # a bunched pair |2_i> has Fock amplitude amp[i, i] / sqrt(2)
+        expected = amp[i, j] / SQRT2 if i == j else amp[i, j]
+        assert abs(fock_out[fock_index(m1, m2)] - expected) < 1e-15
+        assert amp[i, j] == amp[j, i]
+    assert abs(np.sum(np.abs(fock_out) ** 2) - 1.0) < 1e-12
 
 
 # ---- herald -------------------------------------------------------------------------
 
 
 def _pipeline(visibility, errors=NO_ERRORS, model=None, patterns=None):
-    space = h.default_mode_space()
-    mixed = dense_beam_splitter(joint_source_state(space, errors, visibility), space)
+    mixed = dense_beam_splitter(joint_source_state(errors, visibility))
     model = model or h.InterferenceModel(visibility=visibility)
-    return herald(mixed, space, model, patterns)
+    return herald(mixed, model, patterns)
 
 
 def test_ideal_herald_probability_and_state_match_oracle():
@@ -340,11 +391,10 @@ def test_port_swapped_pattern_gives_identical_state():
 
 
 def test_click_pattern_distribution_sums_to_one():
-    space = h.default_mode_space()
-    mixed = dense_beam_splitter(joint_source_state(space, h.SpinPhotonErrorModel(), 0.8), space)
+    mixed = dense_beam_splitter(joint_source_state(h.SpinPhotonErrorModel(), 0.8))
     model = h.InterferenceModel(visibility=0.8, detector_efficiency=(0.7, 0.9),
                                 dark_count_prob=0.01, laser_leakage_prob=0.005)
-    dist = click_pattern_distribution(mixed, space, model)
+    dist = click_pattern_distribution(mixed, model)
     assert abs(sum(dist.values()) - 1.0) < 1e-9
     assert all(p >= -1e-12 for p in dist.values())
 
@@ -364,10 +414,9 @@ def test_unheraldable_pattern_raises():
     dead = h.InterferenceModel(visibility=1.0, detector_efficiency=(0.0, 0.0))
     with pytest.raises(h.UnheraldableError):
         h.event_ready_state(dead, NO_ERRORS)
-    space = h.default_mode_space()
-    mixed = dense_beam_splitter(joint_source_state(space, NO_ERRORS, 1.0), space)
+    mixed = dense_beam_splitter(joint_source_state(NO_ERRORS, 1.0))
     with pytest.raises(h.UnheraldableError):
-        herald(mixed, space, dead)
+        herald(mixed, dead)
 
 
 def test_same_port_pattern_is_psi_plus_like():
@@ -393,7 +442,7 @@ def test_pattern_validation():
     with pytest.raises(h.HeraldingError):
         h.HeraldPattern(frozenset({(h.PORT_OUT_1, h.EARLY), (h.PORT_OUT_2, h.EARLY)}))
     with pytest.raises(h.HeraldingError):
-        h.HeraldPattern(frozenset({(h.PORT_A_IN, h.EARLY), (h.PORT_OUT_2, h.LATE)}))
+        h.HeraldPattern(frozenset({("A-in", h.EARLY), (h.PORT_OUT_2, h.LATE)}))
 
 
 # ---- branch-ket build against the dense route ---------------------------------------
