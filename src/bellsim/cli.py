@@ -41,6 +41,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _run_budget(convert, ok, rule: str):
+    """argparse type for a run-budget flag: ``convert`` the text, then require ``ok``."""
+    def parse(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+    return parse
+
+
 def _load(args) -> SimulationConfig:
     if getattr(args, "config", None):
         return load_config(args.config)
@@ -142,8 +154,7 @@ def cmd_characterize(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    n = args.n if args.n is not None else (None if args.hours is not None else cfg.experiment.trials)
-    log = engine.run_experiment(cfg, n_trials=n, hours=args.hours, seed=args.seed)
+    log = engine.run_experiment(cfg, n_trials=args.n, hours=args.hours, seed=args.seed)
     if args.stamp:
         log.created = datetime.now(timezone.utc).isoformat()
     out = args.out or "bell_trials.jsonl"
@@ -253,8 +264,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run trials and write a JSON-lines log")
     add_config(p)
-    p.add_argument("--n", type=int, metavar="COUNT", help="number of trials")
-    p.add_argument("--hours", type=float, metavar="H", help="simulated wall-clock budget")
+    p.add_argument("--n", type=_run_budget(int, lambda v: v >= 0, "a count >= 0"),
+                   metavar="COUNT", help="number of trials (with neither --n nor --hours: "
+                   "the config's experiment.trials and experiment.hours)")
+    hours = _run_budget(float, lambda v: 0 < v < math.inf, "finite hours > 0")
+    p.add_argument("--hours", type=hours, metavar="H", help="simulated wall-clock budget")
     p.add_argument("--seed", type=int, metavar="U64", help="master seed (default from config)")
     p.add_argument("--out", metavar="PATH", help="log path (default bell_trials.jsonl)")
     p.add_argument("--stamp", action="store_true",

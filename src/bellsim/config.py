@@ -32,6 +32,14 @@ class ConfigError(ValueError):
     """Config file failed to parse or validate."""
 
 
+def _check(section, rule: str, ok, *names: str) -> None:
+    """Raise ConfigError for the first named field whose value fails ``ok``."""
+    for name in names:
+        value = getattr(section, name)
+        if not ok(value):
+            raise ConfigError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ReadoutConfig:
     """Calibration anchors for one node's readout rate model."""
@@ -64,19 +72,12 @@ class LinkConfig:
     attempt_period_ns: float = 20_000.0
     herald_probability: float | None = None
 
-
-@dataclass(frozen=True)
-class TimingConfig:
-    choice_to_readout_ns: float = 480.0
-    readout_duration_ns: float = 3700.0
-    sync_allowance_ns: float = 16.0
-    choice_delay_ns: float = 2500.0
-    jitter_ns: float = 5.0
-
     def __post_init__(self):
-        negative = [f.name for f in dataclasses.fields(self) if getattr(self, f.name) < 0]
-        if negative:
-            raise ConfigError(f"must be non-negative: {', '.join(negative)}")
+        _check(self, "in [0, 1]", lambda v: 0 <= v <= 1,
+               "collection_efficiency", "detector_efficiency")
+        _check(self, ">= 0", lambda v: v >= 0, "fibre_km_per_arm", "loss_db_per_km")
+        _check(self, "> 0", lambda v: v > 0, "attempt_period_ns")
+        _check(self, "null or in (0, 1]", lambda v: v is None or 0 < v <= 1, "herald_probability")
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,10 @@ class ExperimentSection:
     trials: int = 245
     hours: float | None = None
     seed: int = 59
+
+    def __post_init__(self):
+        _check(self, ">= 0", lambda v: v >= 0, "trials")
+        _check(self, "null or > 0", lambda v: v is None or v > 0, "hours")
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,7 @@ class SimulationConfig:
     rng: RngModel = RngModel()
     link: LinkConfig = LinkConfig()
     geometry: Geometry = Geometry()
-    timing: TimingConfig = TimingConfig()
+    timing: TimingBudget = TimingBudget()
     experiment: ExperimentSection = ExperimentSection()
     statistics: StatisticsConfig = StatisticsConfig()
     heralding: HeraldingConfig = HeraldingConfig()
@@ -140,12 +145,7 @@ class SimulationConfig:
         return self.geometry
 
     def timing_budget(self) -> TimingBudget:
-        t = self.timing
-        return TimingBudget(
-            choice_to_readout_ns=t.choice_to_readout_ns,
-            readout_duration_ns=t.readout_duration_ns,
-            sync_allowance_ns=t.sync_allowance_ns,
-        )
+        return self.timing
 
     def herald_delay_ns(self) -> float:
         """Photon flight time through one fibre arm to the midpoint."""

@@ -18,6 +18,7 @@ derived seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -26,12 +27,14 @@ import numpy as np
 from .config import SimulationConfig, config_hash
 from .randomness import setting_bits
 from .readout import rotated_povm
-from .spacetime import SpacetimeEvent
 
 OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
 # Trials sampled per block by run_experiment; any size gives the same records.
 BLOCK_TRIALS = 4096
+
+# Probability that a two-photon attempt gives one of the heralding click patterns.
+PATTERN_PROBABILITY = 0.25
 
 
 class EngineError(ValueError):
@@ -59,6 +62,8 @@ class TrialRecord:
     attempts: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, record_events(self))):
+            raise EngineError("event times must be finite")
         if self.a not in (0, 1) or self.b not in (0, 1):
             raise EngineError(f"settings must be bits, got a={self.a}, b={self.b}")
         if self.x not in (-1, 1) or self.y not in (-1, 1):
@@ -72,7 +77,7 @@ class TrialRecord:
 
 @dataclass
 class TrialLog:
-    """Append-only sequence of trials plus the metadata to re-run them.
+    """Trials in index order plus the metadata to re-run them.
 
     ``seed`` is the master seed as given: an integer for a plain run, or a
     (master, replica) pair for one replica of a parallel batch.
@@ -85,37 +90,23 @@ class TrialLog:
     created: str | None = None
     format_version: int = 1
 
-    def append(self, record: TrialRecord) -> None:
-        if record.idx != len(self.records):
-            raise EngineError(
-                f"record index {record.idx} breaks the append-only sequence "
-                f"(expected {len(self.records)})"
-            )
-        self.records.append(record)
-
     def __len__(self) -> int:
         return len(self.records)
 
 
-def herald_probability(link, pattern_probability: float = 0.25) -> float:
+def herald_probability(link) -> float:
     """Herald probability per attempt: pattern probability times both arms.
 
     Each arm multiplies collection efficiency, fibre transmission
     10^(-loss_db_per_km * km / 10), and detector efficiency. A configured
-    ``herald_probability`` bypasses the budget composition entirely.
+    ``herald_probability`` bypasses the budget composition entirely. The
+    link config checks every factor's range at construction.
     """
-    direct = getattr(link, "herald_probability", None)
-    if direct is not None:
-        if not 0.0 < direct <= 1.0:
-            raise EngineError(f"herald probability {direct} outside (0, 1]")
-        return float(direct)
-    if not 0.0 <= pattern_probability <= 1.0:
-        raise EngineError("pattern probability must be in [0, 1]")
+    if link.herald_probability is not None:
+        return float(link.herald_probability)
     transmission = 10.0 ** (-link.loss_db_per_km * link.fibre_km_per_arm / 10.0)
     arm = link.collection_efficiency * transmission * link.detector_efficiency
-    if not 0.0 <= arm <= 1.0:
-        raise EngineError(f"per-arm efficiency {arm} outside [0, 1]")
-    return pattern_probability * arm * arm
+    return PATTERN_PROBABILITY * arm * arm
 
 
 @dataclass
@@ -184,15 +175,10 @@ def _timestamps(cfg: SimulationConfig, timing_rng: np.random.Generator,
     return {key: col.tolist() for key, col in columns.items()}
 
 
-def record_events(record: TrialRecord) -> tuple[SpacetimeEvent, ...]:
-    """The five audited spacetime events of one trial."""
-    return (
-        SpacetimeEvent("choice-A", "A", record.t_choice_a_ns),
-        SpacetimeEvent("choice-B", "B", record.t_choice_b_ns),
-        SpacetimeEvent("readout-done-A", "A", record.t_read_done_a_ns),
-        SpacetimeEvent("readout-done-B", "B", record.t_read_done_b_ns),
-        SpacetimeEvent("herald-C", "C", record.t_herald_ns),
-    )
+def record_events(record: TrialRecord) -> tuple[float, float, float, float, float]:
+    """One trial's five event times in ns, in field order, as ``audit_trial`` takes them."""
+    return (record.t_herald_ns, record.t_choice_a_ns, record.t_choice_b_ns,
+            record.t_read_done_a_ns, record.t_read_done_b_ns)
 
 
 def run_experiment(cfg: SimulationConfig, n_trials: int | None = None,
@@ -216,9 +202,10 @@ def run_experiment(cfg: SimulationConfig, n_trials: int | None = None,
     period_ns = cfg.link.attempt_period_ns
     budget_ns = None if hours is None else hours * 3600.0 * 1e9
     log = TrialLog(config_hash=config_hash(cfg), seed=seed)
+    records = log.records
     elapsed_ns = 0.0
-    while n_trials is None or len(log) < n_trials:
-        size = BLOCK_TRIALS if n_trials is None else min(BLOCK_TRIALS, n_trials - len(log))
+    while n_trials is None or len(records) < n_trials:
+        size = BLOCK_TRIALS if n_trials is None else min(BLOCK_TRIALS, n_trials - len(records))
         attempts = streams.attempts.geometric(p, size=size)
         m = size  # trials of this block that fit the budget
         if budget_ns is not None:
@@ -240,7 +227,7 @@ def run_experiment(cfg: SimulationConfig, n_trials: int | None = None,
         for a_i, b_i, pair, n_att, *t in zip(a.tolist(), b.tolist(), pairs.tolist(),
                                              attempts[:m].tolist(), *times.values()):
             x, y = OUTCOME_PAIRS[pair]
-            log.append(TrialRecord(len(log), a_i, b_i, x, y, *t, attempts=n_att))
+            records.append(TrialRecord(len(records), a_i, b_i, x, y, *t, attempts=n_att))
         if m < size:
             break
     return log

@@ -100,5 +100,5 @@ def read_log(path) -> TrialLog:
                 f"line {line_no}: trial index {rec.idx} out of sequence "
                 f"(expected {len(log.records)})"
             )
-        log.append(rec)
+        log.records.append(rec)
     return log

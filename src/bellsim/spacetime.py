@@ -1,6 +1,7 @@
-"""Locality auditing: light-travel times, per-trial event checks, margins.
+"""Locality auditing: light-travel times and per-trial margins.
 
-Three conditions are checked per trial, all in one common time frame:
+A trial is audited from its five event times in one common frame (see
+``audit_trial``). Three conditions are checked:
 
   (i)  the readout at A completes before a light-speed signal could carry
        B's basis choice to A;
@@ -15,17 +16,14 @@ All checks are translation invariant in time.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
-EVENT_LABELS = ("choice-A", "choice-B", "readout-done-A", "readout-done-B", "herald-C")
-
 
 class AuditError(ValueError):
-    """Invalid geometry, budget, or event set."""
+    """Invalid geometry or timing budget."""
 
 
 @dataclass(frozen=True)
@@ -40,51 +38,33 @@ class Geometry:
         if min(self.ab_m, self.ac_m, self.cb_m) <= 0:
             raise AuditError("distances must be positive")
 
-    def distance_m(self, x: str, y: str) -> float:
-        x, y = x.upper(), y.upper()
-        if x == y:
-            return 0.0
-        pair = frozenset((x, y))
-        table = {
-            frozenset(("A", "B")): self.ab_m,
-            frozenset(("A", "C")): self.ac_m,
-            frozenset(("B", "C")): self.cb_m,
-        }
-        if pair not in table:
-            raise AuditError(f"unknown site in pair ({x}, {y})")
-        return table[pair]
-
 
 def light_time_ns(geometry: Geometry, site_x: str, site_y: str) -> float:
     """Light travel time between two sites in nanoseconds."""
-    return geometry.distance_m(site_x, site_y) / SPEED_OF_LIGHT_M_PER_S * 1e9
+    x, y = sorted((site_x.upper(), site_y.upper()))
+    if x == y:
+        return 0.0
+    metres = {("A", "B"): geometry.ab_m, ("A", "C"): geometry.ac_m, ("B", "C"): geometry.cb_m}
+    if (x, y) not in metres:
+        raise AuditError(f"unknown site in pair ({x}, {y})")
+    return metres[x, y] / SPEED_OF_LIGHT_M_PER_S * 1e9
 
 
 @dataclass(frozen=True)
 class TimingBudget:
-    """Durations of the per-trial steps and the synchronisation allowance (ns)."""
+    """Per-trial schedule in ns: step durations, synchronisation allowance,
+    choice start after the emission round starts, uniform event jitter."""
 
     choice_to_readout_ns: float = 480.0
     readout_duration_ns: float = 3700.0
     sync_allowance_ns: float = 16.0
+    choice_delay_ns: float = 2500.0
+    jitter_ns: float = 5.0
 
     def __post_init__(self):
-        if min(self.choice_to_readout_ns, self.readout_duration_ns,
-               self.sync_allowance_ns) < 0:
-            raise AuditError("budget durations must be non-negative")
-
-
-@dataclass(frozen=True)
-class SpacetimeEvent:
-    label: str
-    site: str
-    t_ns: float
-
-    def __post_init__(self):
-        if self.label not in EVENT_LABELS:
-            raise AuditError(f"unknown event label {self.label!r}")
-        if not math.isfinite(self.t_ns):
-            raise AuditError(f"event {self.label} has non-finite time")
+        negative = [f.name for f in dataclasses.fields(self) if getattr(self, f.name) < 0]
+        if negative:
+            raise AuditError(f"must be non-negative: {', '.join(negative)}")
 
 
 @dataclass(frozen=True)
@@ -107,34 +87,22 @@ class LocalityReport:
         return min(c.margin_ns for c in self.checks)
 
 
-def _event_times(events: Iterable[SpacetimeEvent]) -> dict[str, float]:
-    times: dict[str, float] = {}
-    for ev in events:
-        times[ev.label] = ev.t_ns
-    missing = [lab for lab in EVENT_LABELS if lab not in times]
-    if missing:
-        raise AuditError(f"missing event(s): {', '.join(missing)}")
-    return times
-
-
-def audit_trial(events: Sequence[SpacetimeEvent], geometry: Geometry,
+def audit_trial(times: tuple[float, float, float, float, float], geometry: Geometry,
                 budget: TimingBudget) -> LocalityReport:
-    """Check the three locality conditions for one trial's event set.
+    """Check the three locality conditions for one trial.
 
-    Margins are raw signed headroom in ns; a check passes when the margin
-    exceeds the synchronisation allowance.
+    ``times`` is (herald, choice A, choice B, readout done A, readout done B)
+    in ns, the order ``engine.record_events`` returns.
     """
-    t = _event_times(events)
+    t_herald, t_choice_a, t_choice_b, t_done_a, t_done_b = times
     allowance = budget.sync_allowance_ns
-    lt_ab = light_time_ns(geometry, "A", "B")
-    checks = []
-    m = t["choice-B"] + lt_ab - t["readout-done-A"]
-    checks.append(LocalityCheck("readout-A-before-signal-from-choice-B", m, m > allowance))
-    m = t["choice-A"] + lt_ab - t["readout-done-B"]
-    checks.append(LocalityCheck("readout-B-before-signal-from-choice-A", m, m > allowance))
-    m = min(
-        t["choice-A"] + light_time_ns(geometry, "A", "C") - t["herald-C"],
-        t["choice-B"] + light_time_ns(geometry, "B", "C") - t["herald-C"],
-    )
-    checks.append(LocalityCheck("herald-outside-future-cone-of-choices", m, m > allowance))
-    return LocalityReport(tuple(checks))
+    lt_ab = geometry.ab_m / SPEED_OF_LIGHT_M_PER_S * 1e9
+    m_a = t_choice_b + lt_ab - t_done_a
+    m_b = t_choice_a + lt_ab - t_done_b
+    m_c = min(t_choice_a + geometry.ac_m / SPEED_OF_LIGHT_M_PER_S * 1e9 - t_herald,
+              t_choice_b + geometry.cb_m / SPEED_OF_LIGHT_M_PER_S * 1e9 - t_herald)
+    return LocalityReport((
+        LocalityCheck("readout-A-before-signal-from-choice-B", m_a, m_a > allowance),
+        LocalityCheck("readout-B-before-signal-from-choice-A", m_b, m_b > allowance),
+        LocalityCheck("herald-outside-future-cone-of-choices", m_c, m_c > allowance),
+    ))

@@ -64,6 +64,31 @@ def test_simulate_stamp_breaks_reproducibility_on_purpose(tmp_path, fast_config)
     assert header["created"] is not None
 
 
+def test_simulate_honours_config_hours(tmp_path, capsys):
+    # 245 heralds at p ~ 1/4 take about 5.4e-6 h of 20 us attempts
+    cfg = tmp_path / "short.yaml"
+    cfg.write_text(FAST_LINK + "experiment:\n  hours: 2.0e-6\n")
+    out = tmp_path / "log.jsonl"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "(partial)" in capsys.readouterr().out
+    lines = out.read_text().splitlines()
+    assert json.loads(lines[0])["partial"] is True
+    assert 1 < len(lines) < 246
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "-3"], ["--n", "2.5"], ["--n", "many"],
+    ["--hours", "-1"], ["--hours", "0"], ["--hours", "nan"], ["--hours", "inf"],
+    ["--hours", "soon"],
+], ids=["n-negative", "n-fraction", "n-word", "hours-negative", "hours-zero", "hours-nan",
+        "hours-inf", "hours-word"])
+def test_simulate_bad_budget_flag_is_usage_error(tmp_path, fast_config, capsys, flags):
+    out = tmp_path / "log.jsonl"
+    assert run(["simulate", "--config", fast_config, *flags, "--out", str(out)]) == 1
+    assert flags[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_unwritable_path_is_data_error(fast_config):
     assert run(["simulate", "--config", fast_config, "--n", "1",
                 "--out", "/nonexistent-dir/x.jsonl"]) == 2
@@ -118,7 +143,7 @@ def test_analyze_synthetic_equal_cells_log(tmp_path, capsys):
     def add(a, b, x, y, count):
         nonlocal idx
         for _ in range(count):
-            log.append(TrialRecord(idx, a, b, x, y, 4168.0, 2500.0, 2500.0,
+            log.records.append(TrialRecord(idx, a, b, x, y, 4168.0, 2500.0, 2500.0,
                                    6680.0, 6680.0, 1))
             idx += 1
 
@@ -146,7 +171,7 @@ def test_analyze_all_wins_log(tmp_path, capsys):
     for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
         x, y = (1, 1) if (a, b) != (1, 1) else (1, -1)
         for _ in range(5):
-            log.append(TrialRecord(idx, a, b, x, y, 4168.0, 2500.0, 2500.0,
+            log.records.append(TrialRecord(idx, a, b, x, y, 4168.0, 2500.0, 2500.0,
                                    6680.0, 6680.0, 1))
             idx += 1
     path = tmp_path / "wins.jsonl"
@@ -214,7 +239,7 @@ def test_analyze_missing_setting_cell_is_data_error(tmp_path, capsys):
 
     log = TrialLog(config_hash="manual", seed=0)
     for i in range(10):
-        log.append(TrialRecord(i, 0, 0, 1, -1, 4168.0, 2500.0, 2500.0, 6680.0, 6680.0, 1))
+        log.records.append(TrialRecord(i, 0, 0, 1, -1, 4168.0, 2500.0, 2500.0, 6680.0, 6680.0, 1))
     path = tmp_path / "single.jsonl"
     write_log(log, path)
     assert run(["analyze", str(path)]) == 2
@@ -387,7 +412,20 @@ def test_non_finite_config_float_is_usage_error(tmp_path, fast_config, capsys,
     "geometry:\n  ab_m: -5\n",
     "timing:\n  sync_allowance_ns: -1\n",
     "timing:\n  jitter_ns: -0.5\n",
-], ids=["negative-ab", "negative-sync-allowance", "negative-jitter"])
+    "link:\n  attempt_period_ns: 0\n",
+    "link:\n  herald_probability: 0\n",
+    "link:\n  herald_probability: 1.5\n",
+    "link:\n  loss_db_per_km: -100\n",
+    "link:\n  fibre_km_per_arm: -0.1\n",
+    "link:\n  collection_efficiency: 1.2\n",
+    "link:\n  detector_efficiency: -0.2\n",
+    "experiment:\n  trials: -3\n",
+    "experiment:\n  hours: -1.0\n",
+    "experiment:\n  hours: 0\n",
+], ids=["negative-ab", "negative-sync-allowance", "negative-jitter", "zero-attempt-period",
+        "zero-herald-probability", "over-unit-herald-probability", "negative-loss",
+        "negative-fibre", "over-unit-collection", "negative-detector", "negative-trials",
+        "negative-hours", "zero-hours"])
 def test_invalid_geometry_or_timing_fails_at_load(tmp_path, fast_config, capsys, yaml_text):
     log = make_log(tmp_path, fast_config, n=5)
     cfg = tmp_path / "invalid.yaml"

@@ -1,25 +1,27 @@
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bellsim import cli
 from bellsim import spacetime as sp
+from bellsim.config import LinkConfig, default_config
+from bellsim.engine import run_experiment
+from bellsim.logio import LogFormatError, read_log, write_log
 
 GEOMETRY = sp.Geometry()
 BUDGET = sp.TimingBudget()
 
 
 def nominal_schedule(choice_ns=0.0, readout_ns=3700.0, herald_ns=None, choice_delay=2500.0):
-    """Nominal event set: both choices at the same time, herald on the fibre delay."""
+    """Nominal (herald, choice A, choice B, done A, done B): both choices at the
+    same time, herald on the fibre delay."""
     t_choice = choice_delay + choice_ns
     t_read = t_choice + 480.0 + readout_ns
     t_herald = 4168.0 if herald_ns is None else herald_ns
-    return (
-        sp.SpacetimeEvent("choice-A", "A", t_choice),
-        sp.SpacetimeEvent("choice-B", "B", t_choice),
-        sp.SpacetimeEvent("readout-done-A", "A", t_read),
-        sp.SpacetimeEvent("readout-done-B", "B", t_read),
-        sp.SpacetimeEvent("herald-C", "C", t_herald),
-    )
+    return (t_herald, t_choice, t_choice, t_read, t_read)
 
 
 # ---- light time -----------------------------------------------------------------
@@ -65,14 +67,7 @@ def test_stretched_readout_fails_with_exact_margin():
 
 
 def test_zero_duration_everything_passes_with_full_window():
-    events = (
-        sp.SpacetimeEvent("choice-A", "A", 0.0),
-        sp.SpacetimeEvent("choice-B", "B", 0.0),
-        sp.SpacetimeEvent("readout-done-A", "A", 1e-9),
-        sp.SpacetimeEvent("readout-done-B", "B", 1e-9),
-        sp.SpacetimeEvent("herald-C", "C", 0.0),
-    )
-    report = sp.audit_trial(events, GEOMETRY, BUDGET)
+    report = sp.audit_trial((0.0, 0.0, 0.0, 1e-9, 1e-9), GEOMETRY, BUDGET)
     assert report.all_pass
     for check in report.checks:
         if check.label.startswith("readout"):
@@ -88,38 +83,22 @@ def test_herald_condition_uses_midpoint_light_cones():
     assert not herald_check.passed
 
 
-def test_missing_event_names_the_label():
-    events = nominal_schedule()[:-1]
-    with pytest.raises(sp.AuditError, match="herald-C"):
-        sp.audit_trial(events, GEOMETRY, BUDGET)
-
-
 @given(st.floats(-1e6, 1e6))
 def test_margins_are_translation_invariant(shift):
     base = sp.audit_trial(nominal_schedule(), GEOMETRY, BUDGET)
-    shifted_events = tuple(
-        sp.SpacetimeEvent(e.label, e.site, e.t_ns + shift) for e in nominal_schedule()
-    )
-    shifted = sp.audit_trial(shifted_events, GEOMETRY, BUDGET)
+    shifted = sp.audit_trial(tuple(t + shift for t in nominal_schedule()), GEOMETRY, BUDGET)
     for a, b in zip(base.checks, shifted.checks):
         assert abs(a.margin_ns - b.margin_ns) < 1e-6
 
 
 def test_mirrored_sites_give_mirrored_reports():
-    events = nominal_schedule(readout_ns=3650.0)
+    herald, choice_a, choice_b, done_a, done_b = nominal_schedule(readout_ns=3650.0)
     # perturb A's choice so the two readout conditions differ
-    events = tuple(
-        sp.SpacetimeEvent(e.label, e.site, e.t_ns + (7.0 if e.label == "choice-A" else 0.0))
-        for e in events
-    )
-    swapped = []
-    for e in events:
-        label = e.label.replace("-A", "-tmp").replace("-B", "-A").replace("-tmp", "-B")
-        site = {"A": "B", "B": "A"}.get(e.site, e.site)
-        swapped.append(sp.SpacetimeEvent(label, site, e.t_ns))
+    choice_a += 7.0
     mirrored_geometry = sp.Geometry(ab_m=GEOMETRY.ab_m, ac_m=GEOMETRY.cb_m, cb_m=GEOMETRY.ac_m)
-    base = sp.audit_trial(events, GEOMETRY, BUDGET)
-    mirror = sp.audit_trial(tuple(swapped), mirrored_geometry, BUDGET)
+    base = sp.audit_trial((herald, choice_a, choice_b, done_a, done_b), GEOMETRY, BUDGET)
+    mirror = sp.audit_trial((herald, choice_b, choice_a, done_b, done_a), mirrored_geometry,
+                            BUDGET)
     assert abs(base.checks[0].margin_ns - mirror.checks[1].margin_ns) < 1e-9
     assert abs(base.checks[1].margin_ns - mirror.checks[0].margin_ns) < 1e-9
     assert abs(base.checks[2].margin_ns - mirror.checks[2].margin_ns) < 1e-9
@@ -136,5 +115,24 @@ def test_validation():
         sp.Geometry(ab_m=-1.0)
     with pytest.raises(sp.AuditError):
         sp.TimingBudget(readout_duration_ns=-5.0)
-    with pytest.raises(sp.AuditError):
-        sp.SpacetimeEvent("not-a-label", "A", 0.0)
+    with pytest.raises(sp.AuditError, match="jitter_ns"):
+        sp.TimingBudget(jitter_ns=-0.5)
+
+
+# ---- event times in a log ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_log_time_is_a_data_error(tmp_path, capsys, token):
+    link = LinkConfig(collection_efficiency=1.0, detector_efficiency=1.0, fibre_km_per_arm=1e-6)
+    log = run_experiment(dataclasses.replace(default_config(), link=link), n_trials=3, seed=2)
+    path = tmp_path / "log.jsonl"
+    write_log(log, path)
+    lines = path.read_text().splitlines()
+    lines[2] = re.sub(r'"t_herald_ns":[^,]+', f'"t_herald_ns":{token}', lines[2])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogFormatError, match="line 3: event times must be finite"):
+        read_log(path)
+    for command in ("audit", "analyze"):
+        assert cli.main([command, str(path)]) == 2
+        assert "line 3" in capsys.readouterr().err
