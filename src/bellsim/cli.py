@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bell_stats, engine, heralding, logio, optimizer, quantum, spacetime
 from .config import ConfigError, SimulationConfig, default_config, load_config
-from .readout import observable_components
+from .readout import ReadoutBasisSet
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -94,20 +94,6 @@ def _read_log(path):
 # ---- characterize -----------------------------------------------------------
 
 
-def _colinear_correlations(cfg: SimulationConfig) -> list[tuple[str, str, float]]:
-    """Expected correlations for co-linear readout (Z-Z and X-X axes)."""
-    tensor = quantum.correlation_tensor(cfg.heralded_state().spin_state)
-    model_a = cfg.readout_model("A")
-    model_b = cfg.readout_model("B")
-    rows = []
-    for basis_name, theta in (("ZZ", 0.0), ("XX", math.pi / 2)):
-        u_a = observable_components(model_a, theta)
-        for orientation, theta_b in (("parallel", theta), ("antiparallel", theta + math.pi)):
-            u_b = observable_components(model_b, theta_b)
-            rows.append((basis_name, orientation, float(u_a @ tensor @ u_b)))
-    return rows
-
-
 def cmd_characterize(args) -> int:
     cfg = _load(args)
     herald = cfg.heralded_state()
@@ -125,10 +111,15 @@ def cmd_characterize(args) -> int:
                                   + rho[1 * 2 + bin_idx, 1 * 2 + bin_idx]))
             p_up = float(np.real(rho[bin_idx, bin_idx])) / p_bin
             spin_photon_rows.append((side, bin_name, p_up, 1.0 - p_up))
-    colinear = _colinear_correlations(cfg)
-    correlations = bell_stats.expected_correlations(
-        herald.spin_state, cfg.readout_model("A"), cfg.readout_model("B"), cfg.basis_set()
-    )
+    model_a, model_b = cfg.readout_model("A"), cfg.readout_model("B")
+    colinear = []
+    for basis_name, theta in (("ZZ", 0.0), ("XX", math.pi / 2)):
+        # A reads along theta; B along theta for b = 0 and theta + pi for b = 1
+        e = bell_stats.expected_correlations(herald.spin_state, model_a, model_b,
+                                             ReadoutBasisSet(theta, theta, theta, theta + math.pi))
+        colinear += [(basis_name, "parallel", e[0, 0]), (basis_name, "antiparallel", e[0, 1])]
+    correlations = bell_stats.expected_correlations(herald.spin_state, model_a, model_b,
+                                                    cfg.basis_set())
     summary = {
         "heralded_fidelity": fidelity,
         "herald_pattern_probability": herald.probability,
@@ -136,15 +127,18 @@ def cmd_characterize(args) -> int:
         "visibility": {"value": visibility.value, "sigma": visibility.sigma},
         "expected_correlations": {f"{a}{b}": e for (a, b), e in sorted(correlations.items())},
         "expected_s": bell_stats.chsh_combination(correlations),
-        "readout_fidelity_a": cfg.readout_model("A").fidelities,
-        "readout_fidelity_b": cfg.readout_model("B").fidelities,
+        "readout_fidelity_a": model_a.fidelities,
+        "readout_fidelity_b": model_b.fidelities,
     }
     out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "spin_photon_correlations.csv",
-               ("side", "time_bin", "p_spin_up", "p_spin_down"), spin_photon_rows)
-    _write_csv(out / "setting_correlations.csv",
-               ("basis", "orientation", "expected_correlation"), colinear)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_csv(out / "spin_photon_correlations.csv",
+                   ("side", "time_bin", "p_spin_up", "p_spin_down"), spin_photon_rows)
+        _write_csv(out / "setting_correlations.csv",
+                   ("basis", "orientation", "expected_correlation"), colinear)
+    except OSError as exc:
+        raise DataError(f"cannot write reports to {out}: {exc}") from exc
     _emit_json(summary, None)
     return EXIT_OK
 

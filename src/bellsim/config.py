@@ -78,6 +78,10 @@ class LinkConfig:
         _check(self, ">= 0", lambda v: v >= 0, "fibre_km_per_arm", "loss_db_per_km")
         _check(self, "> 0", lambda v: v > 0, "attempt_period_ns")
         _check(self, "null or in (0, 1]", lambda v: v is None or 0 < v <= 1, "herald_probability")
+        from .engine import herald_probability  # engine imports this module
+        if herald_probability(self) == 0:
+            raise ConfigError("the composed herald probability per attempt is 0: "
+                              "the link can never herald")
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ class SimulationConfig:
     readout_b: ReadoutConfig = ReadoutConfig(mean_fidelity=0.963)
     basis: BasisConfig = BasisConfig()
     rng: RngModel = RngModel()
-    link: LinkConfig = LinkConfig()
+    link: LinkConfig = dataclasses.field(default_factory=LinkConfig)  # its check imports engine
     geometry: Geometry = Geometry()
     timing: TimingBudget = TimingBudget()
     experiment: ExperimentSection = ExperimentSection()
@@ -202,7 +206,7 @@ def _coerce_scalar(value, annotation, path: str):
         args = typing.get_args(annotation)
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a sequence")
-        if Ellipsis not in args and len(value) != len(args):
+        if len(value) != len(args):
             raise ConfigError(f"{path}: expected {len(args)} entries, got {len(value)}")
         inner = args[0]
         return tuple(_coerce_scalar(v, inner, f"{path}[{i}]") for i, v in enumerate(value))

@@ -6,6 +6,9 @@ probability and the per-arm link budget). On the heralding attempt both
 nodes draw a basis bit through the parity extractor, read their spin out in
 the chosen basis, and the timestamps of the choice, herald, and readout
 completion are synthesised from the timing budget with a configurable jitter.
+The outcome pair is drawn from a table built from the heralded state's
+(I, Z, X) correlation tensor and the readout observables, the same
+contraction every predicted correlation uses.
 
 Every logged trial carries all of a, b, x, y: there is no no-answer branch
 anywhere, so discarded-trial selection effects cannot arise by construction.
@@ -25,8 +28,9 @@ from functools import lru_cache
 import numpy as np
 
 from .config import SimulationConfig, config_hash
+from .quantum import correlation_tensor
 from .randomness import setting_bits
-from .readout import rotated_povm
+from .readout import observable_components
 
 OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
@@ -134,45 +138,38 @@ def replica_seed(master_seed: int, replica: int):
 def outcome_distribution(cfg: SimulationConfig) -> np.ndarray:
     """P[a, b, outcome-pair] over OUTCOME_PAIRS from the heralded state.
 
-    Born probabilities of the two commuting one-sided POVMs; identical to
-    measuring the sides one after the other. Cached per config; the table is
-    read-only because every caller shares it.
+    With T the state's correlation tensor and u the (I, Z, X) components of
+    E+ - E- for one side's readout, the effect of outcome x is w(x) . (I, Z, X)
+    with w(x) = ((1, 0, 0) + x u) / 2, so P(x, y | a, b) = w_A(x) T w_B(y).
+    Cached per config; the table is read-only because every caller shares it.
     """
-    rho = cfg.heralded_state().spin_state.density_matrix()
+    tensor = correlation_tensor(cfg.heralded_state().spin_state)
     basis = cfg.basis_set()
-    model_a = cfg.readout_model("A")
-    model_b = cfg.readout_model("B")
-    table = np.zeros((2, 2, 4))
-    for a in (0, 1):
-        ea = rotated_povm(model_a, basis.angle("A", a))
-        for b in (0, 1):
-            eb = rotated_povm(model_b, basis.angle("B", b))
-            for i, (x, y) in enumerate(OUTCOME_PAIRS):
-                eff = np.kron(ea[0 if x == 1 else 1], eb[0 if y == 1 else 1])
-                table[a, b, i] = max(0.0, float(np.real(np.trace(rho @ eff))))
-            table[a, b] /= table[a, b].sum()
+
+    def weights(side):  # w[setting, x] for x = +1, -1 in OUTCOME_PAIRS order
+        model = cfg.readout_model(side)
+        u = np.array([observable_components(model, basis.angle(side, s)) for s in (0, 1)])
+        return (np.eye(3)[0] + np.array([[1.0], [-1.0]]) * u[:, None]) / 2
+
+    table = np.einsum("axi,ij,byj->abxy", weights("A"), tensor, weights("B")).reshape(2, 2, 4)
+    table = np.maximum(table, 0.0)
+    table /= table.sum(axis=2, keepdims=True)
     table.setflags(write=False)
     return table
 
 
 def _timestamps(cfg: SimulationConfig, timing_rng: np.random.Generator,
-                count: int) -> dict[str, list[float]]:
-    """Timestamp columns of ``count`` trials, keyed and ordered as TrialRecord fields."""
+                count: int) -> tuple[list[float], ...]:
+    """The five timestamp columns of ``count`` trials, in TrialRecord field order."""
     t = cfg.timing
     jitter = timing_rng.uniform(-t.jitter_ns, t.jitter_ns, size=(count, 5)) \
         if t.jitter_ns > 0 else np.zeros((count, 5))
     t_choice_a = t.choice_delay_ns + jitter[:, 0]
     t_choice_b = t.choice_delay_ns + jitter[:, 1]
-    columns = {
-        "t_herald_ns": cfg.herald_delay_ns() + jitter[:, 2],
-        "t_choice_a_ns": t_choice_a,
-        "t_choice_b_ns": t_choice_b,
-        "t_read_done_a_ns": t_choice_a + t.choice_to_readout_ns + t.readout_duration_ns
-        + jitter[:, 3],
-        "t_read_done_b_ns": t_choice_b + t.choice_to_readout_ns + t.readout_duration_ns
-        + jitter[:, 4],
-    }
-    return {key: col.tolist() for key, col in columns.items()}
+    columns = (cfg.herald_delay_ns() + jitter[:, 2], t_choice_a, t_choice_b,
+               t_choice_a + t.choice_to_readout_ns + t.readout_duration_ns + jitter[:, 3],
+               t_choice_b + t.choice_to_readout_ns + t.readout_duration_ns + jitter[:, 4])
+    return tuple(col.tolist() for col in columns)
 
 
 def record_events(record: TrialRecord) -> tuple[float, float, float, float, float]:
@@ -221,11 +218,12 @@ def run_experiment(cfg: SimulationConfig, n_trials: int | None = None,
         a = setting_bits(cfg.rng, m, streams.settings_a)
         b = setting_bits(cfg.rng, m, streams.settings_b)
         u = streams.outcomes.random(m)
-        # outcome-pair index: searchsorted(side="right") of u in each trial's row
-        pairs = (cumulative[a, b] <= u[:, None]).sum(axis=1)
+        # outcome-pair index: searchsorted(side="right") of u in each trial's row,
+        # without the last threshold, which can round to 1 - 1 ulp
+        pairs = (cumulative[a, b, :3] <= u[:, None]).sum(axis=1)
         times = _timestamps(cfg, streams.timing, m)
         for a_i, b_i, pair, n_att, *t in zip(a.tolist(), b.tolist(), pairs.tolist(),
-                                             attempts[:m].tolist(), *times.values()):
+                                             attempts[:m].tolist(), *times):
             x, y = OUTCOME_PAIRS[pair]
             records.append(TrialRecord(len(records), a_i, b_i, x, y, *t, attempts=n_att))
         if m < size:

@@ -120,10 +120,6 @@ class HeraldPattern:
             if port not in OUTPUT_PORTS:
                 raise HeraldingError(f"clicks must be on output ports, got {port!r}")
 
-    @property
-    def cross_port(self) -> bool:
-        return len({p for p, _ in self.clicks}) == 2
-
 
 def psi_minus_patterns() -> tuple[HeraldPattern, HeraldPattern]:
     """The two cross-port early/late coincidences heralding the singlet."""

@@ -9,17 +9,14 @@ bad line. Writing is deterministic: identical logs serialise byte-identically
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from .engine import TrialLog, TrialRecord
 
 FORMAT_VERSION = 1
 
-RECORD_KEYS = (
-    "idx", "a", "b", "x", "y",
-    "t_herald_ns", "t_choice_a_ns", "t_choice_b_ns",
-    "t_read_done_a_ns", "t_read_done_b_ns", "attempts",
-)
+RECORD_KEYS = tuple(f.name for f in dataclasses.fields(TrialRecord))
 
 
 class LogFormatError(ValueError):

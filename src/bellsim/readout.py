@@ -119,7 +119,8 @@ def rotated_povm(model: ReadoutModel, theta: float) -> tuple[np.ndarray, np.ndar
     """POVM for spin rotation by ``theta`` followed by Z thresholding.
 
     E+ = F+ P+ + (1 - F-) P- on the projectors along the tilted axis;
-    E- is its complement, so the pair sums to the identity.
+    E- is its complement, so the pair sums to the identity. The simulation
+    uses :func:`observable_components`; these matrices are its reference.
     """
     f_plus, f_minus = model.fidelities
     p_plus, p_minus = _projectors(theta)

@@ -65,6 +65,11 @@ class TimingBudget:
         negative = [f.name for f in dataclasses.fields(self) if getattr(self, f.name) < 0]
         if negative:
             raise AuditError(f"must be non-negative: {', '.join(negative)}")
+        # a readout ends choice_to_readout + readout_duration + a jitter draw in
+        # [-jitter, jitter) after its own choice
+        if not self.choice_to_readout_ns + self.readout_duration_ns > self.jitter_ns:
+            raise AuditError("choice_to_readout_ns + readout_duration_ns must exceed jitter_ns, "
+                             "or a readout can end before its own choice")
 
 
 @dataclass(frozen=True)

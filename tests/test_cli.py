@@ -336,6 +336,14 @@ def test_characterize_zero_visibility_kills_xx_correlations(tmp_path, capsys):
             assert abs(float(value)) > 0.5
 
 
+def test_characterize_out_is_an_existing_file_is_data_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert run(["characterize", "--out", str(out)]) == 2
+    assert "data error:" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
 # ---- optimize ----------------------------------------------------------------------
 
 
@@ -422,10 +430,16 @@ def test_non_finite_config_float_is_usage_error(tmp_path, fast_config, capsys,
     "experiment:\n  trials: -3\n",
     "experiment:\n  hours: -1.0\n",
     "experiment:\n  hours: 0\n",
+    "timing:\n  choice_to_readout_ns: 0\n  readout_duration_ns: 0\n",
+    "timing:\n  choice_to_readout_ns: 2\n  readout_duration_ns: 3\n  jitter_ns: 5\n",
+    "link:\n  collection_efficiency: 0\n",
+    "link:\n  detector_efficiency: 0\n",
+    "link:\n  loss_db_per_km: 1.0e+6\n",
 ], ids=["negative-ab", "negative-sync-allowance", "negative-jitter", "zero-attempt-period",
         "zero-herald-probability", "over-unit-herald-probability", "negative-loss",
         "negative-fibre", "over-unit-collection", "negative-detector", "negative-trials",
-        "negative-hours", "zero-hours"])
+        "negative-hours", "zero-hours", "zero-readout-time", "readout-within-jitter",
+        "zero-collection", "zero-detector", "transmission-underflow"])
 def test_invalid_geometry_or_timing_fails_at_load(tmp_path, fast_config, capsys, yaml_text):
     log = make_log(tmp_path, fast_config, n=5)
     cfg = tmp_path / "invalid.yaml"

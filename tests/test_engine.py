@@ -8,7 +8,8 @@ import pytest
 
 from bellsim import bell_stats as bs
 from bellsim import engine
-from bellsim.config import ConfigError, LinkConfig, default_config
+from bellsim.config import BasisConfig, ConfigError, LinkConfig, ReadoutConfig, default_config
+from bellsim.heralding import InterferenceModel, SpinPhotonErrorModel
 from bellsim.logio import write_log
 from bellsim.quantum import QuantumState, StateError, _embed
 from bellsim.randomness import setting_bits
@@ -119,9 +120,8 @@ def run_trial(cfg, idx, streams, force_settings=None):
                                streams.outcomes, subsystem="spin_a")
     y, _ = measure_in_basis(post, basis.angle("B", b), cfg.readout_model("B"),
                             streams.outcomes, subsystem="spin_b")
-    times = {key: col[0] for key, col in engine._timestamps(cfg, streams.timing, 1).items()}
-    return engine.TrialRecord(idx=idx, a=int(a), b=int(b), x=int(x), y=int(y),
-                              attempts=attempts, **times)
+    times = [col[0] for col in engine._timestamps(cfg, streams.timing, 1)]
+    return engine.TrialRecord(idx, int(a), int(b), int(x), int(y), *times, attempts=attempts)
 
 
 def test_forced_settings_correlation_matches_closed_form():
@@ -349,6 +349,69 @@ def test_outcome_distribution_matches_sequential_measurement():
         counts[engine.OUTCOME_PAIRS.index((rec.x, rec.y))] += 1
     freq = counts / n
     assert np.max(np.abs(freq - table[0, 1])) < 5 * math.sqrt(0.25 / n)
+
+
+def kron_table(cfg) -> np.ndarray:
+    """The outcome table from 2x2 POVM matrices: one kron product and one trace
+    over the density matrix per (a, b, x, y), clamped and normalised per row."""
+    rho = cfg.heralded_state().spin_state.density_matrix()
+    basis = cfg.basis_set()
+    table = np.zeros((2, 2, 4))
+    for a in (0, 1):
+        ea = rotated_povm(cfg.readout_model("A"), basis.angle("A", a))
+        for b in (0, 1):
+            eb = rotated_povm(cfg.readout_model("B"), basis.angle("B", b))
+            for i, (x, y) in enumerate(engine.OUTCOME_PAIRS):
+                eff = np.kron(ea[0 if x == 1 else 1], eb[0 if y == 1 else 1])
+                table[a, b, i] = max(0.0, float(np.real(np.trace(rho @ eff))))
+            table[a, b] /= table[a, b].sum()
+    return table
+
+
+def random_model_config(seed: int):
+    """A config with a random heralded state, readout pair and tilt."""
+    rng = np.random.default_rng(seed)
+    return dataclasses.replace(
+        CFG,
+        interference=InterferenceModel(visibility=float(rng.uniform(0.0, 1.0)),
+                                       dark_count_prob=float(rng.uniform(0.0, 0.05))),
+        spin_photon_errors=SpinPhotonErrorModel(*map(float, rng.uniform(0.0, 0.5, 4))),
+        readout_a=ReadoutConfig(mean_fidelity=float(rng.uniform(0.75, 0.99))),
+        readout_b=ReadoutConfig(mean_fidelity=float(rng.uniform(0.75, 0.99)),
+                                flip_rate_per_us=float(rng.uniform(0.0, 0.05))),
+        basis=BasisConfig(epsilon_pi=float(rng.uniform(-1.0, 1.0))),
+    )
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_outcome_table_matches_povm_reference_and_predicted_correlations(seed):
+    cfg = random_model_config(seed)
+    table = engine.outcome_distribution(cfg)
+    assert np.max(np.abs(table - kron_table(cfg))) < 1e-14
+    predicted = bs.expected_correlations(cfg.heralded_state().spin_state, cfg.readout_model("A"),
+                                         cfg.readout_model("B"), cfg.basis_set())
+    xy = np.array([x * y for x, y in engine.OUTCOME_PAIRS])
+    for (a, b), e in predicted.items():
+        assert abs(table[a, b] @ xy - e) < 1e-14
+
+
+def test_uniform_above_the_last_cumulative_entry_draws_the_last_pair(monkeypatch):
+    # every row sums to 1 - 1 ulp, and every outcome uniform lies in that gap
+    top = 1.0 - 2.0**-53
+    table = np.tile([0.25, 0.25, 0.25, 0.25 - 2.0**-53], (2, 2, 1))
+    assert table.cumsum(axis=2)[1, 1, 3] == top
+    monkeypatch.setattr(engine, "outcome_distribution", lambda cfg: table)
+
+    class TopUniforms:
+        def random(self, size):
+            return np.full(size, top)
+
+    from_seed = engine.TrialStreams.from_seed
+    monkeypatch.setattr(engine.TrialStreams, "from_seed",
+                        lambda seed: dataclasses.replace(from_seed(seed), outcomes=TopUniforms()))
+    log = engine.run_experiment(fast_cfg(), n_trials=50, seed=3)
+    assert len(log) == 50
+    assert {(r.x, r.y) for r in log.records} == {(-1, -1)}
 
 
 def test_outcome_distribution_is_cached_and_read_only():
