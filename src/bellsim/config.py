@@ -57,6 +57,11 @@ class BasisConfig:
     epsilon_pi: float = 0.026
 
 
+# Largest expected attempt count 1/p per trial: about 630 years per trial at a
+# 20 us period, and a geometric draw then reaches int64's 9.2e18 with P = e^-9223.
+MAX_EXPECTED_ATTEMPTS = 1e15
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """Per-arm photon budget and the attempt clock.
@@ -79,9 +84,13 @@ class LinkConfig:
         _check(self, "> 0", lambda v: v > 0, "attempt_period_ns")
         _check(self, "null or in (0, 1]", lambda v: v is None or 0 < v <= 1, "herald_probability")
         from .engine import herald_probability  # engine imports this module
-        if herald_probability(self) == 0:
+        p = herald_probability(self)
+        if p == 0:
             raise ConfigError("the composed herald probability per attempt is 0: "
                               "the link can never herald")
+        if 1 / p > MAX_EXPECTED_ATTEMPTS:
+            raise ConfigError(f"expected attempts per trial 1/p = {1 / p:.3g} exceed "
+                              f"{MAX_EXPECTED_ATTEMPTS:.0e}")
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,18 @@ anywhere, so discarded-trial selection effects cannot arise by construction.
 Each purpose has its own random stream, and each stream is drawn once per
 block of trials; because the streams are independent, this yields the same
 values as drawing trial by trial, and records come out in trial order.
-Replicas of a whole experiment may run in parallel with independently
-derived seeds.
+A trial is a plain ``TrialRecord`` tuple, built per block from the block's
+column lists; ``check_record`` is the one validator, and it runs on every row
+the engine builds and every row the log writer and reader handle. Replicas
+of a whole experiment may run in parallel with independently derived seeds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .randomness import setting_bits
 from .readout import observable_components
 
 OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+_OUTCOME_X, _OUTCOME_Y = np.array(OUTCOME_PAIRS).T
 
 # Trials sampled per block by run_experiment; any size gives the same records.
 BLOCK_TRIALS = 4096
@@ -45,12 +49,15 @@ class EngineError(ValueError):
     """Invalid engine input or exhausted budget."""
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One event-ready Bell trial; all four values are always present.
+_TIME_TYPES = frozenset((int, float))
+
+
+class TrialRecord(NamedTuple):
+    """One event-ready Bell trial as a plain row; all four values are always present.
 
     Timestamps are nanoseconds in a common frame whose origin is the start
-    of the successful entanglement attempt.
+    of the successful entanglement attempt. The field order is the log's key
+    order. Construction checks nothing: ``check_record`` is the one validator.
     """
 
     idx: int
@@ -65,18 +72,35 @@ class TrialRecord:
     t_read_done_b_ns: float
     attempts: int
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, record_events(self))):
-            raise EngineError("event times must be finite")
-        if self.a not in (0, 1) or self.b not in (0, 1):
-            raise EngineError(f"settings must be bits, got a={self.a}, b={self.b}")
-        if self.x not in (-1, 1) or self.y not in (-1, 1):
-            raise EngineError(f"outcomes must be +-1, got x={self.x}, y={self.y}")
-        if self.attempts < 1:
-            raise EngineError("attempt count must be >= 1")
-        if not (self.t_choice_a_ns < self.t_read_done_a_ns
-                and self.t_choice_b_ns < self.t_read_done_b_ns):
-            raise EngineError("per-site ordering violated: choice must precede readout end")
+
+def check_record(rec: TrialRecord) -> None:
+    """Raise EngineError unless ``rec`` is a valid trial row.
+
+    Integer fields must be ``int`` and times ``int`` or ``float`` (no bools,
+    no numpy scalars), so every valid row serialises as JSON through ``repr``.
+    """
+    idx, a, b, x, y, t_h, t_ca, t_cb, t_ra, t_rb, attempts = rec
+    if not type(idx) is type(a) is type(b) is type(x) is type(y) is type(attempts) is int:
+        raise EngineError("idx, a, b, x, y and attempts must be integers, got "
+                          f"{', '.join(repr(v) for v in (idx, a, b, x, y, attempts))}")
+    if not (type(t_h) in _TIME_TYPES and type(t_ca) in _TIME_TYPES and type(t_cb) in _TIME_TYPES
+            and type(t_ra) in _TIME_TYPES and type(t_rb) in _TIME_TYPES):
+        raise EngineError("event times must be int or float numbers")
+    try:
+        finite = (isfinite(t_h) and isfinite(t_ca) and isfinite(t_cb) and isfinite(t_ra)
+                  and isfinite(t_rb))
+    except OverflowError:  # an int time beyond the float range
+        finite = False
+    if not finite:
+        raise EngineError("event times must be finite")
+    if a not in (0, 1) or b not in (0, 1):
+        raise EngineError(f"settings must be bits, got a={a}, b={b}")
+    if x not in (-1, 1) or y not in (-1, 1):
+        raise EngineError(f"outcomes must be +-1, got x={x}, y={y}")
+    if attempts < 1:
+        raise EngineError("attempt count must be >= 1")
+    if not (t_ca < t_ra and t_cb < t_rb):
+        raise EngineError("per-site ordering violated: choice must precede readout end")
 
 
 @dataclass
@@ -174,8 +198,7 @@ def _timestamps(cfg: SimulationConfig, timing_rng: np.random.Generator,
 
 def record_events(record: TrialRecord) -> tuple[float, float, float, float, float]:
     """One trial's five event times in ns, in field order, as ``audit_trial`` takes them."""
-    return (record.t_herald_ns, record.t_choice_a_ns, record.t_choice_b_ns,
-            record.t_read_done_a_ns, record.t_read_done_b_ns)
+    return record[5:10]
 
 
 def run_experiment(cfg: SimulationConfig, n_trials: int | None = None,
@@ -204,6 +227,8 @@ def run_experiment(cfg: SimulationConfig, n_trials: int | None = None,
     while n_trials is None or len(records) < n_trials:
         size = BLOCK_TRIALS if n_trials is None else min(BLOCK_TRIALS, n_trials - len(records))
         attempts = streams.attempts.geometric(p, size=size)
+        if attempts.max() == np.iinfo(np.int64).max:  # numpy saturates there at a tiny p
+            raise EngineError(f"attempt count reached the int64 ceiling at p = {p!r}")
         m = size  # trials of this block that fit the budget
         if budget_ns is not None:
             # same left-to-right running sum as adding one trial at a time
@@ -221,11 +246,13 @@ def run_experiment(cfg: SimulationConfig, n_trials: int | None = None,
         # outcome-pair index: searchsorted(side="right") of u in each trial's row,
         # without the last threshold, which can round to 1 - 1 ulp
         pairs = (cumulative[a, b, :3] <= u[:, None]).sum(axis=1)
-        times = _timestamps(cfg, streams.timing, m)
-        for a_i, b_i, pair, n_att, *t in zip(a.tolist(), b.tolist(), pairs.tolist(),
-                                             attempts[:m].tolist(), *times):
-            x, y = OUTCOME_PAIRS[pair]
-            records.append(TrialRecord(len(records), a_i, b_i, x, y, *t, attempts=n_att))
+        start = len(records)
+        records += map(TrialRecord._make, zip(
+            range(start, start + m), a.tolist(), b.tolist(), _OUTCOME_X[pairs].tolist(),
+            _OUTCOME_Y[pairs].tolist(), *_timestamps(cfg, streams.timing, m),
+            attempts[:m].tolist()))
+        for rec in records[start:]:
+            check_record(rec)
         if m < size:
             break
     return log

@@ -1,30 +1,36 @@
 """Trial-log persistence: JSON-lines with a self-describing header.
 
 The first line is a JSON header object (format version, config hash, master
-seed, creation timestamp, partial flag); every following line is one trial.
-Each line parses independently, so a damaged file can be recovered up to the
-bad line. Writing is deterministic: identical logs serialise byte-identically
-(the creation timestamp is null unless explicitly stamped).
+seed, creation timestamp, partial flag); every following line is one trial,
+a ``TrialRecord`` row whose field order is the line's key order. Each line
+parses independently, so a damaged file can be recovered up to the bad line.
+Writing is deterministic: identical logs serialise byte-identically (the
+creation timestamp is null unless explicitly stamped).
+
+Rows are written and read in blocks of ``BLOCK_TRIALS`` lines, and every row
+passes ``engine.check_record`` on the way in and out. A line is formatted from
+one ``%r`` template, which gives the bytes ``json.dumps`` gives a valid row.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
+from itertools import islice
+from operator import itemgetter
 
-from .engine import TrialLog, TrialRecord
+from .engine import BLOCK_TRIALS, TrialLog, TrialRecord, check_record
 
 FORMAT_VERSION = 1
 
-RECORD_KEYS = tuple(f.name for f in dataclasses.fields(TrialRecord))
+RECORD_KEYS = TrialRecord._fields
+
+# one trial line; %r of an int or a finite float is its JSON text
+_LINE = "{" + ",".join(f'"{key}":%r' for key in RECORD_KEYS) + "}\n"
+_row_values = itemgetter(*RECORD_KEYS)
 
 
 class LogFormatError(ValueError):
     """Trial-log file violates the JSON-lines schema."""
-
-
-def record_to_dict(rec: TrialRecord) -> dict:
-    return {key: getattr(rec, key) for key in RECORD_KEYS}
 
 
 def record_from_dict(data: dict, line_no: int) -> TrialRecord:
@@ -34,10 +40,12 @@ def record_from_dict(data: dict, line_no: int) -> TrialRecord:
     extra = set(data) - set(RECORD_KEYS)
     if extra:
         raise LogFormatError(f"line {line_no}: unknown key(s) {', '.join(sorted(extra))}")
+    rec = TrialRecord._make(_row_values(data))
     try:
-        return TrialRecord(**{k: data[k] for k in RECORD_KEYS})
+        check_record(rec)
     except ValueError as exc:
         raise LogFormatError(f"line {line_no}: {exc}") from exc
+    return rec
 
 
 def header_dict(log: TrialLog) -> dict:
@@ -52,10 +60,14 @@ def header_dict(log: TrialLog) -> dict:
 
 
 def write_log(log: TrialLog, path) -> None:
+    """Write the header and every row; raises EngineError before writing an invalid row."""
+    records = log.records
+    for rec in records:
+        check_record(rec)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header_dict(log), separators=(",", ":")) + "\n")
-        for rec in log.records:
-            fh.write(json.dumps(record_to_dict(rec), separators=(",", ":")) + "\n")
+        for start in range(0, len(records), BLOCK_TRIALS):
+            fh.write("".join([_LINE % rec for rec in records[start:start + BLOCK_TRIALS]]))
 
 
 def _parse_line(raw: str, line_no: int) -> dict:
@@ -68,34 +80,60 @@ def _parse_line(raw: str, line_no: int) -> dict:
     return data
 
 
-def read_log(path) -> TrialLog:
-    """Parse a trial-log file, validating the header and the index sequence."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in (raw.rstrip("\n") for raw in fh) if ln]
-    if not lines:
-        raise LogFormatError("empty file: missing header line")
-    header = _parse_line(lines[0], 1)
-    for key in ("format_version", "config_hash", "seed"):
-        if key not in header:
-            raise LogFormatError(f"line 1: header is missing {key!r}")
-    if header["format_version"] != FORMAT_VERSION:
-        raise LogFormatError(f"unsupported format version {header['format_version']}")
-    seed = header["seed"]
-    if isinstance(seed, list):
-        seed = tuple(seed)
-    log = TrialLog(
-        config_hash=header["config_hash"],
-        seed=seed,
-        partial=bool(header.get("partial", False)),
-        created=header.get("created"),
-        format_version=header["format_version"],
-    )
-    for line_no, raw in enumerate(lines[1:], start=2):
+def _read_block(records: list, block: list[str], line_no: int) -> None:
+    """Append the rows of ``block``, whose first line is file line ``line_no``.
+
+    One JSON array parse of the block counts only if each line is one ``{...}``
+    and gives one valid row in sequence (rows hold no other brace, so no row
+    then spans two lines); otherwise each line is parsed on its own.
+    """
+    start = len(records)
+    try:
+        if all(ln[0] == "{" and ln[-1] == "}" for ln in block):
+            rows = [TrialRecord._make(_row_values(d))
+                    for d in json.loads("[" + ",".join(block) + "]") if len(d) == len(RECORD_KEYS)]
+            for rec in rows:
+                check_record(rec)
+            if [rec.idx for rec in rows] == list(range(start, start + len(block))):
+                records += rows
+                return
+    except (ValueError, KeyError, TypeError):
+        pass  # the line-by-line parse below reports the first bad line
+    for line_no, raw in enumerate(block, start=line_no):
         rec = record_from_dict(_parse_line(raw, line_no), line_no)
-        if rec.idx != len(log.records):
+        if rec.idx != len(records):
             raise LogFormatError(
                 f"line {line_no}: trial index {rec.idx} out of sequence "
-                f"(expected {len(log.records)})"
+                f"(expected {len(records)})"
             )
-        log.records.append(rec)
+        records.append(rec)
+
+
+def read_log(path) -> TrialLog:
+    """Parse a trial-log file, validating the header, every row and the index sequence."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (ln for ln in (raw.rstrip("\n") for raw in fh) if ln)
+        first = next(lines, None)
+        if first is None:
+            raise LogFormatError("empty file: missing header line")
+        header = _parse_line(first, 1)
+        for key in ("format_version", "config_hash", "seed"):
+            if key not in header:
+                raise LogFormatError(f"line 1: header is missing {key!r}")
+        if header["format_version"] != FORMAT_VERSION:
+            raise LogFormatError(f"unsupported format version {header['format_version']}")
+        seed = header["seed"]
+        if isinstance(seed, list):
+            seed = tuple(seed)
+        log = TrialLog(
+            config_hash=header["config_hash"],
+            seed=seed,
+            partial=bool(header.get("partial", False)),
+            created=header.get("created"),
+            format_version=header["format_version"],
+        )
+        line_no = 2
+        while block := list(islice(lines, BLOCK_TRIALS)):
+            _read_block(log.records, block, line_no)
+            line_no += len(block)
     return log

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import NamedTuple
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
@@ -72,15 +73,13 @@ class TimingBudget:
                              "or a readout can end before its own choice")
 
 
-@dataclass(frozen=True)
-class LocalityCheck:
+class LocalityCheck(NamedTuple):
     label: str
     margin_ns: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class LocalityReport:
+class LocalityReport(NamedTuple):
     checks: tuple[LocalityCheck, ...]
 
     @property
@@ -90,6 +89,9 @@ class LocalityReport:
     @property
     def min_margin_ns(self) -> float:
         return min(c.margin_ns for c in self.checks)
+
+
+_new = tuple.__new__
 
 
 def audit_trial(times: tuple[float, float, float, float, float], geometry: Geometry,
@@ -106,8 +108,9 @@ def audit_trial(times: tuple[float, float, float, float, float], geometry: Geome
     m_b = t_choice_a + lt_ab - t_done_b
     m_c = min(t_choice_a + geometry.ac_m / SPEED_OF_LIGHT_M_PER_S * 1e9 - t_herald,
               t_choice_b + geometry.cb_m / SPEED_OF_LIGHT_M_PER_S * 1e9 - t_herald)
-    return LocalityReport((
-        LocalityCheck("readout-A-before-signal-from-choice-B", m_a, m_a > allowance),
-        LocalityCheck("readout-B-before-signal-from-choice-A", m_b, m_b > allowance),
-        LocalityCheck("herald-outside-future-cone-of-choices", m_c, m_c > allowance),
-    ))
+    # tuple.__new__ skips the NamedTuples' Python-level __new__: a quarter of the audit's time
+    return _new(LocalityReport, ((
+        _new(LocalityCheck, ("readout-A-before-signal-from-choice-B", m_a, m_a > allowance)),
+        _new(LocalityCheck, ("readout-B-before-signal-from-choice-A", m_b, m_b > allowance)),
+        _new(LocalityCheck, ("herald-outside-future-cone-of-choices", m_c, m_c > allowance)),
+    ),))

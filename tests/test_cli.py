@@ -449,6 +449,16 @@ def test_invalid_geometry_or_timing_fails_at_load(tmp_path, fast_config, capsys,
     assert "config error:" in capsys.readouterr().err
 
 
+def test_simulate_link_beyond_the_attempt_cap_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "lossy.yaml"
+    cfg.write_text("link:\n  loss_db_per_km: 200\n")  # p about 1.5e-41
+    out = tmp_path / "lossy.jsonl"
+    capsys.readouterr()
+    assert run(["simulate", "--n", "3", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "expected attempts per trial" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_required_argument_is_usage_error():
     assert run(["analyze"]) == 1
 

@@ -1,14 +1,18 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from bellsim import cli, engine, logio
 from bellsim import config as cfg_mod
-from bellsim import engine, logio
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -183,3 +187,150 @@ def test_tuple_seed_survives_round_trip(tmp_path):
     path = tmp_path / "replica.jsonl"
     logio.write_log(log, path)
     assert logio.read_log(path).seed == (7, 2)
+
+
+# ---- the block writer and reader ------------------------------------------------
+
+FINITE_TIMES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.integers(-10**18, 10**18))
+ORDERED_TIMES = st.tuples(FINITE_TIMES, FINITE_TIMES).filter(lambda p: p[0] != p[1])
+
+
+@st.composite
+def valid_rows(draw):
+    n = draw(st.integers(1, 8))
+    rows = []
+    for idx in range(n):
+        choice_a, done_a = sorted(draw(ORDERED_TIMES))
+        choice_b, done_b = sorted(draw(ORDERED_TIMES))
+        rows.append(engine.TrialRecord(
+            idx, draw(st.sampled_from([0, 1])), draw(st.sampled_from([0, 1])),
+            draw(st.sampled_from([-1, 1])), draw(st.sampled_from([-1, 1])),
+            draw(FINITE_TIMES), choice_a, choice_b, done_a, done_b,
+            draw(st.integers(1, 2**63 - 1))))
+    return rows
+
+
+def write_rows(rows, path):
+    logio.write_log(engine.TrialLog(config_hash="manual", seed=0, records=list(rows)), path)
+    return path.read_text().splitlines()[1:]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example([engine.TrialRecord(0, 0, 1, 1, -1, -0.0, 5e-324, 4168, 1e16, 1e22, 1)])
+@example([engine.TrialRecord(0, 1, 0, -1, 1, 4168.0, -1e22, -1e16, 4168, 4168.0, 2**63 - 1)])
+@given(rows=valid_rows())
+def test_writer_line_is_json_dumps(tmp_path, rows):
+    path = tmp_path / "rows.jsonl"
+    lines = write_rows(rows, path)
+    assert lines == [json.dumps(dict(zip(logio.RECORD_KEYS, rec)), separators=(",", ":"))
+                     for rec in rows]
+    back = logio.read_log(path).records
+    assert back == rows
+    assert [list(map(type, rec)) for rec in back] == [list(map(type, rec)) for rec in rows]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_herald_ns", np.float64(4168.5)), ("t_read_done_b_ns", np.float64(6680.0)),
+    ("idx", np.int64(0)), ("attempts", np.int64(3)), ("a", True), ("x", 1.0),
+])
+def test_writer_rejects_values_repr_cannot_write(tmp_path, field, value):
+    rec = engine.TrialRecord(0, 0, 1, 1, -1, 4168.0, 2500.0, 2500.0, 6680.0, 6680.0, 1)
+    path = tmp_path / "rows.jsonl"
+    with pytest.raises(engine.EngineError):
+        write_rows([rec._replace(**{field: value})], path)
+    assert not path.exists()
+
+
+@pytest.fixture(scope="module")
+def log_lines_6000(tmp_path_factory):
+    link = cfg_mod.LinkConfig(collection_efficiency=1.0, detector_efficiency=1.0,
+                              fibre_km_per_arm=1e-6)
+    cfg = dataclasses.replace(cfg_mod.default_config(), link=link)
+    path = tmp_path_factory.mktemp("big") / "big.jsonl"
+    logio.write_log(engine.run_experiment(cfg, n_trials=6000, seed=11), path)
+    return path.read_text().splitlines()
+
+
+def _split(lines, at):
+    """Line ``at`` (0-based) broken in two before its t_herald_ns key."""
+    cut = lines[at].index(',"t_herald_ns"')
+    return [lines[at][:cut], lines[at][cut + 1:]]
+
+
+# file line 5000 (trial 4998) lies in the second 4096-line block; every message is
+# the one the line-by-line reader gives
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda ls: ls[:4999] + [ls[4999] + ls[4999]] + ls[5000:],
+     "line 5000: invalid JSON: Extra data: line 1 column 227 (char 226)"),
+    (lambda ls: ls[:4999] + [ls[4999] + ","] + ls[5000:],
+     "line 5000: invalid JSON: Extra data: line 1 column 227 (char 226)"),
+    (lambda ls: ls[:4999] + [re.sub(r',"x":[^,]+', "", ls[4999])] + ls[5000:],
+     "line 5000: missing key(s) x"),
+    (lambda ls: ls[:4999] + [ls[4999][:-1] + ',"z":0}'] + ls[5000:],
+     "line 5000: unknown key(s) z"),
+    (lambda ls: ls[:4999] + [ls[4999].replace('"b":', '"a":')] + ls[5000:],
+     "line 5000: missing key(s) b"),
+    (lambda ls: ls[:4999] + [re.sub(r'"t_herald_ns":[^,]+', '"t_herald_ns":NaN', ls[4999])]
+     + ls[5000:],
+     "line 5000: event times must be finite"),
+    (lambda ls: ls[:4999] + [re.sub(r'"idx":\d+', '"idx":7', ls[4999])] + ls[5000:],
+     "line 5000: trial index 7 out of sequence (expected 4998)"),
+    (lambda ls: ls[:4999] + ["[1, 2]"] + ls[5000:],
+     "line 5000: expected a JSON object"),
+    (lambda ls: ls[:4999] + _split(ls, 4999) + ls[5000:],
+     "line 5000: invalid JSON: Expecting ',' delimiter: line 1 column 37 (char 36)"),
+    # one object over two lines and two objects on the next: one object per line
+    # in count, but not line by line
+    (lambda ls: ls[:4999] + _split(ls, 4999) + [ls[5000] + "," + ls[5001]] + ls[5002:],
+     "line 5000: invalid JSON: Expecting ',' delimiter: line 1 column 37 (char 36)"),
+], ids=["two-objects", "trailing-comma", "missing-key", "unknown-key", "duplicate-key",
+        "nan-time", "out-of-sequence", "non-object", "split-object", "split-and-merged"])
+def test_block_reader_reports_the_bad_line(tmp_path, log_lines_6000, corrupt, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(corrupt(log_lines_6000)) + "\n")
+    with pytest.raises(logio.LogFormatError) as info:
+        logio.read_log(path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("variant", [
+    lambda ln: ln.replace('"a":', '"a":0,"a":', 1),  # a duplicate key: the last one counts
+    lambda ln: ln.replace('"idx":4998,', "")[:-1] + ',"idx":4998}',  # keys in another order
+    lambda ln: ln + "\r",
+])
+def test_block_reader_accepts_what_the_line_reader_accepts(tmp_path, log_lines_6000, variant):
+    path = tmp_path / "odd.jsonl"
+    lines = list(log_lines_6000)
+    lines[4999] = variant(lines[4999])
+    path.write_text("\n".join(lines) + "\n")
+    clean = tmp_path / "clean.jsonl"
+    clean.write_text("\n".join(log_lines_6000) + "\n")
+    assert logio.read_log(path).records == logio.read_log(clean).records
+
+
+@pytest.mark.parametrize("field", ["idx", "a", "b", "x", "y", "attempts"])
+@pytest.mark.parametrize("kind", ["bool", "float"])
+def test_non_integer_json_in_integer_field_is_a_data_error(tmp_path, capsys, field, kind):
+    path = tmp_path / "log.jsonl"
+    logio.write_log(sample_log(4), path)
+    lines = path.read_text().splitlines()
+    value = json.loads(lines[2])[field]  # trial 1 on line 3
+    token = "true" if kind == "bool" else repr(float(value))
+    lines[2] = re.sub(rf'"{field}":-?\d+', f'"{field}":{token}', lines[2])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(logio.LogFormatError, match="line 3: .*must be integers"):
+        logio.read_log(path)
+    for command in ("analyze", "audit"):
+        assert cli.main([command, str(path)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
+
+def test_int_time_beyond_the_float_range_is_a_format_error(tmp_path):
+    path = tmp_path / "log.jsonl"
+    logio.write_log(sample_log(4), path)
+    lines = path.read_text().splitlines()
+    lines[2] = re.sub(r'"t_herald_ns":[^,]+', '"t_herald_ns":1' + "0" * 400, lines[2])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(logio.LogFormatError, match="line 3: event times must be finite"):
+        logio.read_log(path)

@@ -224,6 +224,22 @@ def test_over_unit_budget_rejected():
         LinkConfig(herald_probability=1.5)
 
 
+def test_link_beyond_the_attempt_cap_rejected():
+    from bellsim.config import MAX_EXPECTED_ATTEMPTS
+    assert engine.herald_probability(LinkConfig(herald_probability=2 / MAX_EXPECTED_ATTEMPTS)) > 0
+    with pytest.raises(ConfigError, match="expected attempts per trial"):
+        LinkConfig(herald_probability=0.5 / MAX_EXPECTED_ATTEMPTS)
+    with pytest.raises(ConfigError, match="expected attempts per trial"):
+        LinkConfig(loss_db_per_km=200.0)  # p about 1.5e-41
+
+
+def test_saturated_attempt_draw_raises(monkeypatch):
+    # numpy's geometric draw returns 2**63 - 1 for every trial at this p
+    monkeypatch.setattr(engine, "herald_probability", lambda link: 1.5e-41)
+    with pytest.raises(engine.EngineError, match="int64 ceiling"):
+        engine.run_experiment(CFG, n_trials=3, seed=1)
+
+
 def test_geometric_attempt_statistics():
     cfg = fast_cfg()
     p = engine.herald_probability(cfg.link)
@@ -430,7 +446,10 @@ def test_record_events_are_the_five_times_in_field_order():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["t_herald_ns", "t_choice_a_ns", "t_read_done_b_ns"])
-def test_non_finite_event_time_rejected(field, value):
-    rec = run_trial(fast_cfg(), 0, engine.TrialStreams.from_seed(1))
+def test_non_finite_event_time_rejected(tmp_path, field, value):
+    rec = run_trial(fast_cfg(), 0, engine.TrialStreams.from_seed(1))._replace(**{field: value})
     with pytest.raises(engine.EngineError, match="finite"):
-        dataclasses.replace(rec, **{field: value})
+        engine.check_record(rec)
+    log = engine.TrialLog(config_hash="manual", seed=0, records=[rec])
+    with pytest.raises(engine.EngineError, match="finite"):
+        write_log(log, tmp_path / "log.jsonl")
