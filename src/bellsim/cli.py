@@ -2,8 +2,9 @@
 
 Subcommands: characterize | simulate | analyze | audit | optimize.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 scientific failure
-(a locality condition failed the audit). Tabular reports are CSV with fixed
-column orders and '.' decimal separator; structured results are JSON.
+(a locality condition failed the audit). Commands raise; ``main`` alone maps
+an exception to its exit code, by the FAILURES table. Tabular reports are CSV
+with fixed column orders and '.' decimal separator; structured results are JSON.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,17 +34,13 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
 
 def _run_budget(convert, ok, rule: str):
-    """argparse type for a run-budget flag: ``convert`` the text, then require ``ok``."""
+    """argparse type for a run-budget or seed flag: ``convert`` the text, then require ``ok``."""
     def parse(text: str):
         try:
             if ok(value := convert(text)):
@@ -54,41 +52,19 @@ def _run_budget(convert, ok, rule: str):
 
 
 def _load(args) -> SimulationConfig:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return default_config()
+    return load_config(args.config) if args.config else default_config()
 
 
 def _emit_json(payload: dict, out_path) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=False)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=False) + "\n")
 
 
 def _write_csv(path, header, rows) -> None:
-    if path:
-        fh = open(path, "w", newline="", encoding="utf-8")
-    else:
-        fh = sys.stdout
-    try:
+    with open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if path:
-            fh.close()
-
-
-def _read_log(path):
-    try:
-        return logio.read_log(path)
-    except FileNotFoundError as exc:
-        raise DataError(f"cannot read log: {exc}") from exc
-    except logio.LogFormatError as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
 # ---- characterize -----------------------------------------------------------
@@ -131,14 +107,11 @@ def cmd_characterize(args) -> int:
         "readout_fidelity_b": model_b.fidelities,
     }
     out = Path(args.out or ".")
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "spin_photon_correlations.csv",
-                   ("side", "time_bin", "p_spin_up", "p_spin_down"), spin_photon_rows)
-        _write_csv(out / "setting_correlations.csv",
-                   ("basis", "orientation", "expected_correlation"), colinear)
-    except OSError as exc:
-        raise DataError(f"cannot write reports to {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / "spin_photon_correlations.csv",
+               ("side", "time_bin", "p_spin_up", "p_spin_down"), spin_photon_rows)
+    _write_csv(out / "setting_correlations.csv",
+               ("basis", "orientation", "expected_correlation"), colinear)
     _emit_json(summary, None)
     return EXIT_OK
 
@@ -152,10 +125,7 @@ def cmd_simulate(args) -> int:
     if args.stamp:
         log.created = datetime.now(timezone.utc).isoformat()
     out = args.out or "bell_trials.jsonl"
-    try:
-        logio.write_log(log, out)
-    except OSError as exc:
-        raise DataError(f"cannot write log to {out}: {exc}") from exc
+    logio.write_log(log, out)
     print(f"wrote {len(log)} trials to {out}" + (" (partial)" if log.partial else ""))
     return EXIT_OK
 
@@ -165,13 +135,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _load(args)
-    log = _read_log(args.logfile)
+    log = logio.read_log(args.logfile)
     tau = args.tau if args.tau is not None else cfg.rng.tau_out
-    try:
-        result = bell_stats.analyze_records(log.records, tau_out=tau,
-                                            win_adjustment=cfg.statistics.win_adjustment)
-    except bell_stats.StatisticsError as exc:
-        raise DataError(str(exc)) from exc
+    result = bell_stats.analyze_records(log.records, tau_out=tau,
+                                        win_adjustment=cfg.statistics.win_adjustment)
     if args.curve:
         rows = bell_stats.p_vs_i_curve(result.n, tau_out=tau,
                                        win_adjustment=cfg.statistics.win_adjustment)
@@ -186,7 +153,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_audit(args) -> int:
     cfg = _load(args)
-    log = _read_log(args.logfile)
+    log = logio.read_log(args.logfile)
     geometry = cfg.spacetime_geometry()
     budget = cfg.timing_budget()
     rows = []
@@ -206,29 +173,13 @@ def cmd_audit(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg = _load(args)
-    opt = cfg.optimizer
-    spec = optimizer.OptimizationSpec(
-        objective=opt.objective,
-        epsilon_min=opt.epsilon_min_pi * math.pi,
-        epsilon_max=opt.epsilon_max_pi * math.pi,
-        grid_points=opt.grid_points,
-        tolerance_rad=opt.tolerance_rad,
-    )
-    try:
-        result = optimizer.optimize(spec, cfg.heralded_state().spin_state,
-                                    cfg.readout_model("A"), cfg.readout_model("B"))
-    except optimizer.OptimizerError as exc:
-        raise DataError(f"optimizer aborted: {exc}") from exc
+    result = optimizer.optimize(cfg.optimizer.spec(), cfg.heralded_state().spin_state,
+                                cfg.readout_model("A"), cfg.readout_model("B"))
     payload = {
         "epsilon_rad": result.epsilon,
         "epsilon_pi": result.epsilon / math.pi,
-        "angles_rad": {
-            "a0": result.basis.a0,
-            "a1": result.basis.a1,
-            "b0": result.basis.b0,
-            "b1": result.basis.b1,
-        },
-        "objective": opt.objective,
+        "angles_rad": {name: getattr(result.basis, name) for name in ("a0", "a1", "b0", "b1")},
+        "objective": cfg.optimizer.objective,
         "objective_value": result.objective_value,
         "expected_s": result.expected_s,
         "degenerate": result.degenerate,
@@ -263,7 +214,8 @@ def build_parser() -> _Parser:
                    "the config's experiment.trials and experiment.hours)")
     hours = _run_budget(float, lambda v: 0 < v < math.inf, "finite hours > 0")
     p.add_argument("--hours", type=hours, metavar="H", help="simulated wall-clock budget")
-    p.add_argument("--seed", type=int, metavar="U64", help="master seed (default from config)")
+    p.add_argument("--seed", type=_run_budget(int, lambda v: v >= 0, "a seed >= 0"),
+                   metavar="U64", help="master seed (default from config)")
     p.add_argument("--out", metavar="PATH", help="log path (default bell_trials.jsonl)")
     p.add_argument("--stamp", action="store_true",
                    help="record the wall-clock creation time (breaks byte-reproducibility)")
@@ -291,23 +243,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+# (exception classes, exit code, stderr prefix); the first matching row wins.
+# Anything else, an EngineError included, is a bug and keeps its traceback.
+FAILURES = (
+    ((UsageError,), EXIT_USAGE, "error"),
+    ((ConfigError,), EXIT_USAGE, "config error"),
+    ((OSError, logio.LogFormatError, bell_stats.StatisticsError, optimizer.OptimizerError),
+     EXIT_DATA, "data error"),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except tuple(cls for classes, _, _ in FAILURES for cls in classes) as exc:
+        code, prefix = next((code, prefix) for classes, code, prefix in FAILURES
+                            if isinstance(exc, classes))
+        where = f"{exc.path}: " if isinstance(exc, logio.LogFormatError) else ""
+        print(f"{prefix}: {where}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

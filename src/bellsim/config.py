@@ -100,7 +100,7 @@ class ExperimentSection:
     seed: int = 59
 
     def __post_init__(self):
-        _check(self, ">= 0", lambda v: v >= 0, "trials")
+        _check(self, ">= 0", lambda v: v >= 0, "trials", "seed")
         _check(self, "null or > 0", lambda v: v is None or v > 0, "hours")
 
 
@@ -124,6 +124,16 @@ class OptimizerConfig:
     grid_points: int = 64
     tolerance_rad: float = 1e-4
 
+    def __post_init__(self):
+        self.spec()
+
+    def spec(self):
+        """The optimizer's input; its checks are the only rules of this section."""
+        from .optimizer import OptimizationSpec  # not loaded by `import bellsim.config`
+        return OptimizationSpec(self.objective, self.epsilon_min_pi * math.pi,
+                                self.epsilon_max_pi * math.pi, self.grid_points,
+                                self.tolerance_rad)
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -139,7 +149,8 @@ class SimulationConfig:
     experiment: ExperimentSection = ExperimentSection()
     statistics: StatisticsConfig = StatisticsConfig()
     heralding: HeraldingConfig = HeraldingConfig()
-    optimizer: OptimizerConfig = OptimizerConfig()
+    # a factory, so that importing this module loads no optimizer
+    optimizer: OptimizerConfig = dataclasses.field(default_factory=OptimizerConfig)
 
     # ---- derived model objects -------------------------------------------
 
@@ -278,6 +289,8 @@ def load_config(path) -> SimulationConfig:
             data = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):

@@ -30,7 +30,11 @@ _row_values = itemgetter(*RECORD_KEYS)
 
 
 class LogFormatError(ValueError):
-    """Trial-log file violates the JSON-lines schema."""
+    """Trial-log file violates the JSON-lines schema; ``path`` names the file read."""
+
+    def __init__(self, message: str, path=None):
+        super().__init__(message)
+        self.path = path
 
 
 def record_from_dict(data: dict, line_no: int) -> TrialRecord:
@@ -85,11 +89,12 @@ def _read_block(records: list, block: list[str], line_no: int) -> None:
 
     One JSON array parse of the block counts only if each line is one ``{...}``
     and gives one valid row in sequence (rows hold no other brace, so no row
-    then spans two lines); otherwise each line is parsed on its own.
+    then spans two lines); otherwise each line is parsed on its own, and blank
+    lines are skipped but counted.
     """
     start = len(records)
     try:
-        if all(ln[0] == "{" and ln[-1] == "}" for ln in block):
+        if "" not in block and all(ln[0] == "{" and ln[-1] == "}" for ln in block):
             rows = [TrialRecord._make(_row_values(d))
                     for d in json.loads("[" + ",".join(block) + "]") if len(d) == len(RECORD_KEYS)]
             for rec in rows:
@@ -100,6 +105,8 @@ def _read_block(records: list, block: list[str], line_no: int) -> None:
     except (ValueError, KeyError, TypeError):
         pass  # the line-by-line parse below reports the first bad line
     for line_no, raw in enumerate(block, start=line_no):
+        if not raw:
+            continue
         rec = record_from_dict(_parse_line(raw, line_no), line_no)
         if rec.idx != len(records):
             raise LogFormatError(
@@ -109,31 +116,55 @@ def _read_block(records: list, block: list[str], line_no: int) -> None:
         records.append(rec)
 
 
-def read_log(path) -> TrialLog:
-    """Parse a trial-log file, validating the header, every row and the index sequence."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = (ln for ln in (raw.rstrip("\n") for raw in fh) if ln)
-        first = next(lines, None)
-        if first is None:
-            raise LogFormatError("empty file: missing header line")
-        header = _parse_line(first, 1)
-        for key in ("format_version", "config_hash", "seed"):
-            if key not in header:
-                raise LogFormatError(f"line 1: header is missing {key!r}")
-        if header["format_version"] != FORMAT_VERSION:
-            raise LogFormatError(f"unsupported format version {header['format_version']}")
-        seed = header["seed"]
-        if isinstance(seed, list):
-            seed = tuple(seed)
-        log = TrialLog(
-            config_hash=header["config_hash"],
-            seed=seed,
-            partial=bool(header.get("partial", False)),
-            created=header.get("created"),
-            format_version=header["format_version"],
-        )
-        line_no = 2
-        while block := list(islice(lines, BLOCK_TRIALS)):
-            _read_block(log.records, block, line_no)
-            line_no += len(block)
+def _log_from_header(header: dict, line_no: int) -> TrialLog:
+    """The empty log a header describes, once every key is present and of its JSON type."""
+    for key in ("format_version", "config_hash", "seed"):
+        if key not in header:
+            raise LogFormatError(f"line {line_no}: header is missing {key!r}")
+    version, seed = header["format_version"], header["seed"]
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise LogFormatError(f"unsupported format version {version}")
+    seeds = seed if type(seed) is list else [seed]
+    log = TrialLog(header["config_hash"], tuple(seed) if type(seed) is list else seed,
+                   partial=header.get("partial", False), created=header.get("created"))
+    for key, ok, rule in (
+        ("config_hash", type(log.config_hash) is str, "a string"),
+        ("seed", all(type(v) is int and v >= 0 for v in seeds),
+         "an integer >= 0 or a list of them"),
+        ("created", log.created is None or type(log.created) is str, "a string or null"),
+        ("partial", type(log.partial) is bool, "a boolean"),
+    ):
+        if not ok:
+            raise LogFormatError(f"line {line_no}: header {key} must be {rule}, "
+                                 f"got {header[key]!r}")
     return log
+
+
+def _read_lines(fh) -> TrialLog:
+    lines = (raw.rstrip("\n") for raw in fh)
+    for line_no, first in enumerate(lines, start=1):
+        if first:
+            break
+    else:
+        raise LogFormatError("empty file: missing header line")
+    log = _log_from_header(_parse_line(first, line_no), line_no)
+    while block := list(islice(lines, BLOCK_TRIALS)):
+        _read_block(log.records, block, line_no + 1)
+        line_no += len(block)
+    return log
+
+
+def read_log(path) -> TrialLog:
+    """Parse a trial-log file, validating the header, every row and the index sequence.
+
+    Every LogFormatError raised here carries ``path``; its message names the
+    file line, blank lines counted.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _read_lines(fh)
+    except UnicodeDecodeError as exc:
+        raise LogFormatError(f"not UTF-8 text: {exc}", path) from exc
+    except LogFormatError as exc:
+        exc.path = path
+        raise

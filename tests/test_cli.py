@@ -463,6 +463,81 @@ def test_missing_required_argument_is_usage_error():
     assert run(["analyze"]) == 1
 
 
+# ---- every failure ends in one prefixed line, never a traceback ---------------------
+
+HEADER = '{"format_version":1,"config_hash":"h","seed":59,"created":null,"partial":false}'
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """Paths the failing invocations use, keyed by their name in FAILING."""
+    root = tmp_path_factory.mktemp("bad")
+    paths = {"dir": str(root)}
+    log = root / "log.jsonl"
+    assert cli.main(["simulate", "--n", "5", "--out", str(log)]) == 0
+    rows = log.read_text().splitlines()[1:]
+    texts = {
+        "latin1.jsonl": log.read_bytes() + b"\xe9\n",
+        "latin1.yaml": b"# caf\xe9\n",
+        "objective.yaml": b"optimizer:\n  objective: bogus\n",
+        "bounds.yaml": b"optimizer:\n  epsilon_min_pi: 0.1\n  epsilon_max_pi: 0.1\n",
+        "seed.yaml": b"experiment:\n  seed: -5\n",
+        # blank line 3 and a broken line 6
+        "blank.jsonl": "\n".join([HEADER, rows[0], "", *rows[1:3], "{broken", ""]).encode(),
+    }
+    for name, old, new in (("partial", "false", '"no"'), ("hash", '"h"', "5"),
+                           ("created", "null", "7"), ("seed", "59", '{"x":1}'),
+                           ("negseed", "59", "-1"), ("seeds", "59", "[7,-2]"),
+                           ("boolseed", "59", "true")):
+        texts[f"{name}.jsonl"] = "\n".join([HEADER.replace(old, new, 1), *rows, ""]).encode()
+    for name, data in texts.items():
+        (root / name).write_bytes(data)
+        paths[name.replace(".", "_")] = str(root / name)
+    paths["log"] = str(log)
+    return paths
+
+
+FAILING = {
+    "analyze-out-dir": ("analyze {log} --out {dir}", 2, "data error: [Errno 21] Is a directory"),
+    "analyze-curve-dir": ("analyze {log} --curve {dir}", 2, "data error: [Errno 21]"),
+    "audit-out-dir": ("audit {log} --out {dir}", 2, "data error: [Errno 21]"),
+    "optimize-out-dir": ("optimize --out {dir}", 2, "data error: [Errno 21]"),
+    "analyze-dir": ("analyze {dir}", 2, "data error: [Errno 21]"),
+    "config-dir": ("characterize --config {dir}", 2, "data error: [Errno 21]"),
+    "log-not-utf8": ("analyze {latin1_jsonl}", 2, "data error: {latin1_jsonl}: not UTF-8"),
+    "config-not-utf8": ("optimize --config {latin1_yaml}", 1,
+                        "config error: {latin1_yaml}: not UTF-8"),
+    "bogus-objective": ("optimize --config {objective_yaml}", 1,
+                        "config error: optimizer: objective must be one of"),
+    "empty-tilt-bounds": ("optimize --config {bounds_yaml}", 1,
+                          "config error: optimizer: empty search interval"),
+    "negative-seed-flag": ("simulate --n 1 --seed -1 --out {dir}/x.jsonl", 1,
+                           "error: argument --seed: expected a seed >= 0"),
+    "negative-config-seed": ("simulate --n 1 --config {seed_yaml} --out {dir}/x.jsonl", 1,
+                             "config error: experiment: seed must be >= 0"),
+    "header-partial-string": ("analyze {partial_jsonl}", 2,
+                              "data error: {partial_jsonl}: line 1: header partial must be"),
+    "header-hash-number": ("analyze {hash_jsonl}", 2, "{hash_jsonl}: line 1: header config_hash"),
+    "header-created-number": ("audit {created_jsonl}", 2,
+                              "{created_jsonl}: line 1: header created"),
+    "header-seed-object": ("analyze {seed_jsonl}", 2, "{seed_jsonl}: line 1: header seed"),
+    "header-seed-negative": ("analyze {negseed_jsonl}", 2, "line 1: header seed"),
+    "header-seed-list": ("analyze {seeds_jsonl}", 2, "line 1: header seed"),
+    "header-seed-bool": ("analyze {boolseed_jsonl}", 2, "line 1: header seed"),
+    "blank-line-counted": ("analyze {blank_jsonl}", 2, "{blank_jsonl}: line 6: invalid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", FAILING)
+def test_failure_is_one_prefixed_line(bad_inputs, capsys, case):
+    argv, code, fragment = FAILING[case]
+    capsys.readouterr()
+    assert run([arg.format(**bad_inputs) for arg in argv.split()]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert fragment.format(**bad_inputs) in err
+
+
 def test_import_loads_no_scipy():
     # a fresh interpreter, so modules the tests imported do not count
     src = str(Path(cli.__file__).resolve().parents[1])

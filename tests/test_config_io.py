@@ -179,6 +179,79 @@ def test_missing_header_rejected(tmp_path):
         logio.read_log(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("partial", '"no"'), ("partial", "1"), ("partial", "null"),
+    ("config_hash", "5"), ("config_hash", "null"), ("created", "7"), ("created", "[]"),
+    ("seed", '{"x":1}'), ("seed", "-1"), ("seed", "[7,-2]"), ("seed", "true"),
+    ("seed", "1.5"), ("seed", '"59"'), ("seed", "[7,true]"),
+])
+def test_header_of_the_wrong_type_rejected(tmp_path, key, value):
+    path = tmp_path / "trials.jsonl"
+    logio.write_log(sample_log(3), path)
+    header, *rows = path.read_text().splitlines()
+    header = re.sub(rf'"{key}":[^,}}]+', f'"{key}":{value}', header)
+    path.write_text("\n".join([header, *rows, ""]))
+    with pytest.raises(logio.LogFormatError, match=rf"^line 1: header {key} must be") as info:
+        logio.read_log(path)
+    assert info.value.path == path
+
+
+@pytest.mark.parametrize("value", ["true", "1.0"])
+def test_header_format_version_must_be_the_integer_1(tmp_path, value):
+    path = tmp_path / "trials.jsonl"
+    logio.write_log(sample_log(3), path)
+    path.write_text(path.read_text().replace('"format_version":1', f'"format_version":{value}'))
+    with pytest.raises(logio.LogFormatError, match="unsupported format version"):
+        logio.read_log(path)
+
+
+def test_header_of_the_right_types_accepted(tmp_path):
+    path = tmp_path / "trials.jsonl"
+    path.write_text('{"format_version":1,"config_hash":"h","seed":[7,0],'
+                    '"created":"2015-08-24T00:00:00+00:00","partial":true}\n')
+    log = logio.read_log(path)
+    assert (log.seed, log.partial, log.created) == ((7, 0), True, "2015-08-24T00:00:00+00:00")
+    path.write_text('{"format_version":1,"config_hash":"h","seed":0}\n')
+    assert (logio.read_log(path).partial, logio.read_log(path).created) == (False, None)
+
+
+def test_blank_lines_are_skipped_but_counted(tmp_path):
+    log = sample_log(5)
+    clean = tmp_path / "clean.jsonl"
+    logio.write_log(log, clean)
+    header, *rows = clean.read_text().splitlines()
+    path = tmp_path / "blank.jsonl"
+    path.write_text("\n".join(["", header, rows[0], "", *rows[1:], "", ""]))
+    assert logio.read_log(path).records == log.records
+    # blank line 3, broken line 6: the message names file line 6
+    path.write_text("\n".join([header, rows[0], "", rows[1], rows[2], "{broken", ""]))
+    with pytest.raises(logio.LogFormatError, match=r"^line 6: invalid JSON"):
+        logio.read_log(path)
+
+
+def test_blank_line_in_one_block_counts_in_the_next(tmp_path, log_lines_6000):
+    lines = list(log_lines_6000)
+    lines.insert(10, "")
+    path = tmp_path / "blank.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    clean = tmp_path / "clean.jsonl"
+    clean.write_text("\n".join(log_lines_6000) + "\n")
+    assert logio.read_log(path).records == logio.read_log(clean).records
+    lines[5000] = "{broken"  # file line 5001, in the second block
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(logio.LogFormatError, match=r"^line 5001: invalid JSON"):
+        logio.read_log(path)
+
+
+def test_non_utf8_log_is_a_format_error(tmp_path):
+    path = tmp_path / "trials.jsonl"
+    logio.write_log(sample_log(3), path)
+    path.write_bytes(path.read_bytes() + b"\xe9\n")
+    with pytest.raises(logio.LogFormatError, match="not UTF-8") as info:
+        logio.read_log(path)
+    assert info.value.path == path
+
+
 def test_tuple_seed_survives_round_trip(tmp_path):
     link = cfg_mod.LinkConfig(collection_efficiency=1.0, detector_efficiency=1.0,
                               fibre_km_per_arm=1e-6)
