@@ -10,9 +10,13 @@ n is stochastically dominated by a binomial, and its exact tail is a valid
 p-value bound. Input predictability tau relaxes the per-trial win bound to
 3/4 + c tau (the adjustment coefficient is configurable and conservative).
 
-The binomial tail is exact and never a float loop: with the win bound
-q = Q/D, the numerator of P(X >= k) over D^n is summed on plain integers by
-Horner's rule, and one final division (correctly rounded) gives the float.
+Every p-value of the complete analysis is the smallest float >= the exact
+binomial tail, so it is conservative and one defined float. The tail is
+summed from the top twice on 128-bit integer mantissas with binary
+exponents, once rounding every step down and once up; when both bounds
+round up to the same float, that float is the answer (the exact tail lies
+between them). Otherwise the exact tail, whose numerator over D^n (win bound
+q = Q/D) is summed on plain integers by Horner's rule, is rounded up.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ def i_statistic(k: int, n: int) -> float:
         raise StatisticsError("n must be >= 1")
     if not 0 <= k <= n:
         raise StatisticsError(f"k={k} outside [0, {n}]")
-    return float(8 * (Fraction(k, n) - Fraction(1, 2)))
+    return (8 * k - 4 * n) / n  # int / int is correctly rounded
 
 
 def conventional_pvalue(s: float, sigma_s: float) -> float:
@@ -129,20 +133,101 @@ def _scaled_tails(n: int, q: Fraction, k: int) -> Iterator[tuple[int, int]]:
         r_pow *= big_r
 
 
-def _tail_ratio(k: int, n: int, q: Fraction) -> tuple[int, int]:
-    """Integer numerator and denominator D^n of P(X >= k), X ~ Binomial(n, q)."""
-    for _, acc in _scaled_tails(n, q, k):
-        pass
-    return acc * q.numerator**k, q.denominator**n
-
-
 def binomial_tail(k: int, n: int, q: Fraction) -> Fraction:
     """P(X >= k) for X ~ Binomial(n, q), exactly."""
     if n < 0 or not 0 <= k <= n:
         raise StatisticsError(f"invalid tail arguments k={k}, n={n}")
     if not 0 <= q <= 1:
         raise StatisticsError("q must be in [0, 1]")
-    return Fraction(*_tail_ratio(k, n, q))
+    for _, acc in _scaled_tails(n, q, k):
+        pass
+    return Fraction(acc * q.numerator**k, q.denominator**n)
+
+
+_BITS = 128  # mantissa bits kept by the enclosure; its relative width is about n 2^-128
+
+
+def _shift(m: int, s: int, up: bool) -> int:
+    """m / 2^s rounded down or up."""
+    return -(-m >> s) if up else m >> s
+
+
+def _ratio(num: int, den: int, up: bool) -> tuple[int, int]:
+    """(m, e) with m 2^e = num/den rounded down or up and m >= 2^_BITS; num/den < 2^_BITS."""
+    s = _BITS + 1 + den.bit_length() - num.bit_length()
+    return (-(-(num << s) // den) if up else (num << s) // den), -s
+
+
+def _product(a: tuple[int, int], b: tuple[int, int], up: bool) -> tuple[int, int]:
+    """a b rounded down or up to _BITS + 1 bits."""
+    m, e = a[0] * b[0], a[1] + b[1]
+    s = m.bit_length() - _BITS - 1
+    return (_shift(m, s, up), e + s) if s > 0 else (m, e)
+
+
+def _tail_bounds(n: int, q: Fraction, k: int, up: bool) -> Iterator[tuple[int, int, int]]:
+    """Yield (j, S, e) for j = n, n-1, ..., k, with S 2^e <= P(X >= j) (``up`` false)
+    or >= it (``up`` true), X ~ Binomial(n, q) and 0 < q < 1.
+
+    The terms t_n = q^n and t_(j-1) = t_j j rho / (n - j + 1), rho = (1 - q)/q,
+    are summed from the top. Every value is an integer mantissa with a binary
+    exponent, and every step rounds in one direction, so the sum is a bound.
+    The running sum shares the term's exponent; both shift right together
+    when the term passes 2^(_BITS + 8). For n >= 1, q^n starts with more than
+    _BITS bits and the sum never drops below 2^_BITS, so e stays negative.
+    """
+    big_q, big_d = q.numerator, q.denominator
+    rho, rho_e = _ratio(big_d - big_q, big_q, up)
+    power, base, bits = (1, 0), _ratio(big_q, big_d, up), n
+    while bits:  # q^n by squaring, each product rounded in the pass's direction
+        if bits & 1:
+            power = _product(power, base, up)
+        bits >>= 1
+        if bits:
+            base = _product(base, base, up)
+    term, e = power
+    total, limit = 0, 1 << (_BITS + 8)
+    for j in range(n, k - 1, -1):
+        total += term
+        yield j, total, e
+        # t j rho / (n - j + 1): the shift and the division round the same way
+        if up:
+            term = -((-term * j * rho >> -rho_e) // (n - j + 1))
+        else:
+            term = (term * j * rho >> -rho_e) // (n - j + 1)
+        if term >= limit:
+            s = term.bit_length() - _BITS - 1
+            term, total, e = _shift(term, s, up), _shift(total, s, up), e + s
+
+
+def _float_up(num: int, den: int) -> float:
+    """The smallest float >= num/den (num >= 0, den > 0), subnormals included."""
+    p = num / den  # int / int is correctly rounded, so at most one step below
+    a, b = p.as_integer_ratio()
+    return math.nextafter(p, math.inf) if a * den < num * b else p
+
+
+def _tails_up(n: int, q: Fraction, ks: Iterable[int]) -> dict[int, float]:
+    """{j: the smallest float >= P(X >= j)} for X ~ Binomial(n, q), 0 < q < 1.
+
+    The two directed-rounding passes enclose each tail; where both round up
+    to one float, that float is the answer (the exact tail lies between
+    them). Elsewhere the exact integer tail is rounded up.
+    """
+    wanted = set(ks)
+    lowest = min(wanted)
+    lower = {j: _float_up(s, 1 << -e)
+             for j, s, e in _tail_bounds(n, q, lowest, up=False) if j in wanted}
+    upper = {j: min(_float_up(s, 1 << -e), 1.0)
+             for j, s, e in _tail_bounds(n, q, lowest, up=True) if j in wanted}
+    tails = {j: p for j, p in lower.items() if upper[j] == p}
+    unsettled = wanted - tails.keys()
+    if unsettled:
+        denominator = q.denominator**n
+        for j, acc in _scaled_tails(n, q, min(unsettled)):
+            if j in unsettled:
+                tails[j] = _float_up(acc * q.numerator**j, denominator)
+    return tails
 
 
 def win_probability_bound(tau_out: float,
@@ -161,8 +246,10 @@ def complete_pvalue(k: int, n: int, tau_out: float = 0.0,
     """Memory-robust p-value bound: exact binomial tail at the win bound.
 
     Valid against any local realist model with memory; decreasing in k at
-    fixed (n, tau), increasing in tau at fixed (k, n). A win bound >= 1
-    degenerates to p = 1.
+    fixed (n, tau), increasing in tau at fixed (k, n). The result is the
+    smallest float >= the exact tail, so it never understates it (a tail
+    below every positive float gives the smallest one, never 0.0). A win
+    bound >= 1 degenerates to p = 1.
     """
     if n < 1:
         raise StatisticsError("n must be >= 1")
@@ -171,8 +258,7 @@ def complete_pvalue(k: int, n: int, tau_out: float = 0.0,
     q = win_probability_bound(tau_out, win_adjustment)
     if q >= 1:
         return 1.0
-    numerator, denominator = _tail_ratio(k, n, q)
-    return numerator / denominator  # int / int is correctly rounded
+    return _tails_up(n, q, (k,))[k]
 
 
 @dataclass(frozen=True)
@@ -200,14 +286,8 @@ def p_vs_i_curve(n: int, tau_out: float = 0.0,
         if not 0 <= k <= n:
             raise StatisticsError(f"k={k} outside [0, {n}]")
     q = win_probability_bound(tau_out, win_adjustment)
-    p_complete = {}  # stays empty when the win bound reaches 1: every p is 1
-    if q < 1 and k_values:
-        # one Horner pass gives every row, each from its exact tail numerator
-        denominator = q.denominator**n
-        q_pow = q.numerator**n
-        for j, acc in _scaled_tails(n, q, min(k_values)):
-            p_complete[j] = acc * q_pow / denominator
-            q_pow //= q.numerator
+    # every row from one enclosure pass; empty when the win bound reaches 1
+    p_complete = _tails_up(n, q, k_values) if q < 1 and k_values else {}
     q0 = 0.75
     sd = math.sqrt(n * q0 * (1 - q0))
     rows = []

@@ -3,8 +3,11 @@
 Subcommands: characterize | simulate | analyze | audit | optimize.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 scientific failure
 (a locality condition failed the audit). Commands raise; ``main`` alone maps
-an exception to its exit code, by the FAILURES table. Tabular reports are CSV
-with fixed column orders and '.' decimal separator; structured results are JSON.
+an exception to its exit code, by the FAILURES table. A reader that closes
+stdout early (``bellsim audit LOG | head``) ends the command quietly with 141,
+the code a shell gives a command that a closed pipe stopped. Tabular reports
+are CSV with fixed column orders and '.' decimal separator; structured results
+are JSON.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SCIENCE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 class UsageError(Exception):
@@ -55,16 +60,19 @@ def _load(args) -> SimulationConfig:
     return load_config(args.config) if args.config else default_config()
 
 
-def _emit_json(payload: dict, out_path) -> None:
-    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=False) + "\n")
+def _output(path):
+    """``path`` opened for writing text, or stdout when no path is given."""
+    return open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout)
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _emit_json(payload: dict, fh) -> None:
+    fh.write(json.dumps(payload, indent=2, sort_keys=False) + "\n")
+
+
+def _write_csv(fh, header, rows) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 # ---- characterize -----------------------------------------------------------
@@ -108,11 +116,11 @@ def cmd_characterize(args) -> int:
     }
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "spin_photon_correlations.csv",
-               ("side", "time_bin", "p_spin_up", "p_spin_down"), spin_photon_rows)
-    _write_csv(out / "setting_correlations.csv",
-               ("basis", "orientation", "expected_correlation"), colinear)
-    _emit_json(summary, None)
+    with _output(out / "spin_photon_correlations.csv") as fh:
+        _write_csv(fh, ("side", "time_bin", "p_spin_up", "p_spin_down"), spin_photon_rows)
+    with _output(out / "setting_correlations.csv") as fh:
+        _write_csv(fh, ("basis", "orientation", "expected_correlation"), colinear)
+    _emit_json(summary, sys.stdout)
     return EXIT_OK
 
 
@@ -135,16 +143,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _load(args)
-    log = logio.read_log(args.logfile)
-    tau = args.tau if args.tau is not None else cfg.rng.tau_out
-    result = bell_stats.analyze_records(log.records, tau_out=tau,
-                                        win_adjustment=cfg.statistics.win_adjustment)
-    if args.curve:
-        rows = bell_stats.p_vs_i_curve(result.n, tau_out=tau,
-                                       win_adjustment=cfg.statistics.win_adjustment)
-        _write_csv(args.curve, ("k", "I", "p_complete", "p_conventional"),
-                   [(r.k, r.i, r.p_complete, r.p_conventional) for r in rows])
-    _emit_json({**result.to_dict(), "partial": log.partial}, args.out)
+    with ExitStack() as outputs:  # opened first, so a path that cannot be written fails at once
+        curve = outputs.enter_context(_output(args.curve)) if args.curve else None
+        out = outputs.enter_context(_output(args.out))
+        log = logio.read_log(args.logfile)
+        tau = args.tau if args.tau is not None else cfg.rng.tau_out
+        result = bell_stats.analyze_records(log.records, tau_out=tau,
+                                            win_adjustment=cfg.statistics.win_adjustment)
+        if curve:
+            rows = bell_stats.p_vs_i_curve(result.n, tau_out=tau,
+                                           win_adjustment=cfg.statistics.win_adjustment)
+            _write_csv(curve, ("k", "I", "p_complete", "p_conventional"),
+                       [(r.k, r.i, r.p_complete, r.p_conventional) for r in rows])
+        _emit_json({**result.to_dict(), "partial": log.partial}, out)
     return EXIT_OK
 
 
@@ -164,7 +175,8 @@ def cmd_audit(args) -> int:
             rows.append((rec.idx, check.label, f"{check.margin_ns:.1f}",
                          "pass" if check.passed else "fail"))
             any_fail = any_fail or not check.passed
-    _write_csv(args.out, ("trial", "condition", "margin_ns", "result"), rows)
+    with _output(args.out) as fh:
+        _write_csv(fh, ("trial", "condition", "margin_ns", "result"), rows)
     return EXIT_SCIENCE if any_fail else EXIT_OK
 
 
@@ -184,7 +196,8 @@ def cmd_optimize(args) -> int:
         "expected_s": result.expected_s,
         "degenerate": result.degenerate,
     }
-    _emit_json(payload, args.out)
+    with _output(args.out) as fh:
+        _emit_json(payload, fh)
     return EXIT_OK
 
 
@@ -224,7 +237,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="estimate S and both p-values from a log")
     add_config(p)
     p.add_argument("logfile", metavar="LOG")
-    p.add_argument("--tau", type=float, metavar="FLOAT",
+    tau = _run_budget(float, lambda v: 0 <= v < 0.25, "a tau in [0, 1/4)")
+    p.add_argument("--tau", type=tau, metavar="FLOAT",
                    help="input excess predictability (default: derived from config)")
     p.add_argument("--out", metavar="PATH", help="write the JSON result here instead of stdout")
     p.add_argument("--curve", metavar="PATH", help="also write the p-versus-I curve CSV")
@@ -256,7 +270,14 @@ FAILURES = (
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: what is still buffered goes to devnull,
+        # so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except tuple(cls for classes, _, _ in FAILURES for cls in classes) as exc:
         code, prefix = next((code, prefix) for classes, code, prefix in FAILURES
                             if isinstance(exc, classes))

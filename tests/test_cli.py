@@ -159,7 +159,7 @@ def test_analyze_synthetic_equal_cells_log(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 245 and payload["k"] == 196
     assert abs(payload["I"] - 2.4) < 1e-12
-    assert abs(payload["p_complete"] - 0.03907767138965722) < 1e-15
+    assert payload["p_complete"] == 0.039077671389657224
 
 
 def test_analyze_all_wins_log(tmp_path, capsys):
@@ -525,6 +525,15 @@ FAILING = {
     "header-seed-list": ("analyze {seeds_jsonl}", 2, "line 1: header seed"),
     "header-seed-bool": ("analyze {boolseed_jsonl}", 2, "line 1: header seed"),
     "blank-line-counted": ("analyze {blank_jsonl}", 2, "{blank_jsonl}: line 6: invalid JSON"),
+    "tau-above-quarter": ("analyze {log} --tau 5", 1,
+                          "error: argument --tau: expected a tau in [0, 1/4), got '5'"),
+    "tau-quarter": ("analyze {log} --tau 0.25", 1, "error: argument --tau: expected"),
+    "tau-negative": ("analyze {log} --tau -1", 1, "error: argument --tau: expected"),
+    "tau-nan": ("analyze {log} --tau nan", 1, "error: argument --tau: expected"),
+    "tau-inf": ("analyze {log} --tau inf", 1, "error: argument --tau: expected"),
+    # the outputs are opened before the log is read
+    "curve-dir-before-log": ("analyze {latin1_jsonl} --curve {dir}", 2, "data error: [Errno 21]"),
+    "out-dir-before-log": ("analyze {latin1_jsonl} --out {dir}", 2, "data error: [Errno 21]"),
 }
 
 
@@ -536,6 +545,22 @@ def test_failure_is_one_prefixed_line(bad_inputs, capsys, case):
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") == 1
     assert fragment.format(**bad_inputs) in err
+
+
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
+    log = tmp_path / "big.jsonl"
+    assert cli.main(["simulate", "--n", "5000", "--seed", "59", "--out", str(log)]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    # about 450 kB of CSV: far more than a pipe holds, so writing blocks until the close
+    proc = subprocess.Popen([sys.executable, "-m", "bellsim", "audit", str(log)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"trial,condition,margin_ns,result\n"
+    proc.stdout.close()  # as `| head -1` does
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE
+    assert err == ""
 
 
 def test_import_loads_no_scipy():

@@ -6,6 +6,8 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bellsim import bell_stats as bs
@@ -158,7 +160,7 @@ def test_complete_pvalue_headline_matches_oracle():
     oracle = float(mp_binomial_tail(196, 245, mp.mpf(3) / 4))
     assert abs(p - oracle) / oracle < 1e-12
     assert 0.03 <= p <= 0.05
-    assert abs(p - 0.03907767138965722) < 1e-15
+    assert p == 0.039077671389657224  # the exact tail rounded up
 
 
 def test_complete_pvalue_all_wins_closed_form():
@@ -223,11 +225,66 @@ def test_binomial_tail_equals_fraction_sum(q_win):
             assert bs.binomial_tail(k, n, q_win) == fraction_sum_tail(k, n, q_win)
 
 
-def test_complete_pvalue_is_the_correctly_rounded_exact_tail():
-    for tau in (0.0, DEFAULT_TAU, 0.01, 0.07):
+def is_rounded_up(p, num, den):
+    """p is the smallest float >= num/den: Fraction(p) >= it > the float below p."""
+    a, b = p.as_integer_ratio()
+    c, d = math.nextafter(p, 0.0).as_integer_ratio()
+    return a * den >= num * b and c * den < num * d
+
+
+TAU_GRID = (0.0, DEFAULT_TAU, 0.01, 0.07)
+
+
+def test_complete_pvalue_is_the_exact_tail_rounded_up():
+    for tau in TAU_GRID:
         q_win = bs.win_probability_bound(tau)
         for k, n in ((196, 245), (0, 245), (245, 245), (1, 1), (150, 300), (7, 10)):
-            assert bs.complete_pvalue(k, n, tau) == float(fraction_sum_tail(k, n, q_win))
+            tail = fraction_sum_tail(k, n, q_win)
+            assert is_rounded_up(bs.complete_pvalue(k, n, tau), tail.numerator, tail.denominator)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 400), tau=st.sampled_from(TAU_GRID), data=st.data())
+def test_every_tail_is_the_exact_tail_rounded_up(n, tau, data):
+    k = data.draw(st.integers(0, n), label="k")
+    q_win = bs.win_probability_bound(tau)
+    tail = bs.binomial_tail(k, n, q_win)
+    p = bs.complete_pvalue(k, n, tau)
+    assert is_rounded_up(p, tail.numerator, tail.denominator)
+    rows = bs.p_vs_i_curve(n, tau)
+    assert rows[k].p_complete == p
+    # every row against the exact integer tail P(X >= j) = A_j Q^j / D^n
+    denominator = q_win.denominator**n
+    for j, acc in bs._scaled_tails(n, q_win, 0):
+        assert is_rounded_up(rows[j].p_complete, acc * q_win.numerator**j, denominator)
+
+
+@pytest.mark.parametrize("q_win", [
+    Fraction(2, 3), Fraction(3, 4), Fraction(9, 10),
+    bs.win_probability_bound(DEFAULT_TAU), bs.win_probability_bound(0.07),
+])
+def test_the_two_passes_enclose_the_exact_tail(q_win):
+    for n in (1, 7, 60, 245, 400):
+        denominator = q_win.denominator**n
+        exact = {j: acc * q_win.numerator**j for j, acc in bs._scaled_tails(n, q_win, 0)}
+        for j, s, e in bs._tail_bounds(n, q_win, 0, up=False):
+            assert s * denominator <= exact[j] << -e
+        for j, s, e in bs._tail_bounds(n, q_win, 0, up=True):
+            assert s * denominator >= exact[j] << -e
+
+
+def test_tail_exactly_a_float_takes_the_exact_sum(monkeypatch):
+    # at tau = 0 and n <= 26 the tail is m / 4^n, itself a float: the upper
+    # bound rounds up past it, so the enclosure cannot settle and the exact sum must
+    calls = []
+    exact = bs._scaled_tails
+    monkeypatch.setattr(bs, "_scaled_tails", lambda *args: calls.append(args) or exact(*args))
+    tail = fraction_sum_tail(7, 10, Fraction(3, 4))
+    assert bs.complete_pvalue(7, 10, 0.0) == tail  # exactly representable
+    assert calls
+    calls.clear()
+    assert bs.complete_pvalue(196, 245, DEFAULT_TAU) == 0.039077671389657224
+    assert not calls  # the enclosure settles the headline on its own
 
 
 def test_complete_pvalue_matches_oracle_at_n_4000():
@@ -235,6 +292,22 @@ def test_complete_pvalue_matches_oracle_at_n_4000():
     mp.mp.dps = 60
     oracle = float(mp_binomial_tail(3100, 4000, mp.mpf(q_win.numerator) / q_win.denominator))
     assert abs(bs.complete_pvalue(3100, 4000, DEFAULT_TAU) - oracle) / oracle < 1e-12
+
+
+def test_complete_pvalue_matches_oracle_at_n_20000():
+    # I_q(a, b) = q^a (1 - q)^b / (a B(a, b)) 2F1(a + b, 1; a + 1; q), a series of
+    # positive terms (the series betainc sums cancels and does not converge here)
+    q_win = bs.win_probability_bound(DEFAULT_TAU)
+    mp.mp.dps = 60
+    x = mp.mpf(q_win.numerator) / q_win.denominator
+    a, b = 15668, 20000 - 15668 + 1
+    oracle = float(x**a * (1 - x)**b / (a * mp.beta(a, b)) * mp.hyp2f1(a + b, 1, a + 1, x))
+    assert abs(bs.complete_pvalue(15668, 20000, DEFAULT_TAU) - oracle) / oracle < 1e-12
+
+
+def test_complete_pvalue_below_every_float_rounds_up_to_the_smallest():
+    # 0.75^20000 is about 1e-2499: never 0.0, which would understate the tail
+    assert bs.complete_pvalue(20000, 20000, DEFAULT_TAU) == math.ulp(0.0) > 0
 
 
 # ---- p versus I curve -------------------------------------------------------------------
@@ -266,6 +339,12 @@ def test_curve_monotone_in_i():
     rows = bs.p_vs_i_curve(245, 0.0)
     ps = [r.p_complete for r in rows]
     assert all(b <= a + 1e-15 for a, b in zip(ps, ps[1:]))
+
+
+def test_curve_at_n_1000_is_non_increasing_from_one():
+    ps = [r.p_complete for r in bs.p_vs_i_curve(1000, DEFAULT_TAU)]
+    assert ps[0] == 1.0
+    assert all(b <= a for a, b in zip(ps, ps[1:]))
 
 
 def test_curve_median_sits_at_the_classical_bound():
