@@ -12,7 +12,7 @@ import argparse
 import math
 
 from bellsim import bell_stats, engine, heralding, optimizer, quantum, spacetime
-from bellsim.config import default_config
+from bellsim.config import default_config, herald_probability
 
 
 def main() -> int:
@@ -29,7 +29,7 @@ def main() -> int:
     fidelity = quantum.fidelity_to_pure(herald.spin_state, quantum.psi_minus())
     s_pred = optimizer.expected_s(herald.spin_state, cfg.readout_model("A"),
                                   cfg.readout_model("B"), cfg.basis_set())
-    p_attempt = engine.herald_probability(cfg.link)
+    p_attempt = herald_probability(cfg.link)
 
     print("model predictions")
     print(f"  heralded-state fidelity      {fidelity:.4f}")

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bell_stats, engine, heralding, logio, optimizer, quantum, spacetime
-from .config import ConfigError, SimulationConfig, default_config, load_config
+from .config import ConfigError, SimulationConfig, default_config, herald_probability, load_config
 from .readout import ReadoutBasisSet
 
 EXIT_OK = 0
@@ -107,7 +107,7 @@ def cmd_characterize(args) -> int:
     summary = {
         "heralded_fidelity": fidelity,
         "herald_pattern_probability": herald.probability,
-        "herald_probability_per_attempt": engine.herald_probability(cfg.link),
+        "herald_probability_per_attempt": herald_probability(cfg.link),
         "visibility": {"value": visibility.value, "sigma": visibility.sigma},
         "expected_correlations": {f"{a}{b}": e for (a, b), e in sorted(correlations.items())},
         "expected_s": bell_stats.chsh_combination(correlations),
@@ -261,7 +261,8 @@ def build_parser() -> _Parser:
 # Anything else, an EngineError included, is a bug and keeps its traceback.
 FAILURES = (
     ((UsageError,), EXIT_USAGE, "error"),
-    ((ConfigError,), EXIT_USAGE, "config error"),
+    # the photonic model's inputs come only from the config
+    ((ConfigError, heralding.HeraldingError), EXIT_USAGE, "config error"),
     ((OSError, logio.LogFormatError, bell_stats.StatisticsError, optimizer.OptimizerError),
      EXIT_DATA, "data error"),
 )

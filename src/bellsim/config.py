@@ -5,8 +5,9 @@ are the calibrated working point of the simulated experiment (interference
 contrast 0.90, mean readout fidelities 0.971/0.963, tilt 0.026 pi, herald
 probability 6.4e-9 per attempt, 1280 m site separation, the 480/3700 ns timing
 budget). ``configs/default.yaml`` in the repository mirrors these
-defaults with commentary. Unknown keys in a config file are rejected with
-their full path.
+defaults with commentary. A config file is merged onto the defaults: a
+section may give only the keys it changes. Unknown keys are rejected with
+their full path, and every section checks its values when it is built.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import json
 import math
 import types
 import typing
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import yaml
 
-from .heralding import HeraldResult, InterferenceModel, SpinPhotonErrorModel, event_ready_state
+from .heralding import (HeraldResult, InterferenceModel, SpinPhotonErrorModel,
+                        event_ready_state, hom_visibility)
 from .randomness import RngModel
 from .readout import ReadoutBasisSet, ReadoutModel, calibrate_readout
 from .spacetime import SPEED_OF_LIGHT_M_PER_S, Geometry, TimingBudget
@@ -42,12 +43,18 @@ def _check(section, rule: str, ok, *names: str) -> None:
 
 @dataclass(frozen=True)
 class ReadoutConfig:
-    """Calibration anchors for one node's readout rate model."""
+    """Calibration anchors for one node's readout, and the rate model they calibrate."""
 
     mean_fidelity: float
     duration_us: float = 3.7
     dark_fidelity: float = 0.995
     flip_rate_per_us: float = 0.02
+    model: ReadoutModel = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "model", calibrate_readout(
+            self.mean_fidelity, duration_us=self.duration_us,
+            dark_fidelity=self.dark_fidelity, flip_rate_per_us=self.flip_rate_per_us))
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,24 @@ class BasisConfig:
 # Largest expected attempt count 1/p per trial: about 630 years per trial at a
 # 20 us period, and a geometric draw then reaches int64's 9.2e18 with P = e^-9223.
 MAX_EXPECTED_ATTEMPTS = 1e15
+
+# Probability that a two-photon attempt gives one of the heralding click patterns.
+PATTERN_PROBABILITY = 0.25
+
+
+def herald_probability(link: LinkConfig) -> float:
+    """Herald probability per attempt: pattern probability times both arms.
+
+    Each arm multiplies collection efficiency, fibre transmission
+    10^(-loss_db_per_km * km / 10), and detector efficiency. A configured
+    ``herald_probability`` bypasses the budget composition entirely. The
+    link config checks every factor's range at construction.
+    """
+    if link.herald_probability is not None:
+        return float(link.herald_probability)
+    transmission = 10.0 ** (-link.loss_db_per_km * link.fibre_km_per_arm / 10.0)
+    arm = link.collection_efficiency * transmission * link.detector_efficiency
+    return PATTERN_PROBABILITY * arm * arm
 
 
 @dataclass(frozen=True)
@@ -83,7 +108,6 @@ class LinkConfig:
         _check(self, ">= 0", lambda v: v >= 0, "fibre_km_per_arm", "loss_db_per_km")
         _check(self, "> 0", lambda v: v > 0, "attempt_period_ns")
         _check(self, "null or in (0, 1]", lambda v: v is None or 0 < v <= 1, "herald_probability")
-        from .engine import herald_probability  # engine imports this module
         p = herald_probability(self)
         if p == 0:
             raise ConfigError("the composed herald probability per attempt is 0: "
@@ -108,12 +132,18 @@ class ExperimentSection:
 class StatisticsConfig:
     win_adjustment: float = 3.0
 
+    def __post_init__(self):
+        _check(self, ">= 0", lambda v: v >= 0, "win_adjustment")
+
 
 @dataclass(frozen=True)
 class HeraldingConfig:
     include_same_port: bool = False
     hom_counts_indistinguishable: float = 3.0
     hom_counts_distinguishable: float = 28.0
+
+    def __post_init__(self):
+        hom_visibility(self.hom_counts_indistinguishable, self.hom_counts_distinguishable)
 
 
 @dataclass(frozen=True)
@@ -143,14 +173,14 @@ class SimulationConfig:
     readout_b: ReadoutConfig = ReadoutConfig(mean_fidelity=0.963)
     basis: BasisConfig = BasisConfig()
     rng: RngModel = RngModel()
-    link: LinkConfig = dataclasses.field(default_factory=LinkConfig)  # its check imports engine
+    link: LinkConfig = LinkConfig()
     geometry: Geometry = Geometry()
     timing: TimingBudget = TimingBudget()
     experiment: ExperimentSection = ExperimentSection()
     statistics: StatisticsConfig = StatisticsConfig()
     heralding: HeraldingConfig = HeraldingConfig()
     # a factory, so that importing this module loads no optimizer
-    optimizer: OptimizerConfig = dataclasses.field(default_factory=OptimizerConfig)
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     # ---- derived model objects -------------------------------------------
 
@@ -158,8 +188,7 @@ class SimulationConfig:
         return ReadoutBasisSet.from_tilt(self.basis.epsilon_pi * math.pi)
 
     def readout_model(self, side: str) -> ReadoutModel:
-        section = self.readout_a if side.upper() == "A" else self.readout_b
-        return _calibrated_readout(section)
+        return (self.readout_a if side.upper() == "A" else self.readout_b).model
 
     def heralded_state(self) -> HeraldResult:
         return event_ready_state(self.interference, self.spin_photon_errors,
@@ -175,19 +204,6 @@ class SimulationConfig:
         """Photon flight time through one fibre arm to the midpoint."""
         metres = self.link.fibre_km_per_arm * 1000.0
         return metres * self.link.refractive_index / SPEED_OF_LIGHT_M_PER_S * 1e9
-
-
-@lru_cache(maxsize=16)
-def _calibrated_readout(section: ReadoutConfig) -> ReadoutModel:
-    try:
-        return calibrate_readout(
-            section.mean_fidelity,
-            duration_us=section.duration_us,
-            dark_fidelity=section.dark_fidelity,
-            flip_rate_per_us=section.flip_rate_per_us,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"readout calibration: {exc}") from exc
 
 
 def default_config() -> SimulationConfig:
@@ -251,35 +267,39 @@ def _coerce_scalar(value, annotation, path: str):
     raise ConfigError(f"{path}: unsupported config field type {annotation!r}")
 
 
-def _build_dataclass(cls, data, path: str):
+def _build_dataclass(default, data, path: str):
+    """``default`` with the keys ``data`` gives replaced; sub-sections merge the same way."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'top level'}: expected a mapping")
+    cls = type(default)
     hints = typing.get_type_hints(cls)
-    field_map = {f.name: f for f in dataclasses.fields(cls) if f.init}
-    unknown = set(data) - set(field_map)
+    names = [f.name for f in dataclasses.fields(cls) if f.init]
+    unknown = set(data).difference(names)
     if unknown:
         where = f"{path}." if path else ""
         raise ConfigError("unknown key(s): " + ", ".join(sorted(f"{where}{k}" for k in unknown)))
-    kwargs = {}
-    for name, f in field_map.items():
+    changes = {}
+    for name in names:
         if name not in data:
             continue
         sub_path = f"{path}.{name}" if path else name
         annotation = hints[name]
         if dataclasses.is_dataclass(annotation):
-            kwargs[name] = _build_dataclass(annotation, data[name], sub_path)
+            changes[name] = _build_dataclass(getattr(default, name), data[name], sub_path)
         else:
-            kwargs[name] = _coerce_scalar(data[name], annotation, sub_path)
+            changes[name] = _coerce_scalar(data[name], annotation, sub_path)
+    if not changes:
+        return default
     try:
-        return cls(**kwargs)
+        return dataclasses.replace(default, **changes)
     except ValueError as exc:
         raise ConfigError(f"{path or cls.__name__}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> SimulationConfig:
-    return _build_dataclass(SimulationConfig, data, "")
+    return _build_dataclass(default_config(), data, "")
 
 
 def load_config(path) -> SimulationConfig:

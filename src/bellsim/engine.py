@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import SimulationConfig, config_hash
+from .config import SimulationConfig, config_hash, herald_probability
 from .quantum import correlation_tensor
 from .randomness import setting_bits
 from .readout import observable_components
@@ -40,9 +40,6 @@ _OUTCOME_X, _OUTCOME_Y = np.array(OUTCOME_PAIRS).T
 
 # Trials sampled per block by run_experiment; any size gives the same records.
 BLOCK_TRIALS = 4096
-
-# Probability that a two-photon attempt gives one of the heralding click patterns.
-PATTERN_PROBABILITY = 0.25
 
 
 class EngineError(ValueError):
@@ -120,21 +117,6 @@ class TrialLog:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-def herald_probability(link) -> float:
-    """Herald probability per attempt: pattern probability times both arms.
-
-    Each arm multiplies collection efficiency, fibre transmission
-    10^(-loss_db_per_km * km / 10), and detector efficiency. A configured
-    ``herald_probability`` bypasses the budget composition entirely. The
-    link config checks every factor's range at construction.
-    """
-    if link.herald_probability is not None:
-        return float(link.herald_probability)
-    transmission = 10.0 ** (-link.loss_db_per_km * link.fibre_km_per_arm / 10.0)
-    arm = link.collection_efficiency * transmission * link.detector_efficiency
-    return PATTERN_PROBABILITY * arm * arm
 
 
 @dataclass

@@ -79,6 +79,8 @@ def calibrate_readout(mean_fidelity: float, duration_us: float = 3.7,
         raise ReadoutError("mean fidelity must be in (0.5, 1)")
     if not 0.0 < dark_fidelity <= 1.0:
         raise ReadoutError("dark fidelity must be in (0, 1]")
+    if not duration_us > 0:
+        raise ReadoutError("readout duration must be positive")
     r_d = -math.log(dark_fidelity) / duration_us
     target_plus = 2.0 * mean_fidelity - dark_fidelity
     if not 0.0 < target_plus < 1.0:

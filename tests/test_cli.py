@@ -482,6 +482,12 @@ def bad_inputs(tmp_path_factory):
         "objective.yaml": b"optimizer:\n  objective: bogus\n",
         "bounds.yaml": b"optimizer:\n  epsilon_min_pi: 0.1\n  epsilon_max_pi: 0.1\n",
         "seed.yaml": b"experiment:\n  seed: -5\n",
+        "anchor.yaml": b"readout_a:\n  mean_fidelity: 0.3\n",
+        "duration0.yaml": b"readout_a:\n  mean_fidelity: 0.971\n  duration_us: 0\n",
+        "hom0.yaml": b"heralding:\n  hom_counts_distinguishable: 0\n",
+        "homneg.yaml": b"heralding:\n  hom_counts_indistinguishable: -1\n",
+        "win.yaml": b"statistics:\n  win_adjustment: -1\n",
+        "dark.yaml": b"interference:\n  visibility: 0.0\n  detector_efficiency: [0.0, 0.0]\n",
         # blank line 3 and a broken line 6
         "blank.jsonl": "\n".join([HEADER, rows[0], "", *rows[1:3], "{broken", ""]).encode(),
     }
@@ -515,6 +521,23 @@ FAILING = {
                            "error: argument --seed: expected a seed >= 0"),
     "negative-config-seed": ("simulate --n 1 --config {seed_yaml} --out {dir}/x.jsonl", 1,
                              "config error: experiment: seed must be >= 0"),
+    # every section is checked at load, whichever command reads it
+    "audit-bad-readout-anchor": ("audit {log} --config {anchor_yaml}", 1,
+                                 "config error: readout_a: mean fidelity must be in (0.5, 1)"),
+    "zero-readout-duration": ("characterize --out {dir} --config {duration0_yaml}", 1,
+                              "config error: readout_a: readout duration must be positive"),
+    "zero-hom-reference-counts": ("characterize --out {dir} --config {hom0_yaml}", 1,
+                                  "config error: heralding: visibility undefined"),
+    "negative-hom-counts": ("simulate --n 1 --config {homneg_yaml} --out {dir}/x.jsonl", 1,
+                            "config error: heralding: coincidence counts must be non-negative"),
+    "negative-win-adjustment": ("analyze {log} --config {win_yaml}", 1,
+                                "config error: statistics: win_adjustment must be >= 0"),
+    "unheraldable-characterize": ("characterize --out {dir} --config {dark_yaml}", 1,
+                                  "config error: requested detection pattern has zero"),
+    "unheraldable-simulate": ("simulate --n 1 --config {dark_yaml} --out {dir}/x.jsonl", 1,
+                              "config error: requested detection pattern has zero"),
+    "unheraldable-optimize": ("optimize --config {dark_yaml}", 1,
+                              "config error: requested detection pattern has zero"),
     "header-partial-string": ("analyze {partial_jsonl}", 2,
                               "data error: {partial_jsonl}: line 1: header partial must be"),
     "header-hash-number": ("analyze {hash_jsonl}", 2, "{hash_jsonl}: line 1: header config_hash"),

@@ -81,6 +81,31 @@ def test_partial_override_keeps_other_defaults(tmp_path):
     assert loaded.readout_a.mean_fidelity == 0.971
 
 
+def test_partial_readout_section_keeps_the_other_defaults(tmp_path):
+    path = tmp_path / "partial.yaml"
+    path.write_text("readout_b:\n  duration_us: 4.0\n")
+    loaded = cfg_mod.load_config(path)
+    assert loaded.readout_b.mean_fidelity == 0.963
+    assert loaded.readout_b.dark_fidelity == 0.995
+    assert loaded.readout_model("B").duration_us == 4.0
+    assert loaded.readout_a == cfg_mod.default_config().readout_a
+
+
+def test_empty_section_loads_as_the_default(tmp_path):
+    path = tmp_path / "empty.yaml"
+    path.write_text("readout_a:\n")
+    loaded = cfg_mod.load_config(path)
+    assert loaded == cfg_mod.default_config()
+    assert cfg_mod.config_hash(loaded) == cfg_mod.config_hash(cfg_mod.default_config())
+
+
+def test_bad_readout_anchor_fails_at_load(tmp_path):
+    path = tmp_path / "anchor.yaml"
+    path.write_text("readout_a:\n  mean_fidelity: 0.3\n")
+    with pytest.raises(cfg_mod.ConfigError, match="readout_a: mean fidelity"):
+        cfg_mod.load_config(path)
+
+
 def test_config_hash_stable_and_sensitive():
     base = cfg_mod.default_config()
     assert cfg_mod.config_hash(base) == cfg_mod.config_hash(cfg_mod.default_config())

@@ -190,6 +190,11 @@ def test_model_validation():
         r.calibrate_readout(0.4)
 
 
+def test_calibration_rejects_a_zero_window():
+    with pytest.raises(r.ReadoutError, match="duration must be positive"):
+        r.calibrate_readout(0.971, duration_us=0.0)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["bright_rate_per_us", "dark_rate_per_us",
                                    "flip_rate_per_us", "duration_us"])
