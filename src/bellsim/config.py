@@ -3,8 +3,8 @@
 Every module's parameters live in one frozen dataclass tree whose defaults
 are the calibrated working point of the simulated experiment (interference
 contrast 0.90, mean readout fidelities 0.971/0.963, tilt 0.026 pi, herald
-probability 6.4e-9 per attempt, 1280 m site separation, the 480/3700 ns timing
-budget). ``configs/default.yaml`` in the repository mirrors these
+probability 6.4e-9 per attempt, 1280 m site separation, readout from 480 ns to
+4180 ns after each choice). ``configs/default.yaml`` in the repository mirrors these
 defaults with commentary. A config file is merged onto the defaults: a
 section may give only the keys it changes. Unknown keys are rejected with
 their full path, and every section checks its values when it is built.
@@ -106,6 +106,7 @@ class LinkConfig:
         _check(self, "in [0, 1]", lambda v: 0 <= v <= 1,
                "collection_efficiency", "detector_efficiency")
         _check(self, ">= 0", lambda v: v >= 0, "fibre_km_per_arm", "loss_db_per_km")
+        _check(self, ">= 1", lambda v: v >= 1, "refractive_index")
         _check(self, "> 0", lambda v: v > 0, "attempt_period_ns")
         _check(self, "null or in (0, 1]", lambda v: v is None or 0 < v <= 1, "herald_probability")
         p = herald_probability(self)
@@ -181,6 +182,14 @@ class SimulationConfig:
     heralding: HeraldingConfig = HeraldingConfig()
     # a factory, so that importing this module loads no optimizer
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+
+    def __post_init__(self):
+        # readout end - choice = choice_to_readout + window + a draw in [-jitter, jitter)
+        window_ns = 1e3 * min(self.readout_a.duration_us, self.readout_b.duration_us)
+        if not self.timing.choice_to_readout_ns + window_ns > self.timing.jitter_ns:
+            raise ConfigError("timing.choice_to_readout_ns + 1e3 * min(readout_a.duration_us, "
+                              "readout_b.duration_us) must exceed timing.jitter_ns, "
+                              "or a readout can end before its own choice")
 
     # ---- derived model objects -------------------------------------------
 
@@ -295,7 +304,7 @@ def _build_dataclass(default, data, path: str):
     try:
         return dataclasses.replace(default, **changes)
     except ValueError as exc:
-        raise ConfigError(f"{path or cls.__name__}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def config_from_dict(data: dict) -> SimulationConfig:

@@ -4,8 +4,8 @@ Each trial begins with a geometrically distributed number of entanglement
 generation attempts (success probability composed from the pattern
 probability and the per-arm link budget). On the heralding attempt both
 nodes draw a basis bit through the parity extractor, read their spin out in
-the chosen basis, and the timestamps of the choice, herald, and readout
-completion are synthesised from the timing budget with a configurable jitter.
+the chosen basis, and the choice, herald and readout-end timestamps come from
+the timing budget, each site's modelled readout window and a configurable jitter.
 The outcome pair is drawn from a table built from the heralded state's
 (I, Z, X) correlation tensor and the readout observables, the same
 contraction every predicted correlation uses.
@@ -113,7 +113,6 @@ class TrialLog:
     records: list[TrialRecord] = field(default_factory=list)
     partial: bool = False
     created: str | None = None
-    format_version: int = 1
 
     def __len__(self) -> int:
         return len(self.records)
@@ -172,9 +171,10 @@ def _timestamps(cfg: SimulationConfig, timing_rng: np.random.Generator,
         if t.jitter_ns > 0 else np.zeros((count, 5))
     t_choice_a = t.choice_delay_ns + jitter[:, 0]
     t_choice_b = t.choice_delay_ns + jitter[:, 1]
+    window_a, window_b = (1e3 * cfg.readout_model(side).duration_us for side in "AB")
     columns = (cfg.herald_delay_ns() + jitter[:, 2], t_choice_a, t_choice_b,
-               t_choice_a + t.choice_to_readout_ns + t.readout_duration_ns + jitter[:, 3],
-               t_choice_b + t.choice_to_readout_ns + t.readout_duration_ns + jitter[:, 4])
+               t_choice_a + t.choice_to_readout_ns + window_a + jitter[:, 3],
+               t_choice_b + t.choice_to_readout_ns + window_b + jitter[:, 4])
     return tuple(col.tolist() for col in columns)
 
 

@@ -55,7 +55,7 @@ def record_from_dict(data: dict, line_no: int) -> TrialRecord:
 def header_dict(log: TrialLog) -> dict:
     seed = list(log.seed) if isinstance(log.seed, tuple) else log.seed
     return {
-        "format_version": log.format_version,
+        "format_version": FORMAT_VERSION,
         "config_hash": log.config_hash,
         "seed": seed,
         "created": log.created,

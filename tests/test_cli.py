@@ -266,7 +266,7 @@ def test_audit_default_budget_passes(tmp_path, fast_config, capsys):
 
 def test_audit_stretched_readout_fails_with_exit_3(tmp_path, fast_config):
     stretched = tmp_path / "stretched.yaml"
-    stretched.write_text(FAST_LINK + "\ntiming:\n  readout_duration_ns: 4300.0\n")
+    stretched.write_text(FAST_LINK + "\nreadout_a:\n  duration_us: 4.3\n")
     out = tmp_path / "log.jsonl"
     assert run(["simulate", "--config", str(stretched), "--n", "10", "--out", str(out)]) == 0
     assert run(["audit", str(out), "--config", str(stretched)]) == 3
@@ -392,13 +392,14 @@ def test_bad_config_key_is_usage_error(tmp_path, capsys):
 
 def test_removed_config_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "old.yaml"
-    cfg.write_text("rng:\n  extraction_time_ns: 160.0\n")
-    assert run(["characterize", "--config", str(cfg)]) == 1
-    assert "rng.extraction_time_ns" in capsys.readouterr().err
+    for section, key in (("rng", "extraction_time_ns"), ("timing", "readout_duration_ns")):
+        cfg.write_text(f"{section}:\n  {key}: 160.0\n")
+        assert run(["characterize", "--config", str(cfg)]) == 1
+        assert f"unknown key(s): {section}.{key}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("yaml_text, command", [
-    ("timing:\n  readout_duration_ns: .nan\n", ["simulate", "--n", "5"]),
+    ("readout_a:\n  duration_us: .nan\n", ["simulate", "--n", "5"]),
     ("statistics:\n  win_adjustment: .nan\n", ["analyze", "LOG"]),
     ("geometry:\n  ab_m: .nan\n", ["audit", "LOG"]),
     ("link:\n  attempt_period_ns: .inf\n", ["simulate", "--hours", "1"]),
@@ -430,16 +431,18 @@ def test_non_finite_config_float_is_usage_error(tmp_path, fast_config, capsys,
     "experiment:\n  trials: -3\n",
     "experiment:\n  hours: -1.0\n",
     "experiment:\n  hours: 0\n",
-    "timing:\n  choice_to_readout_ns: 0\n  readout_duration_ns: 0\n",
-    "timing:\n  choice_to_readout_ns: 2\n  readout_duration_ns: 3\n  jitter_ns: 5\n",
+    "timing:\n  choice_to_readout_ns: 0\nreadout_b:\n  duration_us: 0\n",
+    "timing:\n  choice_to_readout_ns: 2\n  jitter_ns: 5\nreadout_a:\n  duration_us: 0.003\n",
     "link:\n  collection_efficiency: 0\n",
     "link:\n  detector_efficiency: 0\n",
     "link:\n  loss_db_per_km: 1.0e+6\n",
+    "link:\n  refractive_index: 0.5\n",
 ], ids=["negative-ab", "negative-sync-allowance", "negative-jitter", "zero-attempt-period",
         "zero-herald-probability", "over-unit-herald-probability", "negative-loss",
         "negative-fibre", "over-unit-collection", "negative-detector", "negative-trials",
         "negative-hours", "zero-hours", "zero-readout-time", "readout-within-jitter",
-        "zero-collection", "zero-detector", "transmission-underflow"])
+        "zero-collection", "zero-detector", "transmission-underflow",
+        "sub-unit-refractive-index"])
 def test_invalid_geometry_or_timing_fails_at_load(tmp_path, fast_config, capsys, yaml_text):
     log = make_log(tmp_path, fast_config, n=5)
     cfg = tmp_path / "invalid.yaml"
@@ -485,6 +488,8 @@ def bad_inputs(tmp_path_factory):
         "anchor.yaml": b"readout_a:\n  mean_fidelity: 0.3\n",
         "duration0.yaml": b"readout_a:\n  mean_fidelity: 0.971\n  duration_us: 0\n",
         "hom0.yaml": b"heralding:\n  hom_counts_distinguishable: 0\n",
+        "window.yaml": b"timing:\n  choice_to_readout_ns: 2\n  jitter_ns: 5\n"
+                       b"readout_b:\n  duration_us: 0.003\n",
         "homneg.yaml": b"heralding:\n  hom_counts_indistinguishable: -1\n",
         "win.yaml": b"statistics:\n  win_adjustment: -1\n",
         "dark.yaml": b"interference:\n  visibility: 0.0\n  detector_efficiency: [0.0, 0.0]\n",
@@ -526,6 +531,10 @@ FAILING = {
                                  "config error: readout_a: mean fidelity must be in (0.5, 1)"),
     "zero-readout-duration": ("characterize --out {dir} --config {duration0_yaml}", 1,
                               "config error: readout_a: readout duration must be positive"),
+    "readout-window-within-jitter": (
+        "simulate --n 1 --config {window_yaml} --out {dir}/x.jsonl", 1,
+        "config error: timing.choice_to_readout_ns + 1e3 * min(readout_a.duration_us, "
+        "readout_b.duration_us) must exceed timing.jitter_ns"),
     "zero-hom-reference-counts": ("characterize --out {dir} --config {hom0_yaml}", 1,
                                   "config error: heralding: visibility undefined"),
     "negative-hom-counts": ("simulate --n 1 --config {homneg_yaml} --out {dir}/x.jsonl", 1,

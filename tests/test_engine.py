@@ -274,12 +274,12 @@ def test_different_seeds_differ(tmp_path):
 
 @pytest.fixture(scope="module", params=[
     (dict(n_trials=245, seed=59), 245, False,
-     "9bb0284bd5bf08ce210fd16623c18d63bbf1f011799b84c163bfe82efe1b82e6",
+     "e529942fb0df213327ffbf65a1ed482b5d276755cafb5484657cb93f8cba45e0",
      "7c63d5b1e54e72202885842d61e48494e698620461259a5e6146fc5ce61dc7ec"),
     # 95 % of the expected duration of 20,000 trials: the budget ends the run
     (dict(n_trials=20_000, hours=0.95 * 20_000 / 6.4e-9 * 20_000 / 3.6e12, seed=(7, 0)),
      18_967, True,
-     "e3dc1e1d1e6845050c01fff007fff3e54b9aa4dc7d0e0511031772e26966daae",
+     "01fbf519a227f06d5123379c2159d3587a24878a90097ce8a1baad861cb174df",
      "a5d30157e5387007b20be5b4f87c42752d53bb19cef3bb0ed4ac936a8ef4ce6d"),
 ], ids=["seed59", "budget-cut"])
 def pinned_log(request, tmp_path_factory):

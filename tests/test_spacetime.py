@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from bellsim import cli
 from bellsim import spacetime as sp
-from bellsim.config import LinkConfig, default_config
-from bellsim.engine import run_experiment
+from bellsim.config import ConfigError, LinkConfig, config_from_dict, default_config
+from bellsim.engine import record_events, run_experiment
 from bellsim.logio import LogFormatError, read_log, write_log
 
 GEOMETRY = sp.Geometry()
@@ -113,13 +113,36 @@ def test_pass_iff_every_margin_clears_allowance():
 def test_validation():
     with pytest.raises(sp.AuditError):
         sp.Geometry(ab_m=-1.0)
-    with pytest.raises(sp.AuditError):
-        sp.TimingBudget(readout_duration_ns=-5.0)
+    with pytest.raises(ConfigError, match="readout_a: readout duration must be positive"):
+        config_from_dict({"readout_a": {"duration_us": -5.0}})
     with pytest.raises(sp.AuditError, match="jitter_ns"):
         sp.TimingBudget(jitter_ns=-0.5)
 
 
 # ---- event times in a log ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_readout_window_moves_only_its_own_readout_margin(tmp_path, capsys, side):
+    # the readout end is placed by the window the fidelity model is calibrated
+    # at: 10 us instead of 3.7 us ends this site's readout 6,300 ns later
+    stretched = config_from_dict({f"readout_{side.lower()}": {"duration_us": 10.0}})
+    base_log = run_experiment(default_config(), n_trials=20, seed=59)
+    log = run_experiment(stretched, n_trials=20, seed=59)
+    own = "AB".index(side)
+    for base_rec, rec in zip(base_log.records, log.records):
+        before = sp.audit_trial(record_events(base_rec), GEOMETRY, BUDGET).checks
+        after = sp.audit_trial(record_events(rec), GEOMETRY, BUDGET).checks
+        assert before[own].passed and not after[own].passed
+        assert after[own].margin_ns == pytest.approx(before[own].margin_ns - 6300.0, abs=1e-6)
+        assert after[1 - own] == before[1 - own]  # the other site's readout
+        assert after[2] == before[2]  # the herald
+    path = tmp_path / "stretched.jsonl"
+    write_log(log, path)
+    assert cli.main(["audit", str(path)]) == 3
+    failing = {line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]
+               if line.endswith(",fail")}
+    assert failing == {f"readout-{side}-before-signal-from-choice-{'BA'[own]}"}
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
