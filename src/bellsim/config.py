@@ -190,6 +190,14 @@ class SimulationConfig:
             raise ConfigError("timing.choice_to_readout_ns + 1e3 * min(readout_a.duration_us, "
                               "readout_b.duration_us) must exceed timing.jitter_ns, "
                               "or a readout can end before its own choice")
+        ab, ac, cb = self.geometry.ab_m, self.geometry.ac_m, self.geometry.cb_m
+        if ab > ac + cb or ac > ab + cb or cb > ab + ac:
+            raise ConfigError(f"geometry distances ab_m={ab}, ac_m={ac}, cb_m={cb} break the "
+                              "triangle inequality: no three sites lie that far apart")
+        if 1000 * self.link.fibre_km_per_arm < max(ac, cb):
+            raise ConfigError(f"link.fibre_km_per_arm={self.link.fibre_km_per_arm} is shorter "
+                              f"than the {max(ac, cb)} m from a site to the midpoint, "
+                              "so a photon would outrun light")
 
     # ---- derived model objects -------------------------------------------
 

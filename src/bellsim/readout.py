@@ -4,8 +4,9 @@ The bright spin level scatters photons at a constant rate until an optional
 spin-flip (decay/ionisation) interrupts it; the dark level produces only
 false counts. Outcome +1 is assigned when at least one count arrives inside
 the readout window, -1 otherwise. Reading out along a tilted axis in the Z-X
-plane means rotating the spin first and then thresholding along Z, which is
-equivalent to the rotated POVM used here.
+plane means rotating the spin first and then thresholding along Z; the
+simulator uses the result only as the (I, Z, X) components of the observable
+it measures.
 """
 
 from __future__ import annotations
@@ -110,29 +111,13 @@ def calibrate_readout(mean_fidelity: float, duration_us: float = 3.7,
     return ReadoutModel(hi, r_d, flip_rate_per_us, duration_us)
 
 
-def _projectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    c, s = math.cos(theta), math.sin(theta)
-    n = np.array([[c, s], [s, -c]], dtype=np.complex128)
-    eye = np.eye(2, dtype=np.complex128)
-    return (eye + n) / 2, (eye - n) / 2
-
-
-def rotated_povm(model: ReadoutModel, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """POVM for spin rotation by ``theta`` followed by Z thresholding.
-
-    E+ = F+ P+ + (1 - F-) P- on the projectors along the tilted axis;
-    E- is its complement, so the pair sums to the identity. The simulation
-    uses :func:`observable_components`; these matrices are its reference.
-    """
-    f_plus, f_minus = model.fidelities
-    p_plus, p_minus = _projectors(theta)
-    e_plus = f_plus * p_plus + (1.0 - f_minus) * p_minus
-    return e_plus, np.eye(2, dtype=np.complex128) - e_plus
-
-
 def observable_components(model: ReadoutModel, theta: float) -> np.ndarray:
-    """(I, Z, X) components of E+ - E- from :func:`rotated_povm`: (F+ - F-) I
-    + (F+ + F- - 1) (cos theta Z + sin theta X)."""
+    """(I, Z, X) components of the noisy observable E+ - E- along ``theta``.
+
+    The readout POVM is E+ = F+ P+ + (1 - F-) P- and E- = I - E+, on the
+    projectors P+- = (I +- (cos theta Z + sin theta X)) / 2 along the tilted
+    axis. So E+ - E- = (F+ - F-) I + (F+ + F- - 1) (cos theta Z + sin theta X).
+    """
     f_plus, f_minus = model.fidelities
     contrast = f_plus + f_minus - 1.0
     return np.array([f_plus - f_minus, contrast * math.cos(theta), contrast * math.sin(theta)])

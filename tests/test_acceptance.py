@@ -16,11 +16,12 @@ from bellsim import bell_stats as bs
 from bellsim import engine, heralding, optimizer, quantum, randomness, spacetime
 from bellsim.config import default_config
 from bellsim.logio import write_log
-from bellsim.readout import ReadoutBasisSet, ReadoutModel, rotated_povm
+from bellsim.readout import ReadoutBasisSet, ReadoutModel
 
 from test_engine import run_trial
 from test_heralding import oracle_psi_minus_herald
-from test_quantum import random_channel, random_density_matrix
+from test_quantum import (apply_kraus, bloch, expectation, random_channel,
+                          random_density_matrix, rotated_povm)
 
 SQRT2 = math.sqrt(2.0)
 CFG = default_config()
@@ -152,9 +153,7 @@ def test_c11_property_suites(tmp_path):
     # channel trace preservation and positivity
     for _ in range(200):
         dim = int(rng.integers(2, 5))
-        state = quantum.QuantumState(random_density_matrix(rng, dim), (("s", dim),))
-        out = quantum.apply_channel(state, random_channel(rng, dim), "s")
-        m = out.density_matrix()
+        m = apply_kraus(random_density_matrix(rng, dim), random_channel(rng, dim))
         ok = ok and abs(np.trace(m).real - 1.0) < 1e-10
         ok = ok and np.min(np.linalg.eigvalsh(m)) > -1e-9
 
@@ -170,8 +169,7 @@ def test_c11_property_suites(tmp_path):
         state = quantum.QuantumState(random_density_matrix(rng, 4), (("a", 2), ("b", 2)))
         angles = rng.uniform(-math.pi, math.pi, size=4)
         e = {
-            (a, b): quantum.expectation(state, quantum.bloch_observable(angles[a]),
-                                        quantum.bloch_observable(angles[2 + b]))
+            (a, b): expectation(state, bloch(angles[a]), bloch(angles[2 + b]))
             for a in (0, 1) for b in (0, 1)
         }
         s = e[(0, 0)] + e[(0, 1)] + e[(1, 0)] - e[(1, 1)]
@@ -189,7 +187,7 @@ def test_c11_property_suites(tmp_path):
 
     # geometric attempt counts
     link = dataclasses.replace(CFG.link, collection_efficiency=1.0,
-                               detector_efficiency=1.0, fibre_km_per_arm=1e-6)
+                               detector_efficiency=1.0, loss_db_per_km=0.0)
     fast = dataclasses.replace(CFG, link=link)
     log = engine.run_experiment(fast, n_trials=10_000, seed=31)
     p = engine.herald_probability(link)

@@ -14,8 +14,17 @@ complete test may reject no more often than its level allows:
 
 The second one uses memory, and the Gaussian test, which assumes i.i.d.
 trials, over-rejects under it; asserting that shows the harness can catch an
-invalid test. The seeds, the replica count and the margin were fixed before
-the first run.
+invalid test.
+
+A third strategy exploits biased settings. The settings come from the parity
+extractor over two raw bits of excess predictability 0.1, so each setting is
+0 with probability 1/2 + tau_out, tau_out = 0.02. Playing x = y = +1 always
+loses only at a = b = 1 and wins with probability 1 - (1/2 - tau_out)^2 =
+0.7696, above 3/4: analysed at tau = 0 the complete test over-rejects, and at
+the configured tau_out with the win adjustment 3 (bound 3/4 + 3 tau_out =
+0.81) it stays valid.
+
+The seeds, the replica count and the margin were fixed before the first run.
 """
 
 import math
@@ -27,13 +36,17 @@ import pytest
 from scipy.stats import binom
 
 from bellsim import bell_stats as bs
+from bellsim.randomness import RngModel, setting_bits
 
 N_TRIALS = 245
 REPLICAS = 2000
 ALPHAS = (0.01, 0.05, 0.1)
 # a valid test rejecting at rate alpha exceeds the allowed count with at most this chance
 FALSE_ALARM = 1e-6
-IID_SEED, MEMORY_SEED = 1508, 5949
+IID_SEED, MEMORY_SEED, BIAS_SEED = 1508, 5949, 3605
+# two raw bits of excess predictability 0.1 per setting: tau_out = 2 * 0.1^2
+BIASED = RngModel(excess_predictability=0.1, raw_bits_per_output=2)
+WIN_ADJUSTMENT = 3.0
 
 Trial = namedtuple("Trial", "a b x y")
 
@@ -65,11 +78,12 @@ def play(strategies, cells):
     return a, b, X_TABLE[strategies, a], Y_TABLE[strategies, b]
 
 
-def analyse(a, b, x, y):
+def analyse(a, b, x, y, tau_out=0.0):
     """(k, p_complete, p_conventional) per replica, each from its list of trials."""
     results = []
     for row in zip(a.tolist(), b.tolist(), x.tolist(), y.tolist()):
-        res = bs.analyze_records(list(map(Trial._make, zip(*row))), tau_out=0.0)
+        res = bs.analyze_records(list(map(Trial._make, zip(*row))), tau_out=tau_out,
+                                 win_adjustment=WIN_ADJUSTMENT)
         results.append((res.k, res.p_complete, res.p_conventional))
     return np.array(results).T
 
@@ -86,6 +100,14 @@ def lose_in_the_most_sampled_cell():
     seen = cells[..., None] == np.arange(4)
     before = np.cumsum(seen, axis=1) - seen  # trials per pair before this one
     return play(np.array(LOSER)[np.argmax(before, axis=2)], cells)
+
+
+def always_plus_one_under_biased_settings():
+    rng = np.random.default_rng(BIAS_SEED)
+    a = setting_bits(BIASED, REPLICAS * N_TRIALS, rng).reshape(REPLICAS, N_TRIALS)
+    b = setting_bits(BIASED, REPLICAS * N_TRIALS, rng).reshape(REPLICAS, N_TRIALS)
+    ones = np.ones((REPLICAS, N_TRIALS), dtype=int)
+    return a, b, ones, ones
 
 
 def test_no_deterministic_local_strategy_wins_more_than_three_pairs():
@@ -105,3 +127,18 @@ def test_complete_pvalue_is_valid_against_a_local_strategy(strategy):
     if strategy is lose_in_the_most_sampled_cell:
         for alpha in ALPHAS:
             assert np.count_nonzero(p_conventional <= alpha) > allowed(alpha), alpha
+
+
+def test_bias_strategy_is_caught_only_at_the_configured_tau():
+    tau = BIASED.tau_out
+    assert abs(tau - 0.02) < 1e-15
+    trials = REPLICAS * N_TRIALS
+    records = always_plus_one_under_biased_settings()
+    k, p_at_zero, _ = analyse(*records)
+    win = 1 - (0.5 - tau) ** 2  # 0.7696, inside the bound 3/4 + 3 tau = 0.81
+    assert abs(k.sum() / trials - win) < 5 * math.sqrt(win * (1 - win) / trials)
+    # ignoring the bias, the complete test rejects a local strategy too often
+    assert np.count_nonzero(p_at_zero <= 0.05) > allowed(0.05)
+    _, p_at_tau, _ = analyse(*records, tau_out=tau)
+    for alpha in ALPHAS:
+        assert np.count_nonzero(p_at_tau <= alpha) <= allowed(alpha), alpha

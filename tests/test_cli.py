@@ -11,7 +11,7 @@ from bellsim import cli
 FAST_LINK = """
 link:
   collection_efficiency: 1.0
-  fibre_km_per_arm: 1.0e-6
+  loss_db_per_km: 0.0
   detector_efficiency: 1.0
 """
 
@@ -437,12 +437,14 @@ def test_non_finite_config_float_is_usage_error(tmp_path, fast_config, capsys,
     "link:\n  detector_efficiency: 0\n",
     "link:\n  loss_db_per_km: 1.0e+6\n",
     "link:\n  refractive_index: 0.5\n",
+    "link:\n  fibre_km_per_arm: 0.1\n",
+    "geometry:\n  ab_m: 5000.0\n",
 ], ids=["negative-ab", "negative-sync-allowance", "negative-jitter", "zero-attempt-period",
         "zero-herald-probability", "over-unit-herald-probability", "negative-loss",
         "negative-fibre", "over-unit-collection", "negative-detector", "negative-trials",
         "negative-hours", "zero-hours", "zero-readout-time", "readout-within-jitter",
         "zero-collection", "zero-detector", "transmission-underflow",
-        "sub-unit-refractive-index"])
+        "sub-unit-refractive-index", "fibre-shorter-than-light-path", "broken-triangle"])
 def test_invalid_geometry_or_timing_fails_at_load(tmp_path, fast_config, capsys, yaml_text):
     log = make_log(tmp_path, fast_config, n=5)
     cfg = tmp_path / "invalid.yaml"
@@ -493,6 +495,8 @@ def bad_inputs(tmp_path_factory):
         "homneg.yaml": b"heralding:\n  hom_counts_indistinguishable: -1\n",
         "win.yaml": b"statistics:\n  win_adjustment: -1\n",
         "dark.yaml": b"interference:\n  visibility: 0.0\n  detector_efficiency: [0.0, 0.0]\n",
+        "fibre01.yaml": b"link:\n  fibre_km_per_arm: 0.1\n",
+        "ab5000.yaml": b"geometry:\n  ab_m: 5000.0\n",
         # blank line 3 and a broken line 6
         "blank.jsonl": "\n".join([HEADER, rows[0], "", *rows[1:3], "{broken", ""]).encode(),
     }
@@ -567,6 +571,18 @@ FAILING = {
     "curve-dir-before-log": ("analyze {latin1_jsonl} --curve {dir}", 2, "data error: [Errno 21]"),
     "out-dir-before-log": ("analyze {latin1_jsonl} --out {dir}", 2, "data error: [Errno 21]"),
 }
+# an apparatus no geometry allows fails at load, whichever command reads the config
+IMPOSSIBLE_GEOMETRY = {
+    "fibre01": "link.fibre_km_per_arm=0.1 is shorter than the 640.0 m from a site",
+    "ab5000": "geometry distances ab_m=5000.0, ac_m=640.0, cb_m=640.0 break the triangle",
+}
+FAILING.update({
+    f"{name}-{command.split()[0]}": (f"{command} --config {{{name}_yaml}}", 1,
+                                     f"config error: {fragment}")
+    for command in ("characterize", "simulate --n 1 --out {dir}/x.jsonl", "analyze {log}",
+                    "audit {log}", "optimize")
+    for name, fragment in IMPOSSIBLE_GEOMETRY.items()
+})
 
 
 @pytest.mark.parametrize("case", FAILING)

@@ -134,7 +134,7 @@ def test_derived_models_available():
 
 def sample_log(n=20, seed=5):
     link = cfg_mod.LinkConfig(collection_efficiency=1.0, detector_efficiency=1.0,
-                              fibre_km_per_arm=1e-6)
+                              loss_db_per_km=0.0)
     cfg = dataclasses.replace(cfg_mod.default_config(), link=link)
     return engine.run_experiment(cfg, n_trials=n, seed=seed)
 
@@ -279,7 +279,7 @@ def test_non_utf8_log_is_a_format_error(tmp_path):
 
 def test_tuple_seed_survives_round_trip(tmp_path):
     link = cfg_mod.LinkConfig(collection_efficiency=1.0, detector_efficiency=1.0,
-                              fibre_km_per_arm=1e-6)
+                              loss_db_per_km=0.0)
     cfg = dataclasses.replace(cfg_mod.default_config(), link=link)
     log = engine.run_experiment(cfg, n_trials=3, seed=engine.replica_seed(7, 2))
     path = tmp_path / "replica.jsonl"
@@ -343,7 +343,7 @@ def test_writer_rejects_values_repr_cannot_write(tmp_path, field, value):
 @pytest.fixture(scope="module")
 def log_lines_6000(tmp_path_factory):
     link = cfg_mod.LinkConfig(collection_efficiency=1.0, detector_efficiency=1.0,
-                              fibre_km_per_arm=1e-6)
+                              loss_db_per_km=0.0)
     cfg = dataclasses.replace(cfg_mod.default_config(), link=link)
     path = tmp_path_factory.mktemp("big") / "big.jsonl"
     logio.write_log(engine.run_experiment(cfg, n_trials=6000, seed=11), path)
@@ -357,12 +357,12 @@ def _split(lines, at):
 
 
 # file line 5000 (trial 4998) lies in the second 4096-line block; every message is
-# the one the line-by-line reader gives
+# the one the line-by-line reader gives; extra data starts where the intact row ends
 @pytest.mark.parametrize("corrupt, message", [
     (lambda ls: ls[:4999] + [ls[4999] + ls[4999]] + ls[5000:],
-     "line 5000: invalid JSON: Extra data: line 1 column 227 (char 226)"),
+     "line 5000: invalid JSON: Extra data: line 1 column {column} (char {char})"),
     (lambda ls: ls[:4999] + [ls[4999] + ","] + ls[5000:],
-     "line 5000: invalid JSON: Extra data: line 1 column 227 (char 226)"),
+     "line 5000: invalid JSON: Extra data: line 1 column {column} (char {char})"),
     (lambda ls: ls[:4999] + [re.sub(r',"x":[^,]+', "", ls[4999])] + ls[5000:],
      "line 5000: missing key(s) x"),
     (lambda ls: ls[:4999] + [ls[4999][:-1] + ',"z":0}'] + ls[5000:],
@@ -389,7 +389,8 @@ def test_block_reader_reports_the_bad_line(tmp_path, log_lines_6000, corrupt, me
     path.write_text("\n".join(corrupt(log_lines_6000)) + "\n")
     with pytest.raises(logio.LogFormatError) as info:
         logio.read_log(path)
-    assert str(info.value) == message
+    end = len(log_lines_6000[4999])
+    assert str(info.value) == message.format(column=end + 1, char=end)
 
 
 @pytest.mark.parametrize("variant", [

@@ -11,9 +11,11 @@ from bellsim import engine
 from bellsim.config import BasisConfig, ConfigError, LinkConfig, ReadoutConfig, default_config
 from bellsim.heralding import InterferenceModel, SpinPhotonErrorModel
 from bellsim.logio import write_log
-from bellsim.quantum import QuantumState, StateError, _embed
+from bellsim.quantum import QuantumState, StateError
 from bellsim.randomness import setting_bits
-from bellsim.readout import ReadoutError, ReadoutModel, rotated_povm
+from bellsim.readout import ReadoutError, ReadoutModel
+
+from test_quantum import embed, rotated_povm
 
 SQRT2 = math.sqrt(2.0)
 
@@ -27,8 +29,7 @@ def log_bytes(log, path) -> bytes:
 
 def fast_cfg(**experiment):
     """Default physics but a herald probability that keeps tests quick."""
-    link = LinkConfig(collection_efficiency=1.0, detector_efficiency=1.0,
-                      fibre_km_per_arm=1e-6)
+    link = LinkConfig(collection_efficiency=1.0, detector_efficiency=1.0, loss_db_per_km=0.0)
     cfg = dataclasses.replace(CFG, link=link)
     if experiment:
         cfg = dataclasses.replace(cfg, experiment=dataclasses.replace(cfg.experiment, **experiment))
@@ -83,11 +84,11 @@ def measure_in_basis(state: QuantumState, theta: float, model: ReadoutModel,
     full system (collapsed with the square-root instrument). Deterministic
     given the random generator's state.
     """
-    if state.subsystem_dim(subsystem) != 2:
+    if dict(state.subsystems)[subsystem] != 2:
         raise StateError(f"subsystem {subsystem!r} is not a qubit")
     e_plus, e_minus = rotated_povm(model, theta)
     rho = state.density_matrix()
-    big_plus = _embed(e_plus, state, subsystem)
+    big_plus = embed(e_plus, state, subsystem)
     p_plus = float(np.real(np.trace(rho @ big_plus)))
     p_plus = min(max(p_plus, 0.0), 1.0)
     if rng.random() < p_plus:
@@ -96,7 +97,7 @@ def measure_in_basis(state: QuantumState, theta: float, model: ReadoutModel,
         outcome, effect, p = -1, e_minus, 1.0 - p_plus
     if p < 1e-15:
         raise ReadoutError("attempted collapse onto a zero-probability outcome")
-    k = _embed(_sqrt_psd(effect), state, subsystem)
+    k = embed(_sqrt_psd(effect), state, subsystem)
     post = k @ rho @ k.conj().T / p
     return outcome, QuantumState(post, state.subsystems)
 

@@ -9,7 +9,9 @@ from bellsim import heralding as h
 from bellsim import optimizer as opt
 from bellsim import quantum as q
 from bellsim.config import default_config
-from bellsim.readout import ReadoutBasisSet, ReadoutModel, rotated_povm
+from bellsim.readout import ReadoutBasisSet, ReadoutModel
+
+from test_quantum import expectation, rotated_povm
 
 SQRT2 = math.sqrt(2.0)
 NO_ERRORS = h.SpinPhotonErrorModel(0.0, 0.0, 0.0, 0.0)
@@ -28,17 +30,17 @@ def calibrated_inputs(visibility=None):
     return state, cfg.readout_model("A"), cfg.readout_model("B")
 
 
-# ---- reference: per-Observable correlations and the grid scan with polish ---------
+# ---- reference: per-observable correlations and the grid scan with polish ---------
 
 
 def reference_correlations(state, readout_a, readout_b, basis):
-    """E(a,b) as <A (x) B> of the validated noisy observables E+ - E-."""
+    """E(a,b) as <A (x) B> of the noisy observables E+ - E-."""
     def observable(model, theta):
         e_plus, e_minus = rotated_povm(model, theta)
-        return q.Observable(e_plus - e_minus)
+        return e_plus - e_minus
 
-    return {(a, b): q.expectation(state, observable(readout_a, basis.angle("A", a)),
-                                  observable(readout_b, basis.angle("B", b)))
+    return {(a, b): expectation(state, observable(readout_a, basis.angle("A", a)),
+                                observable(readout_b, basis.angle("B", b)))
             for a, b in bs.SETTING_PAIRS}
 
 

@@ -6,8 +6,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim import quantum as q
+from bellsim import readout as r
 
 SQRT2 = math.sqrt(2.0)
+PERFECT = r.ReadoutModel(1e9, 0.0, 0.0, duration_us=10.0)
+
+
+# ---- plain-numpy references -------------------------------------------------------
+
+
+def bloch(theta):
+    """Spin observable cos(theta) Z + sin(theta) X as a 2x2 matrix."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, s], [s, -c]], dtype=np.complex128)
+
+
+def expectation(state, obs_a, obs_b):
+    """Tr(rho A (x) B) for a bipartite state; A acts on the first subsystem."""
+    return float(np.trace(state.density_matrix() @ np.kron(obs_a, obs_b)).real)
+
+
+def apply_kraus(rho, kraus):
+    """sum_k K rho K^dag."""
+    return sum(k @ rho @ k.conj().T for k in kraus)
+
+
+def embed(op, state, name):
+    """Lift an operator on one named subsystem to the joint space."""
+    dims = [d for _, d in state.subsystems]
+    idx = [n for n, _ in state.subsystems].index(name)
+    return np.kron(np.kron(np.eye(math.prod(dims[:idx])), op), np.eye(math.prod(dims[idx + 1:])))
+
+
+def rotated_povm(model, theta):
+    """(E+, E-) for readout along theta: E+ = F+ P+ + (1 - F-) P-, E- = I - E+."""
+    f_plus, f_minus = model.fidelities
+    eye, n = np.eye(2), bloch(theta)
+    e_plus = f_plus * ((eye + n) / 2) + (1.0 - f_minus) * ((eye - n) / 2)
+    return e_plus, eye - e_plus
+
+
+def program_singlet_correlation(theta_a, theta_b):
+    """The program's <A (x) B> on the singlet with perfect readouts: u_A T u_B."""
+    return (r.observable_components(PERFECT, theta_a) @ q.correlation_tensor(q.psi_minus())
+            @ r.observable_components(PERFECT, theta_b))
 
 
 def random_density_matrix(rng, dim):
@@ -18,10 +60,11 @@ def random_density_matrix(rng, dim):
 
 
 def random_channel(rng, dim, n_kraus=3):
-    """Random CPTP map from a Haar-ish isometry (QR of a Ginibre block)."""
+    """Kraus operators of a random CPTP map: blocks of a Haar-ish isometry (QR of a
+    Ginibre block)."""
     g = rng.normal(size=(dim * n_kraus, dim)) + 1j * rng.normal(size=(dim * n_kraus, dim))
     v, _ = np.linalg.qr(g)
-    return q.Channel(tuple(v[i * dim:(i + 1) * dim, :] for i in range(n_kraus)))
+    return [v[i * dim:(i + 1) * dim, :] for i in range(n_kraus)]
 
 
 # ---- construction and validation --------------------------------------------
@@ -49,17 +92,6 @@ def test_dimension_product_must_match():
         q.QuantumState(np.array([1.0, 0, 0]), (("a", 2), ("b", 2)))
 
 
-def test_capacity_cap_enforced():
-    with pytest.raises(q.CapacityError):
-        q.QuantumState(np.zeros(8192), (("big", 8192),))
-
-
-def test_tensor_capacity_error():
-    # a 64 x 65 product space exceeds the cap although each factor is small
-    with pytest.raises(q.CapacityError):
-        q.QuantumState(np.zeros(64 * 65), (("a", 64), ("b", 65)))
-
-
 @pytest.mark.parametrize("data", [
     np.array([np.nan, 1.0]),
     np.full((2, 2), np.nan),
@@ -75,35 +107,39 @@ def test_duplicate_names_rejected():
         q.QuantumState(np.array([1.0, 0, 0, 0]), (("s", 2), ("s", 2)))
 
 
-# ---- bloch observables --------------------------------------------------------
+# ---- a perfect readout measures the bloch observable ------------------------------
 
 
 def test_bloch_zero_is_pauli_z():
-    np.testing.assert_allclose(q.bloch_observable(0.0).matrix, np.diag([1.0, -1.0]), atol=1e-15)
+    np.testing.assert_allclose(r.observable_components(PERFECT, 0.0), [0.0, 1.0, 0.0],
+                               atol=1e-15)
 
 
 def test_bloch_half_pi_is_pauli_x():
-    np.testing.assert_allclose(q.bloch_observable(math.pi / 2).matrix,
-                               np.array([[0, 1], [1, 0]]), atol=1e-15)
+    np.testing.assert_allclose(r.observable_components(PERFECT, math.pi / 2), [0.0, 0.0, 1.0],
+                               atol=1e-15)
 
 
 def test_bloch_minus_three_quarter_pi_entries():
-    m = q.bloch_observable(-3 * math.pi / 4).matrix
-    np.testing.assert_allclose(m, np.array([[-1, -1], [-1, 1]]) / SQRT2, atol=1e-12)
+    np.testing.assert_allclose(r.observable_components(PERFECT, -3 * math.pi / 4),
+                               np.array([0.0, -1.0, -1.0]) / SQRT2, atol=1e-12)
 
 
 @given(st.floats(-50.0, 50.0))
 def test_bloch_observable_is_involutory(theta):
-    m = q.bloch_observable(theta).matrix
-    assert np.max(np.abs(m @ m - np.eye(2))) < 1e-12
+    # (c0 I + c1 Z + c2 X)^2 = I exactly when c0 = 0 and c1^2 + c2^2 = 1
+    u = r.observable_components(PERFECT, theta)
+    assert u[0] == 0.0
+    assert abs(np.linalg.norm(u) - 1.0) < 1e-12
 
 
-# ---- expectation ---------------------------------------------------------------
+# ---- correlations: the tensor contraction against Tr(rho A (x) B) ---------------------
 
 
 def test_singlet_zz_perfectly_anticorrelated():
-    e = q.expectation(q.psi_minus(), q.bloch_observable(0.0), q.bloch_observable(0.0))
+    e = expectation(q.psi_minus(), bloch(0.0), bloch(0.0))
     assert abs(e + 1.0) < 1e-12
+    assert abs(program_singlet_correlation(0.0, 0.0) + 1.0) < 1e-12
 
 
 def test_singlet_z_against_tilted_axis_direct_trace_oracle():
@@ -114,14 +150,15 @@ def test_singlet_z_against_tilted_axis_direct_trace_oracle():
     bb = -(np.diag([1.0, -1.0]) + np.array([[0, 1], [1, 0]])) / SQRT2
     oracle = np.trace(rho @ np.kron(za, bb)).real
     assert abs(oracle - 1 / SQRT2) < 1e-12
-    e = q.expectation(q.psi_minus(), q.bloch_observable(0.0), q.bloch_observable(-3 * math.pi / 4))
+    e = expectation(q.psi_minus(), bloch(0.0), bloch(-3 * math.pi / 4))
     assert abs(e - oracle) < 1e-12
+    assert abs(program_singlet_correlation(0.0, -3 * math.pi / 4) - oracle) < 1e-12
 
 
 def test_singlet_x_against_other_tilted_axis():
-    e = q.expectation(q.psi_minus(), q.bloch_observable(math.pi / 2),
-                      q.bloch_observable(3 * math.pi / 4))
+    e = expectation(q.psi_minus(), bloch(math.pi / 2), bloch(3 * math.pi / 4))
     assert abs(e + 1 / SQRT2) < 1e-12
+    assert abs(program_singlet_correlation(math.pi / 2, 3 * math.pi / 4) + 1 / SQRT2) < 1e-12
 
 
 def test_singlet_correlation_closed_form_over_random_angles():
@@ -129,32 +166,30 @@ def test_singlet_correlation_closed_form_over_random_angles():
     psi = q.psi_minus()
     for _ in range(1000):
         ta, tb = rng.uniform(-math.pi, math.pi, size=2)
-        e = q.expectation(psi, q.bloch_observable(ta), q.bloch_observable(tb))
+        e = expectation(psi, bloch(ta), bloch(tb))
         assert abs(e + math.cos(ta - tb)) < 1e-12
+        assert abs(program_singlet_correlation(ta, tb) + math.cos(ta - tb)) < 1e-12
 
 
 def test_expectation_dimension_mismatch():
-    with pytest.raises(q.StateError):
-        q.expectation(q.psi_minus(), q.Observable(np.eye(3)), q.Observable(np.eye(2)))
+    qubit_qutrit = q.QuantumState(np.eye(6) / 6, (("spin", 2), ("level", 3)))
+    with pytest.raises(q.StateError, match="two-qubit"):
+        q.correlation_tensor(qubit_qutrit)
 
 
 # ---- channels -------------------------------------------------------------------
-
-
-def test_identity_channel_leaves_ket_unchanged():
-    psi = q.psi_minus()
-    out = q.apply_channel(psi, q.Channel((np.eye(2),)), "spin_a")
-    np.testing.assert_allclose(out.data, psi.data, atol=1e-12)
 
 
 def test_full_depolarizing_kills_zz_correlation():
     # Kraus set of the p = 1 depolarizing map: I, X, Y and Z, each with weight 1/4
     paulis = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
               np.diag([1, -1]))
-    depolarize = q.Channel(tuple(0.5 * p for p in paulis))
-    out = q.apply_channel(q.psi_minus(), depolarize, "spin_a")
+    psi = q.psi_minus()
+    out = q.QuantumState(apply_kraus(psi.density_matrix(),
+                                     [embed(0.5 * p, psi, "spin_a") for p in paulis]),
+                         psi.subsystems)
     assert abs(np.trace(out.density_matrix()).real - 1.0) < 1e-12
-    e = q.expectation(out, q.bloch_observable(0.0), q.bloch_observable(0.0))
+    e = expectation(out, bloch(0.0), bloch(0.0))
     assert abs(e) < 1e-12
 
 
@@ -166,13 +201,10 @@ def test_bit_flip_probability_one_flips_zz_sign():
     zz = np.kron(np.diag([1, -1]), np.diag([1, -1]))
     assert abs(np.trace(oracle @ zz).real - 1.0) < 1e-12
 
-    out = q.apply_channel(q.psi_minus(), q.Channel((np.array([[0, 1], [1, 0]]),)), "spin_a")
-    np.testing.assert_allclose(out.density_matrix(), oracle, atol=1e-12)
-
-
-def test_non_cptp_kraus_rejected():
-    with pytest.raises(q.StateError):
-        q.Channel((np.array([[1.0, 0], [0, 0.5]]),))
+    singlet = q.psi_minus()
+    out = apply_kraus(singlet.density_matrix(),
+                      [embed(np.array([[0, 1], [1, 0]]), singlet, "spin_a")])
+    np.testing.assert_allclose(out, oracle, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -180,9 +212,7 @@ def test_non_cptp_kraus_rejected():
 def test_random_channels_preserve_trace_and_psd(seed, dim, n_kraus):
     rng = np.random.default_rng(seed)
     rho = random_density_matrix(rng, dim)
-    state = q.QuantumState(rho, (("sys", dim),))
-    out = q.apply_channel(state, random_channel(rng, dim, n_kraus), "sys")
-    m = out.density_matrix()
+    m = apply_kraus(rho, random_channel(rng, dim, n_kraus))
     assert abs(np.trace(m).real - 1.0) < 1e-10
     assert np.min(np.linalg.eigvalsh(m)) > -1e-9
 
@@ -197,7 +227,7 @@ def test_tsirelson_bound_on_random_states_and_angles():
         state = q.QuantumState(random_density_matrix(rng, 4), (("a", 2), ("b", 2)))
         ta0, ta1, tb0, tb1 = rng.uniform(-math.pi, math.pi, size=4)
         e = {
-            (a, b): q.expectation(state, q.bloch_observable(t_a), q.bloch_observable(t_b))
+            (a, b): expectation(state, bloch(t_a), bloch(t_b))
             for (a, t_a) in ((0, ta0), (1, ta1))
             for (b, t_b) in ((0, tb0), (1, tb1))
         }

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bellsim import quantum as q
 from bellsim import readout as r
 from test_engine import measure_in_basis
+from test_quantum import rotated_povm
 
 SQRT2 = math.sqrt(2.0)
 SPIN_UP = q.QuantumState(np.array([1.0, 0.0]), (("spin", 2),))
@@ -63,14 +64,14 @@ def test_average_fidelity_has_interior_maximum():
 
 def test_perfect_model_gives_projective_z():
     model = r.ReadoutModel(1e9, 0.0, 0.0, duration_us=10.0)
-    e_plus, e_minus = r.rotated_povm(model, 0.0)
+    e_plus, e_minus = rotated_povm(model, 0.0)
     np.testing.assert_allclose(e_plus, np.diag([1.0, 0.0]), atol=1e-9)
     np.testing.assert_allclose(e_minus, np.diag([0.0, 1.0]), atol=1e-9)
 
 
 def test_bright_state_click_probability_matches_f_plus():
     model = r.calibrate_readout(0.971)
-    e_plus, _ = r.rotated_povm(model, 0.0)
+    e_plus, _ = rotated_povm(model, 0.0)
     p = float(np.real(e_plus[0, 0]))
     assert abs(p - model.fidelities[0]) < 1e-12
 
@@ -91,10 +92,22 @@ def test_uninformative_limit():
        st.floats(0.05, 20.0), st.floats(-math.pi, math.pi))
 def test_povm_completeness(bright, dark, flip, duration, theta):
     model = r.ReadoutModel(bright, dark, flip, duration)
-    e_plus, e_minus = r.rotated_povm(model, theta)
+    e_plus, e_minus = rotated_povm(model, theta)
     assert np.max(np.abs(e_plus + e_minus - np.eye(2))) < 1e-12
     for e in (e_plus, e_minus):
         assert np.min(np.linalg.eigvalsh(e)) > -1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.1, 100.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.floats(0.05, 20.0), st.floats(-math.pi, math.pi))
+def test_observable_components_decompose_the_povm(bright, dark, flip, duration, theta):
+    # E+ - E- = u . (I, Z, X): each component is Tr(sigma (E+ - E-)) / 2
+    model = r.ReadoutModel(bright, dark, flip, duration)
+    e_plus, e_minus = rotated_povm(model, theta)
+    paulis = (np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    oracle = [np.trace(sigma @ (e_plus - e_minus)).real / 2 for sigma in paulis]
+    np.testing.assert_allclose(r.observable_components(model, theta), oracle, atol=1e-12)
 
 
 # ---- sampling ----------------------------------------------------------------------
@@ -138,8 +151,8 @@ def test_born_rule_convergence_chi_square():
     probs = np.zeros(4)
     psi = q.psi_minus()
     for i, (x, y) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
-        ea = r.rotated_povm(model, theta_a)[0 if x == 1 else 1]
-        eb = r.rotated_povm(model, theta_b)[0 if y == 1 else 1]
+        ea = rotated_povm(model, theta_a)[0 if x == 1 else 1]
+        eb = rotated_povm(model, theta_b)[0 if y == 1 else 1]
         probs[i] = np.real(np.trace(psi.density_matrix() @ np.kron(ea, eb)))
     n = 100_000
     counts = rng.multinomial(n, probs)
@@ -159,8 +172,8 @@ def test_monte_carlo_s_at_ideal_angles_matches_tsirelson():
     for (a, b), sign in (((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 1), -1)):
         probs = np.zeros(4)
         for i, (x, y) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
-            ea = r.rotated_povm(model, basis.angle("A", a))[0 if x == 1 else 1]
-            eb = r.rotated_povm(model, basis.angle("B", b))[0 if y == 1 else 1]
+            ea = rotated_povm(model, basis.angle("A", a))[0 if x == 1 else 1]
+            eb = rotated_povm(model, basis.angle("B", b))[0 if y == 1 else 1]
             probs[i] = max(0.0, float(np.real(np.trace(psi.density_matrix() @ np.kron(ea, eb)))))
         probs /= probs.sum()
         counts = rng.multinomial(n_per_setting, probs)

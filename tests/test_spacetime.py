@@ -147,7 +147,7 @@ def test_readout_window_moves_only_its_own_readout_margin(tmp_path, capsys, side
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_log_time_is_a_data_error(tmp_path, capsys, token):
-    link = LinkConfig(collection_efficiency=1.0, detector_efficiency=1.0, fibre_km_per_arm=1e-6)
+    link = LinkConfig(collection_efficiency=1.0, detector_efficiency=1.0, loss_db_per_km=0.0)
     log = run_experiment(dataclasses.replace(default_config(), link=link), n_trials=3, seed=2)
     path = tmp_path / "log.jsonl"
     write_log(log, path)
