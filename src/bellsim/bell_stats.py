@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .quantum import QuantumState, correlation_tensor
 from .readout import ReadoutBasisSet, ReadoutModel, observable_components
 
 SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -59,9 +58,6 @@ class ChshEstimate:
     cells: tuple[tuple[tuple[int, int], SettingCell], ...]
     s: float
     sigma_s: float
-
-    def cell(self, a: int, b: int) -> SettingCell:
-        return dict(self.cells)[(a, b)]
 
 
 def chsh_estimate(records: Sequence) -> ChshEstimate:
@@ -131,17 +127,6 @@ def _scaled_tails(n: int, q: Fraction, k: int) -> Iterator[tuple[int, int]]:
         yield j, acc
         comb = comb * j // (n - j + 1)
         r_pow *= big_r
-
-
-def binomial_tail(k: int, n: int, q: Fraction) -> Fraction:
-    """P(X >= k) for X ~ Binomial(n, q), exactly."""
-    if n < 0 or not 0 <= k <= n:
-        raise StatisticsError(f"invalid tail arguments k={k}, n={n}")
-    if not 0 <= q <= 1:
-        raise StatisticsError("q must be in [0, 1]")
-    for _, acc in _scaled_tails(n, q, k):
-        pass
-    return Fraction(acc * q.numerator**k, q.denominator**n)
 
 
 _BITS = 128  # mantissa bits kept by the enclosure; its relative width is about n 2^-128
@@ -303,6 +288,7 @@ def expected_correlations(state: QuantumState, readout_a: ReadoutModel,
                           basis: ReadoutBasisSet) -> dict[tuple[int, int], float]:
     """Predicted E(a,b) from the state, the readout POVMs, and the angles,
     all four from one :func:`correlation_tensor` of the state."""
+    from .quantum import correlation_tensor  # the statistics alone load no numpy
     tensor = correlation_tensor(state)
     return {(a, b): float(observable_components(readout_a, basis.angle("A", a)) @ tensor
                           @ observable_components(readout_b, basis.angle("B", b)))

@@ -22,10 +22,9 @@ from contextlib import ExitStack, nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from . import bell_stats, engine, heralding, logio, optimizer, quantum, spacetime
-from .config import ConfigError, SimulationConfig, default_config, herald_probability, load_config
+from . import bell_stats, heralding, logio, optimizer, spacetime
+from .config import (ConfigError, SimulationConfig, config_hash, default_config,
+                     herald_probability, load_config)
 from .readout import ReadoutBasisSet
 
 EXIT_OK = 0
@@ -60,6 +59,15 @@ def _load(args) -> SimulationConfig:
     return load_config(args.config) if args.config else default_config()
 
 
+def _read_log(args, cfg: SimulationConfig) -> logio.TrialLog:
+    """The log at ``args.logfile``, with one stderr warning if another config wrote it."""
+    log = logio.read_log(args.logfile)
+    if log.config_hash != (active := config_hash(cfg)):
+        print(f"warning: {args.logfile} was written under config {log.config_hash[:8]}, "
+              f"not the active config {active[:8]}", file=sys.stderr)
+    return log
+
+
 def _output(path):
     """``path`` opened for writing text, or stdout when no path is given."""
     return open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout)
@@ -79,6 +87,7 @@ def _write_csv(fh, header, rows) -> None:
 
 
 def cmd_characterize(args) -> int:
+    from . import quantum
     cfg = _load(args)
     herald = cfg.heralded_state()
     fidelity = quantum.fidelity_to_pure(herald.spin_state, quantum.psi_minus())
@@ -91,9 +100,8 @@ def cmd_characterize(args) -> int:
         state = heralding.spin_photon_state(side, cfg.spin_photon_errors)
         rho = state.density_matrix()
         for bin_idx, bin_name in enumerate(("early", "late")):
-            p_bin = float(np.real(rho[0 * 2 + bin_idx, 0 * 2 + bin_idx]
-                                  + rho[1 * 2 + bin_idx, 1 * 2 + bin_idx]))
-            p_up = float(np.real(rho[bin_idx, bin_idx])) / p_bin
+            p_bin = float((rho[bin_idx, bin_idx] + rho[2 + bin_idx, 2 + bin_idx]).real)
+            p_up = float(rho[bin_idx, bin_idx].real) / p_bin
             spin_photon_rows.append((side, bin_name, p_up, 1.0 - p_up))
     model_a, model_b = cfg.readout_model("A"), cfg.readout_model("B")
     colinear = []
@@ -128,6 +136,7 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import engine
     cfg = _load(args)
     log = engine.run_experiment(cfg, n_trials=args.n, hours=args.hours, seed=args.seed)
     if args.stamp:
@@ -146,7 +155,7 @@ def cmd_analyze(args) -> int:
     with ExitStack() as outputs:  # opened first, so a path that cannot be written fails at once
         curve = outputs.enter_context(_output(args.curve)) if args.curve else None
         out = outputs.enter_context(_output(args.out))
-        log = logio.read_log(args.logfile)
+        log = _read_log(args, cfg)
         tau = args.tau if args.tau is not None else cfg.rng.tau_out
         result = bell_stats.analyze_records(log.records, tau_out=tau,
                                             win_adjustment=cfg.statistics.win_adjustment)
@@ -164,13 +173,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_audit(args) -> int:
     cfg = _load(args)
-    log = logio.read_log(args.logfile)
+    log = _read_log(args, cfg)
     geometry = cfg.spacetime_geometry()
     budget = cfg.timing_budget()
     rows = []
     any_fail = False
     for rec in log.records:
-        report = spacetime.audit_trial(engine.record_events(rec), geometry, budget)
+        report = spacetime.audit_trial(logio.record_events(rec), geometry, budget)
         for check in report.checks:
             rows.append((rec.idx, check.label, f"{check.margin_ns:.1f}",
                          "pass" if check.passed else "fail"))

@@ -182,6 +182,7 @@ class SimulationConfig:
     heralding: HeraldingConfig = HeraldingConfig()
     # a factory, so that importing this module loads no optimizer
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    _hash: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # readout end - choice = choice_to_readout + window + a draw in [-jitter, jitter)
@@ -243,9 +244,11 @@ def config_to_dict(cfg: SimulationConfig) -> dict:
 
 
 def config_hash(cfg: SimulationConfig) -> str:
-    """Stable hash of the full parameter tree (embedded in trial logs)."""
-    canonical = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """Stable hash of the full parameter tree (embedded in trial logs), kept on ``cfg``."""
+    if cfg._hash is None:
+        canonical = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+        object.__setattr__(cfg, "_hash", hashlib.sha256(canonical.encode("utf-8")).hexdigest())
+    return cfg._hash
 
 
 def _coerce_scalar(value, annotation, path: str):

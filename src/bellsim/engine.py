@@ -15,107 +15,27 @@ anywhere, so discarded-trial selection effects cannot arise by construction.
 Each purpose has its own random stream, and each stream is drawn once per
 block of trials; because the streams are independent, this yields the same
 values as drawing trial by trial, and records come out in trial order.
-A trial is a plain ``TrialRecord`` tuple, built per block from the block's
-column lists; ``check_record`` is the one validator, and it runs on every row
-the engine builds and every row the log writer and reader handle. Replicas
-of a whole experiment may run in parallel with independently derived seeds.
+A trial is a ``logio.TrialRecord`` row, built per block from column lists and
+checked by ``logio.check_record``, the log format's one row validator.
+Replicas may run in parallel with independently derived seeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite
-from typing import NamedTuple
 
 import numpy as np
 
 from .config import SimulationConfig, config_hash, herald_probability
+from .logio import (BLOCK_TRIALS, EngineError, TrialLog, TrialRecord, check_record,
+                    record_events)  # record_events: also reached as engine.record_events
 from .quantum import correlation_tensor
 from .randomness import setting_bits
 from .readout import observable_components
 
 OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 _OUTCOME_X, _OUTCOME_Y = np.array(OUTCOME_PAIRS).T
-
-# Trials sampled per block by run_experiment; any size gives the same records.
-BLOCK_TRIALS = 4096
-
-
-class EngineError(ValueError):
-    """Invalid engine input or exhausted budget."""
-
-
-_TIME_TYPES = frozenset((int, float))
-
-
-class TrialRecord(NamedTuple):
-    """One event-ready Bell trial as a plain row; all four values are always present.
-
-    Timestamps are nanoseconds in a common frame whose origin is the start
-    of the successful entanglement attempt. The field order is the log's key
-    order. Construction checks nothing: ``check_record`` is the one validator.
-    """
-
-    idx: int
-    a: int
-    b: int
-    x: int
-    y: int
-    t_herald_ns: float
-    t_choice_a_ns: float
-    t_choice_b_ns: float
-    t_read_done_a_ns: float
-    t_read_done_b_ns: float
-    attempts: int
-
-
-def check_record(rec: TrialRecord) -> None:
-    """Raise EngineError unless ``rec`` is a valid trial row.
-
-    Integer fields must be ``int`` and times ``int`` or ``float`` (no bools,
-    no numpy scalars), so every valid row serialises as JSON through ``repr``.
-    """
-    idx, a, b, x, y, t_h, t_ca, t_cb, t_ra, t_rb, attempts = rec
-    if not type(idx) is type(a) is type(b) is type(x) is type(y) is type(attempts) is int:
-        raise EngineError("idx, a, b, x, y and attempts must be integers, got "
-                          f"{', '.join(repr(v) for v in (idx, a, b, x, y, attempts))}")
-    if not (type(t_h) in _TIME_TYPES and type(t_ca) in _TIME_TYPES and type(t_cb) in _TIME_TYPES
-            and type(t_ra) in _TIME_TYPES and type(t_rb) in _TIME_TYPES):
-        raise EngineError("event times must be int or float numbers")
-    try:
-        finite = (isfinite(t_h) and isfinite(t_ca) and isfinite(t_cb) and isfinite(t_ra)
-                  and isfinite(t_rb))
-    except OverflowError:  # an int time beyond the float range
-        finite = False
-    if not finite:
-        raise EngineError("event times must be finite")
-    if a not in (0, 1) or b not in (0, 1):
-        raise EngineError(f"settings must be bits, got a={a}, b={b}")
-    if x not in (-1, 1) or y not in (-1, 1):
-        raise EngineError(f"outcomes must be +-1, got x={x}, y={y}")
-    if attempts < 1:
-        raise EngineError("attempt count must be >= 1")
-    if not (t_ca < t_ra and t_cb < t_rb):
-        raise EngineError("per-site ordering violated: choice must precede readout end")
-
-
-@dataclass
-class TrialLog:
-    """Trials in index order plus the metadata to re-run them.
-
-    ``seed`` is the master seed as given: an integer for a plain run, or a
-    (master, replica) pair for one replica of a parallel batch.
-    """
-
-    config_hash: str
-    seed: int | tuple
-    records: list[TrialRecord] = field(default_factory=list)
-    partial: bool = False
-    created: str | None = None
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 @dataclass
@@ -176,11 +96,6 @@ def _timestamps(cfg: SimulationConfig, timing_rng: np.random.Generator,
                t_choice_a + t.choice_to_readout_ns + window_a + jitter[:, 3],
                t_choice_b + t.choice_to_readout_ns + window_b + jitter[:, 4])
     return tuple(col.tolist() for col in columns)
-
-
-def record_events(record: TrialRecord) -> tuple[float, float, float, float, float]:
-    """One trial's five event times in ns, in field order, as ``audit_trial`` takes them."""
-    return record[5:10]
 
 
 def run_experiment(cfg: SimulationConfig, n_trials: int | None = None,

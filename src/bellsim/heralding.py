@@ -20,7 +20,8 @@ event-ready build never forms the joint spin-photon density matrix: each
 classical flip branch of the two nodes is carried as one weighted ket over
 the spin pair and the photon pair, and each herald pattern is a click
 probability per pair of detection windows. Only the final 4x4 two-spin state
-is validated as a :class:`~bellsim.quantum.QuantumState`.
+is validated as a :class:`~bellsim.quantum.QuantumState`. Only the functions
+that build states import numpy and ``quantum``, so a config loads neither.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Sequence
-
-import numpy as np
-
-from .quantum import QuantumState, fidelity_to_pure, psi_minus
 
 PORT_OUT_1 = "C-out-1"
 PORT_OUT_2 = "C-out-2"
@@ -151,6 +148,8 @@ def spin_photon_state(side: str, errors: SpinPhotonErrorModel) -> QuantumState:
     Ideal case: (|up, early> + |down, late>)/sqrt(2). With errors, the spin is
     flipped with the configured probability conditioned on the time bin.
     """
+    import numpy as np
+    from .quantum import QuantumState
     e_early, e_late = errors.for_side(side)
     rho = np.zeros((4, 4), dtype=np.complex128)
     for w, f_early, f_late in _flip_branches(e_early, e_late):
@@ -185,6 +184,7 @@ class HeraldResult:
     pattern_probabilities: tuple[tuple[HeraldPattern, float], ...]
 
 
+@lru_cache(maxsize=8)  # one read-only array per (bin_a, bin_b, sector_b)
 def _two_photon_amplitudes(bin_a: int, bin_b: int, sector_b: int) -> np.ndarray:
     """Amplitude of one photon per node past the beam splitter, per ordered mode pair.
 
@@ -196,13 +196,15 @@ def _two_photon_amplitudes(bin_a: int, bin_b: int, sector_b: int) -> np.ndarray:
     (j, i), and half its squared entries summed over ordered pairs are the
     Fock probabilities, Hong-Ou-Mandel bunching included.
     """
+    import numpy as np
     a = np.zeros(8)
     b = np.zeros(8)
     for port in (0, 1):
         a[(port * 2 + bin_a) * 2] = SPLIT_A[port]
         b[(port * 2 + bin_b) * 2 + sector_b] = SPLIT_B[port]
-    c = np.outer(a, b)
-    return c + c.T
+    c = np.outer(a, b) + np.outer(b, a)
+    c.setflags(write=False)
+    return c
 
 
 def _branch_kets(errors: SpinPhotonErrorModel,
@@ -215,6 +217,7 @@ def _branch_kets(errors: SpinPhotonErrorModel,
     (n, 4, 64), already past the beam splitter, one per branch of nonzero
     weight, with the spin index s_a * 2 + s_b.
     """
+    import numpy as np
     emissions = []  # (bin A, bin B, photon-pair amplitude)
     for bin_a, bin_b in product((0, 1), repeat=2):
         for sector_b, amp_b in ((0, math.sqrt(visibility)), (1, math.sqrt(1.0 - visibility))):
@@ -238,6 +241,7 @@ def _branch_kets(errors: SpinPhotonErrorModel,
 
 def _pattern_weights(pattern: HeraldPattern, model: InterferenceModel) -> np.ndarray:
     """P(exactly the pattern's clicks | photon pair), per ordered output-mode pair."""
+    import numpy as np
     clicked = [w in pattern.clicks for w in WINDOWS]
     table = np.zeros((4, 4))
     for u, v in product(range(4), repeat=2):
@@ -264,6 +268,8 @@ def event_ready_state(model: InterferenceModel,
     unnormalised spin state sum_b w_b (psi_b * wt_p) psi_b^T / 2, where wt_p
     is the pattern's click probability per mode pair.
     """
+    import numpy as np
+    from .quantum import QuantumState
     branch_weights, kets = _branch_kets(errors, model.visibility)
     patterns = psi_minus_patterns()
     if include_same_port:
@@ -305,8 +311,3 @@ def hom_visibility(n_indistinguishable: float, n_distinguishable: float) -> Visi
     value = 1.0 - a / b
     sigma = math.sqrt(a / b**2 + a**2 / b**3)
     return VisibilityEstimate(value, sigma)
-
-
-def heralded_fidelity(model: InterferenceModel, errors: SpinPhotonErrorModel) -> float:
-    """Fidelity of the event-ready two-spin state to the singlet."""
-    return fidelity_to_pure(event_ready_state(model, errors).spin_state, psi_minus())

@@ -1,24 +1,112 @@
-"""Trial-log persistence: JSON-lines with a self-describing header.
+"""The trial row and its log: JSON-lines with a self-describing header.
+
+A trial is a ``TrialRecord`` row, and ``check_record`` is its one validator,
+run on every row the engine builds and the log writer and reader handle.
+Nothing here loads numpy or the model, so certifying a log needs neither.
 
 The first line is a JSON header object (format version, config hash, master
 seed, creation timestamp, partial flag); every following line is one trial,
-a ``TrialRecord`` row whose field order is the line's key order. Each line
-parses independently, so a damaged file can be recovered up to the bad line.
-Writing is deterministic: identical logs serialise byte-identically (the
-creation timestamp is null unless explicitly stamped).
-
-Rows are written and read in blocks of ``BLOCK_TRIALS`` lines, and every row
-passes ``engine.check_record`` on the way in and out. A line is formatted from
-one ``%r`` template, which gives the bytes ``json.dumps`` gives a valid row.
+whose field order is the line's key order. Each line parses independently,
+so a damaged file can be recovered up to the bad line. Writing is
+deterministic: identical logs serialise byte-identically (the creation
+timestamp is null unless explicitly stamped). Rows are written and read in
+blocks of ``BLOCK_TRIALS`` lines, each formatted from one ``%r`` template,
+which gives the bytes ``json.dumps`` gives a valid row.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from itertools import islice
+from math import isfinite
 from operator import itemgetter
+from typing import NamedTuple
 
-from .engine import BLOCK_TRIALS, TrialLog, TrialRecord, check_record
+# Rows per block of sampling, writing and reading; any size gives the same rows.
+BLOCK_TRIALS = 4096
+
+
+class EngineError(ValueError):
+    """Invalid trial row, engine input or exhausted budget."""
+
+
+_TIME_TYPES = frozenset((int, float))
+
+
+class TrialRecord(NamedTuple):
+    """One event-ready Bell trial as a plain row; all four values are always present.
+
+    Timestamps are nanoseconds in a common frame whose origin is the start
+    of the successful entanglement attempt. The field order is the log's key
+    order. Construction checks nothing: ``check_record`` is the one validator.
+    """
+
+    idx: int
+    a: int
+    b: int
+    x: int
+    y: int
+    t_herald_ns: float
+    t_choice_a_ns: float
+    t_choice_b_ns: float
+    t_read_done_a_ns: float
+    t_read_done_b_ns: float
+    attempts: int
+
+
+def check_record(rec: TrialRecord) -> None:
+    """Raise EngineError unless ``rec`` is a valid trial row.
+
+    Integer fields must be ``int`` and times ``int`` or ``float`` (no bools,
+    no numpy scalars), so every valid row serialises as JSON through ``repr``.
+    """
+    idx, a, b, x, y, t_h, t_ca, t_cb, t_ra, t_rb, attempts = rec
+    if not type(idx) is type(a) is type(b) is type(x) is type(y) is type(attempts) is int:
+        raise EngineError("idx, a, b, x, y and attempts must be integers, got "
+                          f"{', '.join(repr(v) for v in (idx, a, b, x, y, attempts))}")
+    if not (type(t_h) in _TIME_TYPES and type(t_ca) in _TIME_TYPES and type(t_cb) in _TIME_TYPES
+            and type(t_ra) in _TIME_TYPES and type(t_rb) in _TIME_TYPES):
+        raise EngineError("event times must be int or float numbers")
+    try:
+        finite = (isfinite(t_h) and isfinite(t_ca) and isfinite(t_cb) and isfinite(t_ra)
+                  and isfinite(t_rb))
+    except OverflowError:  # an int time beyond the float range
+        finite = False
+    if not finite:
+        raise EngineError("event times must be finite")
+    if a not in (0, 1) or b not in (0, 1):
+        raise EngineError(f"settings must be bits, got a={a}, b={b}")
+    if x not in (-1, 1) or y not in (-1, 1):
+        raise EngineError(f"outcomes must be +-1, got x={x}, y={y}")
+    if attempts < 1:
+        raise EngineError("attempt count must be >= 1")
+    if not (t_ca < t_ra and t_cb < t_rb):
+        raise EngineError("per-site ordering violated: choice must precede readout end")
+
+
+@dataclass
+class TrialLog:
+    """Trials in index order plus the metadata to re-run them.
+
+    ``seed`` is the master seed as given: an integer for a plain run, or a
+    (master, replica) pair for one replica of a parallel batch.
+    """
+
+    config_hash: str
+    seed: int | tuple
+    records: list[TrialRecord] = field(default_factory=list)
+    partial: bool = False
+    created: str | None = None
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+
+def record_events(record: TrialRecord) -> tuple[float, float, float, float, float]:
+    """One trial's five event times in ns, in field order, as ``audit_trial`` takes them."""
+    return record[5:10]
+
 
 FORMAT_VERSION = 1
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .bell_stats import chsh_combination, expected_correlations
-from .quantum import QuantumState, correlation_tensor
 from .readout import ReadoutBasisSet, ReadoutModel, observable_components
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -67,6 +66,7 @@ def tilt_coefficients(state: QuantumState, readout_a: ReadoutModel,
     -+g1 sin beta) and beta = 3pi/4 + eps: S = 2 g0 v_0[I] + 2 g1 (v_0[Z] cos beta
     - v_1[X] sin beta).
     """
+    from .quantum import correlation_tensor  # loading a config loads no numpy
     tensor = correlation_tensor(state)
     v0 = observable_components(readout_a, 0.0) @ tensor
     v1 = observable_components(readout_a, math.pi / 2) @ tensor

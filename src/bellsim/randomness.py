@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 
 class RandomnessError(ValueError):
     """Invalid randomness model input."""
@@ -57,6 +55,7 @@ class RngModel:
 
 def raw_bits(model: RngModel, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` i.i.d. raw bits with P(1) = 1/2 + tau (worst-case bias)."""
+    import numpy as np
     if count < 0:
         raise RandomnessError("count must be non-negative")
     p_one = 0.5 + model.excess_predictability
@@ -65,6 +64,7 @@ def raw_bits(model: RngModel, count: int, rng: np.random.Generator) -> np.ndarra
 
 def setting_bits(model: RngModel, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` extracted basis-choice bits (one block of raw bits each)."""
+    import numpy as np
     if count < 0:
         raise RandomnessError("count must be non-negative")
     k = model.raw_bits_per_output

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class ReadoutError(ValueError):
     """Invalid readout model input."""
@@ -111,8 +109,8 @@ def calibrate_readout(mean_fidelity: float, duration_us: float = 3.7,
     return ReadoutModel(hi, r_d, flip_rate_per_us, duration_us)
 
 
-def observable_components(model: ReadoutModel, theta: float) -> np.ndarray:
-    """(I, Z, X) components of the noisy observable E+ - E- along ``theta``.
+def observable_components(model: ReadoutModel, theta: float) -> tuple[float, float, float]:
+    """(I, Z, X) components of the noisy observable E+ - E- along ``theta``, as floats.
 
     The readout POVM is E+ = F+ P+ + (1 - F-) P- and E- = I - E+, on the
     projectors P+- = (I +- (cos theta Z + sin theta X)) / 2 along the tilted
@@ -120,7 +118,7 @@ def observable_components(model: ReadoutModel, theta: float) -> np.ndarray:
     """
     f_plus, f_minus = model.fidelities
     contrast = f_plus + f_minus - 1.0
-    return np.array([f_plus - f_minus, contrast * math.cos(theta), contrast * math.sin(theta)])
+    return f_plus - f_minus, contrast * math.cos(theta), contrast * math.sin(theta)
 
 
 @dataclass(frozen=True)

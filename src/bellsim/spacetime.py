@@ -95,7 +95,7 @@ def audit_trial(times: tuple[float, float, float, float, float], geometry: Geome
     """Check the three locality conditions for one trial.
 
     ``times`` is (herald, choice A, choice B, readout done A, readout done B)
-    in ns, the order ``engine.record_events`` returns.
+    in ns, the order ``logio.record_events`` returns.
     """
     t_herald, t_choice_a, t_choice_b, t_done_a, t_done_b = times
     allowance = budget.sync_allowance_ns

@@ -78,8 +78,9 @@ def test_c05_heralded_state_law():
                                    @ oracle_rho @ quantum.psi_minus().data))
         ok = ok and abs(fid - (1 + v) / 2) < 1e-9 and abs(fid - oracle_fid) < 1e-9
         ok = ok and abs(res.probability - oracle_p) < 1e-9
-    composed = heralding.heralded_fidelity(heralding.InterferenceModel(visibility=0.90),
-                                           heralding.SpinPhotonErrorModel())
+    composed = quantum.fidelity_to_pure(heralding.event_ready_state(
+        heralding.InterferenceModel(visibility=0.90), heralding.SpinPhotonErrorModel()
+    ).spin_state, quantum.psi_minus())
     ok = ok and 0.89 <= composed <= 0.95 and (time.time() - start) < 10.0
     assert report(5, f"herald fidelity law (1+V)/2 vs oracle; composed = {composed:.4f} "
                      "in 0.92 +- 0.03", ok)

@@ -134,8 +134,7 @@ def test_analyze_reports_whether_the_log_is_partial(tmp_path, fast_config, capsy
 
 def test_analyze_synthetic_equal_cells_log(tmp_path, capsys):
     # hand-built log: 61 trials per cell except (1,1) with 62, k = 196, n = 245
-    from bellsim.engine import TrialLog, TrialRecord
-    from bellsim.logio import write_log
+    from bellsim.logio import TrialLog, TrialRecord, write_log
 
     log = TrialLog(config_hash="manual", seed=0)
     idx = 0
@@ -163,8 +162,7 @@ def test_analyze_synthetic_equal_cells_log(tmp_path, capsys):
 
 
 def test_analyze_all_wins_log(tmp_path, capsys):
-    from bellsim.engine import TrialLog, TrialRecord
-    from bellsim.logio import write_log
+    from bellsim.logio import TrialLog, TrialRecord, write_log
 
     log = TrialLog(config_hash="manual", seed=0)
     idx = 0
@@ -185,8 +183,7 @@ def test_analyze_all_wins_log(tmp_path, capsys):
 def test_analyze_shuffled_outcomes_show_null_behaviour(tmp_path, fast_config, capsys):
     import numpy as np
 
-    from bellsim.engine import TrialRecord
-    from bellsim.logio import read_log as rl, write_log
+    from bellsim.logio import TrialRecord, read_log as rl, write_log
 
     log_path = make_log(tmp_path, fast_config, n=400, seed=12)
     log = rl(log_path)
@@ -234,8 +231,7 @@ def test_analyze_missing_file_is_data_error(capsys):
 
 
 def test_analyze_missing_setting_cell_is_data_error(tmp_path, capsys):
-    from bellsim.engine import TrialLog, TrialRecord
-    from bellsim.logio import write_log
+    from bellsim.logio import TrialLog, TrialRecord, write_log
 
     log = TrialLog(config_hash="manual", seed=0)
     for i in range(10):
@@ -244,6 +240,33 @@ def test_analyze_missing_setting_cell_is_data_error(tmp_path, capsys):
     write_log(log, path)
     assert run(["analyze", str(path)]) == 2
     assert "setting pair" in capsys.readouterr().err
+
+
+def test_a_log_from_another_config_is_flagged_on_stderr_only(tmp_path, capsys):
+    from bellsim.config import config_hash, default_config
+
+    # tau_out = 0.02 where it was written, 2.1e-23 under the defaults it is read with
+    other = tmp_path / "rbits.yaml"
+    other.write_text("rng:\n  raw_bits_per_output: 2\n")
+    log = tmp_path / "rbits.jsonl"
+    assert run(["simulate", "--config", str(other), "--out", str(log)]) == 0
+    written = json.loads(log.read_text().partition("\n")[0])["config_hash"]
+    active = config_hash(default_config())
+    # the same trials under a header that names the active config
+    relabelled = tmp_path / "relabelled.jsonl"
+    relabelled.write_text(log.read_text().replace(written, active, 1))
+    for command in ("analyze", "audit"):
+        capsys.readouterr()
+        assert run([command, str(relabelled)]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        assert run([command, str(log)]) == 0
+        flagged = capsys.readouterr()
+        assert flagged.out == quiet.out
+        assert flagged.err == (f"warning: {log} was written under config {written[:8]}, "
+                               f"not the active config {active[:8]}\n")
+        assert run([command, str(log), "--config", str(other)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 # ---- audit ---------------------------------------------------------------------
@@ -609,6 +632,24 @@ def test_closed_stdout_pipe_ends_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == cli.EXIT_PIPE
     assert err == ""
+
+
+def test_analyze_and_audit_load_no_numpy(tmp_path):
+    # the certification reads only each trial's settings, outcomes and event times
+    log = tmp_path / "run.jsonl"
+    assert cli.main(["simulate", "--n", "245", "--out", str(log)]) == 0
+    root = Path(cli.__file__).resolve().parents[2]
+    src = str(root / "src")
+    config = str(root / "configs" / "default.yaml")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for argv in (["analyze", str(log), "--curve", str(tmp_path / "curve.csv"), "--config", config,
+                  "--out", str(tmp_path / "analyze.json")],
+                 ["audit", str(log), "--config", config, "--out", str(tmp_path / "audit.csv")]):
+        code = (f"import sys, bellsim.cli; assert bellsim.cli.main({argv!r}) == 0; "
+                "print('numpy' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def test_import_loads_no_scipy():

@@ -115,6 +115,20 @@ def test_config_hash_stable_and_sensitive():
     assert cfg_mod.config_hash(base) != cfg_mod.config_hash(changed)
 
 
+def test_config_hash_is_computed_once_per_config(monkeypatch):
+    hashed = []
+    to_dict = cfg_mod.config_to_dict
+    monkeypatch.setattr(cfg_mod, "config_to_dict", lambda cfg: hashed.append(cfg) or to_dict(cfg))
+    base = cfg_mod.SimulationConfig()
+    first = cfg_mod.config_hash(base)
+    assert cfg_mod.config_hash(base) == first and hashed == [base]
+    # a replaced config is a new object, hashed on its own first use
+    changed = dataclasses.replace(base, rng=dataclasses.replace(base.rng, raw_bits_per_output=2))
+    assert cfg_mod.config_hash(changed) != first and hashed == [base, changed]
+    assert dataclasses.replace(changed, rng=base.rng) == base
+    assert cfg_mod.config_hash(dataclasses.replace(changed, rng=base.rng)) == first
+
+
 def test_config_round_trip_through_dict():
     base = cfg_mod.default_config()
     rebuilt = cfg_mod.config_from_dict(json.loads(json.dumps(cfg_mod.config_to_dict(base))))
@@ -301,7 +315,7 @@ def valid_rows(draw):
     for idx in range(n):
         choice_a, done_a = sorted(draw(ORDERED_TIMES))
         choice_b, done_b = sorted(draw(ORDERED_TIMES))
-        rows.append(engine.TrialRecord(
+        rows.append(logio.TrialRecord(
             idx, draw(st.sampled_from([0, 1])), draw(st.sampled_from([0, 1])),
             draw(st.sampled_from([-1, 1])), draw(st.sampled_from([-1, 1])),
             draw(FINITE_TIMES), choice_a, choice_b, done_a, done_b,
@@ -310,13 +324,13 @@ def valid_rows(draw):
 
 
 def write_rows(rows, path):
-    logio.write_log(engine.TrialLog(config_hash="manual", seed=0, records=list(rows)), path)
+    logio.write_log(logio.TrialLog(config_hash="manual", seed=0, records=list(rows)), path)
     return path.read_text().splitlines()[1:]
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@example([engine.TrialRecord(0, 0, 1, 1, -1, -0.0, 5e-324, 4168, 1e16, 1e22, 1)])
-@example([engine.TrialRecord(0, 1, 0, -1, 1, 4168.0, -1e22, -1e16, 4168, 4168.0, 2**63 - 1)])
+@example([logio.TrialRecord(0, 0, 1, 1, -1, -0.0, 5e-324, 4168, 1e16, 1e22, 1)])
+@example([logio.TrialRecord(0, 1, 0, -1, 1, 4168.0, -1e22, -1e16, 4168, 4168.0, 2**63 - 1)])
 @given(rows=valid_rows())
 def test_writer_line_is_json_dumps(tmp_path, rows):
     path = tmp_path / "rows.jsonl"
@@ -333,9 +347,9 @@ def test_writer_line_is_json_dumps(tmp_path, rows):
     ("idx", np.int64(0)), ("attempts", np.int64(3)), ("a", True), ("x", 1.0),
 ])
 def test_writer_rejects_values_repr_cannot_write(tmp_path, field, value):
-    rec = engine.TrialRecord(0, 0, 1, 1, -1, 4168.0, 2500.0, 2500.0, 6680.0, 6680.0, 1)
+    rec = logio.TrialRecord(0, 0, 1, 1, -1, 4168.0, 2500.0, 2500.0, 6680.0, 6680.0, 1)
     path = tmp_path / "rows.jsonl"
-    with pytest.raises(engine.EngineError):
+    with pytest.raises(logio.EngineError):
         write_rows([rec._replace(**{field: value})], path)
     assert not path.exists()
 
