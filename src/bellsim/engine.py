@@ -15,15 +15,17 @@ anywhere, so discarded-trial selection effects cannot arise by construction.
 Each purpose has its own random stream, and each stream is drawn once per
 block of trials; because the streams are independent, this yields the same
 values as drawing trial by trial, and records come out in trial order.
-A trial is a ``logio.TrialRecord`` row, built per block from column lists and
-checked by ``logio.check_record``, the log format's one row validator.
+A trial is a ``logio.TrialRecord`` row, built per block from numpy columns.
+The columns are checked against the rules of ``logio.check_record``, the log
+format's one row validator, before they become rows; a block that fails is
+run through ``check_record`` row by row, so its error is the bad row's own.
 Replicas may run in parallel with independently derived seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -36,6 +38,8 @@ from .readout import observable_components
 
 OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 _OUTCOME_X, _OUTCOME_Y = np.array(OUTCOME_PAIRS).T
+_INT64_MAX = np.iinfo(np.int64).max
+_new_record = partial(tuple.__new__, TrialRecord)  # from exactly 11 values, unchecked
 
 
 @dataclass
@@ -84,18 +88,49 @@ def outcome_distribution(cfg: SimulationConfig) -> np.ndarray:
 
 
 def _timestamps(cfg: SimulationConfig, timing_rng: np.random.Generator,
-                count: int) -> tuple[list[float], ...]:
-    """The five timestamp columns of ``count`` trials, in TrialRecord field order."""
+                count: int) -> np.ndarray:
+    """The five timestamp columns of ``count`` trials, as the rows of a (5, count)
+    array in TrialRecord field order."""
     t = cfg.timing
     jitter = timing_rng.uniform(-t.jitter_ns, t.jitter_ns, size=(count, 5)) \
         if t.jitter_ns > 0 else np.zeros((count, 5))
     t_choice_a = t.choice_delay_ns + jitter[:, 0]
     t_choice_b = t.choice_delay_ns + jitter[:, 1]
     window_a, window_b = (1e3 * cfg.readout_model(side).duration_us for side in "AB")
-    columns = (cfg.herald_delay_ns() + jitter[:, 2], t_choice_a, t_choice_b,
-               t_choice_a + t.choice_to_readout_ns + window_a + jitter[:, 3],
-               t_choice_b + t.choice_to_readout_ns + window_b + jitter[:, 4])
-    return tuple(col.tolist() for col in columns)
+    return np.stack((cfg.herald_delay_ns() + jitter[:, 2], t_choice_a, t_choice_b,
+                     t_choice_a + t.choice_to_readout_ns + window_a + jitter[:, 3],
+                     t_choice_b + t.choice_to_readout_ns + window_b + jitter[:, 4]))
+
+
+def _sample_block(cfg: SimulationConfig, streams: TrialStreams, cumulative: np.ndarray,
+                  attempts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The block's columns a, b, x, y, times and attempts, for the trials that drew
+    ``attempts``; ``times`` is the (5, m) array of ``_timestamps``."""
+    m = len(attempts)
+    a = setting_bits(cfg.rng, m, streams.settings_a)
+    b = setting_bits(cfg.rng, m, streams.settings_b)
+    u = streams.outcomes.random(m)
+    # outcome-pair index: searchsorted(side="right") of u in each trial's row,
+    # without the last threshold, which can round to 1 - 1 ulp
+    pairs = (cumulative[a, b, :3] <= u[:, None]).sum(axis=1)
+    return a, b, _OUTCOME_X[pairs], _OUTCOME_Y[pairs], _timestamps(cfg, streams.timing, m), attempts
+
+
+def _block_valid(a, b, x, y, times, attempts) -> bool:
+    """``check_record``'s rules on one block's columns at once (idx is a range)."""
+    return bool(all(col.dtype.kind in "iu" for col in (a, b, x, y, attempts))
+                and times.dtype.kind == "f"
+                and ((a == 0) | (a == 1)).all() and ((b == 0) | (b == 1)).all()
+                and (abs(x) == 1).all() and (abs(y) == 1).all()
+                and (attempts >= 1).all()
+                and np.isfinite(times).all()
+                and (times[1] < times[3]).all() and (times[2] < times[4]).all())
+
+
+def _rows(start: int, a, b, x, y, times, attempts):
+    """The TrialRecord rows of one block's columns, numbered from ``start``."""
+    return map(_new_record, zip(range(start, start + len(a)), a.tolist(), b.tolist(),
+                                x.tolist(), y.tolist(), *times.tolist(), attempts.tolist()))
 
 
 def run_experiment(cfg: SimulationConfig, n_trials: int | None = None,
@@ -124,7 +159,7 @@ def run_experiment(cfg: SimulationConfig, n_trials: int | None = None,
     while n_trials is None or len(records) < n_trials:
         size = BLOCK_TRIALS if n_trials is None else min(BLOCK_TRIALS, n_trials - len(records))
         attempts = streams.attempts.geometric(p, size=size)
-        if attempts.max() == np.iinfo(np.int64).max:  # numpy saturates there at a tiny p
+        if attempts.max() == _INT64_MAX:  # numpy saturates there at a tiny p
             raise EngineError(f"attempt count reached the int64 ceiling at p = {p!r}")
         m = size  # trials of this block that fit the budget
         if budget_ns is not None:
@@ -137,19 +172,13 @@ def run_experiment(cfg: SimulationConfig, n_trials: int | None = None,
                 log.partial = n_trials is not None
             else:
                 elapsed_ns = float(elapsed[-1])
-        a = setting_bits(cfg.rng, m, streams.settings_a)
-        b = setting_bits(cfg.rng, m, streams.settings_b)
-        u = streams.outcomes.random(m)
-        # outcome-pair index: searchsorted(side="right") of u in each trial's row,
-        # without the last threshold, which can round to 1 - 1 ulp
-        pairs = (cumulative[a, b, :3] <= u[:, None]).sum(axis=1)
-        start = len(records)
-        records += map(TrialRecord._make, zip(
-            range(start, start + m), a.tolist(), b.tolist(), _OUTCOME_X[pairs].tolist(),
-            _OUTCOME_Y[pairs].tolist(), *_timestamps(cfg, streams.timing, m),
-            attempts[:m].tolist()))
-        for rec in records[start:]:
-            check_record(rec)
+        columns = _sample_block(cfg, streams, cumulative, attempts[:m])
+        if not _block_valid(*columns):
+            for rec in _rows(len(records), *columns):
+                check_record(rec)  # raises the first bad row's own error
+            raise EngineError("a trial block failed the column check, but check_record "
+                              "accepts its rows")
+        records += _rows(len(records), *columns)
         if m < size:
             break
     return log

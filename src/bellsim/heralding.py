@@ -30,7 +30,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .quantum import QuantumState
 
 PORT_OUT_1 = "C-out-1"
 PORT_OUT_2 = "C-out-2"

@@ -1,7 +1,9 @@
 """The trial row and its log: JSON-lines with a self-describing header.
 
-A trial is a ``TrialRecord`` row, and ``check_record`` is its one validator,
-run on every row the engine builds and the log writer and reader handle.
+A trial is a ``TrialRecord`` row, and ``check_record`` is its one validator.
+The log writer and reader run it on every row, since their rows may come from
+outside the engine; the engine checks each block's columns by its rules and
+runs it on the rows of a block that fails.
 Nothing here loads numpy or the model, so certifying a log needs neither.
 
 The first line is a JSON header object (format version, config hash, master
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from math import isfinite
 from operator import itemgetter
@@ -115,6 +118,7 @@ RECORD_KEYS = TrialRecord._fields
 # one trial line; %r of an int or a finite float is its JSON text
 _LINE = "{" + ",".join(f'"{key}":%r' for key in RECORD_KEYS) + "}\n"
 _row_values = itemgetter(*RECORD_KEYS)
+_new_record = partial(tuple.__new__, TrialRecord)  # from exactly 11 values, unchecked
 
 
 class LogFormatError(ValueError):
@@ -132,7 +136,7 @@ def record_from_dict(data: dict, line_no: int) -> TrialRecord:
     extra = set(data) - set(RECORD_KEYS)
     if extra:
         raise LogFormatError(f"line {line_no}: unknown key(s) {', '.join(sorted(extra))}")
-    rec = TrialRecord._make(_row_values(data))
+    rec = _new_record(_row_values(data))
     try:
         check_record(rec)
     except ValueError as exc:
@@ -183,7 +187,7 @@ def _read_block(records: list, block: list[str], line_no: int) -> None:
     start = len(records)
     try:
         if "" not in block and all(ln[0] == "{" and ln[-1] == "}" for ln in block):
-            rows = [TrialRecord._make(_row_values(d))
+            rows = [_new_record(_row_values(d))
                     for d in json.loads("[" + ",".join(block) + "]") if len(d) == len(RECORD_KEYS)]
             for rec in rows:
                 check_record(rec)

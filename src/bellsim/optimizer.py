@@ -16,9 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .bell_stats import chsh_combination, expected_correlations
 from .readout import ReadoutBasisSet, ReadoutModel, observable_components
+
+if TYPE_CHECKING:
+    from .quantum import QuantumState
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 

@@ -652,6 +652,32 @@ def test_analyze_and_audit_load_no_numpy(tmp_path):
         assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
+def test_annotations_resolve_with_the_type_checking_imports():
+    # numpy and QuantumState are imported only for type checkers, so that the
+    # certification loads no physics; with the flag set before bellsim loads (a
+    # fresh interpreter), every public annotation of these modules resolves
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = """
+import dataclasses, importlib, inspect, typing
+typing.TYPE_CHECKING = True
+for name in ("heralding", "randomness", "bell_stats", "optimizer"):
+    module = importlib.import_module("bellsim." + name)
+    for attr, obj in sorted(vars(module).items()):
+        if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(inspect.unwrap(obj)) or dataclasses.is_dataclass(obj):
+            typing.get_type_hints(obj)
+            print(name + "." + attr)
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+    resolved = set(done.stdout.split())
+    assert {"heralding.HeraldResult", "heralding.spin_photon_state", "randomness.setting_bits",
+            "bell_stats.expected_correlations", "bell_stats.complete_pvalue",
+            "optimizer.optimize"} <= resolved
+
+
 def test_import_loads_no_scipy():
     # a fresh interpreter, so modules the tests imported do not count
     src = str(Path(cli.__file__).resolve().parents[1])

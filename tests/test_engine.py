@@ -10,7 +10,7 @@ from bellsim import bell_stats as bs
 from bellsim import engine
 from bellsim.config import BasisConfig, ConfigError, LinkConfig, ReadoutConfig, default_config
 from bellsim.heralding import InterferenceModel, SpinPhotonErrorModel
-from bellsim.logio import write_log
+from bellsim.logio import check_record, write_log
 from bellsim.quantum import QuantumState, StateError
 from bellsim.randomness import setting_bits
 from bellsim.readout import ReadoutError, ReadoutModel
@@ -121,7 +121,7 @@ def run_trial(cfg, idx, streams, force_settings=None):
                                streams.outcomes, subsystem="spin_a")
     y, _ = measure_in_basis(post, basis.angle("B", b), cfg.readout_model("B"),
                             streams.outcomes, subsystem="spin_b")
-    times = [col[0] for col in engine._timestamps(cfg, streams.timing, 1)]
+    times = engine._timestamps(cfg, streams.timing, 1)[:, 0].tolist()
     return engine.TrialRecord(idx, int(a), int(b), int(x), int(y), *times, attempts=attempts)
 
 
@@ -454,3 +454,89 @@ def test_non_finite_event_time_rejected(tmp_path, field, value):
     log = engine.TrialLog(config_hash="manual", seed=0, records=[rec])
     with pytest.raises(engine.EngineError, match="finite"):
         write_log(log, tmp_path / "log.jsonl")
+
+
+# ---- the block check: check_record's rules on each block's columns ---------------
+
+A, B, X, Y, TIMES, ATTEMPTS = range(6)  # positions in engine._sample_block's result
+
+
+def _set(index, value):
+    def change(col):
+        col = col.copy()
+        col[index] = value
+        return col
+    return change
+
+
+def _read_b_before_choice(times):
+    times = times.copy()
+    times[4, 11] = times[2, 11] - 1.0
+    return times
+
+
+BAD_COLUMNS = {
+    "setting of 2": (A, _set(7, 2)),
+    "outcome of 0": (X, _set(3, 0)),
+    "zero attempts": (ATTEMPTS, _set(5, 0)),
+    "nan time": (TIMES, _set((0, 9), math.nan)),
+    "inf time": (TIMES, _set((3, 2), math.inf)),
+    "readout end before its choice": (TIMES, _read_b_before_choice),
+    "float settings column": (B, lambda col: col.astype(float)),
+}
+
+
+def inject(monkeypatch, column: int, change) -> list:
+    """Pass one column of every block through ``change``; return the blocks' rows as
+    check_record sees them, built here from the changed columns."""
+    sample, rows = engine._sample_block, []
+
+    def patched(*args):
+        columns = list(sample(*args))
+        columns[column] = change(columns[column])
+        a, b, x, y, times, attempts = columns
+        rows.extend(engine.TrialRecord(len(rows) + i, *values) for i, values in enumerate(
+            zip(a.tolist(), b.tolist(), x.tolist(), y.tolist(), *times.tolist(),
+                attempts.tolist())))
+        return tuple(columns)
+
+    monkeypatch.setattr(engine, "_sample_block", patched)
+    return rows
+
+
+def first_row_error(rows) -> str | None:
+    for rec in rows:
+        try:
+            check_record(rec)
+        except engine.EngineError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", BAD_COLUMNS)
+def test_bad_column_raises_check_record_error_of_its_row(monkeypatch, case):
+    rows = inject(monkeypatch, *BAD_COLUMNS[case])
+    with pytest.raises(engine.EngineError) as info:
+        engine.run_experiment(fast_cfg(), n_trials=50, seed=3)
+    expected = first_row_error(rows)
+    assert expected is not None
+    assert str(info.value) == expected
+
+
+def test_block_check_failure_raises_though_every_row_passes(monkeypatch):
+    # integer times are valid rows, but the engine's times column must be float
+    rows = inject(monkeypatch, TIMES, lambda t: t.astype(np.int64))
+    with pytest.raises(engine.EngineError, match="column check"):
+        engine.run_experiment(fast_cfg(), n_trials=50, seed=3)
+    assert len(rows) == 50 and first_row_error(rows) is None
+
+
+def test_valid_blocks_are_not_checked_row_by_row(monkeypatch):
+    def refuse(rec):
+        raise AssertionError("check_record ran on a valid block")
+
+    monkeypatch.setattr(engine, "check_record", refuse)
+    log = engine.run_experiment(fast_cfg(), n_trials=engine.BLOCK_TRIALS + 10, seed=3)
+    assert [rec.idx for rec in log.records] == list(range(engine.BLOCK_TRIALS + 10))
+    for rec in log.records:
+        check_record(rec)

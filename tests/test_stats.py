@@ -88,6 +88,84 @@ def test_cell_standard_error_formula():
     assert abs(est.sigma_s - expected_sigma) < 1e-12
 
 
+def chsh_estimate_reference(records):
+    """The per-record loop chsh_estimate ran before it counted cells: the oracle."""
+    counts = {pair: [0, 0] for pair in bs.SETTING_PAIRS}  # [agree, disagree]
+    for rec in records:
+        pair = (rec.a, rec.b)
+        if pair not in counts:
+            raise bs.StatisticsError(f"invalid settings {pair}")
+        counts[pair][0 if rec.x * rec.y == 1 else 1] += 1
+    missing = [pair for pair, (agree, dis) in counts.items() if agree + dis == 0]
+    if missing:
+        raise bs.MissingSettingError(
+            "no trials for setting pair(s): " + ", ".join(str(p) for p in missing))
+    cells, s, var = [], 0.0, 0.0
+    for pair in bs.SETTING_PAIRS:
+        agree, dis = counts[pair]
+        n = agree + dis
+        e = (agree - dis) / n
+        se = math.sqrt(max(0.0, 1.0 - e * e) / n)
+        cells.append((pair, bs.SettingCell(n, agree, dis, e, se)))
+        s += bs.CHSH_SIGNS[pair] * e
+        var += se * se
+    return bs.ChshEstimate(tuple(cells), s, math.sqrt(var))
+
+
+def win_count_reference(records):
+    """The per-record win loop, with chsh_estimate_reference's settings check."""
+    wins = 0
+    for rec in records:
+        if (rec.a, rec.b) not in bs.CHSH_SIGNS:
+            raise bs.StatisticsError(f"invalid settings {(rec.a, rec.b)}")
+        wins += (-1) ** (rec.a * rec.b) * rec.x * rec.y == 1
+    return wins
+
+
+def outcome_or_error(fn, records):
+    try:
+        return fn(records)
+    except bs.StatisticsError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(Rec, st.sampled_from([0, 1, 0, 1, 0, 1, 2, -1]),
+                          st.sampled_from([0, 1, 0, 1, 0, 1, 3]),
+                          st.sampled_from([1, -1]), st.sampled_from([1, -1])),
+                max_size=60))
+def test_cell_counts_match_the_per_record_loops(records):
+    est = outcome_or_error(bs.chsh_estimate, records)
+    ref = outcome_or_error(chsh_estimate_reference, records)
+    assert est == ref
+    if isinstance(est, bs.ChshEstimate):  # equal floats, to the bit
+        assert (est.s.hex(), est.sigma_s.hex()) == (ref.s.hex(), ref.sigma_s.hex())
+    assert outcome_or_error(bs.win_count, records) == outcome_or_error(win_count_reference,
+                                                                       records)
+
+
+def test_cell_counts_match_the_per_record_loops_on_a_run():
+    rng = np.random.default_rng(18)
+    records = [Rec(int(a), int(b), int(x), int(y)) for a, b, x, y in zip(
+        rng.integers(0, 2, 5000), rng.integers(0, 2, 5000),
+        rng.choice([1, -1], 5000), rng.choice([1, -1], 5000))]
+    assert bs.chsh_estimate(records) == chsh_estimate_reference(records)
+    assert bs.win_count(records) == win_count_reference(records)
+    bad = records[:100] + [Rec(1, 2, 1, 1), Rec(2, 0, 1, 1)] + records[100:]
+    for fn in (bs.chsh_estimate, bs.win_count):
+        with pytest.raises(bs.StatisticsError, match=r"^invalid settings \(1, 2\)$"):
+            fn(bad)
+
+
+def test_win_count_rejects_a_setting_that_is_not_a_bit():
+    # (-1) ** (2 * 0) == 1 would count this trial as a win
+    records = synthetic_log({(0, 0): (3, 1)}) + [Rec(2, 0, 1, 1)]
+    with pytest.raises(bs.StatisticsError, match=r"invalid settings \(2, 0\)"):
+        bs.win_count(records)
+    with pytest.raises(bs.StatisticsError, match=r"invalid settings \(2, 0\)"):
+        bs.chsh_estimate(records)
+
+
 # ---- I statistic ----------------------------------------------------------------
 
 
@@ -284,6 +362,7 @@ def test_the_two_passes_enclose_the_exact_tail(q_win):
 def test_tail_exactly_a_float_takes_the_exact_sum(monkeypatch):
     # at tau = 0 and n <= 26 the tail is m / 4^n, itself a float: the upper
     # bound rounds up past it, so the enclosure cannot settle and the exact sum must
+    bs.complete_pvalue.cache_clear()  # an earlier test may have cached these tails
     calls = []
     exact = bs._scaled_tails
     monkeypatch.setattr(bs, "_scaled_tails", lambda *args: calls.append(args) or exact(*args))
@@ -293,6 +372,29 @@ def test_tail_exactly_a_float_takes_the_exact_sum(monkeypatch):
     calls.clear()
     assert bs.complete_pvalue(196, 245, DEFAULT_TAU) == 0.039077671389657224
     assert not calls  # the enclosure settles the headline on its own
+
+
+@pytest.mark.parametrize("tau", [0.0, DEFAULT_TAU])
+def test_cached_pvalue_equals_a_fresh_one_bitwise(tau):
+    bs.complete_pvalue.cache_clear()
+    fresh = [bs.complete_pvalue(k, 245, tau).hex() for k in range(246)]
+    assert bs.complete_pvalue.cache_info().misses == 246
+    cached = [bs.complete_pvalue(k, 245, tau).hex() for k in range(246)]
+    assert bs.complete_pvalue.cache_info().hits == 246
+    assert cached == fresh
+    assert fresh == [bs.complete_pvalue.__wrapped__(k, 245, tau).hex() for k in range(246)]
+
+
+def test_cached_pvalue_still_rejects_bad_arguments():
+    bs.complete_pvalue(196, 245, DEFAULT_TAU)
+    for _ in range(2):  # errors are never cached
+        with pytest.raises(bs.StatisticsError):
+            bs.complete_pvalue(246, 245, DEFAULT_TAU)
+        with pytest.raises(bs.StatisticsError):
+            bs.complete_pvalue(196, 245, 0.3)
+    # an int k cached first does not answer a float k, which the tail loop rejects
+    with pytest.raises(TypeError):
+        bs.complete_pvalue(196.0, 245, DEFAULT_TAU)
 
 
 def test_complete_pvalue_matches_oracle_at_n_4000():
