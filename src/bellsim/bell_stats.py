@@ -322,9 +322,9 @@ def expected_correlations(state: QuantumState, readout_a: ReadoutModel,
     all four from one :func:`correlation_tensor` of the state."""
     from .quantum import correlation_tensor  # the statistics alone load no numpy
     tensor = correlation_tensor(state)
-    return {(a, b): float(observable_components(readout_a, basis.angle("A", a)) @ tensor
-                          @ observable_components(readout_b, basis.angle("B", b)))
-            for a, b in SETTING_PAIRS}
+    row_a = [observable_components(readout_a, basis.angle("A", a)) @ tensor for a in (0, 1)]
+    u_b = [observable_components(readout_b, basis.angle("B", b)) for b in (0, 1)]
+    return {(a, b): float(row_a[a] @ u_b[b]) for a, b in SETTING_PAIRS}
 
 
 def chsh_combination(correlations: Mapping[tuple[int, int], float]) -> float:

@@ -22,6 +22,19 @@ the spin pair and the photon pair, and each herald pattern is a click
 probability per pair of detection windows. Only the final 4x4 two-spin state
 is validated as a :class:`~bellsim.quantum.QuantumState`. Only the functions
 that build states import numpy and ``quantum``, so a config loads neither.
+
+The kets are formed without a loop over branches. Each (bin_a, bin_b)
+emission pair has one 64-entry amplitude: its shared and private sectors
+have disjoint supports, so their sum is exact. A branch sends each of the
+four emission pairs to one spin pair, so all kets are one 0/1 matrix product
+(branches x 4 spins x 4 emission pairs) with the (4, 64) amplitudes. At most
+two nonzero amplitudes meet in any entry (the two photons of a mode pair
+swapped), so the sum is the same in any order, and ``+ 0.0`` turns the
+signed zeros of the zero products into +0.0: the kets are the bits a loop
+of ``ket[s] += amp`` over the branches gives. The click weights of a
+pattern depend only on the detector efficiencies and the false-click
+probability, not on the visibility or the flip errors, so they are computed
+once per (pattern, efficiencies, false-click probability).
 """
 
 from __future__ import annotations
@@ -123,6 +136,7 @@ class HeraldPattern:
                 raise HeraldingError(f"clicks must be on output ports, got {port!r}")
 
 
+@lru_cache(maxsize=1)  # patterns are immutable: each model build reuses them
 def psi_minus_patterns() -> tuple[HeraldPattern, HeraldPattern]:
     """The two cross-port early/late coincidences heralding the singlet."""
     return (
@@ -131,6 +145,7 @@ def psi_minus_patterns() -> tuple[HeraldPattern, HeraldPattern]:
     )
 
 
+@lru_cache(maxsize=1)
 def psi_plus_patterns() -> tuple[HeraldPattern, HeraldPattern]:
     """Same-port early/late coincidences (excluded from heralds by default)."""
     return (
@@ -168,14 +183,12 @@ def spin_photon_state(side: str, errors: SpinPhotonErrorModel) -> QuantumState:
 
 
 def _click_set_probability(visible: Sequence[int], clicked: Sequence[bool],
-                           model: InterferenceModel) -> float:
+                           efficiency: tuple[float, float], false_click: float) -> float:
     """P(exactly this click set | photon counts per window)."""
-    eta = {PORT_OUT_1: model.detector_efficiency[0],
-           PORT_OUT_2: model.detector_efficiency[1]}
-    f = model.false_click_prob
+    eta = {PORT_OUT_1: efficiency[0], PORT_OUT_2: efficiency[1]}
     p = 1.0
     for w, (port, _) in enumerate(WINDOWS):
-        p_silent = (1.0 - eta[port]) ** visible[w] * (1.0 - f)
+        p_silent = (1.0 - eta[port]) ** visible[w] * (1.0 - false_click)
         p *= (1.0 - p_silent) if clicked[w] else p_silent
     return p
 
@@ -212,6 +225,24 @@ def _two_photon_amplitudes(bin_a: int, bin_b: int, sector_b: int) -> np.ndarray:
     return c
 
 
+@lru_cache(maxsize=16)  # one read-only array per pair of branch sets
+def _one_hot(branches_a: tuple[int, ...], branches_b: tuple[int, ...]) -> np.ndarray:
+    """1 where emission pair e = bin_a * 2 + bin_b leaves spin pair s, as (n, 4, 4).
+
+    One (s, e) matrix per (A x B) branch, A outer; a branch is numbered
+    f_early * 2 + f_late, as ``_flip_branches`` yields them.
+    """
+    import numpy as np
+    # ideal: spin up (0) with the early photon, down (1) with the late
+    spins = [(f_early, 1 ^ f_late) for f_early, f_late in product((0, 1), repeat=2)]
+    table = np.zeros((len(branches_a) * len(branches_b), 4, 4))
+    for n, (a, b) in enumerate(product(branches_a, branches_b)):
+        for bin_a, bin_b in product((0, 1), repeat=2):
+            table[n, spins[a][bin_a] * 2 + spins[b][bin_b], bin_a * 2 + bin_b] = 1.0
+    table.setflags(write=False)
+    return table
+
+
 def _branch_kets(errors: SpinPhotonErrorModel,
                  visibility: float) -> tuple[np.ndarray, np.ndarray]:
     """Weights and spin-pair x photon-pair kets of the (A x B) flip branches.
@@ -223,28 +254,24 @@ def _branch_kets(errors: SpinPhotonErrorModel,
     weight, with the spin index s_a * 2 + s_b.
     """
     import numpy as np
-    emissions = []  # (bin A, bin B, photon-pair amplitude)
-    for bin_a, bin_b in product((0, 1), repeat=2):
-        for sector_b, amp_b in ((0, math.sqrt(visibility)), (1, math.sqrt(1.0 - visibility))):
-            if amp_b == 0.0:
-                continue
-            pair = _two_photon_amplitudes(bin_a, bin_b, sector_b).ravel()
-            emissions.append((bin_a, bin_b, 0.5 * amp_b * pair))
-    weights, kets = [], []
-    for w_a, fe_a, fl_a in _flip_branches(*errors.for_side("A")):
-        for w_b, fe_b, fl_b in _flip_branches(*errors.for_side("B")):
-            ket = np.zeros((4, 64))
-            for bin_a, bin_b, amp in emissions:
-                # ideal: spin up (0) with the early photon, down (1) with the late
-                s_a = fe_a if bin_a == 0 else 1 ^ fl_a
-                s_b = fe_b if bin_b == 0 else 1 ^ fl_b
-                ket[s_a * 2 + s_b] += amp
-            weights.append(w_a * w_b)
-            kets.append(ket)
-    return np.array(weights), np.array(kets)
+    # one amplitude per (bin_a, bin_b): its two sectors have disjoint supports
+    shared, private = 0.5 * math.sqrt(visibility), 0.5 * math.sqrt(1.0 - visibility)
+    emissions = np.array([shared * _two_photon_amplitudes(bin_a, bin_b, 0).ravel()
+                          + private * _two_photon_amplitudes(bin_a, bin_b, 1).ravel()
+                          for bin_a, bin_b in product((0, 1), repeat=2)])
+    side_a, side_b = ({2 * f_early + f_late: w
+                       for w, f_early, f_late in _flip_branches(*errors.for_side(side))}
+                      for side in "AB")
+    weights = [w_a * w_b for w_a in side_a.values() for w_b in side_b.values()]
+    # at most two nonzero amplitudes meet in an entry, so the sum is order-free;
+    # + 0.0 turns the -0.0 of a product with zero into +0.0
+    kets = _one_hot(tuple(side_a), tuple(side_b)) @ emissions + 0.0
+    return np.array(weights), kets
 
 
-def _pattern_weights(pattern: HeraldPattern, model: InterferenceModel) -> np.ndarray:
+@lru_cache(maxsize=32)  # one read-only array per (pattern, efficiencies, false clicks)
+def _pattern_weights(pattern: HeraldPattern, efficiency: tuple[float, float],
+                     false_click: float) -> np.ndarray:
     """P(exactly the pattern's clicks | photon pair), per ordered output-mode pair."""
     import numpy as np
     clicked = [w in pattern.clicks for w in WINDOWS]
@@ -253,8 +280,10 @@ def _pattern_weights(pattern: HeraldPattern, model: InterferenceModel) -> np.nda
         visible = [0] * 4
         visible[u] += 1
         visible[v] += 1
-        table[u, v] = _click_set_probability(visible, clicked, model)
-    return np.kron(table, np.ones((2, 2))).ravel()  # sectors are unresolved
+        table[u, v] = _click_set_probability(visible, clicked, efficiency, false_click)
+    weights = table.repeat(2, axis=0).repeat(2, axis=1).ravel()  # sectors are unresolved
+    weights.setflags(write=False)
+    return weights
 
 
 @lru_cache(maxsize=64)
@@ -283,7 +312,8 @@ def event_ready_state(model: InterferenceModel,
     total_prob = 0.0
     per_pattern = []
     for pattern in patterns:
-        clicked = kets * _pattern_weights(pattern, model)
+        clicked = kets * _pattern_weights(pattern, model.detector_efficiency,
+                                          model.false_click_prob)
         # half: every photon pair is counted as both (i, j) and (j, i)
         cond = 0.5 * np.einsum("b,bik,bjk->ij", branch_weights, clicked, kets)
         p = float(np.trace(cond))

@@ -15,7 +15,7 @@ parameterised by the angle from Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,7 @@ class QuantumState:
 
     data: np.ndarray
     subsystems: tuple[Subsystem, ...]
+    _tensor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = np.array(self.data, dtype=np.complex128)
@@ -109,11 +110,16 @@ def correlation_tensor(state: QuantumState) -> np.ndarray:
 
     Every product of two observables in the Z-X plane, u_A . (I, Z, X) on the
     first qubit and u_B . (I, Z, X) on the second, has <A (x) B> = u_A T u_B.
+    Computed once per state and kept on it, read-only.
     """
-    if tuple(d for _, d in state.subsystems) != (2, 2):
-        raise StateError(f"correlation tensor needs a two-qubit state, got {state.subsystems}")
-    rho = state.density_matrix().reshape(2, 2, 2, 2)
-    return np.einsum("abcd,ica,jdb->ij", rho, PAULIS, PAULIS).real
+    if state._tensor is None:
+        if tuple(d for _, d in state.subsystems) != (2, 2):
+            raise StateError(f"correlation tensor needs a two-qubit state, got {state.subsystems}")
+        rho = state.density_matrix().reshape(2, 2, 2, 2)
+        tensor = np.einsum("abcd,ica,jdb->ij", rho, PAULIS, PAULIS).real
+        tensor.setflags(write=False)
+        object.__setattr__(state, "_tensor", tensor)
+    return state._tensor
 
 
 def fidelity_to_pure(state: QuantumState, target: QuantumState) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class ReadoutError(ValueError):
@@ -37,7 +38,7 @@ class ReadoutModel:
         if self.duration_us <= 0:
             raise ReadoutError("readout duration must be positive")
 
-    @property
+    @cached_property  # once per model: a replaced model is a new object
     def fidelities(self) -> tuple[float, float]:
         f_plus, f_minus, _ = fidelity_vs_duration(self, self.duration_us)
         return f_plus, f_minus

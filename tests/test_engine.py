@@ -439,6 +439,20 @@ def test_outcome_distribution_is_cached_and_read_only():
         table[0, 0, 0] = 1.0
 
 
+def test_cumulative_outcome_table_is_kept_for_a_read_only_table():
+    table = engine.outcome_distribution(fast_cfg())
+    cumulative = engine._cumulative_outcomes(table)
+    assert cumulative.tobytes() == table.cumsum(axis=2).tobytes()
+    assert engine._cumulative_outcomes(table) is cumulative
+    with pytest.raises(ValueError):
+        cumulative[0, 0, 0] = 0.5
+    # a writable table may change between runs, so its sum is taken afresh
+    writable = np.array(table)
+    engine._cumulative_outcomes(writable)
+    writable[0, 0] = (1.0, 0.0, 0.0, 0.0)
+    assert engine._cumulative_outcomes(writable)[0, 0].tolist() == [1.0, 1.0, 1.0, 1.0]
+
+
 def test_record_events_are_the_five_times_in_field_order():
     rec = run_trial(fast_cfg(), 0, engine.TrialStreams.from_seed(1))
     assert engine.record_events(rec) == (rec.t_herald_ns, rec.t_choice_a_ns, rec.t_choice_b_ns,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
@@ -171,7 +172,8 @@ def herald(rho, model, patterns=None):
         clicked = [w in pattern.clicks for w in WINDOWS]
         cond = np.zeros((4, 4), dtype=np.complex128)
         for visible, indices in _visible_groups():
-            weight = h._click_set_probability(visible, clicked, model)
+            weight = h._click_set_probability(visible, clicked, model.detector_efficiency,
+                                              model.false_click_prob)
             if weight == 0.0:
                 continue
             block = rho[:, indices, :, :][:, :, :, indices]
@@ -195,7 +197,8 @@ def click_pattern_distribution(rho, model):
         for visible, indices in _visible_groups():
             block = rho[:, indices, :, :][:, :, :, indices]
             p += (float(np.einsum("ikik->", block).real)
-                  * h._click_set_probability(visible, clicked, model))
+                  * h._click_set_probability(visible, clicked, model.detector_efficiency,
+                                             model.false_click_prob))
         out[frozenset(w for w, c in zip(WINDOWS, clicked) if c)] = p
     return out
 
@@ -486,6 +489,129 @@ def test_event_ready_state_matches_dense_route(model, errors, include_same_port)
         assert abs(p - ref_p) < 1e-12
     np.testing.assert_allclose(res.spin_state.density_matrix(),
                                ref.spin_state.density_matrix(), rtol=0, atol=1e-12)
+
+
+# ---- the build against its per-branch loop, bit for bit ------------------------------
+
+
+def reference_branch_kets(errors, visibility):
+    """One ``ket[s] += amp`` per flip branch and emission, each sector on its own."""
+    emissions = []  # (bin A, bin B, photon-pair amplitude)
+    for bin_a, bin_b in product((0, 1), repeat=2):
+        for sector_b, amp_b in ((0, math.sqrt(visibility)), (1, math.sqrt(1.0 - visibility))):
+            if amp_b == 0.0:
+                continue
+            pair = h._two_photon_amplitudes(bin_a, bin_b, sector_b).ravel()
+            emissions.append((bin_a, bin_b, 0.5 * amp_b * pair))
+    weights, kets = [], []
+    for w_a, fe_a, fl_a in h._flip_branches(*errors.for_side("A")):
+        for w_b, fe_b, fl_b in h._flip_branches(*errors.for_side("B")):
+            ket = np.zeros((4, 64))
+            for bin_a, bin_b, amp in emissions:
+                # ideal: spin up (0) with the early photon, down (1) with the late
+                s_a = fe_a if bin_a == 0 else 1 ^ fl_a
+                s_b = fe_b if bin_b == 0 else 1 ^ fl_b
+                ket[s_a * 2 + s_b] += amp
+            weights.append(w_a * w_b)
+            kets.append(ket)
+    return np.array(weights), np.array(kets)
+
+
+def reference_pattern_weights(pattern, model):
+    """The 4x4 window-pair click table, spread over the sectors by a Kronecker product."""
+    clicked = [w in pattern.clicks for w in WINDOWS]
+    table = np.zeros((4, 4))
+    for u, v in product(range(4), repeat=2):
+        visible = [0] * 4
+        visible[u] += 1
+        visible[v] += 1
+        table[u, v] = h._click_set_probability(visible, clicked, model.detector_efficiency,
+                                               model.false_click_prob)
+    return np.kron(table, np.ones((2, 2))).ravel()
+
+
+def reference_build(model, errors, include_same_port):
+    """``event_ready_state`` assembled from the two references above."""
+    branch_weights, kets = reference_branch_kets(errors, model.visibility)
+    patterns = h.psi_minus_patterns()
+    if include_same_port:
+        patterns = patterns + h.psi_plus_patterns()
+    total = np.zeros((4, 4), dtype=np.complex128)
+    total_prob = 0.0
+    per_pattern = []
+    for pattern in patterns:
+        clicked = kets * reference_pattern_weights(pattern, model)
+        cond = 0.5 * np.einsum("b,bik,bjk->ij", branch_weights, clicked, kets)
+        p = float(np.trace(cond))
+        per_pattern.append((pattern, p))
+        total += cond
+        total_prob += p
+    spin = q.QuantumState(total / total_prob, (("spin_a", 2), ("spin_b", 2)))
+    return h.HeraldResult(total_prob, spin, tuple(per_pattern))
+
+
+def _random_points(count, seed=1305):
+    """(model, errors) points with V, errors, efficiencies and false clicks often at an edge."""
+    rng = np.random.default_rng(seed)
+
+    def draw(lo, hi, edges):
+        return float(rng.choice(edges)) if rng.uniform() < 0.3 else float(rng.uniform(lo, hi))
+
+    points = []
+    for _ in range(count):
+        model = h.InterferenceModel(
+            visibility=draw(0.0, 1.0, [0.0, 1.0]),
+            detector_efficiency=(draw(0.05, 1.0, [1.0]), draw(0.05, 1.0, [1.0])),
+            dark_count_prob=draw(0.0, 0.1, [0.0]), laser_leakage_prob=draw(0.0, 0.1, [0.0]))
+        points.append((model, h.SpinPhotonErrorModel(*(draw(0.0, 0.5, [0.0, 0.5])
+                                                       for _ in range(4)))))
+    return points
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("include_same_port", [False, True])
+def test_event_ready_state_is_bitwise_the_per_branch_loop(include_same_port):
+    for model, errors in _equivalence_grid() + _random_points(400):
+        point = f"{model}, {errors}"
+        weights, kets = h._branch_kets(errors, model.visibility)
+        ref_weights, ref_kets = reference_branch_kets(errors, model.visibility)
+        assert kets.tobytes() == ref_kets.tobytes(), point
+        assert weights.tobytes() == ref_weights.tobytes(), point
+        res = h.event_ready_state.__wrapped__(model, errors, include_same_port)
+        ref = reference_build(model, errors, include_same_port)
+        assert res.spin_state.data.tobytes() == ref.spin_state.data.tobytes(), point
+        assert _bits(res.probability) == _bits(ref.probability), point
+        assert [(pattern, _bits(p)) for pattern, p in res.pattern_probabilities] \
+            == [(pattern, _bits(p)) for pattern, p in ref.pattern_probabilities], point
+
+
+def test_pattern_weights_are_cached_and_read_only():
+    model = h.InterferenceModel(detector_efficiency=(0.7, 0.9), dark_count_prob=0.01)
+    for pattern in h.psi_minus_patterns() + h.psi_plus_patterns():
+        weights = h._pattern_weights(pattern, model.detector_efficiency, model.false_click_prob)
+        assert weights.tobytes() == reference_pattern_weights(pattern, model).tobytes()
+        assert h._pattern_weights(pattern, model.detector_efficiency,
+                                  model.false_click_prob) is weights
+        with pytest.raises(ValueError):
+            weights[0] = 0.5
+
+
+@pytest.mark.parametrize("change", [{"dark_count_prob": 0.02},
+                                    {"laser_leakage_prob": 0.02},
+                                    {"detector_efficiency": (0.5, 0.9)}])
+def test_models_that_differ_only_in_detection_give_different_states(change):
+    errors = h.SpinPhotonErrorModel()
+    base = h.InterferenceModel(visibility=0.9, dark_count_prob=0.01)
+    other = dataclasses.replace(base, **change)
+    assert other.visibility == base.visibility
+    rho, rho_other = (h.event_ready_state(m, errors).spin_state.density_matrix()
+                      for m in (base, other))
+    assert np.max(np.abs(rho - rho_other)) > 1e-6
+    dense = dense_event_ready_state(other, errors).spin_state.density_matrix()
+    np.testing.assert_allclose(rho_other, dense, rtol=0, atol=1e-12)
 
 
 def test_event_ready_build_validates_only_the_final_spin_state(monkeypatch):

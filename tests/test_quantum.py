@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -169,6 +170,29 @@ def test_singlet_correlation_closed_form_over_random_angles():
         e = expectation(psi, bloch(ta), bloch(tb))
         assert abs(e + math.cos(ta - tb)) < 1e-12
         assert abs(program_singlet_correlation(ta, tb) + math.cos(ta - tb)) < 1e-12
+
+
+def test_correlation_tensor_is_kept_on_the_state_and_read_only():
+    rng = np.random.default_rng(44)
+    state = q.QuantumState(random_density_matrix(rng, 4), (("a", 2), ("b", 2)))
+    tensor = q.correlation_tensor(state)
+    assert q.correlation_tensor(state) is tensor
+    with pytest.raises(ValueError):
+        tensor[0, 0] = 2.0
+    for i, j in np.ndindex(3, 3):
+        expected = np.trace(state.density_matrix() @ np.kron(q.PAULIS[i], q.PAULIS[j])).real
+        assert abs(tensor[i, j] - expected) < 1e-14
+
+
+def test_a_replaced_state_computes_its_own_tensor():
+    state = q.psi_minus()
+    singlet = q.correlation_tensor(state)
+    up_up = dataclasses.replace(state, data=np.array([1.0, 0.0, 0.0, 0.0]))
+    tensor = q.correlation_tensor(up_up)
+    assert tensor is not singlet
+    assert tensor[1, 1] == 1.0
+    assert abs(singlet[1, 1] + 1.0) < 1e-15
+    assert q.correlation_tensor(state) is singlet
 
 
 def test_expectation_dimension_mismatch():

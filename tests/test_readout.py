@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -57,6 +58,16 @@ def test_average_fidelity_has_interior_maximum():
     peak = int(np.argmax(avg))
     assert 0 < peak < len(ts) - 1
     assert avg[peak] > avg[0] and avg[peak] > avg[-1]
+
+
+def test_fidelities_are_computed_once_and_a_replaced_model_recomputes():
+    model = r.ReadoutModel(5.0, 0.01, 0.02, duration_us=3.7)
+    assert model.fidelities == r.fidelity_vs_duration(model, 3.7)[:2]
+    assert model.fidelities is model.fidelities
+    shorter = dataclasses.replace(model, duration_us=1.0)
+    assert shorter.fidelities == r.fidelity_vs_duration(shorter, 1.0)[:2]
+    assert shorter.fidelities != model.fidelities
+    assert shorter == r.ReadoutModel(5.0, 0.01, 0.02, duration_us=1.0)
 
 
 # ---- POVM ------------------------------------------------------------------------
