@@ -287,30 +287,23 @@ class CurveRow:
 
 
 def p_vs_i_curve(n: int, tau_out: float = 0.0,
-                 k_values: Sequence[int] | None = None,
                  win_adjustment: float = DEFAULT_WIN_ADJUSTMENT) -> list[CurveRow]:
-    """Significance versus the I statistic for a grid of win counts.
+    """Significance versus the I statistic for every win count k = 0..n.
 
     ``p_conventional`` is the Gaussian-tail equivalent for the same win
     statistic under the i.i.d. null (mean n q, variance n q (1-q), q = 3/4).
     """
     if n < 1:
         raise StatisticsError("n must be >= 1")
-    if k_values is None:
-        k_values = range(n + 1)
-    k_values = list(k_values)
-    for k in k_values:
-        if not 0 <= k <= n:
-            raise StatisticsError(f"k={k} outside [0, {n}]")
     q = win_probability_bound(tau_out, win_adjustment)
     # every row from one enclosure pass; empty when the win bound reaches 1
-    p_complete = _tails_up(n, q, k_values) if q < 1 and k_values else {}
+    p_complete = _tails_up(n, q, range(n + 1)) if q < 1 else {}
     q0 = 0.75
     sd = math.sqrt(n * q0 * (1 - q0))
     rows = []
-    for k in k_values:
+    for k in range(n + 1):
         z = (k - n * q0) / sd
-        rows.append(CurveRow(int(k), i_statistic(k, n), p_complete.get(k, 1.0),
+        rows.append(CurveRow(k, i_statistic(k, n), p_complete.get(k, 1.0),
                              0.5 * math.erfc(z / math.sqrt(2.0))))
     return rows
 

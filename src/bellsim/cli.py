@@ -97,12 +97,10 @@ def cmd_characterize(args) -> int:
     )
     spin_photon_rows = []
     for side in ("A", "B"):
-        state = heralding.spin_photon_state(side, cfg.spin_photon_errors)
-        rho = state.density_matrix()
-        for bin_idx, bin_name in enumerate(("early", "late")):
-            p_bin = float((rho[bin_idx, bin_idx] + rho[2 + bin_idx, 2 + bin_idx]).real)
-            p_up = float(rho[bin_idx, bin_idx].real) / p_bin
-            spin_photon_rows.append((side, bin_name, p_up, 1.0 - p_up))
+        # ideal: spin up with the early photon, down with the late
+        e_early, e_late = cfg.spin_photon_errors.for_side(side)
+        spin_photon_rows += [(side, "early", 1.0 - e_early, e_early),
+                             (side, "late", e_late, 1.0 - e_late)]
     model_a, model_b = cfg.readout_model("A"), cfg.readout_model("B")
     colinear = []
     for basis_name, theta in (("ZZ", 0.0), ("XX", math.pi / 2)):

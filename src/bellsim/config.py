@@ -76,12 +76,9 @@ def herald_probability(link: LinkConfig) -> float:
     """Herald probability per attempt: pattern probability times both arms.
 
     Each arm multiplies collection efficiency, fibre transmission
-    10^(-loss_db_per_km * km / 10), and detector efficiency. A configured
-    ``herald_probability`` bypasses the budget composition entirely. The
-    link config checks every factor's range at construction.
+    10^(-loss_db_per_km * km / 10), and detector efficiency. The link config
+    checks every factor's range at construction.
     """
-    if link.herald_probability is not None:
-        return float(link.herald_probability)
     transmission = 10.0 ** (-link.loss_db_per_km * link.fibre_km_per_arm / 10.0)
     arm = link.collection_efficiency * transmission * link.detector_efficiency
     return PATTERN_PROBABILITY * arm * arm
@@ -89,10 +86,7 @@ def herald_probability(link: LinkConfig) -> float:
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """Per-arm photon budget and the attempt clock.
-
-    ``herald_probability`` overrides the composed budget when set.
-    """
+    """Per-arm photon budget and the attempt clock."""
 
     collection_efficiency: float = 3.83e-3
     fibre_km_per_arm: float = 0.85
@@ -100,7 +94,6 @@ class LinkConfig:
     detector_efficiency: float = 0.2
     refractive_index: float = 1.47
     attempt_period_ns: float = 20_000.0
-    herald_probability: float | None = None
 
     def __post_init__(self):
         _check(self, "in [0, 1]", lambda v: 0 <= v <= 1,
@@ -108,7 +101,6 @@ class LinkConfig:
         _check(self, ">= 0", lambda v: v >= 0, "fibre_km_per_arm", "loss_db_per_km")
         _check(self, ">= 1", lambda v: v >= 1, "refractive_index")
         _check(self, "> 0", lambda v: v > 0, "attempt_period_ns")
-        _check(self, "null or in (0, 1]", lambda v: v is None or 0 < v <= 1, "herald_probability")
         p = herald_probability(self)
         if p == 0:
             raise ConfigError("the composed herald probability per attempt is 0: "
@@ -139,7 +131,6 @@ class StatisticsConfig:
 
 @dataclass(frozen=True)
 class HeraldingConfig:
-    include_same_port: bool = False
     hom_counts_indistinguishable: float = 3.0
     hom_counts_distinguishable: float = 28.0
 
@@ -209,8 +200,7 @@ class SimulationConfig:
         return (self.readout_a if side.upper() == "A" else self.readout_b).model
 
     def heralded_state(self) -> HeraldResult:
-        return event_ready_state(self.interference, self.spin_photon_errors,
-                                 self.heralding.include_same_port)
+        return event_ready_state(self.interference, self.spin_photon_errors)
 
     def spacetime_geometry(self) -> Geometry:
         return self.geometry
@@ -276,10 +266,6 @@ def _coerce_scalar(value, annotation, path: str):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         return int(value)
-    if annotation is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {value!r}")
-        return value
     if annotation is str:
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")

@@ -3,7 +3,9 @@
 Each node entangles its spin with the emission time bin of a single photon,
 |up, early> + |down, late>, the photons meet on a 50:50 beam splitter at the
 midpoint station, and a coincidence of one early and one late photon in
-different output ports projects the remote spins onto the singlet.
+different output ports projects the remote spins onto the singlet. A
+same-port coincidence heralds psi+ instead, usable only after a local phase
+correction that is not modelled, so it is never accepted as a herald.
 
 Partial photon indistinguishability is handled by splitting the node-B photon
 into a mode shared with node A (amplitude sqrt(V)) and an orthogonal private
@@ -145,41 +147,12 @@ def psi_minus_patterns() -> tuple[HeraldPattern, HeraldPattern]:
     )
 
 
-@lru_cache(maxsize=1)
-def psi_plus_patterns() -> tuple[HeraldPattern, HeraldPattern]:
-    """Same-port early/late coincidences (excluded from heralds by default)."""
-    return (
-        HeraldPattern(frozenset({(PORT_OUT_1, EARLY), (PORT_OUT_1, LATE)})),
-        HeraldPattern(frozenset({(PORT_OUT_2, EARLY), (PORT_OUT_2, LATE)})),
-    )
-
-
 def _flip_branches(e_early: float, e_late: float):
     """Weights of the four (flip-early?, flip-late?) classical error branches."""
     for f_early, f_late in product((0, 1), repeat=2):
         w = (e_early if f_early else 1.0 - e_early) * (e_late if f_late else 1.0 - e_late)
         if w > 0.0:
             yield w, f_early, f_late
-
-
-def spin_photon_state(side: str, errors: SpinPhotonErrorModel) -> QuantumState:
-    """Spin (x) time-bin state of one node after an emission round.
-
-    Ideal case: (|up, early> + |down, late>)/sqrt(2). With errors, the spin is
-    flipped with the configured probability conditioned on the time bin.
-    """
-    import numpy as np
-    from .quantum import QuantumState
-    e_early, e_late = errors.for_side(side)
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    for w, f_early, f_late in _flip_branches(e_early, e_late):
-        vec = np.zeros(4, dtype=np.complex128)
-        s_early = 0 ^ f_early           # ideal: up with early
-        s_late = 1 ^ f_late             # ideal: down with late
-        vec[s_early * 2 + 0] = 1 / math.sqrt(2)
-        vec[s_late * 2 + 1] = 1 / math.sqrt(2)
-        rho += w * np.outer(vec, vec.conj())
-    return QuantumState(rho, (("spin", 2), ("time_bin", 2)))
 
 
 def _click_set_probability(visible: Sequence[int], clicked: Sequence[bool],
@@ -288,14 +261,12 @@ def _pattern_weights(pattern: HeraldPattern, efficiency: tuple[float, float],
 
 @lru_cache(maxsize=64)
 def event_ready_state(model: InterferenceModel,
-                      errors: SpinPhotonErrorModel,
-                      include_same_port: bool = False) -> HeraldResult:
+                      errors: SpinPhotonErrorModel) -> HeraldResult:
     """Full pipeline: emission, interference, and herald conditioning.
 
     Returns the herald probability per emission round (detector and link
-    losses aside) and the conditional two-spin density matrix. With
-    ``include_same_port`` the same-port early/late coincidences are accepted
-    too, without any feed-forward correction, which degrades the state.
+    losses aside) and the conditional two-spin density matrix, heralded by
+    the two cross-port coincidences of :func:`psi_minus_patterns`.
 
     Each flip branch b with weight w_b is a real ket psi_b over spin pair x
     ordered output-mode pair past the beam splitter; pattern p leaves the
@@ -305,13 +276,10 @@ def event_ready_state(model: InterferenceModel,
     import numpy as np
     from .quantum import QuantumState
     branch_weights, kets = _branch_kets(errors, model.visibility)
-    patterns = psi_minus_patterns()
-    if include_same_port:
-        patterns = patterns + psi_plus_patterns()
     total = np.zeros((4, 4), dtype=np.complex128)
     total_prob = 0.0
     per_pattern = []
-    for pattern in patterns:
+    for pattern in psi_minus_patterns():
         clicked = kets * _pattern_weights(pattern, model.detector_efficiency,
                                           model.false_click_prob)
         # half: every photon pair is counted as both (i, j) and (j, i)

@@ -39,6 +39,14 @@ def output_predictability(tau_raw: float, k: int) -> float:
     return min(0.5, out if Fraction(out) >= exact else math.nextafter(out, math.inf))
 
 
+# Longest raw-bit block per output. Two costs grow with it: the exact tau_out,
+# a Fraction power whose numerator has about 55 bits per raw bit (under 1 ms at
+# 1024, 0.5 s at 10^5), and one sampling block's 4096 x k float64 raw-bit draws
+# (32 MiB at 1024, 3.2 GB at 10^5). At the default tau = 0.1 the output bias is
+# already the smallest float from k = 463 on.
+MAX_RAW_BITS_PER_OUTPUT = 1024
+
+
 @dataclass(frozen=True)
 class RngModel:
     """Raw-bit bias and extraction block length."""
@@ -49,8 +57,9 @@ class RngModel:
     def __post_init__(self):
         if not 0.0 <= self.excess_predictability <= 0.5:
             raise RandomnessError("excess predictability must be in [0, 0.5]")
-        if self.raw_bits_per_output < 1:
-            raise RandomnessError("raw bits per output must be >= 1")
+        if not 1 <= self.raw_bits_per_output <= MAX_RAW_BITS_PER_OUTPUT:
+            raise RandomnessError(f"raw bits per output must be in [1, {MAX_RAW_BITS_PER_OUTPUT}], "
+                                  f"got {self.raw_bits_per_output}")
 
     @property
     def tau_out(self) -> float:

@@ -326,6 +326,33 @@ def test_characterize_default_model(tmp_path, capsys):
     assert corr[0] == "basis,orientation,expected_correlation"
 
 
+def _spin_photon_rows(tmp_path, rates):
+    """``characterize``'s spin-photon rows under these (a_early, a_late, b_early, b_late)."""
+    import yaml
+    keys = ("a_early", "a_late", "b_early", "b_late")
+    cfg = tmp_path / "rates.yaml"
+    cfg.write_text(yaml.safe_dump({"spin_photon_errors": dict(zip(keys, rates))}))
+    assert run(["characterize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "spin_photon_correlations.csv").read_text().splitlines()
+    assert lines[0] == "side,time_bin,p_spin_up,p_spin_down"
+    return [(side, time_bin, float(up), float(down))
+            for side, time_bin, up, down in (line.split(",") for line in lines[1:])]
+
+
+def test_characterize_spin_photon_rows_are_the_configured_rates(tmp_path, capsys):
+    # the spin goes up with the early photon and down with the late one, and
+    # flips at the configured rate of the time bin: the rows are those rates,
+    # bit for bit, and their complements
+    import numpy as np
+    rng = np.random.default_rng(4180)
+    points = [(0.0,) * 4, (0.5,) * 4, (0.014, 0.008, 0.016, 0.007)]
+    points += [tuple(float(v) for v in rng.uniform(0.0, 0.5, 4)) for _ in range(25)]
+    for a_early, a_late, b_early, b_late in points:
+        rows = _spin_photon_rows(tmp_path, (a_early, a_late, b_early, b_late))
+        assert rows == [("A", "early", 1.0 - a_early, a_early), ("A", "late", a_late, 1.0 - a_late),
+                        ("B", "early", 1.0 - b_early, b_early), ("B", "late", b_late, 1.0 - b_late)]
+
+
 def test_characterize_zero_noise_config(tmp_path, capsys):
     cfg = tmp_path / "clean.yaml"
     cfg.write_text(
@@ -415,10 +442,30 @@ def test_bad_config_key_is_usage_error(tmp_path, capsys):
 
 def test_removed_config_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "old.yaml"
-    for section, key in (("rng", "extraction_time_ns"), ("timing", "readout_duration_ns")):
-        cfg.write_text(f"{section}:\n  {key}: 160.0\n")
+    # each value loaded when its key existed; the last two gave the herald a
+    # second, uncorrected psi+ pattern and the link a rate beside its budget
+    for section, key, value in (("rng", "extraction_time_ns", "160.0"),
+                                ("timing", "readout_duration_ns", "160.0"),
+                                ("heralding", "include_same_port", "true"),
+                                ("link", "herald_probability", "0.5")):
+        cfg.write_text(f"{section}:\n  {key}: {value}\n")
         assert run(["characterize", "--config", str(cfg)]) == 1
         assert f"unknown key(s): {section}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw_bits", [10**6, 10**12])
+@pytest.mark.parametrize("command", [["simulate", "--n", "5"], ["analyze", "LOG"]],
+                         ids=lambda command: command[0])
+def test_raw_bits_per_output_beyond_the_bound_is_usage_error(tmp_path, fast_config, capsys,
+                                                             raw_bits, command):
+    log = make_log(tmp_path, fast_config, n=5)
+    cfg = tmp_path / "raw_bits.yaml"
+    cfg.write_text(f"rng:\n  raw_bits_per_output: {raw_bits}\n")
+    argv = [str(log) if arg == "LOG" else arg for arg in command]
+    capsys.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "out"), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == ("config error: rng: raw bits per output must be in "
+                                       f"[1, 1024], got {raw_bits}\n")
 
 
 @pytest.mark.parametrize("yaml_text, command", [
@@ -445,8 +492,6 @@ def test_non_finite_config_float_is_usage_error(tmp_path, fast_config, capsys,
     "timing:\n  sync_allowance_ns: -1\n",
     "timing:\n  jitter_ns: -0.5\n",
     "link:\n  attempt_period_ns: 0\n",
-    "link:\n  herald_probability: 0\n",
-    "link:\n  herald_probability: 1.5\n",
     "link:\n  loss_db_per_km: -100\n",
     "link:\n  fibre_km_per_arm: -0.1\n",
     "link:\n  collection_efficiency: 1.2\n",
@@ -463,7 +508,7 @@ def test_non_finite_config_float_is_usage_error(tmp_path, fast_config, capsys,
     "link:\n  fibre_km_per_arm: 0.1\n",
     "geometry:\n  ab_m: 5000.0\n",
 ], ids=["negative-ab", "negative-sync-allowance", "negative-jitter", "zero-attempt-period",
-        "zero-herald-probability", "over-unit-herald-probability", "negative-loss",
+        "negative-loss",
         "negative-fibre", "over-unit-collection", "negative-detector", "negative-trials",
         "negative-hours", "zero-hours", "zero-readout-time", "readout-within-jitter",
         "zero-collection", "zero-detector", "transmission-underflow",
@@ -673,7 +718,7 @@ for name in ("heralding", "randomness", "bell_stats", "optimizer"):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stderr) == (0, "")
     resolved = set(done.stdout.split())
-    assert {"heralding.HeraldResult", "heralding.spin_photon_state", "randomness.setting_bits",
+    assert {"heralding.HeraldResult", "heralding.event_ready_state", "randomness.setting_bits",
             "bell_stats.expected_correlations", "bell_stats.complete_pvalue",
             "optimizer.optimize"} <= resolved
 

@@ -208,11 +208,10 @@ def test_typical_runs_land_in_the_expected_band():
     assert 2.1 <= median <= 2.6
 
 
-def test_unit_probability_makes_every_attempt_count():
-    link = LinkConfig(herald_probability=1.0)
-    assert engine.herald_probability(link) == 1.0
-    cfg = dataclasses.replace(fast_cfg(), link=link)
-    log = engine.run_experiment(cfg, n_trials=10, seed=3)
+def test_unit_probability_makes_every_attempt_count(monkeypatch):
+    # no link budget reaches p = 1: the pattern probability alone is 1/4
+    monkeypatch.setattr(engine, "herald_probability", lambda link: 1.0)
+    log = engine.run_experiment(fast_cfg(), n_trials=10, seed=3)
     assert [r.attempts for r in log.records] == [1] * 10  # degenerate geometric
 
 
@@ -221,15 +220,22 @@ def test_over_unit_budget_rejected():
         LinkConfig(collection_efficiency=2.0, fibre_km_per_arm=0.0, detector_efficiency=2.0)
     with pytest.raises(ConfigError, match="detector_efficiency"):
         LinkConfig(fibre_km_per_arm=0.0, detector_efficiency=2.0)
-    with pytest.raises(ConfigError, match="herald_probability"):
-        LinkConfig(herald_probability=1.5)
+
+
+def fibre_limited_link(p: float) -> LinkConfig:
+    """A link whose composed herald probability is ``p``, set by the fibre loss alone."""
+    km = 0.85
+    loss = -5.0 / km * math.log10(4.0 * p)  # p = 1/4 * (10^(-loss * km / 10))^2
+    return LinkConfig(collection_efficiency=1.0, fibre_km_per_arm=km, loss_db_per_km=loss,
+                      detector_efficiency=1.0)
 
 
 def test_link_beyond_the_attempt_cap_rejected():
     from bellsim.config import MAX_EXPECTED_ATTEMPTS
-    assert engine.herald_probability(LinkConfig(herald_probability=2 / MAX_EXPECTED_ATTEMPTS)) > 0
+    p = engine.herald_probability(fibre_limited_link(2 / MAX_EXPECTED_ATTEMPTS))
+    assert abs(p * MAX_EXPECTED_ATTEMPTS - 2) < 1e-9
     with pytest.raises(ConfigError, match="expected attempts per trial"):
-        LinkConfig(herald_probability=0.5 / MAX_EXPECTED_ATTEMPTS)
+        fibre_limited_link(0.5 / MAX_EXPECTED_ATTEMPTS)
     with pytest.raises(ConfigError, match="expected attempts per trial"):
         LinkConfig(loss_db_per_km=200.0)  # p about 1.5e-41
 
@@ -275,12 +281,12 @@ def test_different_seeds_differ(tmp_path):
 
 @pytest.fixture(scope="module", params=[
     (dict(n_trials=245, seed=59), 245, False,
-     "e529942fb0df213327ffbf65a1ed482b5d276755cafb5484657cb93f8cba45e0",
+     "a7d1ab8485e334f1b4a8fbbc60bc6bcfc94ac5869b2907468ead7057dbd0ab9a",
      "7c63d5b1e54e72202885842d61e48494e698620461259a5e6146fc5ce61dc7ec"),
     # 95 % of the expected duration of 20,000 trials: the budget ends the run
     (dict(n_trials=20_000, hours=0.95 * 20_000 / 6.4e-9 * 20_000 / 3.6e12, seed=(7, 0)),
      18_967, True,
-     "01fbf519a227f06d5123379c2159d3587a24878a90097ce8a1baad861cb174df",
+     "0fbfb66c68404f95be64e5eb92f948bc68357bc3aa09f25664b8cf9c9a6325b7",
      "a5d30157e5387007b20be5b4f87c42752d53bb19cef3bb0ed4ac936a8ef4ce6d"),
 ], ids=["seed59", "budget-cut"])
 def pinned_log(request, tmp_path_factory):

@@ -139,6 +139,17 @@ def test_output_predictability_default_point():
     assert rnd.output_predictability(0.1, 32) == 2.147483648000004e-23
 
 
+def test_raw_bits_per_output_is_bounded():
+    # the exact tau_out and one sampling block's raw bits both grow with the block
+    top = rnd.RngModel(raw_bits_per_output=rnd.MAX_RAW_BITS_PER_OUTPUT)
+    assert 0 < top.tau_out == rnd.output_predictability(0.1, rnd.MAX_RAW_BITS_PER_OUTPUT)
+    for k in (rnd.MAX_RAW_BITS_PER_OUTPUT + 1, 10**6, 10**12):
+        with pytest.raises(rnd.RandomnessError, match=f"got {k}"):
+            rnd.RngModel(raw_bits_per_output=k)
+    assert rnd.RngModel().tau_out == 2.147483648000004e-23
+    assert rnd.RngModel(raw_bits_per_output=2).tau_out == rnd.output_predictability(0.1, 2)
+
+
 def test_model_validation():
     with pytest.raises(rnd.RandomnessError):
         rnd.RngModel(excess_predictability=0.6)
