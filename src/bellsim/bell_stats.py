@@ -8,7 +8,11 @@ realist strategy can win a trial (in the sense (-1)^(a b) x y = 1) with
 probability above 3/4 regardless of history, so the number of wins k out of
 n is stochastically dominated by a binomial, and its exact tail is a valid
 p-value bound. Input predictability tau relaxes the per-trial win bound to
-3/4 + c tau (the adjustment coefficient is configurable and conservative).
+3/4 + c tau. The threat model: given everything else, the other site's bit
+included, each site's setting bit is predictable by at most tau, so it is 1
+with a probability in [1/2 - tau, 1/2 + tau]. Against such settings the best
+local strategy wins with 1 - (1/2 - tau)^2 = 3/4 + tau - tau^2, so c must be
+at least 1; the config rejects c < 1, and its default c = 3 is conservative.
 
 Every p-value of the complete analysis is the smallest float >= the exact
 binomial tail, so it is conservative and one defined float. The tail is

@@ -63,6 +63,9 @@ class BasisConfig:
 
     epsilon_pi: float = 0.026
 
+    def __post_init__(self):
+        ReadoutBasisSet.from_tilt(self.epsilon_pi * math.pi)  # a tilt that overflows fails here
+
 
 # Largest expected attempt count 1/p per trial: about 630 years per trial at a
 # 20 us period, and a geometric draw then reaches int64's 9.2e18 with P = e^-9223.
@@ -126,7 +129,8 @@ class StatisticsConfig:
     win_adjustment: float = 3.0
 
     def __post_init__(self):
-        _check(self, ">= 0", lambda v: v >= 0, "win_adjustment")
+        # x = y = +1 wins with 3/4 + tau - tau^2 when both settings lean by tau
+        _check(self, ">= 1", lambda v: v >= 1, "win_adjustment")
 
 
 @dataclass(frozen=True)
@@ -282,10 +286,6 @@ def _build_dataclass(default, data, path: str):
     cls = type(default)
     hints = typing.get_type_hints(cls)
     names = [f.name for f in dataclasses.fields(cls) if f.init]
-    unknown = set(data).difference(names)
-    if unknown:
-        where = f"{path}." if path else ""
-        raise ConfigError("unknown key(s): " + ", ".join(sorted(f"{where}{k}" for k in unknown)))
     changes = {}
     for name in names:
         if name not in data:
@@ -304,8 +304,27 @@ def _build_dataclass(default, data, path: str):
         raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
+def _unknown_keys(default, data, path: str) -> list[str]:
+    """Full paths of the keys in ``data`` that ``default`` and its sub-sections lack."""
+    if not isinstance(data, dict):
+        return []  # _build_dataclass reports it
+    names = {f.name for f in dataclasses.fields(default) if f.init}
+    unknown = []
+    for key, value in data.items():
+        sub_path = f"{path}.{key}" if path else str(key)
+        if key not in names:
+            unknown.append(sub_path)
+        elif dataclasses.is_dataclass(getattr(default, key)):
+            unknown += _unknown_keys(getattr(default, key), value, sub_path)
+    return unknown
+
+
 def config_from_dict(data: dict) -> SimulationConfig:
-    return _build_dataclass(default_config(), data, "")
+    default = default_config()
+    unknown = _unknown_keys(default, data, "")
+    if unknown:
+        raise ConfigError("unknown key(s): " + ", ".join(sorted(unknown)))
+    return _build_dataclass(default, data, "")
 
 
 def load_config(path) -> SimulationConfig:

@@ -87,22 +87,6 @@ def outcome_distribution(cfg: SimulationConfig) -> np.ndarray:
     return table
 
 
-_last_cumulative: tuple = (None, None)  # the last read-only outcome table and its running sum
-
-
-def _cumulative_outcomes(table: np.ndarray) -> np.ndarray:
-    """``table.cumsum(axis=2)``, read-only; kept for the last read-only table, which
-    cannot change, so a run of the same config sums its table once."""
-    global _last_cumulative
-    last_table, cumulative = _last_cumulative
-    if last_table is not table:
-        cumulative = table.cumsum(axis=2)
-        cumulative.setflags(write=False)
-        if not table.flags.writeable:
-            _last_cumulative = (table, cumulative)
-    return cumulative
-
-
 def _timestamps(cfg: SimulationConfig, timing_rng: np.random.Generator,
                 count: int) -> np.ndarray:
     """The five timestamp columns of ``count`` trials, as the rows of a (5, count)
@@ -166,7 +150,7 @@ def run_experiment(cfg: SimulationConfig, n_trials: int | None = None,
         raise EngineError("trial count must be non-negative")
     streams = TrialStreams.from_seed(seed)
     p = herald_probability(cfg.link)
-    cumulative = _cumulative_outcomes(outcome_distribution(cfg))
+    cumulative = outcome_distribution(cfg).cumsum(axis=2)
     period_ns = cfg.link.attempt_period_ns
     budget_ns = None if hours is None else hours * 3600.0 * 1e9
     log = TrialLog(config_hash=config_hash(cfg), seed=seed)

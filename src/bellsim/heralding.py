@@ -7,13 +7,18 @@ different output ports projects the remote spins onto the singlet. A
 same-port coincidence heralds psi+ instead, usable only after a local phase
 correction that is not modelled, so it is never accepted as a herald.
 
+The midpoint has four detection windows, numbered w = 2 * port + bin: port 0
+or 1 is the beam splitter's output, bin 0 the early and 1 the late time bin.
+A herald pattern is the (early, late) pair of windows that click, and the
+singlet is heralded by the two cross-port pairs of ``SINGLET_PATTERNS``.
+
 Partial photon indistinguishability is handled by splitting the node-B photon
 into a mode shared with node A (amplitude sqrt(V)) and an orthogonal private
 mode (amplitude sqrt(1-V)); only the shared-mode component interferes, which
 reproduces the coincidence contrast V and the heralded fidelity (1+V)/2.
 Spin-photon imperfections are classical flip mixtures conditioned on the time
-bin, and detector dark counts / excitation-laser leakage enter as independent
-false-click events per detection window.
+bin, and detector dark counts and excitation-laser leakage enter together as
+one false-click probability per detection window.
 
 The link always carries exactly two photons, one per node, so the photonic
 state past the beam splitter is a symmetrised amplitude over ordered pairs of
@@ -21,7 +26,7 @@ the 8 output modes of one photon (2 ports x 2 time bins x 2 sectors). The
 event-ready build never forms the joint spin-photon density matrix: each
 classical flip branch of the two nodes is carried as one weighted ket over
 the spin pair and the photon pair, and each herald pattern is a click
-probability per pair of detection windows. Only the final 4x4 two-spin state
+probability per pair of output modes. Only the final 4x4 two-spin state
 is validated as a :class:`~bellsim.quantum.QuantumState`. Only the functions
 that build states import numpy and ``quantum``, so a config loads neither.
 
@@ -52,14 +57,7 @@ if TYPE_CHECKING:
 
     from .quantum import QuantumState
 
-PORT_OUT_1 = "C-out-1"
-PORT_OUT_2 = "C-out-2"
-EARLY = "early"
-LATE = "late"
-
-OUTPUT_PORTS = (PORT_OUT_1, PORT_OUT_2)
-TIME_BINS = (EARLY, LATE)
-WINDOWS = tuple((port, time_bin) for port in OUTPUT_PORTS for time_bin in TIME_BINS)
+SINGLET_PATTERNS = ((0, 3), (2, 1))
 
 # one photon's amplitude into (out-1, out-2) at the 50:50 beam splitter
 SPLIT_A = (1 / math.sqrt(2), 1 / math.sqrt(2))
@@ -79,22 +77,15 @@ class InterferenceModel:
     """Photon interference and detection imperfections at the midpoint."""
 
     visibility: float = 0.90
-    detector_efficiency: tuple[float, float] = (1.0, 1.0)
-    dark_count_prob: float = 0.0
-    laser_leakage_prob: float = 0.0
+    detector_efficiency: tuple[float, float] = (1.0, 1.0)  # per output port
+    false_click_prob: float = 0.0  # dark count or laser leakage, per detection window
 
     def __post_init__(self):
         object.__setattr__(self, "detector_efficiency",
                            tuple(float(e) for e in self.detector_efficiency))
-        probs = (self.visibility, *self.detector_efficiency,
-                 self.dark_count_prob, self.laser_leakage_prob)
+        probs = (self.visibility, *self.detector_efficiency, self.false_click_prob)
         if any(not 0.0 <= p <= 1.0 for p in probs):
             raise HeraldingError(f"all interference-model probabilities must be in [0, 1]: {probs}")
-
-    @property
-    def false_click_prob(self) -> float:
-        """Probability of a spurious click per detection window."""
-        return 1.0 - (1.0 - self.dark_count_prob) * (1.0 - self.laser_leakage_prob)
 
 
 @dataclass(frozen=True)
@@ -121,32 +112,6 @@ class SpinPhotonErrorModel:
         raise HeraldingError(f"side must be 'A' or 'B', got {side!r}")
 
 
-@dataclass(frozen=True)
-class HeraldPattern:
-    """Required detection windows, e.g. {(out-1, early), (out-2, late)}."""
-
-    clicks: frozenset[tuple[str, str]]
-
-    def __post_init__(self):
-        clicks = frozenset((str(p), str(b)) for p, b in self.clicks)
-        object.__setattr__(self, "clicks", clicks)
-        bins = sorted(b for _, b in clicks)
-        if bins != [EARLY, LATE]:
-            raise HeraldingError("herald pattern needs exactly one early and one late click")
-        for port, _ in clicks:
-            if port not in OUTPUT_PORTS:
-                raise HeraldingError(f"clicks must be on output ports, got {port!r}")
-
-
-@lru_cache(maxsize=1)  # patterns are immutable: each model build reuses them
-def psi_minus_patterns() -> tuple[HeraldPattern, HeraldPattern]:
-    """The two cross-port early/late coincidences heralding the singlet."""
-    return (
-        HeraldPattern(frozenset({(PORT_OUT_1, EARLY), (PORT_OUT_2, LATE)})),
-        HeraldPattern(frozenset({(PORT_OUT_2, EARLY), (PORT_OUT_1, LATE)})),
-    )
-
-
 def _flip_branches(e_early: float, e_late: float):
     """Weights of the four (flip-early?, flip-late?) classical error branches."""
     for f_early, f_late in product((0, 1), repeat=2):
@@ -157,11 +122,10 @@ def _flip_branches(e_early: float, e_late: float):
 
 def _click_set_probability(visible: Sequence[int], clicked: Sequence[bool],
                            efficiency: tuple[float, float], false_click: float) -> float:
-    """P(exactly this click set | photon counts per window)."""
-    eta = {PORT_OUT_1: efficiency[0], PORT_OUT_2: efficiency[1]}
+    """P(exactly this click set | photon counts per window), both indexed by window."""
     p = 1.0
-    for w, (port, _) in enumerate(WINDOWS):
-        p_silent = (1.0 - eta[port]) ** visible[w] * (1.0 - false_click)
+    for w in range(4):
+        p_silent = (1.0 - efficiency[w >> 1]) ** visible[w] * (1.0 - false_click)
         p *= (1.0 - p_silent) if clicked[w] else p_silent
     return p
 
@@ -172,15 +136,14 @@ class HeraldResult:
 
     probability: float
     spin_state: QuantumState
-    pattern_probabilities: tuple[tuple[HeraldPattern, float], ...]
 
 
 @lru_cache(maxsize=8)  # one read-only array per (bin_a, bin_b, sector_b)
 def _two_photon_amplitudes(bin_a: int, bin_b: int, sector_b: int) -> np.ndarray:
     """Amplitude of one photon per node past the beam splitter, per ordered mode pair.
 
-    Output mode m = window * 2 + sector, with the windows in ``WINDOWS`` order
-    and sector 0 shared, 1 private. Node A's photon is in the shared sector of
+    Output mode m = window * 2 + sector, with window w = 2 * port + bin and
+    sector 0 shared, 1 private. Node A's photon is in the shared sector of
     time bin ``bin_a``, node B's in ``sector_b`` of ``bin_b`` (bins 0 early,
     1 late). With c[i, j] the amplitude of A's photon in mode i and B's in j,
     the 8x8 result is c + c^T: every photon pair sits on both (i, j) and
@@ -243,11 +206,12 @@ def _branch_kets(errors: SpinPhotonErrorModel,
 
 
 @lru_cache(maxsize=32)  # one read-only array per (pattern, efficiencies, false clicks)
-def _pattern_weights(pattern: HeraldPattern, efficiency: tuple[float, float],
+def _pattern_weights(pattern: tuple[int, int], efficiency: tuple[float, float],
                      false_click: float) -> np.ndarray:
-    """P(exactly the pattern's clicks | photon pair), per ordered output-mode pair."""
+    """P(exactly the clicks of the (early, late) window pair ``pattern`` | photon pair),
+    per ordered output-mode pair."""
     import numpy as np
-    clicked = [w in pattern.clicks for w in WINDOWS]
+    clicked = [w in pattern for w in range(4)]
     table = np.zeros((4, 4))
     for u, v in product(range(4), repeat=2):
         visible = [0] * 4
@@ -266,7 +230,7 @@ def event_ready_state(model: InterferenceModel,
 
     Returns the herald probability per emission round (detector and link
     losses aside) and the conditional two-spin density matrix, heralded by
-    the two cross-port coincidences of :func:`psi_minus_patterns`.
+    the two cross-port coincidences of ``SINGLET_PATTERNS``.
 
     Each flip branch b with weight w_b is a real ket psi_b over spin pair x
     ordered output-mode pair past the beam splitter; pattern p leaves the
@@ -278,20 +242,17 @@ def event_ready_state(model: InterferenceModel,
     branch_weights, kets = _branch_kets(errors, model.visibility)
     total = np.zeros((4, 4), dtype=np.complex128)
     total_prob = 0.0
-    per_pattern = []
-    for pattern in psi_minus_patterns():
+    for pattern in SINGLET_PATTERNS:
         clicked = kets * _pattern_weights(pattern, model.detector_efficiency,
                                           model.false_click_prob)
         # half: every photon pair is counted as both (i, j) and (j, i)
         cond = 0.5 * np.einsum("b,bik,bjk->ij", branch_weights, clicked, kets)
-        p = float(np.trace(cond))
-        per_pattern.append((pattern, p))
         total += cond
-        total_prob += p
+        total_prob += float(np.trace(cond))
     if total_prob < 1e-15:
         raise UnheraldableError("requested detection pattern has zero probability")
     spin = QuantumState(total / total_prob, (("spin_a", 2), ("spin_b", 2)))
-    return HeraldResult(total_prob, spin, tuple(per_pattern))
+    return HeraldResult(total_prob, spin)
 
 
 @dataclass(frozen=True)

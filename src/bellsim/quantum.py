@@ -3,9 +3,8 @@
 A state lives on an ordered tuple of named subsystems and is stored either as
 an amplitude vector (pure state) or a density matrix. Everything is double
 precision, dense, and validated at construction time. The simulator builds
-the heralded spin pair and the single spin-photon states with it, and reads
-them only through the (I, Z, X) correlation tensor and the fidelity to a pure
-target.
+the heralded spin pair with it, and reads it only through the (I, Z, X)
+correlation tensor and the fidelity to a pure target.
 
 Conventions: qubit basis index 0 is spin-up (the optically bright level) and
 index 1 is spin-down. Measurement directions are confined to the Z-X plane,

@@ -442,15 +442,31 @@ def test_bad_config_key_is_usage_error(tmp_path, capsys):
 
 def test_removed_config_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "old.yaml"
-    # each value loaded when its key existed; the last two gave the herald a
-    # second, uncorrected psi+ pattern and the link a rate beside its budget
+    # each value loaded when its key existed; include_same_port gave the herald a
+    # second, uncorrected psi+ pattern, herald_probability the link a rate beside
+    # its budget, and the last two reached the model only as one false-click
+    # probability, now interference.false_click_prob
     for section, key, value in (("rng", "extraction_time_ns", "160.0"),
                                 ("timing", "readout_duration_ns", "160.0"),
                                 ("heralding", "include_same_port", "true"),
-                                ("link", "herald_probability", "0.5")):
+                                ("link", "herald_probability", "0.5"),
+                                ("interference", "dark_count_prob", "0.01"),
+                                ("interference", "laser_leakage_prob", "0.01")):
         cfg.write_text(f"{section}:\n  {key}: {value}\n")
         assert run(["characterize", "--config", str(cfg)]) == 1
         assert f"unknown key(s): {section}.{key}" in capsys.readouterr().err
+
+
+def test_stale_keys_of_every_section_are_one_error(tmp_path, capsys):
+    cfg = tmp_path / "old.yaml"
+    # a bad value elsewhere does not hide them: unknown keys are found first
+    cfg.write_text("link:\n  herald_probability: 0.5\n  loss_db_per_km: -1.0\n"
+                   "interference:\n  dark_count_prob: 0.01\n  visibility: 0.5\n"
+                   "bogus_section: 1\n")
+    assert run(["analyze", "LOG", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == ("config error: unknown key(s): bogus_section, "
+                                       "interference.dark_count_prob, "
+                                       "link.herald_probability\n")
 
 
 @pytest.mark.parametrize("raw_bits", [10**6, 10**12])
@@ -562,6 +578,8 @@ def bad_inputs(tmp_path_factory):
                        b"readout_b:\n  duration_us: 0.003\n",
         "homneg.yaml": b"heralding:\n  hom_counts_indistinguishable: -1\n",
         "win.yaml": b"statistics:\n  win_adjustment: -1\n",
+        "win0.yaml": b"statistics:\n  win_adjustment: 0.0\n",
+        "tilt.yaml": b"basis:\n  epsilon_pi: 1.0e+308\n",
         "dark.yaml": b"interference:\n  visibility: 0.0\n  detector_efficiency: [0.0, 0.0]\n",
         "fibre01.yaml": b"link:\n  fibre_km_per_arm: 0.1\n",
         "ab5000.yaml": b"geometry:\n  ab_m: 5000.0\n",
@@ -612,7 +630,15 @@ FAILING = {
     "negative-hom-counts": ("simulate --n 1 --config {homneg_yaml} --out {dir}/x.jsonl", 1,
                             "config error: heralding: coincidence counts must be non-negative"),
     "negative-win-adjustment": ("analyze {log} --config {win_yaml}", 1,
-                                "config error: statistics: win_adjustment must be >= 0"),
+                                "config error: statistics: win_adjustment must be >= 1"),
+    # x = y = +1 wins with 3/4 + tau - tau^2 against settings biased by tau
+    "win-adjustment-below-one": ("analyze {log} --config {win0_yaml}", 1,
+                                 "config error: statistics: win_adjustment must be >= 1"),
+    # pi * 1e308 overflows: the tilt fails at load, not in the first model build
+    "overflowing-tilt-simulate": ("simulate --n 5 --config {tilt_yaml} --out {dir}/x.jsonl", 1,
+                                  "config error: basis: angle b0 must be finite"),
+    "overflowing-tilt-characterize": ("characterize --out {dir} --config {tilt_yaml}", 1,
+                                      "config error: basis: angle b0 must be finite"),
     "unheraldable-characterize": ("characterize --out {dir} --config {dark_yaml}", 1,
                                   "config error: requested detection pattern has zero"),
     "unheraldable-simulate": ("simulate --n 1 --config {dark_yaml} --out {dir}/x.jsonl", 1,

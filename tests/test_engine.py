@@ -281,12 +281,12 @@ def test_different_seeds_differ(tmp_path):
 
 @pytest.fixture(scope="module", params=[
     (dict(n_trials=245, seed=59), 245, False,
-     "a7d1ab8485e334f1b4a8fbbc60bc6bcfc94ac5869b2907468ead7057dbd0ab9a",
+     "fcd137acf4b38ec8929c3d5cc5d4ac634be5b58a5ff3802c7a05fe6ab2a9f873",
      "7c63d5b1e54e72202885842d61e48494e698620461259a5e6146fc5ce61dc7ec"),
     # 95 % of the expected duration of 20,000 trials: the budget ends the run
     (dict(n_trials=20_000, hours=0.95 * 20_000 / 6.4e-9 * 20_000 / 3.6e12, seed=(7, 0)),
      18_967, True,
-     "0fbfb66c68404f95be64e5eb92f948bc68357bc3aa09f25664b8cf9c9a6325b7",
+     "edebda2e459f62abc04b01a96f4a4b15c43c73d477eb6be9ca0d285573c6f6ac",
      "a5d30157e5387007b20be5b4f87c42752d53bb19cef3bb0ed4ac936a8ef4ce6d"),
 ], ids=["seed59", "budget-cut"])
 def pinned_log(request, tmp_path_factory):
@@ -397,7 +397,7 @@ def random_model_config(seed: int):
     return dataclasses.replace(
         CFG,
         interference=InterferenceModel(visibility=float(rng.uniform(0.0, 1.0)),
-                                       dark_count_prob=float(rng.uniform(0.0, 0.05))),
+                                       false_click_prob=float(rng.uniform(0.0, 0.05))),
         spin_photon_errors=SpinPhotonErrorModel(*map(float, rng.uniform(0.0, 0.5, 4))),
         readout_a=ReadoutConfig(mean_fidelity=float(rng.uniform(0.75, 0.99))),
         readout_b=ReadoutConfig(mean_fidelity=float(rng.uniform(0.75, 0.99)),
@@ -443,20 +443,6 @@ def test_outcome_distribution_is_cached_and_read_only():
     assert engine.outcome_distribution(dataclasses.replace(cfg)) is table
     with pytest.raises(ValueError):
         table[0, 0, 0] = 1.0
-
-
-def test_cumulative_outcome_table_is_kept_for_a_read_only_table():
-    table = engine.outcome_distribution(fast_cfg())
-    cumulative = engine._cumulative_outcomes(table)
-    assert cumulative.tobytes() == table.cumsum(axis=2).tobytes()
-    assert engine._cumulative_outcomes(table) is cumulative
-    with pytest.raises(ValueError):
-        cumulative[0, 0, 0] = 0.5
-    # a writable table may change between runs, so its sum is taken afresh
-    writable = np.array(table)
-    engine._cumulative_outcomes(writable)
-    writable[0, 0] = (1.0, 0.0, 0.0, 0.0)
-    assert engine._cumulative_outcomes(writable)[0, 0].tolist() == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_record_events_are_the_five_times_in_field_order():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
@@ -72,18 +73,29 @@ def oracle_psi_minus_herald(visibility):
 # windows block by block. event_ready_state must reproduce it. The Fock space
 # holds at most two photons over 16 modes: two input and two output ports,
 # two time bins, shared and private sectors. Its basis states are sorted
-# tuples of occupied mode indices, one entry per photon.
+# tuples of occupied mode indices, one entry per photon. Modes carry labels
+# here; the library numbers a detection window w = 2 * port + bin.
 
+OUT_PORTS = ("C-out-1", "C-out-2")
+TIME_BINS = ("early", "late")
 SECTORS = ("shared", "private")
 MODES = tuple((port, time_bin, sector)
-              for port in ("A-in", "B-in", h.PORT_OUT_1, h.PORT_OUT_2)
-              for time_bin in h.TIME_BINS for sector in SECTORS)
+              for port in ("A-in", "B-in", *OUT_PORTS)
+              for time_bin in TIME_BINS for sector in SECTORS)
 FOCK_BASIS = tuple(occ for n in range(3) for occ in combinations_with_replacement(range(16), n))
 FOCK_INDEX = {occ: i for i, occ in enumerate(FOCK_BASIS)}
 FOCK_DIM = len(FOCK_BASIS)
-# in the order h._click_set_probability reads the visible counts
-WINDOWS = tuple((port, time_bin) for port in (h.PORT_OUT_1, h.PORT_OUT_2)
-                for time_bin in h.TIME_BINS)
+# window w = 2 * port + bin, in the order h._click_set_probability reads the counts
+WINDOWS = tuple((port, time_bin) for port in OUT_PORTS for time_bin in TIME_BINS)
+# the two same-port early/late coincidences, as (early, late) window pairs
+SAME_PORT_PATTERNS = ((0, 1), (2, 3))
+# a herald build with its probability per pattern, which the library does not keep
+Herald = namedtuple("Herald", "probability spin_state pattern_probabilities")
+
+
+def false_click(dark, leakage):
+    """One window's false-click probability from independent dark counts and leakage."""
+    return 1.0 - (1.0 - dark) * (1.0 - leakage)
 
 
 def _permanent(m):
@@ -95,9 +107,9 @@ def _single_photon_splitter():
     """16x16 mode map: 50:50 per time bin and sector, outputs folded back on inputs."""
     s = 1 / SQRT2
     u = np.zeros((16, 16))
-    for time_bin, sector in product(h.TIME_BINS, SECTORS):
+    for time_bin, sector in product(TIME_BINS, SECTORS):
         a, b, o1, o2 = (MODES.index((port, time_bin, sector))
-                        for port in ("A-in", "B-in", h.PORT_OUT_1, h.PORT_OUT_2))
+                        for port in ("A-in", "B-in", *OUT_PORTS))
         u[[o1, o2, o1, o2], [a, a, b, b]] = (s, s, s, -s)
         u[[a, b, a, b], [o1, o1, o2, o2]] = (s, s, s, -s)  # unitary completion
     return u
@@ -140,9 +152,9 @@ def joint_source_state(errors, visibility):
     for w_a, fe_a, fl_a in h._flip_branches(*errors.for_side("A")):
         for w_b, fe_b, fl_b in h._flip_branches(*errors.for_side("B")):
             vec = np.zeros(4 * FOCK_DIM, dtype=np.complex128)
-            for bin_a, bin_b in product(h.TIME_BINS, repeat=2):
-                s_a = (0 if bin_a == h.EARLY else 1) ^ (fe_a if bin_a == h.EARLY else fl_a)
-                s_b = (0 if bin_b == h.EARLY else 1) ^ (fe_b if bin_b == h.EARLY else fl_b)
+            for bin_a, bin_b in product(TIME_BINS, repeat=2):
+                s_a = (0 if bin_a == "early" else 1) ^ (fe_a if bin_a == "early" else fl_a)
+                s_b = (0 if bin_b == "early" else 1) ^ (fe_b if bin_b == "early" else fl_b)
                 for sector_b, amp_b in (("shared", math.sqrt(visibility)),
                                         ("private", math.sqrt(1.0 - visibility))):
                     if amp_b == 0.0:
@@ -158,18 +170,14 @@ def dense_beam_splitter(rho):
     return big @ rho @ big.conj().T
 
 
-def herald(rho, model, patterns=None):
-    """Condition the dense state past the beam splitter on herald patterns."""
-    if patterns is None:
-        patterns = h.psi_minus_patterns()
-    elif isinstance(patterns, h.HeraldPattern):
-        patterns = (patterns,)
+def herald(rho, model, patterns=h.SINGLET_PATTERNS):
+    """Condition the dense state past the beam splitter on (early, late) window pairs."""
     rho = rho.reshape(4, FOCK_DIM, 4, FOCK_DIM)
     total = np.zeros((4, 4), dtype=np.complex128)
     total_prob = 0.0
     per_pattern = []
     for pattern in patterns:
-        clicked = [w in pattern.clicks for w in WINDOWS]
+        clicked = [w in pattern for w in range(4)]
         cond = np.zeros((4, 4), dtype=np.complex128)
         for visible, indices in _visible_groups():
             weight = h._click_set_probability(visible, clicked, model.detector_efficiency,
@@ -185,7 +193,7 @@ def herald(rho, model, patterns=None):
     if total_prob < 1e-15:
         raise h.UnheraldableError("requested detection pattern has zero probability")
     spin = q.QuantumState(total / total_prob, (("spin_a", 2), ("spin_b", 2)))
-    return h.HeraldResult(total_prob, spin, tuple(per_pattern))
+    return Herald(total_prob, spin, tuple(per_pattern))
 
 
 def click_pattern_distribution(rho, model):
@@ -203,27 +211,20 @@ def click_pattern_distribution(rho, model):
     return out
 
 
-def psi_plus_patterns():
-    """The two same-port early/late coincidences.
+# The same-port patterns herald psi+, which is usable only after a local phase
+# correction that the library does not model; accepted uncorrected beside the
+# cross-port patterns, they halve the fidelity to the singlet (see
+# ``test_including_same_port_heralds_degrades_the_mixture``), so the library
+# heralds on the cross-port patterns alone.
 
-    They herald psi+, which is usable only after a local phase correction that
-    the library does not model; accepted uncorrected beside the cross-port
-    patterns, they halve the fidelity to the singlet (see
-    ``test_including_same_port_heralds_degrades_the_mixture``), so the library
-    heralds on the cross-port patterns alone.
-    """
-    return (
-        h.HeraldPattern(frozenset({(h.PORT_OUT_1, h.EARLY), (h.PORT_OUT_1, h.LATE)})),
-        h.HeraldPattern(frozenset({(h.PORT_OUT_2, h.EARLY), (h.PORT_OUT_2, h.LATE)})),
-    )
+
+def heralded_patterns(include_same_port):
+    return h.SINGLET_PATTERNS + (SAME_PORT_PATTERNS if include_same_port else ())
 
 
 def dense_event_ready_state(model, errors, include_same_port=False):
     mixed = dense_beam_splitter(joint_source_state(errors, model.visibility))
-    patterns = h.psi_minus_patterns()
-    if include_same_port:
-        patterns = patterns + psi_plus_patterns()
-    return herald(mixed, model, patterns)
+    return herald(mixed, model, heralded_patterns(include_same_port))
 
 
 # ---- spin-photon state ---------------------------------------------------------
@@ -352,11 +353,11 @@ def test_beam_splitter_unitary_is_unitary():
 
 @pytest.mark.parametrize("bin_a, bin_b, sector_b", list(product((0, 1), repeat=3)))
 def test_two_photon_amplitudes_match_reference_splitter(bin_a, bin_b, sector_b):
-    k = fock_index(("A-in", h.TIME_BINS[bin_a], "shared"),
-                   ("B-in", h.TIME_BINS[bin_b], SECTORS[sector_b]))
+    k = fock_index(("A-in", TIME_BINS[bin_a], "shared"),
+                   ("B-in", TIME_BINS[bin_b], SECTORS[sector_b]))
     fock_out = reference_splitter()[:, k]
     amp = h._two_photon_amplitudes(bin_a, bin_b, sector_b)
-    outputs = [m for m in MODES if m[0] in (h.PORT_OUT_1, h.PORT_OUT_2)]
+    outputs = [m for m in MODES if m[0] in OUT_PORTS]
     for m1, m2 in combinations_with_replacement(outputs, 2):
         i, j = (WINDOWS.index(m[:2]) * 2 + SECTORS.index(m[2]) for m in (m1, m2))
         # a bunched pair |2_i> has Fock amplitude amp[i, i] / sqrt(2)
@@ -369,7 +370,7 @@ def test_two_photon_amplitudes_match_reference_splitter(bin_a, bin_b, sector_b):
 # ---- herald -------------------------------------------------------------------------
 
 
-def _pipeline(visibility, errors=NO_ERRORS, model=None, patterns=None):
+def _pipeline(visibility, errors=NO_ERRORS, model=None, patterns=h.SINGLET_PATTERNS):
     mixed = dense_beam_splitter(joint_source_state(errors, visibility))
     model = model or h.InterferenceModel(visibility=visibility)
     return herald(mixed, model, patterns)
@@ -416,9 +417,9 @@ def test_fidelity_monotone_in_visibility():
 
 
 def test_port_swapped_pattern_gives_identical_state():
-    p1, p2 = h.psi_minus_patterns()
-    res1 = _pipeline(0.7, patterns=p1)
-    res2 = _pipeline(0.7, patterns=p2)
+    p1, p2 = h.SINGLET_PATTERNS
+    res1 = _pipeline(0.7, patterns=(p1,))
+    res2 = _pipeline(0.7, patterns=(p2,))
     assert abs(res1.probability - res2.probability) < 1e-12
     np.testing.assert_allclose(res1.spin_state.density_matrix(),
                                res2.spin_state.density_matrix(), atol=1e-10)
@@ -427,7 +428,7 @@ def test_port_swapped_pattern_gives_identical_state():
 def test_click_pattern_distribution_sums_to_one():
     mixed = dense_beam_splitter(joint_source_state(h.SpinPhotonErrorModel(), 0.8))
     model = h.InterferenceModel(visibility=0.8, detector_efficiency=(0.7, 0.9),
-                                dark_count_prob=0.01, laser_leakage_prob=0.005)
+                                false_click_prob=false_click(0.01, 0.005))
     dist = click_pattern_distribution(mixed, model)
     assert abs(sum(dist.values()) - 1.0) < 1e-9
     assert all(p >= -1e-12 for p in dist.values())
@@ -436,7 +437,7 @@ def test_click_pattern_distribution_sums_to_one():
 def test_dark_counts_degrade_the_heralded_state():
     clean = h.event_ready_state(h.InterferenceModel(visibility=1.0), NO_ERRORS)
     noisy = h.event_ready_state(
-        h.InterferenceModel(visibility=1.0, dark_count_prob=0.05), NO_ERRORS
+        h.InterferenceModel(visibility=1.0, false_click_prob=0.05), NO_ERRORS
     )
     f_clean = q.fidelity_to_pure(clean.spin_state, q.psi_minus())
     f_noisy = q.fidelity_to_pure(noisy.spin_state, q.psi_minus())
@@ -454,7 +455,7 @@ def test_unheraldable_pattern_raises():
 
 
 def test_same_port_pattern_is_psi_plus_like():
-    res = _pipeline(1.0, patterns=psi_plus_patterns()[0])
+    res = _pipeline(1.0, patterns=SAME_PORT_PATTERNS[:1])
     plus = np.zeros(4)
     plus[1] = plus[2] = 1 / SQRT2
     fid = float(np.real(plus @ res.spin_state.density_matrix() @ plus))
@@ -467,19 +468,12 @@ def test_including_same_port_heralds_degrades_the_mixture():
     # half triplet: fidelity collapses to ~1/2 while the rate doubles. This is
     # why the library heralds on the cross-port patterns alone.
     strict = _pipeline(1.0)
-    loose = _pipeline(1.0, patterns=h.psi_minus_patterns() + psi_plus_patterns())
+    loose = _pipeline(1.0, patterns=heralded_patterns(include_same_port=True))
     ideal = h.event_ready_state(h.InterferenceModel(visibility=1.0), NO_ERRORS)
     assert abs(ideal.probability - strict.probability) < 1e-12
     assert abs(loose.probability - 2 * strict.probability) < 1e-9
     fid = q.fidelity_to_pure(loose.spin_state, q.psi_minus())
     assert abs(fid - 0.5) < 1e-9
-
-
-def test_pattern_validation():
-    with pytest.raises(h.HeraldingError):
-        h.HeraldPattern(frozenset({(h.PORT_OUT_1, h.EARLY), (h.PORT_OUT_2, h.EARLY)}))
-    with pytest.raises(h.HeraldingError):
-        h.HeraldPattern(frozenset({("A-in", h.EARLY), (h.PORT_OUT_2, h.LATE)}))
 
 
 # ---- branch-ket build against the dense route ---------------------------------------
@@ -495,7 +489,7 @@ def _equivalence_grid():
         (h.InterferenceModel(visibility=1.0), h.SpinPhotonErrorModel(0.5, 0.0, 0.0, 0.5)),
         (h.InterferenceModel(visibility=0.9), h.SpinPhotonErrorModel()),
         (h.InterferenceModel(visibility=0.8, detector_efficiency=(0.7, 0.9),
-                             dark_count_prob=0.01, laser_leakage_prob=0.005),
+                             false_click_prob=false_click(0.01, 0.005)),
          h.SpinPhotonErrorModel()),
     ]
     for _ in range(6):
@@ -503,8 +497,8 @@ def _equivalence_grid():
         model = h.InterferenceModel(
             visibility=float(rng.choice([0.0, 1.0, rng.uniform()])),
             detector_efficiency=tuple(rng.uniform(0.3, 1.0, 2)),
-            dark_count_prob=float(rng.uniform(0.0, 0.05)),
-            laser_leakage_prob=float(rng.uniform(0.0, 0.05)))
+            false_click_prob=false_click(float(rng.uniform(0.0, 0.05)),
+                                         float(rng.uniform(0.0, 0.05))))
         points.append((model, h.SpinPhotonErrorModel(*errors)))
     return points
 
@@ -515,17 +509,16 @@ def test_event_ready_state_matches_dense_route(model, errors, include_same_port)
     # the library heralds on the cross-port patterns alone; with the same-port
     # ones too, its kets and click weights are checked where both photons may
     # leave by one port
-    if include_same_port:
-        res = ket_build(model, errors, h.psi_minus_patterns() + psi_plus_patterns())
-    else:
-        res = h.event_ready_state(model, errors)
+    res = ket_build(model, errors, heralded_patterns(include_same_port))
     ref = dense_event_ready_state(model, errors, include_same_port)
-    assert abs(res.probability - ref.probability) < 1e-12
     assert len(res.pattern_probabilities) == len(ref.pattern_probabilities)
     for (pattern, p), (ref_pattern, ref_p) in zip(res.pattern_probabilities,
                                                   ref.pattern_probabilities):
         assert pattern == ref_pattern
         assert abs(p - ref_p) < 1e-12
+    if not include_same_port:
+        res = h.event_ready_state(model, errors)
+    assert abs(res.probability - ref.probability) < 1e-12
     np.testing.assert_allclose(res.spin_state.density_matrix(),
                                ref.spin_state.density_matrix(), rtol=0, atol=1e-12)
 
@@ -558,7 +551,7 @@ def reference_branch_kets(errors, visibility):
 
 def reference_pattern_weights(pattern, model):
     """The 4x4 window-pair click table, spread over the sectors by a Kronecker product."""
-    clicked = [w in pattern.clicks for w in WINDOWS]
+    clicked = [w in pattern for w in range(4)]
     table = np.zeros((4, 4))
     for u, v in product(range(4), repeat=2):
         visible = [0] * 4
@@ -592,15 +585,13 @@ def ket_build(model, errors, patterns, branch_kets=h._branch_kets,
         total += cond
         total_prob += p
     spin = q.QuantumState(total / total_prob, (("spin_a", 2), ("spin_b", 2)))
-    return h.HeraldResult(total_prob, spin, tuple(per_pattern))
+    return Herald(total_prob, spin, tuple(per_pattern))
 
 
 def reference_build(model, errors, include_same_port):
     """``event_ready_state`` assembled from the two references above."""
-    patterns = h.psi_minus_patterns()
-    if include_same_port:
-        patterns = patterns + psi_plus_patterns()
-    return ket_build(model, errors, patterns, reference_branch_kets, reference_pattern_weights)
+    return ket_build(model, errors, heralded_patterns(include_same_port),
+                     reference_branch_kets, reference_pattern_weights)
 
 
 def _random_points(count, seed=1305):
@@ -615,7 +606,7 @@ def _random_points(count, seed=1305):
         model = h.InterferenceModel(
             visibility=draw(0.0, 1.0, [0.0, 1.0]),
             detector_efficiency=(draw(0.05, 1.0, [1.0]), draw(0.05, 1.0, [1.0])),
-            dark_count_prob=draw(0.0, 0.1, [0.0]), laser_leakage_prob=draw(0.0, 0.1, [0.0]))
+            false_click_prob=false_click(draw(0.0, 0.1, [0.0]), draw(0.0, 0.1, [0.0])))
         points.append((model, h.SpinPhotonErrorModel(*(draw(0.0, 0.5, [0.0, 0.5])
                                                        for _ in range(4)))))
     return points
@@ -633,21 +624,20 @@ def test_event_ready_state_is_bitwise_the_per_branch_loop(include_same_port):
         ref_weights, ref_kets = reference_branch_kets(errors, model.visibility)
         assert kets.tobytes() == ref_kets.tobytes(), point
         assert weights.tobytes() == ref_weights.tobytes(), point
-        if include_same_port:
-            # the library's click weights of the same-port patterns, at every point
-            res = ket_build(model, errors, h.psi_minus_patterns() + psi_plus_patterns())
-        else:
-            res = h.event_ready_state.__wrapped__(model, errors)
+        # per-pattern bits from the library's kets and click weights, same-port ones too
+        res = ket_build(model, errors, heralded_patterns(include_same_port))
         ref = reference_build(model, errors, include_same_port)
-        assert res.spin_state.data.tobytes() == ref.spin_state.data.tobytes(), point
-        assert _bits(res.probability) == _bits(ref.probability), point
         assert [(pattern, _bits(p)) for pattern, p in res.pattern_probabilities] \
             == [(pattern, _bits(p)) for pattern, p in ref.pattern_probabilities], point
+        if not include_same_port:
+            res = h.event_ready_state.__wrapped__(model, errors)
+        assert res.spin_state.data.tobytes() == ref.spin_state.data.tobytes(), point
+        assert _bits(res.probability) == _bits(ref.probability), point
 
 
 def test_pattern_weights_are_cached_and_read_only():
-    model = h.InterferenceModel(detector_efficiency=(0.7, 0.9), dark_count_prob=0.01)
-    for pattern in h.psi_minus_patterns() + psi_plus_patterns():
+    model = h.InterferenceModel(detector_efficiency=(0.7, 0.9), false_click_prob=0.01)
+    for pattern in heralded_patterns(include_same_port=True):
         weights = h._pattern_weights(pattern, model.detector_efficiency, model.false_click_prob)
         assert weights.tobytes() == reference_pattern_weights(pattern, model).tobytes()
         assert h._pattern_weights(pattern, model.detector_efficiency,
@@ -656,12 +646,12 @@ def test_pattern_weights_are_cached_and_read_only():
             weights[0] = 0.5
 
 
-@pytest.mark.parametrize("change", [{"dark_count_prob": 0.02},
-                                    {"laser_leakage_prob": 0.02},
+@pytest.mark.parametrize("change", [{"false_click_prob": 0.02},
+                                    {"false_click_prob": 0.0},
                                     {"detector_efficiency": (0.5, 0.9)}])
 def test_models_that_differ_only_in_detection_give_different_states(change):
     errors = h.SpinPhotonErrorModel()
-    base = h.InterferenceModel(visibility=0.9, dark_count_prob=0.01)
+    base = h.InterferenceModel(visibility=0.9, false_click_prob=0.01)
     other = dataclasses.replace(base, **change)
     assert other.visibility == base.visibility
     rho, rho_other = (h.event_ready_state(m, errors).spin_state.density_matrix()

@@ -1,6 +1,7 @@
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import mpmath as mp
@@ -271,6 +272,34 @@ def test_complete_pvalue_monotone_in_k_and_tau():
 def test_complete_pvalue_degenerate_bound():
     # win bound reaches 1 -> the test has no power, p = 1
     assert bs.complete_pvalue(240, 245, 0.09, win_adjustment=3.0) == 1.0
+
+
+def best_local_win_rate(tau: Fraction) -> Fraction:
+    """Best win rate of the 16 deterministic strategies against biased settings.
+
+    Each side's setting is 1 with a probability in [1/2 - tau, 1/2 + tau]. The
+    win rate is linear in each, so the adversary's extreme points are 1/2 +- tau.
+    """
+    half = Fraction(1, 2)
+    rates = []
+    for xs, ys in product(product((1, -1), repeat=2), repeat=2):  # x(a) and y(b)
+        for p_a, p_b in product((half - tau, half + tau), repeat=2):
+            rates.append(sum((p_a if a else 1 - p_a) * (p_b if b else 1 - p_b)
+                             for a, b in product((0, 1), repeat=2)
+                             if (-1) ** (a * b) * xs[a] * ys[b] == 1))
+    return max(rates)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.01, 0.02, 0.1, 0.2, 0.249])
+def test_win_bound_holds_against_every_deterministic_strategy(tau):
+    exact = Fraction(tau)
+    best = best_local_win_rate(exact)
+    assert best == 1 - (Fraction(1, 2) - exact) ** 2
+    for c in (1.0, 1.5, 2.0, 3.0):
+        assert best <= Fraction(3, 4) + Fraction(c) * exact
+        assert best <= bs.win_probability_bound(tau, c)
+    # tight at c = 1 - tau, so no adjustment below that is valid
+    assert best == Fraction(3, 4) + (1 - exact) * exact
 
 
 def test_complete_pvalue_validation():
