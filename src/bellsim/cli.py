@@ -3,11 +3,12 @@
 Subcommands: characterize | simulate | analyze | audit | optimize.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 scientific failure
 (a locality condition failed the audit). Commands raise; ``main`` alone maps
-an exception to its exit code, by the FAILURES table. A reader that closes
+an exception to its exit code, by the table of ``_failure``. A reader that closes
 stdout early (``bellsim audit LOG | head``) ends the command quietly with 141,
 the code a shell gives a command that a closed pipe stopped. Tabular reports
 are CSV with fixed column orders and '.' decimal separator; structured results
-are JSON.
+are JSON. Each command imports, in its own body, the modules that only it uses,
+so that a fresh process loads what its command needs and no more.
 """
 
 from __future__ import annotations
@@ -19,13 +20,16 @@ import math
 import os
 import sys
 from contextlib import ExitStack, nullcontext
-from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import bell_stats, heralding, logio, optimizer, spacetime
+from . import heralding, spacetime
 from .config import (ConfigError, SimulationConfig, config_hash, default_config,
                      herald_probability, load_config)
 from .readout import ReadoutBasisSet
+
+if TYPE_CHECKING:
+    from . import logio
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,6 +65,7 @@ def _load(args) -> SimulationConfig:
 
 def _read_log(args, cfg: SimulationConfig) -> logio.TrialLog:
     """The log at ``args.logfile``, with one stderr warning if another config wrote it."""
+    from . import logio
     log = logio.read_log(args.logfile)
     if log.config_hash != (active := config_hash(cfg)):
         print(f"warning: {args.logfile} was written under config {log.config_hash[:8]}, "
@@ -87,7 +92,7 @@ def _write_csv(fh, header, rows) -> None:
 
 
 def cmd_characterize(args) -> int:
-    from . import quantum
+    from . import bell_stats, quantum
     cfg = _load(args)
     herald = cfg.heralded_state()
     fidelity = quantum.fidelity_to_pure(herald.spin_state, quantum.psi_minus())
@@ -134,10 +139,11 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from . import engine
+    from . import engine, logio
     cfg = _load(args)
     log = engine.run_experiment(cfg, n_trials=args.n, hours=args.hours, seed=args.seed)
     if args.stamp:
+        from datetime import datetime, timezone
         log.created = datetime.now(timezone.utc).isoformat()
     out = args.out or "bell_trials.jsonl"
     logio.write_log(log, out)
@@ -149,6 +155,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import bell_stats
     cfg = _load(args)
     with ExitStack() as outputs:  # opened first, so a path that cannot be written fails at once
         curve = outputs.enter_context(_output(args.curve)) if args.curve else None
@@ -170,6 +177,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from . import logio
     cfg = _load(args)
     log = _read_log(args, cfg)
     geometry = cfg.spacetime_geometry()
@@ -191,6 +199,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from . import optimizer
     cfg = _load(args)
     result = optimizer.optimize(cfg.optimizer.spec(), cfg.heralded_state().spin_state,
                                 cfg.readout_model("A"), cfg.readout_model("B"))
@@ -264,15 +273,25 @@ def build_parser() -> _Parser:
     return parser
 
 
-# (exception classes, exit code, stderr prefix); the first matching row wins.
-# Anything else, an EngineError included, is a bug and keeps its traceback.
-FAILURES = (
-    ((UsageError,), EXIT_USAGE, "error"),
-    # the photonic model's inputs come only from the config
-    ((ConfigError, heralding.HeraldingError), EXIT_USAGE, "config error"),
-    ((OSError, logio.LogFormatError, bell_stats.StatisticsError, optimizer.OptimizerError),
-     EXIT_DATA, "data error"),
-)
+def _failure(exc: Exception) -> tuple[int, str] | None:
+    """(exit code, stderr line) for ``exc``; None for a bug, which keeps its traceback.
+
+    The table is built here, on the error path, so that no command loads a module
+    for its exception class alone. An EngineError is a bug.
+    """
+    from . import bell_stats, logio, optimizer
+    failures = (  # (exception classes, exit code, stderr prefix); the first matching row wins
+        ((UsageError,), EXIT_USAGE, "error"),
+        # the photonic model's inputs come only from the config
+        ((ConfigError, heralding.HeraldingError), EXIT_USAGE, "config error"),
+        ((OSError, logio.LogFormatError, bell_stats.StatisticsError, optimizer.OptimizerError),
+         EXIT_DATA, "data error"),
+    )
+    for classes, code, prefix in failures:
+        if isinstance(exc, classes):
+            where = f"{exc.path}: " if isinstance(exc, logio.LogFormatError) else ""
+            return code, f"{prefix}: {where}{exc}"
+    return None
 
 
 def main(argv=None) -> int:
@@ -286,11 +305,11 @@ def main(argv=None) -> int:
         # so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except tuple(cls for classes, _, _ in FAILURES for cls in classes) as exc:
-        code, prefix = next((code, prefix) for classes, code, prefix in FAILURES
-                            if isinstance(exc, classes))
-        where = f"{exc.path}: " if isinstance(exc, logio.LogFormatError) else ""
-        print(f"{prefix}: {where}{exc}", file=sys.stderr)
+    except Exception as exc:
+        if (failure := _failure(exc)) is None:
+            raise
+        code, line = failure
+        print(line, file=sys.stderr)
         return code
 
 

@@ -13,14 +13,11 @@ their full path, and every section checks its values when it is built.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import types
 import typing
 from dataclasses import dataclass, field
-
-import yaml
 
 from .heralding import (HeraldResult, InterferenceModel, SpinPhotonErrorModel,
                         event_ready_state, hom_visibility)
@@ -194,6 +191,17 @@ class SimulationConfig:
             raise ConfigError(f"link.fibre_km_per_arm={self.link.fibre_km_per_arm} is shorter "
                               f"than the {max(ac, cb)} m from a site to the midpoint, "
                               "so a photon would outrun light")
+        # float addition is monotone, so no event time the engine sums exceeds the herald
+        # or the readout end at the largest jitter and the longer readout window
+        t = self.timing
+        latest_ns = max(self.herald_delay_ns() + t.jitter_ns,
+                        t.choice_delay_ns + t.jitter_ns + t.choice_to_readout_ns
+                        + 1e3 * max(self.readout_a.duration_us, self.readout_b.duration_us)
+                        + t.jitter_ns)
+        if not math.isfinite(latest_ns):
+            raise ConfigError("the latest event time of a trial overflows: the timing budget, "
+                              "1e3 * readout_*.duration_us and the fibre delay must sum to a "
+                              "finite number of ns")
 
     # ---- derived model objects -------------------------------------------
 
@@ -240,6 +248,7 @@ def config_to_dict(cfg: SimulationConfig) -> dict:
 def config_hash(cfg: SimulationConfig) -> str:
     """Stable hash of the full parameter tree (embedded in trial logs), kept on ``cfg``."""
     if cfg._hash is None:
+        import hashlib  # OpenSSL's loader: only the commands that read or write a log pay it
         canonical = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
         object.__setattr__(cfg, "_hash", hashlib.sha256(canonical.encode("utf-8")).hexdigest())
     return cfg._hash
@@ -328,12 +337,18 @@ def config_from_dict(data: dict) -> SimulationConfig:
 
 
 def load_config(path) -> SimulationConfig:
-    """Load and validate a YAML config file; missing sections keep defaults."""
+    """Load and validate a YAML config file; missing sections keep defaults.
+
+    libyaml's parser builds the same tree as PyYAML's pure-Python one about ten
+    times faster; PyYAML built without libyaml falls back to the latter.
+    """
+    import yaml  # only a command given --config loads it
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: YAML parse error: {exc}") from exc
+            data = yaml.load(fh, Loader=loader)
+    except yaml.YAMLError as exc:  # its marks span lines; the error is one line
+        raise ConfigError(f"{path}: YAML parse error: {' '.join(str(exc).split())}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if data is None:

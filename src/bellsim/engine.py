@@ -163,10 +163,12 @@ def run_experiment(cfg: SimulationConfig, n_trials: int | None = None,
             raise EngineError(f"attempt count reached the int64 ceiling at p = {p!r}")
         m = size  # trials of this block that fit the budget
         if budget_ns is not None:
-            # same left-to-right running sum as adding one trial at a time
-            steps = attempts * period_ns
-            steps[0] += elapsed_ns
-            elapsed = np.cumsum(steps)
+            # same left-to-right running sum as adding one trial at a time; a clock
+            # that overflows to inf is past any finite budget, which is the right answer
+            with np.errstate(over="ignore"):
+                steps = attempts * period_ns
+                steps[0] += elapsed_ns
+                elapsed = np.cumsum(steps)
             m = int(np.searchsorted(elapsed, budget_ns, side="right"))
             if m < size:
                 log.partial = n_trials is not None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -34,6 +33,7 @@ def output_predictability(tau_raw: float, k: int) -> float:
         raise RandomnessError("raw excess predictability must be in [0, 0.5]")
     if k < 1:
         raise RandomnessError("block length must be >= 1")
+    from fractions import Fraction  # only the statistics ask for tau_out
     exact = Fraction(1, 2) * (2 * Fraction(tau_raw)) ** k
     out = float(exact)
     return min(0.5, out if Fraction(out) >= exact else math.nextafter(out, math.inf))

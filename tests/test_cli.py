@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,22 @@ def test_simulate_honours_config_hours(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert json.loads(lines[0])["partial"] is True
     assert 1 < len(lines) < 246
+
+
+def test_simulate_clock_that_overflows_ends_the_budget_quietly(tmp_path, capsys):
+    # 1e308 ns per attempt overflows the clock at the first herald: past any finite
+    # budget, so the log is partial with no trial, and numpy warns of nothing
+    cfg = tmp_path / "slow.yaml"
+    cfg.write_text("link:\n  attempt_period_ns: 1.0e+308\n")
+    out = tmp_path / "log.jsonl"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["simulate", "--n", "3", "--hours", "1", "--config", str(cfg),
+                    "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote 0 trials to {out} (partial)\n", "")
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["partial"] is True
 
 
 @pytest.mark.parametrize("flags", [
@@ -552,6 +569,20 @@ def test_missing_required_argument_is_usage_error():
     assert run(["analyze"]) == 1
 
 
+def test_engine_error_is_a_bug_that_keeps_its_traceback(tmp_path, monkeypatch, capsys):
+    from bellsim import engine, logio
+
+    def fail(*args, **kwargs):
+        raise logio.EngineError("a row the engine built broke a log rule")
+
+    monkeypatch.setattr(engine, "run_experiment", fail)
+    capsys.readouterr()
+    with pytest.raises(logio.EngineError, match="a row the engine built") as info:
+        run(["simulate", "--n", "1", "--out", str(tmp_path / "x.jsonl")])
+    assert info.traceback[-1].name == "fail"  # raised again as it was, not wrapped
+    assert capsys.readouterr().err == ""
+
+
 # ---- every failure ends in one prefixed line, never a traceback ---------------------
 
 HEADER = '{"format_version":1,"config_hash":"h","seed":59,"created":null,"partial":false}'
@@ -583,6 +614,11 @@ def bad_inputs(tmp_path_factory):
         "dark.yaml": b"interference:\n  visibility: 0.0\n  detector_efficiency: [0.0, 0.0]\n",
         "fibre01.yaml": b"link:\n  fibre_km_per_arm: 0.1\n",
         "ab5000.yaml": b"geometry:\n  ab_m: 5000.0\n",
+        "readout1e306.yaml": b"readout_a:\n  duration_us: 1.0e+306\n",
+        "choice1e308.yaml": b"timing:\n  choice_to_readout_ns: 1.0e+308\n"
+                            b"  choice_delay_ns: 1.0e+308\n",
+        "fibre1e306.yaml": b"link:\n  fibre_km_per_arm: 1.0e+306\n  loss_db_per_km: 0.0\n",
+        "malformed.yaml": b"link: [1\n",
         # blank line 3 and a broken line 6
         "blank.jsonl": "\n".join([HEADER, rows[0], "", *rows[1:3], "{broken", ""]).encode(),
     }
@@ -661,6 +697,17 @@ FAILING = {
     "tau-negative": ("analyze {log} --tau -1", 1, "error: argument --tau: expected"),
     "tau-nan": ("analyze {log} --tau nan", 1, "error: argument --tau: expected"),
     "tau-inf": ("analyze {log} --tau inf", 1, "error: argument --tau: expected"),
+    # 1e3 * 1e306 us, 1e308 + 1e308 ns and the flight time of 1e306 km overflow: the
+    # event times fail at load, not in the engine's row check
+    "overflowing-readout-end": ("simulate --n 3 --config {readout1e306_yaml} --out {dir}/x.jsonl",
+                                1, "config error: the latest event time of a trial overflows"),
+    "overflowing-choice-time": ("simulate --n 3 --config {choice1e308_yaml} --out {dir}/x.jsonl",
+                                1, "config error: the latest event time of a trial overflows"),
+    "overflowing-herald-time": ("simulate --n 3 --config {fibre1e306_yaml} --out {dir}/x.jsonl",
+                                1, "config error: the latest event time of a trial overflows"),
+    # libyaml and PyYAML word the rest of the message differently
+    "malformed-yaml": ("characterize --out {dir} --config {malformed_yaml}", 1,
+                       "config error: {malformed_yaml}: YAML parse error"),
     # the outputs are opened before the log is read
     "curve-dir-before-log": ("analyze {latin1_jsonl} --curve {dir}", 2, "data error: [Errno 21]"),
     "out-dir-before-log": ("analyze {latin1_jsonl} --out {dir}", 2, "data error: [Errno 21]"),
@@ -705,22 +752,59 @@ def test_closed_stdout_pipe_ends_quietly(tmp_path):
     assert err == ""
 
 
-def test_analyze_and_audit_load_no_numpy(tmp_path):
-    # the certification reads only each trial's settings, outcomes and event times
-    log = tmp_path / "run.jsonl"
-    assert cli.main(["simulate", "--n", "245", "--out", str(log)]) == 0
-    root = Path(cli.__file__).resolve().parents[2]
-    src = str(root / "src")
-    config = str(root / "configs" / "default.yaml")
+def loaded_in_fresh_interpreter(code: str, modules) -> list[str]:
+    """Those of ``modules`` that ``code`` leaves in ``sys.modules`` of a new interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    for argv in (["analyze", str(log), "--curve", str(tmp_path / "curve.csv"), "--config", config,
-                  "--out", str(tmp_path / "analyze.json")],
-                 ["audit", str(log), "--config", config, "--out", str(tmp_path / "audit.csv")]):
-        code = (f"import sys, bellsim.cli; assert bellsim.cli.main({argv!r}) == 0; "
-                "print('numpy' in sys.modules)")
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env)
-        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    code += f"\nimport json, sys; print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+    return json.loads(done.stdout.splitlines()[-1])  # the command's own output comes first
+
+
+DEFAULT_YAML = str(Path(cli.__file__).resolve().parents[2] / "configs" / "default.yaml")
+
+
+# modules a command has no use for, so a fresh process of it must not load them:
+# the physics outside the commands that build a model (the certification reads only
+# each trial's settings, outcomes and event times), the statistics outside analyze
+# and characterize, and the log format and its hash outside the commands that read
+# or write a log
+UNUSED_MODULES = {
+    "characterize": ["bellsim.logio", "hashlib"],
+    "simulate": ["bellsim.bell_stats"],
+    "analyze": ["numpy"],
+    "audit": ["bellsim.bell_stats", "numpy"],
+    "optimize": ["bellsim.logio", "hashlib"],
+}
+
+
+@pytest.mark.parametrize("with_config", [True, False], ids=["config", "built-in"])
+@pytest.mark.parametrize("command", UNUSED_MODULES)
+def test_a_command_loads_only_the_modules_it_uses(tmp_path, command, with_config):
+    log = tmp_path / "run.jsonl"
+    if command in ("analyze", "audit"):
+        assert cli.main(["simulate", "--n", "245", "--out", str(log)]) == 0
+    argv = {"characterize": ["characterize", "--out", str(tmp_path)],
+            "simulate": ["simulate", "--n", "245", "--out", str(log)],
+            "analyze": ["analyze", str(log), "--curve", str(tmp_path / "curve.csv"),
+                        "--out", str(tmp_path / "analyze.json")],
+            "audit": ["audit", str(log), "--out", str(tmp_path / "audit.csv")],
+            "optimize": ["optimize", "--out", str(tmp_path / "optimize.json")]}[command]
+    # only a command given --config parses YAML
+    unused = UNUSED_MODULES[command] + ([] if with_config else ["yaml"])
+    argv += ["--config", DEFAULT_YAML] if with_config else []
+    code = f"import bellsim.cli; assert bellsim.cli.main({argv!r}) == 0"
+    assert loaded_in_fresh_interpreter(code, unused) == []
+
+
+def test_the_model_build_loads_no_statistics_and_no_hash():
+    # what every model-building command pays before its first trial
+    code = ("from bellsim import config, engine\n"
+            f"cfg = config.load_config({DEFAULT_YAML!r})\n"
+            "cfg.heralded_state()\n"
+            "engine.outcome_distribution(cfg)")
+    assert loaded_in_fresh_interpreter(code, ["bellsim.bell_stats", "hashlib"]) == []
 
 
 def test_annotations_resolve_with_the_type_checking_imports():

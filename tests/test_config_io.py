@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +51,56 @@ def test_import_loads_only_the_model_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+# libyaml and the pure-Python parser must build the same tree: scalars resolve
+# by one SafeConstructor, and only the parse differs
+YAML_TEXTS = [
+    "a: null\nb: ~\nc:\n",
+    "a: 1.0e+308\nb: -1.0e+308\nc: 1e3\nd: .inf\n",
+    "a: 3.83e-3\nb: 0.026\nc: 20_000.0\nd: 59\ne: 0x1F\nf: 017\n",
+    "a: [1.0, 1.0]\nb: [0.5, null, 3]\nc: {d: [1, [2, 3]], e: {}}\nd: []\n",
+    "a: yes\nb: off\nc: 'text'\nd: \"1.0\"\ne: 2015-08-24\n",
+]
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("text", [(REPO_ROOT / "configs" / "default.yaml").read_text(), *YAML_TEXTS],
+                         ids=["default.yaml", "null", "big", "small", "flow", "other"])
+def test_libyaml_and_pure_python_parse_to_equal_trees(text):
+    fast, pure = (yaml.load(text, Loader=loader) for loader in (yaml.CSafeLoader, yaml.SafeLoader))
+    assert fast == pure
+    assert repr(fast) == repr(pure)  # tells 1 from 1.0 too
+
+
+def loaders_used(monkeypatch) -> list:
+    """The Loader of every ``yaml.load`` call from now on."""
+    used, load = [], yaml.load
+
+    def spy(stream, Loader):
+        used.append(Loader)
+        return load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    return used
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_load_config_parses_with_libyaml(monkeypatch):
+    used = loaders_used(monkeypatch)
+    assert cfg_mod.load_config(REPO_ROOT / "configs" / "default.yaml") == cfg_mod.default_config()
+    assert used == [yaml.CSafeLoader]
+
+
+def test_load_config_falls_back_without_libyaml(monkeypatch, tmp_path):
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)  # as PyYAML built without it
+    used = loaders_used(monkeypatch)
+    assert cfg_mod.load_config(REPO_ROOT / "configs" / "default.yaml") == cfg_mod.default_config()
+    path = tmp_path / "bad.yaml"
+    path.write_text("link: [1\n")
+    with pytest.raises(cfg_mod.ConfigError, match=f"^{re.escape(str(path))}: YAML parse error: "):
+        cfg_mod.load_config(path)
+    assert used == [yaml.SafeLoader, yaml.SafeLoader]
 
 
 def test_unknown_top_level_key_rejected(tmp_path):
