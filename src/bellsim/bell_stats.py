@@ -65,6 +65,8 @@ class SettingCell:
 
 @dataclass(frozen=True)
 class ChshEstimate:
+    """S and its standard error from the four per-setting cells of a log."""
+
     cells: tuple[tuple[tuple[int, int], SettingCell], ...]
     s: float
     sigma_s: float
@@ -284,6 +286,8 @@ def complete_pvalue(k: int, n: int, tau_out: float = 0.0,
 
 @dataclass(frozen=True)
 class CurveRow:
+    """One win count k of the p-versus-I curve, with both p-values."""
+
     k: int
     i: float
     p_complete: float
@@ -317,10 +321,12 @@ def expected_correlations(state: QuantumState, readout_a: ReadoutModel,
                           basis: ReadoutBasisSet) -> dict[tuple[int, int], float]:
     """Predicted E(a,b) from the state, the readout POVMs, and the angles,
     all four from one :func:`correlation_tensor` of the state."""
-    from .quantum import correlation_tensor  # the statistics alone load no numpy
+    import numpy as np  # the statistics alone load no numpy
+
+    from .quantum import correlation_tensor
     tensor = correlation_tensor(state)
     row_a = [observable_components(readout_a, basis.angle("A", a)) @ tensor for a in (0, 1)]
-    u_b = [observable_components(readout_b, basis.angle("B", b)) for b in (0, 1)]
+    u_b = [np.array(observable_components(readout_b, basis.angle("B", b))) for b in (0, 1)]
     return {(a, b): float(row_a[a] @ u_b[b]) for a, b in SETTING_PAIRS}
 
 

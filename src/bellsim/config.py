@@ -112,6 +112,8 @@ class LinkConfig:
 
 @dataclass(frozen=True)
 class ExperimentSection:
+    """Trial count, optional wall-clock budget in hours, and seed of a run."""
+
     trials: int = 245
     hours: float | None = None
     seed: int = 59
@@ -123,6 +125,8 @@ class ExperimentSection:
 
 @dataclass(frozen=True)
 class StatisticsConfig:
+    """The win adjustment c of the memory-robust win bound 3/4 + c tau_out."""
+
     win_adjustment: float = 3.0
 
     def __post_init__(self):
@@ -132,6 +136,8 @@ class StatisticsConfig:
 
 @dataclass(frozen=True)
 class HeraldingConfig:
+    """The HOM coincidence counts that the reported visibility is estimated from."""
+
     hom_counts_indistinguishable: float = 3.0
     hom_counts_distinguishable: float = 28.0
 
@@ -141,6 +147,8 @@ class HeraldingConfig:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """The readout-tilt optimizer's objective and bounds, in units of pi."""
+
     objective: str = "expected-s"
     epsilon_min_pi: float = -0.125
     epsilon_max_pi: float = 0.125
@@ -160,6 +168,8 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """The whole parameter tree of one simulated experiment, one section per field."""
+
     interference: InterferenceModel = InterferenceModel()
     spin_photon_errors: SpinPhotonErrorModel = SpinPhotonErrorModel()
     readout_a: ReadoutConfig = ReadoutConfig(mean_fidelity=0.971)
@@ -175,6 +185,8 @@ class SimulationConfig:
     # a factory, so that importing this module loads no optimizer
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     _hash: str | None = field(default=None, init=False, repr=False, compare=False)
+    # engine.run_experiment's cumulative outcome table (a numpy array), kept here like _hash
+    _cumulative_outcomes: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # readout end - choice = choice_to_readout + window + a draw in [-jitter, jitter)

@@ -31,9 +31,10 @@ is validated as a :class:`~bellsim.quantum.QuantumState`. Only the functions
 that build states import numpy and ``quantum``, so a config loads neither.
 
 The kets are formed without a loop over branches. Each (bin_a, bin_b)
-emission pair has one 64-entry amplitude: its shared and private sectors
-have disjoint supports, so their sum is exact. A branch sends each of the
-four emission pairs to one spin pair, so all kets are one 0/1 matrix product
+emission pair has one 64-entry amplitude, a row of shared * S_0 + private *
+S_1 with S_0 and S_1 the cached (4, 64) sector matrices: the two sectors have
+disjoint supports, so the sum is exact. A branch sends each of the four
+emission pairs to one spin pair, so all kets are one 0/1 matrix product
 (branches x 4 spins x 4 emission pairs) with the (4, 64) amplitudes. At most
 two nonzero amplitudes meet in any entry (the two photons of a mode pair
 swapped), so the sum is the same in any order, and ``+ 0.0`` turns the
@@ -41,7 +42,9 @@ signed zeros of the zero products into +0.0: the kets are the bits a loop
 of ``ket[s] += amp`` over the branches gives. The click weights of a
 pattern depend only on the detector efficiencies and the false-click
 probability, not on the visibility or the flip errors, so they are computed
-once per (pattern, efficiencies, false-click probability).
+once per (pattern, efficiencies, false-click probability). Both singlet
+patterns go through one einsum contraction, and their conditional states are
+then added pattern by pattern, in the order a loop over the patterns adds them.
 """
 
 from __future__ import annotations
@@ -83,6 +86,9 @@ class InterferenceModel:
     def __post_init__(self):
         object.__setattr__(self, "detector_efficiency",
                            tuple(float(e) for e in self.detector_efficiency))
+        if len(self.detector_efficiency) != 2:  # one per beam-splitter output port
+            raise HeraldingError(f"detector_efficiency: expected 2 entries, "
+                                 f"got {len(self.detector_efficiency)}")
         probs = (self.visibility, *self.detector_efficiency, self.false_click_prob)
         if any(not 0.0 <= p <= 1.0 for p in probs):
             raise HeraldingError(f"all interference-model probabilities must be in [0, 1]: {probs}")
@@ -161,6 +167,16 @@ def _two_photon_amplitudes(bin_a: int, bin_b: int, sector_b: int) -> np.ndarray:
     return c
 
 
+@lru_cache(maxsize=2)  # one read-only (4, 64) array per sector of node B's photon
+def _sector_amplitudes(sector_b: int) -> np.ndarray:
+    """The flattened amplitudes of the four emission pairs e = bin_a * 2 + bin_b."""
+    import numpy as np
+    rows = np.array([_two_photon_amplitudes(bin_a, bin_b, sector_b).ravel()
+                     for bin_a, bin_b in product((0, 1), repeat=2)])
+    rows.setflags(write=False)
+    return rows
+
+
 @lru_cache(maxsize=16)  # one read-only array per pair of branch sets
 def _one_hot(branches_a: tuple[int, ...], branches_b: tuple[int, ...]) -> np.ndarray:
     """1 where emission pair e = bin_a * 2 + bin_b leaves spin pair s, as (n, 4, 4).
@@ -192,9 +208,7 @@ def _branch_kets(errors: SpinPhotonErrorModel,
     import numpy as np
     # one amplitude per (bin_a, bin_b): its two sectors have disjoint supports
     shared, private = 0.5 * math.sqrt(visibility), 0.5 * math.sqrt(1.0 - visibility)
-    emissions = np.array([shared * _two_photon_amplitudes(bin_a, bin_b, 0).ravel()
-                          + private * _two_photon_amplitudes(bin_a, bin_b, 1).ravel()
-                          for bin_a, bin_b in product((0, 1), repeat=2)])
+    emissions = shared * _sector_amplitudes(0) + private * _sector_amplitudes(1)
     side_a, side_b = ({2 * f_early + f_late: w
                        for w, f_early, f_late in _flip_branches(*errors.for_side(side))}
                       for side in "AB")
@@ -240,15 +254,16 @@ def event_ready_state(model: InterferenceModel,
     import numpy as np
     from .quantum import QuantumState
     branch_weights, kets = _branch_kets(errors, model.visibility)
+    clicked = kets * np.array([_pattern_weights(pattern, model.detector_efficiency,
+                                                model.false_click_prob)
+                               for pattern in SINGLET_PATTERNS])[:, None, None]
+    # half: every photon pair is counted as both (i, j) and (j, i)
+    conds = 0.5 * np.einsum("b,pbik,bjk->pij", branch_weights, clicked, kets)
     total = np.zeros((4, 4), dtype=np.complex128)
     total_prob = 0.0
-    for pattern in SINGLET_PATTERNS:
-        clicked = kets * _pattern_weights(pattern, model.detector_efficiency,
-                                          model.false_click_prob)
-        # half: every photon pair is counted as both (i, j) and (j, i)
-        cond = 0.5 * np.einsum("b,bik,bjk->ij", branch_weights, clicked, kets)
+    for cond in conds:  # pattern by pattern, as a loop over the patterns adds them
         total += cond
-        total_prob += float(np.trace(cond))
+        total_prob += float(cond.trace())
     if total_prob < 1e-15:
         raise UnheraldableError("requested detection pattern has zero probability")
     spin = QuantumState(total / total_prob, (("spin_a", 2), ("spin_b", 2)))
@@ -257,6 +272,8 @@ def event_ready_state(model: InterferenceModel,
 
 @dataclass(frozen=True)
 class VisibilityEstimate:
+    """An interference visibility and its one-sigma Poisson uncertainty."""
+
     value: float
     sigma: float
 

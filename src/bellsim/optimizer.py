@@ -111,6 +111,8 @@ def _significance_rate(s: float) -> float:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The chosen tilt, its readout angles, the objective and S there."""
+
     epsilon: float
     basis: ReadoutBasisSet
     objective_value: float

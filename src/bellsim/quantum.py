@@ -65,12 +65,12 @@ class QuantumState:
         elif data.ndim == 2:
             if data.shape != (dim, dim):
                 raise StateError(f"density matrix has shape {data.shape}, expected {(dim, dim)}")
-            if float(np.max(np.abs(data - data.conj().T))) > ATOL:
+            if float(abs(data - data.conj().T).max()) > ATOL:
                 raise StateError("density matrix is not Hermitian")
-            tr = complex(np.trace(data))
+            tr = complex(data.trace())
             if abs(tr - 1.0) > ATOL:
                 raise StateError(f"density matrix trace {tr} deviates from 1")
-            min_eig = float(np.min(np.linalg.eigvalsh(data)))
+            min_eig = float(np.linalg.eigvalsh(data).min())
             if min_eig < EIGENVALUE_FLOOR:
                 raise StateError(f"density matrix has eigenvalue {min_eig} below floor")
         else:

@@ -82,4 +82,4 @@ def setting_bits(model: RngModel, count: int, rng: np.random.Generator) -> np.nd
         raise RandomnessError("count must be non-negative")
     k = model.raw_bits_per_output
     raw = raw_bits(model, count * k, rng).reshape(count, k)
-    return (raw.sum(axis=1) & 1).astype(np.uint8)
+    return np.bitwise_xor.reduce(raw, axis=1)

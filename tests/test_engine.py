@@ -445,6 +445,23 @@ def test_outcome_distribution_is_cached_and_read_only():
         table[0, 0, 0] = 1.0
 
 
+def test_a_run_reads_the_cumulative_table_kept_on_its_config(monkeypatch):
+    cfg = fast_cfg()
+    first = engine.run_experiment(cfg, n_trials=50, seed=4)
+    kept = cfg._cumulative_outcomes
+    assert kept.tobytes() == engine.outcome_distribution(cfg).cumsum(axis=2).tobytes()
+    with pytest.raises(ValueError):
+        kept[0, 0, 0] = 0.0
+
+    def no_lookup(cfg):
+        raise AssertionError("the table kept on the config was not used")
+
+    monkeypatch.setattr(engine, "outcome_distribution", no_lookup)
+    assert engine.run_experiment(cfg, n_trials=50, seed=4).records == first.records
+    # a copy of the config is a new object and starts without a table
+    assert dataclasses.replace(cfg)._cumulative_outcomes is None
+
+
 def test_record_events_are_the_five_times_in_field_order():
     rec = run_trial(fast_cfg(), 0, engine.TrialStreams.from_seed(1))
     assert engine.record_events(rec) == (rec.t_herald_ns, rec.t_choice_a_ns, rec.t_choice_b_ns,
@@ -475,19 +492,25 @@ def _set(index, value):
     return change
 
 
-def _read_b_before_choice(times):
-    times = times.copy()
-    times[4, 11] = times[2, 11] - 1.0
-    return times
+def _read_before_choice(side):
+    def change(times):
+        times = times.copy()
+        times[3 + side, 11] = times[1 + side, 11] - 1.0
+        return times
+    return change
 
 
 BAD_COLUMNS = {
     "setting of 2": (A, _set(7, 2)),
+    "setting of 3": (B, _set(7, 3)),
+    "setting of -1": (A, lambda col: _set(7, -1)(col.astype(np.int64))),
     "outcome of 0": (X, _set(3, 0)),
+    "outcome of -2": (Y, _set(3, -2)),
     "zero attempts": (ATTEMPTS, _set(5, 0)),
     "nan time": (TIMES, _set((0, 9), math.nan)),
     "inf time": (TIMES, _set((3, 2), math.inf)),
-    "readout end before its choice": (TIMES, _read_b_before_choice),
+    "readout end before its choice": (TIMES, _read_before_choice(1)),
+    "readout A ends before its choice": (TIMES, _read_before_choice(0)),
     "float settings column": (B, lambda col: col.astype(float)),
 }
 
@@ -546,3 +569,14 @@ def test_valid_blocks_are_not_checked_row_by_row(monkeypatch):
     assert [rec.idx for rec in log.records] == list(range(engine.BLOCK_TRIALS + 10))
     for rec in log.records:
         check_record(rec)
+
+
+def test_replica_rows_are_pinned_by_digest():
+    # the rows themselves, not a log file: every field of every trial of the
+    # first 64 replicas of the scatter, floats by their exact repr
+    digest = hashlib.sha256()
+    for i in range(64):
+        log = engine.run_experiment(CFG, n_trials=245, seed=engine.replica_seed(2025, i))
+        digest.update(repr(log.records).encode())
+    assert digest.hexdigest() == \
+        "34e60cf57bd1a85ecc8dd02487a0943e7d2d8f531bc058c002815c2ae8fde25a"

@@ -285,6 +285,14 @@ def test_error_model_rejects_out_of_range():
         h.SpinPhotonErrorModel(a_early=0.6)
 
 
+@pytest.mark.parametrize("efficiency", [(0.5,), (0.5, 0.6, 0.7)])
+def test_interference_model_needs_one_efficiency_per_port(efficiency):
+    # one entry used to fail later, in the build; a third was dropped silently
+    with pytest.raises(h.HeraldingError,
+                       match=f"detector_efficiency: expected 2 entries, got {len(efficiency)}"):
+        h.InterferenceModel(detector_efficiency=efficiency)
+
+
 # ---- beam splitter ----------------------------------------------------------------
 #
 # h._two_photon_amplitudes gives c + c^T over ordered pairs of the 8 output

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -283,3 +284,24 @@ def test_spec_validation():
         opt.OptimizationSpec(epsilon_min=1.0, epsilon_max=-1.0)
     with pytest.raises(opt.OptimizerError):
         opt.OptimizationSpec(grid_points=1)
+
+
+def test_sweep_points_are_pinned_by_digest():
+    # 200 distinct model points: the heralded state's bytes, its probability,
+    # the four expected correlations and the optimizer's tilt and S
+    cfg = default_config()
+    ra, rb = cfg.readout_model("A"), cfg.readout_model("B")
+    spec = cfg.optimizer.spec()
+    rng = np.random.default_rng(2323)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        model = h.InterferenceModel(visibility=float(rng.uniform(0.80, 0.99)))
+        errors = h.SpinPhotonErrorModel(*map(float, rng.uniform(0.0, 0.03, 4)))
+        herald = h.event_ready_state(model, errors)
+        corr = bs.expected_correlations(herald.spin_state, ra, rb, cfg.basis_set())
+        result = opt.optimize(spec, herald.spin_state, ra, rb)
+        digest.update(herald.spin_state.data.tobytes())
+        digest.update(repr((herald.probability, corr, result.epsilon,
+                            result.expected_s)).encode())
+    assert digest.hexdigest() == \
+        "446bd6eb5f3128110c7f84c35401b9db8849415a5a60694adaf5e5a4a08f3c54"
