@@ -26,7 +26,7 @@ def main() -> int:
     trials = args.trials if args.trials is not None else cfg.experiment.trials
 
     herald = cfg.heralded_state()
-    fidelity = quantum.fidelity_to_pure(herald.spin_state, quantum.psi_minus())
+    fidelity = quantum.singlet_fidelity(herald.spin_state)
     s_pred = optimizer.expected_s(herald.spin_state, cfg.readout_model("A"),
                                   cfg.readout_model("B"), cfg.basis_set())
     p_attempt = herald_probability(cfg.link)

@@ -254,8 +254,8 @@ def win_probability_bound(tau_out: float,
     """Per-trial local-realist win bound 3/4 + c tau, capped at 1."""
     if not 0.0 <= tau_out < 0.25:
         raise StatisticsError("tau_out must be in [0, 1/4)")
-    if win_adjustment < 0:
-        raise StatisticsError("win adjustment must be non-negative")
+    if not 1 <= win_adjustment < math.inf:  # a NaN fails here too
+        raise StatisticsError(f"win adjustment {win_adjustment} must be finite and at least 1")
     q = Fraction(3, 4) + Fraction(win_adjustment) * Fraction(tau_out)
     return min(q, Fraction(1))
 

@@ -95,7 +95,7 @@ def cmd_characterize(args) -> int:
     from . import bell_stats, quantum
     cfg = _load(args)
     herald = cfg.heralded_state()
-    fidelity = quantum.fidelity_to_pure(herald.spin_state, quantum.psi_minus())
+    fidelity = quantum.singlet_fidelity(herald.spin_state)
     visibility = heralding.hom_visibility(
         cfg.heralding.hom_counts_indistinguishable,
         cfg.heralding.hom_counts_distinguishable,

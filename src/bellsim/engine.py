@@ -27,13 +27,14 @@ Replicas may run in parallel with independently derived seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .config import SimulationConfig, config_hash, herald_probability
-from .logio import (BLOCK_TRIALS, EngineError, TrialLog, TrialRecord, check_record,
-                    record_events)  # record_events: also reached as engine.record_events
+# record_events: also reached as engine.record_events
+from .logio import (BLOCK_TRIALS, EngineError, TrialLog, TrialRecord, _new_record,
+                    check_record, record_events)
 from .quantum import correlation_tensor
 from .randomness import setting_bits
 from .readout import observable_components
@@ -41,7 +42,6 @@ from .readout import observable_components
 OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 _OUTCOME_X, _OUTCOME_Y = np.array(OUTCOME_PAIRS).T
 _INT64_MAX = np.iinfo(np.int64).max
-_new_record = partial(tuple.__new__, TrialRecord)  # from exactly 11 values, unchecked
 
 
 @dataclass

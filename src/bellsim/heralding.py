@@ -266,7 +266,7 @@ def event_ready_state(model: InterferenceModel,
         total_prob += float(cond.trace())
     if total_prob < 1e-15:
         raise UnheraldableError("requested detection pattern has zero probability")
-    spin = QuantumState(total / total_prob, (("spin_a", 2), ("spin_b", 2)))
+    spin = QuantumState(total / total_prob)
     return HeraldResult(total_prob, spin)
 
 

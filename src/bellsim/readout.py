@@ -124,16 +124,15 @@ def observable_components(model: ReadoutModel, theta: float) -> tuple[float, flo
 
 @dataclass(frozen=True)
 class ReadoutBasisSet:
-    """The four readout angles (radians from Z) and the tilt they derive from."""
+    """The four readout angles, in radians from Z."""
 
     a0: float = 0.0
     a1: float = math.pi / 2
     b0: float = -3 * math.pi / 4
     b1: float = 3 * math.pi / 4
-    tilt: float = 0.0
 
     def __post_init__(self):
-        for name in ("a0", "a1", "b0", "b1", "tilt"):
+        for name in ("a0", "a1", "b0", "b1"):
             if not math.isfinite(getattr(self, name)):
                 raise ReadoutError(f"angle {name} must be finite")
 
@@ -141,7 +140,7 @@ class ReadoutBasisSet:
     def from_tilt(cls, epsilon: float) -> "ReadoutBasisSet":
         """Tilted set: a0=0, a1=pi/2, b0=-3pi/4-eps, b1=3pi/4+eps."""
         return cls(0.0, math.pi / 2, -3 * math.pi / 4 - epsilon,
-                   3 * math.pi / 4 + epsilon, tilt=epsilon)
+                   3 * math.pi / 4 + epsilon)
 
     def angle(self, side: str, bit: int) -> float:
         side = side.upper()

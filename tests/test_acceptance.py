@@ -21,7 +21,7 @@ from bellsim.readout import ReadoutBasisSet, ReadoutModel
 from test_engine import run_trial
 from test_heralding import oracle_psi_minus_herald
 from test_quantum import (apply_kraus, bloch, expectation, random_channel,
-                          random_density_matrix, rotated_povm)
+                          random_density_matrix, rotated_povm, singlet)
 
 SQRT2 = math.sqrt(2.0)
 CFG = default_config()
@@ -39,7 +39,7 @@ def perfect_readout():
 
 def test_c01_ideal_chsh_value():
     start = time.time()
-    s = optimizer.expected_s(quantum.psi_minus(), perfect_readout(), perfect_readout(),
+    s = optimizer.expected_s(singlet(), perfect_readout(), perfect_readout(),
                              ReadoutBasisSet.from_tilt(0.0))
     ok = abs(s - 2 * SQRT2) < 1e-9 and (time.time() - start) < 1.0
     assert report(1, f"ideal expected S = {s:.12f} (2*sqrt2 within 1e-9)", ok)
@@ -70,17 +70,17 @@ def test_c04_complete_pvalue_vs_oracle():
 def test_c05_heralded_state_law():
     start = time.time()
     ok = True
+    psi_minus = np.array([0, 1, -1, 0]) / SQRT2
     for v in (0.0, 0.5, 0.9, 1.0):
         res = heralding.event_ready_state(heralding.InterferenceModel(visibility=v), NO_ERRORS)
-        fid = quantum.fidelity_to_pure(res.spin_state, quantum.psi_minus())
+        fid = quantum.singlet_fidelity(res.spin_state)
         oracle_p, oracle_rho = oracle_psi_minus_herald(v)
-        oracle_fid = float(np.real(quantum.psi_minus().data.conj()
-                                   @ oracle_rho @ quantum.psi_minus().data))
+        oracle_fid = float(np.real(psi_minus @ oracle_rho @ psi_minus))
         ok = ok and abs(fid - (1 + v) / 2) < 1e-9 and abs(fid - oracle_fid) < 1e-9
         ok = ok and abs(res.probability - oracle_p) < 1e-9
-    composed = quantum.fidelity_to_pure(heralding.event_ready_state(
+    composed = quantum.singlet_fidelity(heralding.event_ready_state(
         heralding.InterferenceModel(visibility=0.90), heralding.SpinPhotonErrorModel()
-    ).spin_state, quantum.psi_minus())
+    ).spin_state)
     ok = ok and 0.89 <= composed <= 0.95 and (time.time() - start) < 10.0
     assert report(5, f"herald fidelity law (1+V)/2 vs oracle; composed = {composed:.4f} "
                      "in 0.92 +- 0.03", ok)
@@ -131,7 +131,7 @@ def test_c09_monte_carlo_consistency():
 
 def test_c10_optimizer_crossover():
     start = time.time()
-    ideal = optimizer.optimize(optimizer.OptimizationSpec(), quantum.psi_minus(),
+    ideal = optimizer.optimize(optimizer.OptimizationSpec(), singlet(),
                                perfect_readout(), perfect_readout())
     state = CFG.heralded_state().spin_state
     ra, rb = CFG.readout_model("A"), CFG.readout_model("B")
@@ -167,7 +167,7 @@ def test_c11_property_suites(tmp_path):
 
     # Tsirelson ceiling on 1000 random two-qubit states
     for _ in range(1000):
-        state = quantum.QuantumState(random_density_matrix(rng, 4), (("a", 2), ("b", 2)))
+        state = quantum.QuantumState(random_density_matrix(rng, 4))
         angles = rng.uniform(-math.pi, math.pi, size=4)
         e = {
             (a, b): expectation(state, bloch(angles[a]), bloch(angles[2 + b]))

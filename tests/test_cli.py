@@ -403,6 +403,28 @@ def test_characterize_zero_visibility_kills_xx_correlations(tmp_path, capsys):
             assert abs(float(value)) > 0.5
 
 
+def test_model_outputs_are_pinned_by_digest(tmp_path, capsys):
+    # the default-config characterize stdout and its two CSVs, and the optimize
+    # JSON: every byte of what the model reports
+    import hashlib
+    assert run(["characterize", "--out", str(tmp_path)]) == 0
+    outputs = {"characterize": capsys.readouterr().out.encode()}
+    for name in ("spin_photon_correlations.csv", "setting_correlations.csv"):
+        outputs[name] = (tmp_path / name).read_bytes()
+    assert run(["optimize", "--out", str(tmp_path / "optimize.json")]) == 0
+    outputs["optimize"] = (tmp_path / "optimize.json").read_bytes()
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == {
+        "characterize":
+            "e57b50390d0c04952f8b84ec1870ca12adbba6590d40d5116e9dfd68795712f6",
+        "spin_photon_correlations.csv":
+            "0b50e5ad68baa7966018ea1778820b0c08e59670daf359f8653285ad09b19a20",
+        "setting_correlations.csv":
+            "26ba561277a42dd789c1cbd55e4ccf0840c33d363dc8bd5d9dac02da98f65a3d",
+        "optimize":
+            "117626c6791749779b8b9a8d07d1ef3d20923c0a4f56689b7e159c607a2f361d",
+    }
+
+
 def test_characterize_out_is_an_existing_file_is_data_error(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("not a directory\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -189,7 +190,7 @@ def test_config_round_trip_through_dict():
 def test_derived_models_available():
     cfg = cfg_mod.default_config()
     assert cfg.readout_model("A").fidelities[1] > 0.98
-    assert abs(cfg.basis_set().tilt - 0.026 * 3.141592653589793) < 1e-12
+    assert cfg.basis_set().b1 == 3 * math.pi / 4 + 0.026 * math.pi
     assert cfg.herald_delay_ns() > 0
     assert cfg.timing_budget().sync_allowance_ns == 16.0
 

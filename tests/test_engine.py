@@ -11,7 +11,6 @@ from bellsim import engine
 from bellsim.config import BasisConfig, ConfigError, LinkConfig, ReadoutConfig, default_config
 from bellsim.heralding import InterferenceModel, SpinPhotonErrorModel
 from bellsim.logio import check_record, write_log
-from bellsim.quantum import QuantumState, StateError
 from bellsim.randomness import setting_bits
 from bellsim.readout import ReadoutError, ReadoutModel
 
@@ -75,20 +74,16 @@ def _sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def measure_in_basis(state: QuantumState, theta: float, model: ReadoutModel,
-                     rng: np.random.Generator,
-                     subsystem: str = "spin") -> tuple[int, QuantumState]:
-    """Sample one readout outcome on the named spin of a (possibly joint) state.
+def measure_in_basis(rho: np.ndarray, theta: float, model: ReadoutModel,
+                     rng: np.random.Generator, side: int) -> tuple[int, np.ndarray]:
+    """Sample one readout outcome on one spin of a 4x4 spin-pair density matrix.
 
-    Returns the outcome in {+1, -1} and the post-measurement state of the
-    full system (collapsed with the square-root instrument). Deterministic
-    given the random generator's state.
+    ``side`` 0 reads spin A and 1 spin B. Returns the outcome in {+1, -1} and
+    the post-measurement density matrix of the pair (collapsed with the
+    square-root instrument). Deterministic given the random generator's state.
     """
-    if dict(state.subsystems)[subsystem] != 2:
-        raise StateError(f"subsystem {subsystem!r} is not a qubit")
     e_plus, e_minus = rotated_povm(model, theta)
-    rho = state.density_matrix()
-    big_plus = embed(e_plus, state, subsystem)
+    big_plus = embed(e_plus, side)
     p_plus = float(np.real(np.trace(rho @ big_plus)))
     p_plus = min(max(p_plus, 0.0), 1.0)
     if rng.random() < p_plus:
@@ -97,9 +92,8 @@ def measure_in_basis(state: QuantumState, theta: float, model: ReadoutModel,
         outcome, effect, p = -1, e_minus, 1.0 - p_plus
     if p < 1e-15:
         raise ReadoutError("attempted collapse onto a zero-probability outcome")
-    k = embed(_sqrt_psd(effect), state, subsystem)
-    post = k @ rho @ k.conj().T / p
-    return outcome, QuantumState(post, state.subsystems)
+    k = embed(_sqrt_psd(effect), side)
+    return outcome, k @ rho @ k.conj().T / p
 
 
 def run_trial(cfg, idx, streams, force_settings=None):
@@ -116,11 +110,11 @@ def run_trial(cfg, idx, streams, force_settings=None):
         a = setting_bits(cfg.rng, 1, streams.settings_a)[0]
         b = setting_bits(cfg.rng, 1, streams.settings_b)[0]
     basis = cfg.basis_set()
-    state = cfg.heralded_state().spin_state
-    x, post = measure_in_basis(state, basis.angle("A", a), cfg.readout_model("A"),
-                               streams.outcomes, subsystem="spin_a")
+    rho = cfg.heralded_state().spin_state.density_matrix()
+    x, post = measure_in_basis(rho, basis.angle("A", a), cfg.readout_model("A"),
+                               streams.outcomes, side=0)
     y, _ = measure_in_basis(post, basis.angle("B", b), cfg.readout_model("B"),
-                            streams.outcomes, subsystem="spin_b")
+                            streams.outcomes, side=1)
     times = engine._timestamps(cfg, streams.timing, 1)[:, 0].tolist()
     return engine.TrialRecord(idx, int(a), int(b), int(x), int(y), *times, attempts=attempts)
 

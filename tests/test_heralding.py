@@ -192,7 +192,7 @@ def herald(rho, model, patterns=h.SINGLET_PATTERNS):
         total_prob += p
     if total_prob < 1e-15:
         raise h.UnheraldableError("requested detection pattern has zero probability")
-    spin = q.QuantumState(total / total_prob, (("spin_a", 2), ("spin_b", 2)))
+    spin = q.QuantumState(total / total_prob)
     return Herald(total_prob, spin, tuple(per_pattern))
 
 
@@ -242,11 +242,10 @@ def spin_photon_state(side, errors):
         vec[(0 ^ f_early) * 2 + 0] = 1 / SQRT2  # ideal: up with early
         vec[(1 ^ f_late) * 2 + 1] = 1 / SQRT2   # ideal: down with late
         rho += w * np.outer(vec, vec)
-    return q.QuantumState(rho, (("spin", 2), ("time_bin", 2)))
+    return rho
 
 
-def bin_conditionals(state):
-    rho = state.density_matrix()
+def bin_conditionals(rho):
     out = {}
     for bin_idx, name in enumerate(("early", "late")):
         p_bin = rho[bin_idx, bin_idx].real + rho[2 + bin_idx, 2 + bin_idx].real
@@ -256,14 +255,14 @@ def bin_conditionals(state):
 
 
 def test_spin_photon_state_ideal_perfectly_correlated():
-    state = spin_photon_state("A", NO_ERRORS)
-    cond = bin_conditionals(state)
+    rho = spin_photon_state("A", NO_ERRORS)
+    cond = bin_conditionals(rho)
     assert abs(cond["early"] - 1.0) < 1e-12
     assert abs(cond["late"] - 0.0) < 1e-12
     # the ideal state is the spin/time-bin Bell pair
     bell = np.zeros(4)
     bell[0] = bell[3] = 1 / SQRT2
-    np.testing.assert_allclose(state.density_matrix(), np.outer(bell, bell), atol=1e-12)
+    np.testing.assert_allclose(rho, np.outer(bell, bell), atol=1e-12)
 
 
 def test_spin_photon_state_reproduces_conditional_error_rates():
@@ -391,7 +390,7 @@ def test_ideal_herald_probability_and_state_match_oracle():
     res = _pipeline(1.0)
     assert abs(res.probability - oracle_p) < 1e-10
     np.testing.assert_allclose(res.spin_state.density_matrix(), oracle_rho, atol=1e-10)
-    assert q.fidelity_to_pure(res.spin_state, q.psi_minus()) > 1.0 - 1e-10
+    assert q.singlet_fidelity(res.spin_state) > 1.0 - 1e-10
 
 
 @pytest.mark.parametrize("visibility", [0.0, 0.25, 0.5, 0.9, 1.0])
@@ -400,7 +399,7 @@ def test_fidelity_law_against_oracle(visibility):
     res = _pipeline(visibility)
     assert abs(res.probability - oracle_p) < 1e-9
     np.testing.assert_allclose(res.spin_state.density_matrix(), oracle_rho, atol=1e-9)
-    fid = q.fidelity_to_pure(res.spin_state, q.psi_minus())
+    fid = q.singlet_fidelity(res.spin_state)
     assert abs(fid - (1.0 + visibility) / 2.0) < 1e-9
 
 
@@ -412,7 +411,7 @@ def test_zero_visibility_gives_anticorrelated_mixture():
 
 def test_composed_fidelity_with_characterised_errors_in_band():
     res = h.event_ready_state(h.InterferenceModel(visibility=0.90), h.SpinPhotonErrorModel())
-    fid = q.fidelity_to_pure(res.spin_state, q.psi_minus())
+    fid = q.singlet_fidelity(res.spin_state)
     assert 0.89 <= fid <= 0.95
 
 
@@ -420,7 +419,7 @@ def test_fidelity_monotone_in_visibility():
     fids = []
     for v in np.linspace(0.0, 1.0, 11):
         res = h.event_ready_state(h.InterferenceModel(visibility=float(v)), NO_ERRORS)
-        fids.append(q.fidelity_to_pure(res.spin_state, q.psi_minus()))
+        fids.append(q.singlet_fidelity(res.spin_state))
     assert all(b >= a - 1e-12 for a, b in zip(fids, fids[1:]))
 
 
@@ -447,8 +446,8 @@ def test_dark_counts_degrade_the_heralded_state():
     noisy = h.event_ready_state(
         h.InterferenceModel(visibility=1.0, false_click_prob=0.05), NO_ERRORS
     )
-    f_clean = q.fidelity_to_pure(clean.spin_state, q.psi_minus())
-    f_noisy = q.fidelity_to_pure(noisy.spin_state, q.psi_minus())
+    f_clean = q.singlet_fidelity(clean.spin_state)
+    f_noisy = q.singlet_fidelity(noisy.spin_state)
     assert f_noisy < f_clean  # false clicks mix in non-projected states
     assert 0.0 < noisy.probability < 1.0
 
@@ -480,7 +479,7 @@ def test_including_same_port_heralds_degrades_the_mixture():
     ideal = h.event_ready_state(h.InterferenceModel(visibility=1.0), NO_ERRORS)
     assert abs(ideal.probability - strict.probability) < 1e-12
     assert abs(loose.probability - 2 * strict.probability) < 1e-9
-    fid = q.fidelity_to_pure(loose.spin_state, q.psi_minus())
+    fid = q.singlet_fidelity(loose.spin_state)
     assert abs(fid - 0.5) < 1e-9
 
 
@@ -592,7 +591,7 @@ def ket_build(model, errors, patterns, branch_kets=h._branch_kets,
         per_pattern.append((pattern, p))
         total += cond
         total_prob += p
-    spin = q.QuantumState(total / total_prob, (("spin_a", 2), ("spin_b", 2)))
+    spin = q.QuantumState(total / total_prob)
     return Herald(total_prob, spin, tuple(per_pattern))
 
 
@@ -675,7 +674,7 @@ def test_event_ready_build_validates_only_the_final_spin_state(monkeypatch):
     class RecordingState(q.QuantumState):
         def __post_init__(self):
             super().__post_init__()
-            built.append(self.dim)
+            built.append(self.data.shape)
 
     # the build imports QuantumState from the quantum module when it runs
     monkeypatch.setattr(q, "QuantumState", RecordingState)
@@ -684,7 +683,7 @@ def test_event_ready_build_validates_only_the_final_spin_state(monkeypatch):
     h.event_ready_state(h.InterferenceModel(visibility=0.6180339887),
                         h.SpinPhotonErrorModel(0.011, 0.022, 0.033, 0.044))
     assert h.event_ready_state.cache_info().misses == misses + 1
-    assert built == [4]
+    assert built == [(4, 4)]
     # the benchmark tracer wraps the config module's global and reads cache_info()
     assert config.event_ready_state is h.event_ready_state
     assert callable(config.event_ready_state.cache_info)

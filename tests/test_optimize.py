@@ -12,7 +12,7 @@ from bellsim import quantum as q
 from bellsim.config import default_config
 from bellsim.readout import ReadoutBasisSet, ReadoutModel
 
-from test_quantum import expectation, rotated_povm
+from test_quantum import expectation, rotated_povm, singlet
 
 SQRT2 = math.sqrt(2.0)
 NO_ERRORS = h.SpinPhotonErrorModel(0.0, 0.0, 0.0, 0.0)
@@ -91,10 +91,9 @@ def random_inputs(rng):
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     if rng.random() < 0.5:
-        singlet = q.psi_minus().density_matrix()
         weight = rng.uniform(0.5, 1.0)
-        rho = weight * singlet + (1 - weight) * rho
-    state = q.QuantumState(rho, (("spin_a", 2), ("spin_b", 2)))
+        rho = weight * singlet().density_matrix() + (1 - weight) * rho
+    state = q.QuantumState(rho)
 
     def readout():
         return ReadoutModel(rng.uniform(0.2, 5.0), rng.uniform(0.0, 0.1),
@@ -150,20 +149,20 @@ def test_calibrated_model_matches_grid_search():
 
 
 def test_expected_s_ideal_no_tilt():
-    s = opt.expected_s(q.psi_minus(), perfect_readout(), perfect_readout(),
+    s = opt.expected_s(singlet(), perfect_readout(), perfect_readout(),
                        ReadoutBasisSet.from_tilt(0.0))
     assert abs(s - 2 * SQRT2) < 1e-9
 
 
 def test_expected_s_ideal_quarter_pi_tilt():
     # closed form: S(eps) = 2 cos(pi/4 - eps) + 2 sin(pi/4 - eps) -> 2 at eps = pi/4
-    s = opt.expected_s(q.psi_minus(), perfect_readout(), perfect_readout(),
+    s = opt.expected_s(singlet(), perfect_readout(), perfect_readout(),
                        ReadoutBasisSet.from_tilt(math.pi / 4))
     assert abs(s - 2.0) < 1e-9
 
 
 def test_expected_s_fully_mixed_is_zero():
-    mixed = q.QuantumState(np.eye(4) / 4, (("spin_a", 2), ("spin_b", 2)))
+    mixed = q.QuantumState(np.eye(4) / 4)
     s = opt.expected_s(mixed, perfect_readout(), perfect_readout(),
                        ReadoutBasisSet.from_tilt(0.0))
     assert abs(s) < 1e-12
@@ -173,7 +172,7 @@ def test_expected_s_fully_mixed_is_zero():
 
 
 def test_ideal_state_prefers_zero_tilt():
-    result = opt.optimize(opt.OptimizationSpec(), q.psi_minus(),
+    result = opt.optimize(opt.OptimizationSpec(), singlet(),
                           perfect_readout(), perfect_readout())
     assert abs(result.epsilon) < 1e-3
     assert not result.degenerate
@@ -198,10 +197,10 @@ def test_calibrated_model_prefers_small_positive_tilt():
 def test_optimum_outside_bounds_sits_on_the_nearest_point(lo, hi, want):
     # the ideal singlet with perfect readout peaks at eps = 0 (mod 2 pi)
     spec = opt.OptimizationSpec(epsilon_min=lo, epsilon_max=hi)
-    result = opt.optimize(spec, q.psi_minus(), perfect_readout(), perfect_readout())
+    result = opt.optimize(spec, singlet(), perfect_readout(), perfect_readout())
     assert abs(result.epsilon - want) < 1e-12
     assert not result.degenerate
-    ref_eps, ref_s = reference_optimize(q.psi_minus(), perfect_readout(), perfect_readout(),
+    ref_eps, ref_s = reference_optimize(singlet(), perfect_readout(), perfect_readout(),
                                         lo, hi)
     assert abs(result.epsilon - ref_eps) < 1e-5
     assert result.expected_s >= ref_s - 1e-12
@@ -274,7 +273,7 @@ def test_tsirelson_ceiling_respected():
 def test_final_s_is_checked(monkeypatch, bad_s):
     monkeypatch.setattr(opt, "expected_s", lambda *args: bad_s)
     with pytest.raises(opt.OptimizerError):
-        opt.optimize(opt.OptimizationSpec(), q.psi_minus(), perfect_readout(), perfect_readout())
+        opt.optimize(opt.OptimizationSpec(), singlet(), perfect_readout(), perfect_readout())
 
 
 def test_spec_validation():

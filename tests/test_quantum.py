@@ -32,11 +32,15 @@ def apply_kraus(rho, kraus):
     return sum(k @ rho @ k.conj().T for k in kraus)
 
 
-def embed(op, state, name):
-    """Lift an operator on one named subsystem to the joint space."""
-    dims = [d for _, d in state.subsystems]
-    idx = [n for n, _ in state.subsystems].index(name)
-    return np.kron(np.kron(np.eye(math.prod(dims[:idx])), op), np.eye(math.prod(dims[idx + 1:])))
+def embed(op, side):
+    """Lift a one-spin operator to the pair: side 0 is spin A, side 1 spin B."""
+    return np.kron(op, np.eye(2)) if side == 0 else np.kron(np.eye(2), op)
+
+
+def singlet():
+    """The singlet (|up,down> - |down,up>)/sqrt(2) as a program state, built by hand."""
+    psi = np.array([0, 1, -1, 0]) / SQRT2
+    return q.QuantumState(np.outer(psi, psi))
 
 
 def rotated_povm(model, theta):
@@ -49,7 +53,7 @@ def rotated_povm(model, theta):
 
 def program_singlet_correlation(theta_a, theta_b):
     """The program's <A (x) B> on the singlet with perfect readouts: u_A T u_B."""
-    return (r.observable_components(PERFECT, theta_a) @ q.correlation_tensor(q.psi_minus())
+    return (r.observable_components(PERFECT, theta_a) @ q.correlation_tensor(singlet())
             @ r.observable_components(PERFECT, theta_b))
 
 
@@ -71,41 +75,60 @@ def random_channel(rng, dim, n_kraus=3):
 # ---- construction and validation --------------------------------------------
 
 
-def test_ket_validation_rejects_unnormalised():
-    with pytest.raises(q.StateError):
-        q.QuantumState(np.array([1.0, 1.0]), (("spin", 2),))
-
-
 def test_density_validation_rejects_non_hermitian():
-    m = np.array([[0.5, 0.3], [0.1, 0.5]])
-    with pytest.raises(q.StateError):
-        q.QuantumState(m, (("spin", 2),))
+    m = np.eye(4) / 4
+    m[0, 1] = 0.1
+    with pytest.raises(q.StateError, match="Hermitian"):
+        q.QuantumState(m)
 
 
 def test_density_validation_rejects_negative_eigenvalue():
-    m = np.array([[1.2, 0.0], [0.0, -0.2]])
-    with pytest.raises(q.StateError):
-        q.QuantumState(m, (("spin", 2),))
+    m = np.diag([1.2, 0.0, 0.0, -0.2])
+    with pytest.raises(q.StateError, match="eigenvalue"):
+        q.QuantumState(m)
 
 
-def test_dimension_product_must_match():
-    with pytest.raises(q.StateError):
-        q.QuantumState(np.array([1.0, 0, 0]), (("a", 2), ("b", 2)))
+def test_density_validation_rejects_a_trace_away_from_one():
+    with pytest.raises(q.StateError, match="trace"):
+        q.QuantumState(np.eye(4) / 2)
+
+
+def test_non_4x4_data_is_rejected():
+    # a ket, a single spin, a spin and a qutrit, and three spins
+    for data in (np.array([0, 1, -1, 0]) / SQRT2, np.eye(2) / 2, np.eye(6) / 6, np.eye(8) / 8):
+        with pytest.raises(q.StateError, match="expected \\(4, 4\\)"):
+            q.QuantumState(data)
 
 
 @pytest.mark.parametrize("data", [
-    np.array([np.nan, 1.0]),
-    np.full((2, 2), np.nan),
-    np.array([[1.0, 0.0], [0.0, np.inf]]),
+    np.array([np.nan, 1.0, 0.0, 0.0]),
+    np.full((4, 4), np.nan),
+    np.diag([1.0, 0.0, 0.0, np.inf]),
 ])
 def test_non_finite_entries_rejected(data):
     with pytest.raises(q.StateError, match="non-finite"):
-        q.QuantumState(data, (("spin", 2),))
+        q.QuantumState(data)
 
 
-def test_duplicate_names_rejected():
-    with pytest.raises(q.StateError):
-        q.QuantumState(np.array([1.0, 0, 0, 0]), (("s", 2), ("s", 2)))
+def test_the_state_is_read_only_and_density_matrix_is_a_copy():
+    state = singlet()
+    with pytest.raises(ValueError):
+        state.data[0, 0] = 1.0
+    rho = state.density_matrix()
+    rho[0, 0] = 1.0
+    assert state.data[0, 0] == 0.0
+
+
+def test_singlet_fidelity_against_direct_overlap():
+    rng = np.random.default_rng(2424)
+    psi = np.array([0, 1, -1, 0]) / SQRT2
+    assert abs(q.singlet_fidelity(singlet()) - 1.0) < 1e-15
+    assert abs(q.singlet_fidelity(q.QuantumState(np.eye(4) / 4)) - 0.25) < 1e-15
+    for _ in range(100):
+        rho = random_density_matrix(rng, 4)
+        assert abs(q.singlet_fidelity(q.QuantumState(rho)) - (psi @ rho @ psi).real) < 1e-14
+    with pytest.raises(ValueError):
+        q.SINGLET[0] = 1.0
 
 
 # ---- a perfect readout measures the bloch observable ------------------------------
@@ -138,7 +161,7 @@ def test_bloch_observable_is_involutory(theta):
 
 
 def test_singlet_zz_perfectly_anticorrelated():
-    e = expectation(q.psi_minus(), bloch(0.0), bloch(0.0))
+    e = expectation(singlet(), bloch(0.0), bloch(0.0))
     assert abs(e + 1.0) < 1e-12
     assert abs(program_singlet_correlation(0.0, 0.0) + 1.0) < 1e-12
 
@@ -151,20 +174,20 @@ def test_singlet_z_against_tilted_axis_direct_trace_oracle():
     bb = -(np.diag([1.0, -1.0]) + np.array([[0, 1], [1, 0]])) / SQRT2
     oracle = np.trace(rho @ np.kron(za, bb)).real
     assert abs(oracle - 1 / SQRT2) < 1e-12
-    e = expectation(q.psi_minus(), bloch(0.0), bloch(-3 * math.pi / 4))
+    e = expectation(singlet(), bloch(0.0), bloch(-3 * math.pi / 4))
     assert abs(e - oracle) < 1e-12
     assert abs(program_singlet_correlation(0.0, -3 * math.pi / 4) - oracle) < 1e-12
 
 
 def test_singlet_x_against_other_tilted_axis():
-    e = expectation(q.psi_minus(), bloch(math.pi / 2), bloch(3 * math.pi / 4))
+    e = expectation(singlet(), bloch(math.pi / 2), bloch(3 * math.pi / 4))
     assert abs(e + 1 / SQRT2) < 1e-12
     assert abs(program_singlet_correlation(math.pi / 2, 3 * math.pi / 4) + 1 / SQRT2) < 1e-12
 
 
 def test_singlet_correlation_closed_form_over_random_angles():
     rng = np.random.default_rng(20240811)
-    psi = q.psi_minus()
+    psi = singlet()
     for _ in range(1000):
         ta, tb = rng.uniform(-math.pi, math.pi, size=2)
         e = expectation(psi, bloch(ta), bloch(tb))
@@ -174,7 +197,7 @@ def test_singlet_correlation_closed_form_over_random_angles():
 
 def test_correlation_tensor_is_kept_on_the_state_and_read_only():
     rng = np.random.default_rng(44)
-    state = q.QuantumState(random_density_matrix(rng, 4), (("a", 2), ("b", 2)))
+    state = q.QuantumState(random_density_matrix(rng, 4))
     tensor = q.correlation_tensor(state)
     assert q.correlation_tensor(state) is tensor
     with pytest.raises(ValueError):
@@ -185,20 +208,14 @@ def test_correlation_tensor_is_kept_on_the_state_and_read_only():
 
 
 def test_a_replaced_state_computes_its_own_tensor():
-    state = q.psi_minus()
-    singlet = q.correlation_tensor(state)
-    up_up = dataclasses.replace(state, data=np.array([1.0, 0.0, 0.0, 0.0]))
+    state = singlet()
+    kept = q.correlation_tensor(state)
+    up_up = dataclasses.replace(state, data=np.diag([1.0, 0.0, 0.0, 0.0]))
     tensor = q.correlation_tensor(up_up)
-    assert tensor is not singlet
+    assert tensor is not kept
     assert tensor[1, 1] == 1.0
-    assert abs(singlet[1, 1] + 1.0) < 1e-15
-    assert q.correlation_tensor(state) is singlet
-
-
-def test_expectation_dimension_mismatch():
-    qubit_qutrit = q.QuantumState(np.eye(6) / 6, (("spin", 2), ("level", 3)))
-    with pytest.raises(q.StateError, match="two-qubit"):
-        q.correlation_tensor(qubit_qutrit)
+    assert abs(kept[1, 1] + 1.0) < 1e-15
+    assert q.correlation_tensor(state) is kept
 
 
 # ---- channels -------------------------------------------------------------------
@@ -208,10 +225,8 @@ def test_full_depolarizing_kills_zz_correlation():
     # Kraus set of the p = 1 depolarizing map: I, X, Y and Z, each with weight 1/4
     paulis = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
               np.diag([1, -1]))
-    psi = q.psi_minus()
-    out = q.QuantumState(apply_kraus(psi.density_matrix(),
-                                     [embed(0.5 * p, psi, "spin_a") for p in paulis]),
-                         psi.subsystems)
+    out = q.QuantumState(apply_kraus(singlet().density_matrix(),
+                                     [embed(0.5 * p, 0) for p in paulis]))
     assert abs(np.trace(out.density_matrix()).real - 1.0) < 1e-12
     e = expectation(out, bloch(0.0), bloch(0.0))
     assert abs(e) < 1e-12
@@ -225,9 +240,7 @@ def test_bit_flip_probability_one_flips_zz_sign():
     zz = np.kron(np.diag([1, -1]), np.diag([1, -1]))
     assert abs(np.trace(oracle @ zz).real - 1.0) < 1e-12
 
-    singlet = q.psi_minus()
-    out = apply_kraus(singlet.density_matrix(),
-                      [embed(np.array([[0, 1], [1, 0]]), singlet, "spin_a")])
+    out = apply_kraus(singlet().density_matrix(), [embed(np.array([[0, 1], [1, 0]]), 0)])
     np.testing.assert_allclose(out, oracle, atol=1e-12)
 
 
@@ -248,7 +261,7 @@ def test_tsirelson_bound_on_random_states_and_angles():
     rng = np.random.default_rng(7)
     bound = 2 * SQRT2 + 1e-9
     for _ in range(1000):
-        state = q.QuantumState(random_density_matrix(rng, 4), (("a", 2), ("b", 2)))
+        state = q.QuantumState(random_density_matrix(rng, 4))
         ta0, ta1, tb0, tb1 = rng.uniform(-math.pi, math.pi, size=4)
         e = {
             (a, b): expectation(state, bloch(t_a), bloch(t_b))

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim import quantum as q
 from bellsim import readout as r
 from test_engine import measure_in_basis
-from test_quantum import rotated_povm
+from test_quantum import rotated_povm, singlet
 
 SQRT2 = math.sqrt(2.0)
-SPIN_UP = q.QuantumState(np.array([1.0, 0.0]), (("spin", 2),))
+UP_UP = np.diag([1.0, 0.0, 0.0, 0.0])  # both spins up; the tests read spin A
 
 
 # ---- fidelity curve ------------------------------------------------------------
@@ -131,15 +130,15 @@ def perfect_model():
 def test_singlet_anticorrelation_after_first_collapse():
     rng = np.random.default_rng(3)
     model = perfect_model()
-    outcome_a, post = measure_in_basis(q.psi_minus(), 0.0, model, rng, subsystem="spin_a")
-    outcome_b, _ = measure_in_basis(post, 0.0, model, rng, subsystem="spin_b")
+    outcome_a, post = measure_in_basis(singlet().density_matrix(), 0.0, model, rng, side=0)
+    outcome_b, _ = measure_in_basis(post, 0.0, model, rng, side=1)
     assert outcome_b == -outcome_a
 
 
 def test_up_state_along_x_is_unbiased():
     rng = np.random.default_rng(11)
     model = perfect_model()
-    outcomes = [measure_in_basis(SPIN_UP, math.pi / 2, model, rng)[0]
+    outcomes = [measure_in_basis(UP_UP, math.pi / 2, model, rng, side=0)[0]
                 for _ in range(4000)]
     mean = np.mean(outcomes)
     assert abs(mean) < 3 / math.sqrt(4000)  # 3 sigma
@@ -147,9 +146,9 @@ def test_up_state_along_x_is_unbiased():
 
 def test_sampling_is_deterministic_given_seed():
     model = r.calibrate_readout(0.971)
-    a = [measure_in_basis(SPIN_UP, 0.3, model, np.random.default_rng(5))[0]
+    a = [measure_in_basis(UP_UP, 0.3, model, np.random.default_rng(5), side=0)[0]
          for _ in range(20)]
-    b = [measure_in_basis(SPIN_UP, 0.3, model, np.random.default_rng(5))[0]
+    b = [measure_in_basis(UP_UP, 0.3, model, np.random.default_rng(5), side=0)[0]
          for _ in range(20)]
     assert a == b
 
@@ -160,7 +159,7 @@ def test_born_rule_convergence_chi_square():
     model = perfect_model()
     theta_a, theta_b = 0.0, -3 * math.pi / 4
     probs = np.zeros(4)
-    psi = q.psi_minus()
+    psi = singlet()
     for i, (x, y) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
         ea = rotated_povm(model, theta_a)[0 if x == 1 else 1]
         eb = rotated_povm(model, theta_b)[0 if y == 1 else 1]
@@ -176,7 +175,7 @@ def test_monte_carlo_s_at_ideal_angles_matches_tsirelson():
     rng = np.random.default_rng(23)
     model = perfect_model()
     basis = r.ReadoutBasisSet.from_tilt(0.0)
-    psi = q.psi_minus()
+    psi = singlet()
     n_per_setting = 250_000
     s_hat = 0.0
     var = 0.0

@@ -16,6 +16,8 @@ from bellsim import quantum as q
 from bellsim.config import load_config
 from bellsim.readout import ReadoutBasisSet, ReadoutModel, calibrate_readout
 
+from test_quantum import singlet
+
 SQRT2 = math.sqrt(2.0)
 DEFAULT_TAU = load_config(
     Path(__file__).resolve().parents[1] / "configs" / "default.yaml").rng.tau_out
@@ -302,6 +304,18 @@ def test_win_bound_holds_against_every_deterministic_strategy(tau):
     assert best == Fraction(3, 4) + (1 - exact) * exact
 
 
+@pytest.mark.parametrize("c", [0.0, 0.5, math.nan, math.inf])
+def test_a_win_adjustment_below_one_is_rejected_where_the_bound_is_computed(c):
+    # below c = 1 the bound misses the biased-settings strategy above; a NaN
+    # or an infinite c must not slip through to Fraction's own errors
+    with pytest.raises(bs.StatisticsError, match="win adjustment"):
+        bs.win_probability_bound(0.01, c)
+    with pytest.raises(bs.StatisticsError, match="win adjustment"):
+        bs.complete_pvalue(200, 245, 0.01, win_adjustment=c)
+    with pytest.raises(bs.StatisticsError, match="win adjustment"):
+        bs.p_vs_i_curve(10, tau_out=0.01, win_adjustment=c)
+
+
 def test_complete_pvalue_validation():
     with pytest.raises(bs.StatisticsError):
         bs.complete_pvalue(10, 5, 0.0)
@@ -509,7 +523,7 @@ def perfect_readout():
 
 
 def test_expected_correlations_ideal_pattern():
-    e = bs.expected_correlations(q.psi_minus(), perfect_readout(), perfect_readout(),
+    e = bs.expected_correlations(singlet(), perfect_readout(), perfect_readout(),
                                  ReadoutBasisSet.from_tilt(0.0))
     for pair, sign in (((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 1), -1)):
         assert abs(e[pair] - sign / SQRT2) < 1e-9
@@ -517,7 +531,7 @@ def test_expected_correlations_ideal_pattern():
 
 
 def test_expected_correlations_fully_mixed_state():
-    mixed = q.QuantumState(np.eye(4) / 4, (("spin_a", 2), ("spin_b", 2)))
+    mixed = q.QuantumState(np.eye(4) / 4)
     e = bs.expected_correlations(mixed, calibrate_readout(0.971), calibrate_readout(0.963),
                                  ReadoutBasisSet.from_tilt(0.026 * math.pi))
     offset = np.mean(list(e.values()))  # readout asymmetry adds a constant
@@ -529,7 +543,7 @@ def test_expected_correlations_fully_mixed_state():
 def test_expected_correlations_affine_in_fidelity():
     # E is affine in each readout fidelity: second difference vanishes
     basis = ReadoutBasisSet.from_tilt(0.0)
-    psi = q.psi_minus()
+    psi = singlet()
 
     def e00(delta):
         bright = calibrate_readout(0.9 + delta)
