@@ -16,11 +16,12 @@ at least 1; the config rejects c < 1, and its default c = 3 is conservative.
 
 Every p-value of the complete analysis is the smallest float >= the exact
 binomial tail, so it is conservative and one defined float. The tail is
-summed from the top twice on 128-bit integer mantissas with binary
-exponents, once rounding every step down and once up; when both bounds
-round up to the same float, that float is the answer (the exact tail lies
-between them). Otherwise the exact tail, whose numerator over D^n (win bound
-q = Q/D) is summed on plain integers by Horner's rule, is rounded up.
+summed from the top twice in 40-digit ``decimal`` arithmetic, once in a
+context that rounds every operation down and once in one that rounds up;
+when both bounds round up to the same float, that float is the answer (the
+exact tail lies between them). Otherwise the exact tail, whose numerator
+over D^n (win bound q = Q/D) is summed on plain integers by Horner's rule,
+is rounded up.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
@@ -163,60 +165,35 @@ def _scaled_tails(n: int, q: Fraction, k: int) -> Iterator[tuple[int, int]]:
         r_pow *= big_r
 
 
-_BITS = 128  # mantissa bits kept by the enclosure; its relative width is about n 2^-128
+# One context per rounding direction, so every + * / of a pass rounds the same way;
+# 40 digits is about 133 bits, and the exponent range holds 0.75^20000 (about 1e-2499).
+# The passes call the contexts' own methods and never touch the thread's context.
+_DOWN = Context(prec=40, rounding=ROUND_FLOOR, Emin=MIN_EMIN, Emax=MAX_EMAX)
+_UP = Context(prec=40, rounding=ROUND_CEILING, Emin=MIN_EMIN, Emax=MAX_EMAX)
 
 
-def _shift(m: int, s: int, up: bool) -> int:
-    """m / 2^s rounded down or up."""
-    return -(-m >> s) if up else m >> s
-
-
-def _ratio(num: int, den: int, up: bool) -> tuple[int, int]:
-    """(m, e) with m 2^e = num/den rounded down or up and m >= 2^_BITS; num/den < 2^_BITS."""
-    s = _BITS + 1 + den.bit_length() - num.bit_length()
-    return (-(-(num << s) // den) if up else (num << s) // den), -s
-
-
-def _product(a: tuple[int, int], b: tuple[int, int], up: bool) -> tuple[int, int]:
-    """a b rounded down or up to _BITS + 1 bits."""
-    m, e = a[0] * b[0], a[1] + b[1]
-    s = m.bit_length() - _BITS - 1
-    return (_shift(m, s, up), e + s) if s > 0 else (m, e)
-
-
-def _tail_bounds(n: int, q: Fraction, k: int, up: bool) -> Iterator[tuple[int, int, int]]:
-    """Yield (j, S, e) for j = n, n-1, ..., k, with S 2^e <= P(X >= j) (``up`` false)
-    or >= it (``up`` true), X ~ Binomial(n, q) and 0 < q < 1.
+def _tail_bounds(n: int, q: Fraction, k: int, ctx: Context) -> Iterator[tuple[int, Decimal]]:
+    """Yield (j, b) for j = n, n-1, ..., k, with b <= P(X >= j) (``_DOWN``) or
+    b >= it (``_UP``), X ~ Binomial(n, q) and 0 < q < 1.
 
     The terms t_n = q^n and t_(j-1) = t_j j rho / (n - j + 1), rho = (1 - q)/q,
-    are summed from the top. Every value is an integer mantissa with a binary
-    exponent, and every step rounds in one direction, so the sum is a bound.
-    The running sum shares the term's exponent; both shift right together
-    when the term passes 2^(_BITS + 8). For n >= 1, q^n starts with more than
-    _BITS bits and the sum never drops below 2^_BITS, so e stays negative.
+    are positive and summed from the top, every operation rounded in ``ctx``'s
+    direction, so each partial sum is a bound on its tail.
     """
     big_q, big_d = q.numerator, q.denominator
-    rho, rho_e = _ratio(big_d - big_q, big_q, up)
-    power, base, bits = (1, 0), _ratio(big_q, big_d, up), n
-    while bits:  # q^n by squaring, each product rounded in the pass's direction
+    rho = ctx.divide(big_d - big_q, big_q)
+    power, base, bits = Decimal(1), ctx.divide(big_q, big_d), n
+    while bits:  # q^n by squaring
         if bits & 1:
-            power = _product(power, base, up)
+            power = ctx.multiply(power, base)
         bits >>= 1
         if bits:
-            base = _product(base, base, up)
-    term, e = power
-    total, limit = 0, 1 << (_BITS + 8)
+            base = ctx.multiply(base, base)
+    term, total = power, Decimal(0)
     for j in range(n, k - 1, -1):
-        total += term
-        yield j, total, e
-        # t j rho / (n - j + 1): the shift and the division round the same way
-        if up:
-            term = -((-term * j * rho >> -rho_e) // (n - j + 1))
-        else:
-            term = (term * j * rho >> -rho_e) // (n - j + 1)
-        if term >= limit:
-            s = term.bit_length() - _BITS - 1
-            term, total, e = _shift(term, s, up), _shift(total, s, up), e + s
+        total = ctx.add(total, term)
+        yield j, total
+        term = ctx.divide(ctx.multiply(ctx.multiply(term, j), rho), n - j + 1)
 
 
 def _float_up(num: int, den: int) -> float:
@@ -235,10 +212,10 @@ def _tails_up(n: int, q: Fraction, ks: Iterable[int]) -> dict[int, float]:
     """
     wanted = set(ks)
     lowest = min(wanted)
-    lower = {j: _float_up(s, 1 << -e)
-             for j, s, e in _tail_bounds(n, q, lowest, up=False) if j in wanted}
-    upper = {j: min(_float_up(s, 1 << -e), 1.0)
-             for j, s, e in _tail_bounds(n, q, lowest, up=True) if j in wanted}
+    lower = {j: _float_up(*b.as_integer_ratio())
+             for j, b in _tail_bounds(n, q, lowest, _DOWN) if j in wanted}
+    upper = {j: min(_float_up(*b.as_integer_ratio()), 1.0)
+             for j, b in _tail_bounds(n, q, lowest, _UP) if j in wanted}
     tails = {j: p for j, p in lower.items() if upper[j] == p}
     unsettled = wanted - tails.keys()
     if unsettled:

@@ -189,12 +189,6 @@ class SimulationConfig:
     _cumulative_outcomes: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # readout end - choice = choice_to_readout + window + a draw in [-jitter, jitter)
-        window_ns = 1e3 * min(self.readout_a.duration_us, self.readout_b.duration_us)
-        if not self.timing.choice_to_readout_ns + window_ns > self.timing.jitter_ns:
-            raise ConfigError("timing.choice_to_readout_ns + 1e3 * min(readout_a.duration_us, "
-                              "readout_b.duration_us) must exceed timing.jitter_ns, "
-                              "or a readout can end before its own choice")
         ab, ac, cb = self.geometry.ab_m, self.geometry.ac_m, self.geometry.cb_m
         if ab > ac + cb or ac > ab + cb or cb > ab + ac:
             raise ConfigError(f"geometry distances ab_m={ab}, ac_m={ac}, cb_m={cb} break the "
@@ -204,16 +198,26 @@ class SimulationConfig:
                               f"than the {max(ac, cb)} m from a site to the midpoint, "
                               "so a photon would outrun light")
         # float addition is monotone, so no event time the engine sums exceeds the herald
-        # or the readout end at the largest jitter and the longer readout window
+        # or the readout end at the largest jitter and the longer readout window, summed
+        # in the engine's order
         t = self.timing
-        latest_ns = max(self.herald_delay_ns() + t.jitter_ns,
-                        t.choice_delay_ns + t.jitter_ns + t.choice_to_readout_ns
-                        + 1e3 * max(self.readout_a.duration_us, self.readout_b.duration_us)
-                        + t.jitter_ns)
-        if not math.isfinite(latest_ns):
+        readout_end_ns = (t.choice_delay_ns + t.jitter_ns + t.choice_to_readout_ns
+                          + 1e3 * max(self.readout_a.duration_us, self.readout_b.duration_us)
+                          + t.jitter_ns)
+        if not math.isfinite(max(self.herald_delay_ns() + t.jitter_ns, readout_end_ns)):
             raise ConfigError("the latest event time of a trial overflows: the timing budget, "
                               "1e3 * readout_*.duration_us and the fibre delay must sum to a "
                               "finite number of ns")
+        # readout end - choice = choice_to_readout + window + a draw in [-jitter, jitter),
+        # less the engine's three roundings of ((choice + choice_to_readout) + window)
+        # + jitter, each at most half an ulp of readout_end_ns; fsum's sign is exact
+        rounding_ns = 1.5 * math.ulp(readout_end_ns)
+        window_ns = 1e3 * min(self.readout_a.duration_us, self.readout_b.duration_us)
+        if not math.fsum((t.choice_to_readout_ns, window_ns, -t.jitter_ns, -rounding_ns)) > 0:
+            raise ConfigError("timing.choice_to_readout_ns + 1e3 * min(readout_a.duration_us, "
+                              "readout_b.duration_us) must exceed timing.jitter_ns by more "
+                              f"than the engine's rounding of the event times ({rounding_ns} "
+                              "ns), or a readout can end before its own choice")
 
     # ---- derived model objects -------------------------------------------
 

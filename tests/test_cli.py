@@ -93,6 +93,20 @@ def test_simulate_clock_that_overflows_ends_the_budget_quietly(tmp_path, capsys)
     assert len(lines) == 1 and json.loads(lines[0])["partial"] is True
 
 
+def test_simulate_choice_delay_within_the_rounding_runs(tmp_path, capsys):
+    # one ulp of 1e19 ns is 2,048 ns: the engine's sums round by at most 3,072 ns of
+    # the 4,175 ns from a choice to its readout end, so the config loads and every
+    # readout still ends after its choice (1e20 fails at load, see FAILING)
+    cfg = tmp_path / "late.yaml"
+    cfg.write_text("timing:\n  choice_delay_ns: 1.0e+19\n")
+    out = tmp_path / "log.jsonl"
+    capsys.readouterr()
+    assert run(["simulate", "--n", "50", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 50
+    assert all(r[f"t_choice_{s}_ns"] < r[f"t_read_done_{s}_ns"] for r in rows for s in "ab")
+
+
 @pytest.mark.parametrize("flags", [
     ["--n", "-3"], ["--n", "2.5"], ["--n", "many"],
     ["--hours", "-1"], ["--hours", "0"], ["--hours", "nan"], ["--hours", "inf"],
@@ -640,6 +654,7 @@ def bad_inputs(tmp_path_factory):
         "choice1e308.yaml": b"timing:\n  choice_to_readout_ns: 1.0e+308\n"
                             b"  choice_delay_ns: 1.0e+308\n",
         "fibre1e306.yaml": b"link:\n  fibre_km_per_arm: 1.0e+306\n  loss_db_per_km: 0.0\n",
+        "choice1e20.yaml": b"timing:\n  choice_delay_ns: 1.0e+20\n",
         "malformed.yaml": b"link: [1\n",
         # blank line 3 and a broken line 6
         "blank.jsonl": "\n".join([HEADER, rows[0], "", *rows[1:3], "{broken", ""]).encode(),
@@ -727,6 +742,13 @@ FAILING = {
                                 1, "config error: the latest event time of a trial overflows"),
     "overflowing-herald-time": ("simulate --n 3 --config {fibre1e306_yaml} --out {dir}/x.jsonl",
                                 1, "config error: the latest event time of a trial overflows"),
+    # one ulp of 1e20 ns is 16,384 ns, so the engine's sums would round the 4,175 ns from a
+    # choice to its readout end away: the window fails at load, not in the engine's row check
+    "choice-delay-past-rounding": (
+        "simulate --n 3 --config {choice1e20_yaml} --out {dir}/x.jsonl", 1,
+        "config error: timing.choice_to_readout_ns + 1e3 * min(readout_a.duration_us, "
+        "readout_b.duration_us) must exceed timing.jitter_ns by more than the engine's "
+        "rounding of the event times (24576.0 ns)"),
     # libyaml and PyYAML word the rest of the message differently
     "malformed-yaml": ("characterize --out {dir} --config {malformed_yaml}", 1,
                        "config error: {malformed_yaml}: YAML parse error"),

@@ -1,3 +1,4 @@
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -388,18 +389,69 @@ def test_every_tail_is_the_exact_tail_rounded_up(n, tau, data):
         assert is_rounded_up(rows[j].p_complete, acc * q_win.numerator**j, denominator)
 
 
+def assert_passes_enclose_the_exact_tail(n, q_win):
+    """Down pass <= P(X >= j) <= up pass at every j, against the exact integer tail."""
+    denominator = q_win.denominator**n
+    exact = {j: acc * q_win.numerator**j for j, acc in bs._scaled_tails(n, q_win, 0)}
+    lower = dict(bs._tail_bounds(n, q_win, 0, bs._DOWN))
+    upper = dict(bs._tail_bounds(n, q_win, 0, bs._UP))
+    assert lower.keys() == upper.keys() == exact.keys()
+    for j, tail in exact.items():
+        num, den = lower[j].as_integer_ratio()
+        assert num * denominator <= tail * den
+        num, den = upper[j].as_integer_ratio()
+        assert num * denominator >= tail * den
+
+
 @pytest.mark.parametrize("q_win", [
     Fraction(2, 3), Fraction(3, 4), Fraction(9, 10),
     bs.win_probability_bound(DEFAULT_TAU), bs.win_probability_bound(0.07),
 ])
 def test_the_two_passes_enclose_the_exact_tail(q_win):
     for n in (1, 7, 60, 245, 400):
-        denominator = q_win.denominator**n
-        exact = {j: acc * q_win.numerator**j for j, acc in bs._scaled_tails(n, q_win, 0)}
-        for j, s, e in bs._tail_bounds(n, q_win, 0, up=False):
-            assert s * denominator <= exact[j] << -e
-        for j, s, e in bs._tail_bounds(n, q_win, 0, up=True):
-            assert s * denominator >= exact[j] << -e
+        assert_passes_enclose_the_exact_tail(n, q_win)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_win=st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+       .filter(lambda q: 0 < q < 1), n=st.integers(1, 400))
+def test_the_two_passes_enclose_the_exact_tail_at_any_rational_win_bound(q_win, n):
+    assert_passes_enclose_the_exact_tail(n, q_win)
+
+
+def decimal_context_fields():
+    ctx = decimal.getcontext()
+    return ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax
+
+
+def test_the_callers_decimal_context_is_never_changed():
+    before = decimal_context_fields()
+    bs.complete_pvalue.cache_clear()
+    bs.complete_pvalue(196, 245, DEFAULT_TAU)
+    assert decimal_context_fields() == before
+    bs.p_vs_i_curve(245, DEFAULT_TAU)
+    assert decimal_context_fields() == before
+    # a pass abandoned part-way sets nothing to restore: between its yields the
+    # caller's own arithmetic rounds as the caller's context says
+    for ctx in (bs._DOWN, bs._UP):
+        bounds = bs._tail_bounds(245, bs.win_probability_bound(DEFAULT_TAU), 0, ctx)
+        next(bounds)
+        assert decimal_context_fields() == before
+        prec, rounding, _, _ = before
+        assert decimal.Decimal(2) / 3 == decimal.Context(prec, rounding).divide(2, 3)
+        next(bounds)
+        bounds.close()
+        assert decimal_context_fields() == before
+
+
+def test_the_callers_decimal_context_does_not_move_a_pvalue():
+    bs.complete_pvalue.cache_clear()
+    expected = [r.p_complete for r in bs.p_vs_i_curve(245, DEFAULT_TAU)]
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding, ctx.Emin = 3, decimal.ROUND_UP, -10
+        assert [r.p_complete for r in bs.p_vs_i_curve(245, DEFAULT_TAU)] == expected
+        assert bs.complete_pvalue(196, 245, DEFAULT_TAU) == 0.039077671389657224
+    bs.complete_pvalue.cache_clear()
 
 
 def test_tail_exactly_a_float_takes_the_exact_sum(monkeypatch):
