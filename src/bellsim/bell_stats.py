@@ -203,6 +203,12 @@ def _float_up(num: int, den: int) -> float:
     return math.nextafter(p, math.inf) if a * den < num * b else p
 
 
+def _decimal_up(b: Decimal) -> float:
+    """The smallest float >= b (b >= 0), subnormals included."""
+    p = float(b)  # correctly rounded from b's digits, so at most one step below
+    return math.nextafter(p, math.inf) if Decimal(p) < b else p
+
+
 def _tails_up(n: int, q: Fraction, ks: Iterable[int]) -> dict[int, float]:
     """{j: the smallest float >= P(X >= j)} for X ~ Binomial(n, q), 0 < q < 1.
 
@@ -212,9 +218,8 @@ def _tails_up(n: int, q: Fraction, ks: Iterable[int]) -> dict[int, float]:
     """
     wanted = set(ks)
     lowest = min(wanted)
-    lower = {j: _float_up(*b.as_integer_ratio())
-             for j, b in _tail_bounds(n, q, lowest, _DOWN) if j in wanted}
-    upper = {j: min(_float_up(*b.as_integer_ratio()), 1.0)
+    lower = {j: _decimal_up(b) for j, b in _tail_bounds(n, q, lowest, _DOWN) if j in wanted}
+    upper = {j: min(_decimal_up(b), 1.0)
              for j, b in _tail_bounds(n, q, lowest, _UP) if j in wanted}
     tails = {j: p for j, p in lower.items() if upper[j] == p}
     unsettled = wanted - tails.keys()

@@ -23,28 +23,14 @@ one false-click probability per detection window.
 The link always carries exactly two photons, one per node, so the photonic
 state past the beam splitter is a symmetrised amplitude over ordered pairs of
 the 8 output modes of one photon (2 ports x 2 time bins x 2 sectors). The
-event-ready build never forms the joint spin-photon density matrix: each
-classical flip branch of the two nodes is carried as one weighted ket over
-the spin pair and the photon pair, and each herald pattern is a click
-probability per pair of output modes. Only the final 4x4 two-spin state
-is validated as a :class:`~bellsim.quantum.QuantumState`. Only the functions
-that build states import numpy and ``quantum``, so a config loads neither.
-
-The kets are formed without a loop over branches. Each (bin_a, bin_b)
-emission pair has one 64-entry amplitude, a row of shared * S_0 + private *
-S_1 with S_0 and S_1 the cached (4, 64) sector matrices: the two sectors have
-disjoint supports, so the sum is exact. A branch sends each of the four
-emission pairs to one spin pair, so all kets are one 0/1 matrix product
-(branches x 4 spins x 4 emission pairs) with the (4, 64) amplitudes. At most
-two nonzero amplitudes meet in any entry (the two photons of a mode pair
-swapped), so the sum is the same in any order, and ``+ 0.0`` turns the
-signed zeros of the zero products into +0.0: the kets are the bits a loop
-of ``ket[s] += amp`` over the branches gives. The click weights of a
-pattern depend only on the detector efficiencies and the false-click
-probability, not on the visibility or the flip errors, so they are computed
-once per (pattern, efficiencies, false-click probability). Both singlet
-patterns go through one einsum contraction, and their conditional states are
-then added pattern by pattern, in the order a loop over the patterns adds them.
+event-ready build never forms the joint spin-photon state. Each herald
+pattern weights the amplitudes of the four emission pairs (bin_a, bin_b) into
+two 4x4 Gram matrices, one per sector of node B's photon; the sectors have
+disjoint supports, so no cross term survives. Their visibility-weighted sum
+is carried to the spin pair by each node's classical flip channel, in plain
+Python on 4x4 lists. Only the final two-spin state is validated, as a
+:class:`~bellsim.quantum.QuantumState`, which the build imports when it
+runs, so a config loads neither ``quantum`` nor numpy.
 """
 
 from __future__ import annotations
@@ -56,8 +42,6 @@ from itertools import product
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .quantum import QuantumState
 
 SINGLET_PATTERNS = ((0, 3), (2, 1))
@@ -144,97 +128,49 @@ class HeraldResult:
     spin_state: QuantumState
 
 
-@lru_cache(maxsize=8)  # one read-only array per (bin_a, bin_b, sector_b)
-def _two_photon_amplitudes(bin_a: int, bin_b: int, sector_b: int) -> np.ndarray:
+def _two_photon_amplitudes(bin_a: int, bin_b: int, sector_b: int) -> list[list[float]]:
     """Amplitude of one photon per node past the beam splitter, per ordered mode pair.
 
     Output mode m = window * 2 + sector, with window w = 2 * port + bin and
     sector 0 shared, 1 private. Node A's photon is in the shared sector of
     time bin ``bin_a``, node B's in ``sector_b`` of ``bin_b`` (bins 0 early,
-    1 late). With c[i, j] the amplitude of A's photon in mode i and B's in j,
+    1 late). With c[i][j] the amplitude of A's photon in mode i and B's in j,
     the 8x8 result is c + c^T: every photon pair sits on both (i, j) and
     (j, i), and half its squared entries summed over ordered pairs are the
     Fock probabilities, Hong-Ou-Mandel bunching included.
     """
-    import numpy as np
-    a = np.zeros(8)
-    b = np.zeros(8)
+    a, b = [0.0] * 8, [0.0] * 8
     for port in (0, 1):
         a[(port * 2 + bin_a) * 2] = SPLIT_A[port]
         b[(port * 2 + bin_b) * 2 + sector_b] = SPLIT_B[port]
-    c = np.outer(a, b) + np.outer(b, a)
-    c.setflags(write=False)
-    return c
+    return [[a[i] * b[j] + b[i] * a[j] for j in range(8)] for i in range(8)]
 
 
-@lru_cache(maxsize=2)  # one read-only (4, 64) array per sector of node B's photon
-def _sector_amplitudes(sector_b: int) -> np.ndarray:
-    """The flattened amplitudes of the four emission pairs e = bin_a * 2 + bin_b."""
-    import numpy as np
-    rows = np.array([_two_photon_amplitudes(bin_a, bin_b, sector_b).ravel()
-                     for bin_a, bin_b in product((0, 1), repeat=2)])
-    rows.setflags(write=False)
-    return rows
+@lru_cache(maxsize=32)  # one pair per (pattern, efficiencies, false clicks)
+def _pattern_grams(pattern: tuple[int, int], efficiency: tuple[float, float],
+                   false_click: float) -> tuple[tuple, tuple]:
+    """Click-weighted Gram matrices (A_p, B_p) of the (early, late) window pair
+    ``pattern``, two nested 4x4 tuples over emission pairs e = bin_a * 2 + bin_b.
 
-
-@lru_cache(maxsize=16)  # one read-only array per pair of branch sets
-def _one_hot(branches_a: tuple[int, ...], branches_b: tuple[int, ...]) -> np.ndarray:
-    """1 where emission pair e = bin_a * 2 + bin_b leaves spin pair s, as (n, 4, 4).
-
-    One (s, e) matrix per (A x B) branch, A outer; a branch is numbered
-    f_early * 2 + f_late, as ``_flip_branches`` yields them.
+    A_p[e][f] = 1/2 sum_(i, j) c_e[i][j] c_f[i][j] P(exactly the clicks of
+    ``pattern`` | photons in modes i and j), with c_e the two-photon
+    amplitudes of emission pair e and node B's photon shared (A_p) or private
+    (B_p); the half counts each photon pair once. Sectors are unresolved, so
+    the click probability reads only the windows i >> 1 and j >> 1.
     """
-    import numpy as np
-    # ideal: spin up (0) with the early photon, down (1) with the late
-    spins = [(f_early, 1 ^ f_late) for f_early, f_late in product((0, 1), repeat=2)]
-    table = np.zeros((len(branches_a) * len(branches_b), 4, 4))
-    for n, (a, b) in enumerate(product(branches_a, branches_b)):
-        for bin_a, bin_b in product((0, 1), repeat=2):
-            table[n, spins[a][bin_a] * 2 + spins[b][bin_b], bin_a * 2 + bin_b] = 1.0
-    table.setflags(write=False)
-    return table
-
-
-def _branch_kets(errors: SpinPhotonErrorModel,
-                 visibility: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and spin-pair x photon-pair kets of the (A x B) flip branches.
-
-    Node A emits into the shared sector; node B emits into sqrt(V) shared +
-    sqrt(1-V) private, so the mode overlap squared equals the interference
-    visibility. Returns weights of shape (n,) and real kets of shape
-    (n, 4, 64), already past the beam splitter, one per branch of nonzero
-    weight, with the spin index s_a * 2 + s_b.
-    """
-    import numpy as np
-    # one amplitude per (bin_a, bin_b): its two sectors have disjoint supports
-    shared, private = 0.5 * math.sqrt(visibility), 0.5 * math.sqrt(1.0 - visibility)
-    emissions = shared * _sector_amplitudes(0) + private * _sector_amplitudes(1)
-    side_a, side_b = ({2 * f_early + f_late: w
-                       for w, f_early, f_late in _flip_branches(*errors.for_side(side))}
-                      for side in "AB")
-    weights = [w_a * w_b for w_a in side_a.values() for w_b in side_b.values()]
-    # at most two nonzero amplitudes meet in an entry, so the sum is order-free;
-    # + 0.0 turns the -0.0 of a product with zero into +0.0
-    kets = _one_hot(tuple(side_a), tuple(side_b)) @ emissions + 0.0
-    return np.array(weights), kets
-
-
-@lru_cache(maxsize=32)  # one read-only array per (pattern, efficiencies, false clicks)
-def _pattern_weights(pattern: tuple[int, int], efficiency: tuple[float, float],
-                     false_click: float) -> np.ndarray:
-    """P(exactly the clicks of the (early, late) window pair ``pattern`` | photon pair),
-    per ordered output-mode pair."""
-    import numpy as np
     clicked = [w in pattern for w in range(4)]
-    table = np.zeros((4, 4))
-    for u, v in product(range(4), repeat=2):
-        visible = [0] * 4
-        visible[u] += 1
-        visible[v] += 1
-        table[u, v] = _click_set_probability(visible, clicked, efficiency, false_click)
-    weights = table.repeat(2, axis=0).repeat(2, axis=1).ravel()  # sectors are unresolved
-    weights.setflags(write=False)
-    return weights
+    click = [[_click_set_probability([(w == u) + (w == v) for w in range(4)], clicked,
+                                     efficiency, false_click) for v in range(4)]
+             for u in range(4)]
+    grams = []
+    for sector_b in (0, 1):
+        amps = [_two_photon_amplitudes(bin_a, bin_b, sector_b)
+                for bin_a, bin_b in product((0, 1), repeat=2)]
+        grams.append(tuple(
+            tuple(0.5 * sum(x[i][j] * y[i][j] * click[i >> 1][j >> 1]
+                            for i, j in product(range(8), repeat=2)) for y in amps)
+            for x in amps))
+    return grams[0], grams[1]
 
 
 @lru_cache(maxsize=64)
@@ -246,28 +182,36 @@ def event_ready_state(model: InterferenceModel,
     losses aside) and the conditional two-spin density matrix, heralded by
     the two cross-port coincidences of ``SINGLET_PATTERNS``.
 
-    Each flip branch b with weight w_b is a real ket psi_b over spin pair x
-    ordered output-mode pair past the beam splitter; pattern p leaves the
-    unnormalised spin state sum_b w_b (psi_b * wt_p) psi_b^T / 2, where wt_p
-    is the pattern's click probability per mode pair.
+    Node A emits into the shared sector and node B into sqrt(V) shared +
+    sqrt(1-V) private, each emission pair with amplitude 1/2. The sectors
+    have disjoint supports, so the herald leaves G = 1/4 sum_p [V A_p +
+    (1-V) B_p] over emission pairs. Each node's flip branch sends its time
+    bin to a spin, spin = (f_early, 1 ^ f_late)[bin] (ideal: up early, down
+    late), and the unnormalised spin state is the weighted sum over the
+    (A x B) branches of G carried to spin pairs.
     """
-    import numpy as np
     from .quantum import QuantumState
-    branch_weights, kets = _branch_kets(errors, model.visibility)
-    clicked = kets * np.array([_pattern_weights(pattern, model.detector_efficiency,
-                                                model.false_click_prob)
-                               for pattern in SINGLET_PATTERNS])[:, None, None]
-    # half: every photon pair is counted as both (i, j) and (j, i)
-    conds = 0.5 * np.einsum("b,pbik,bjk->pij", branch_weights, clicked, kets)
-    total = np.zeros((4, 4), dtype=np.complex128)
-    total_prob = 0.0
-    for cond in conds:  # pattern by pattern, as a loop over the patterns adds them
-        total += cond
-        total_prob += float(cond.trace())
-    if total_prob < 1e-15:
+    v = model.visibility
+    gram = [[0.0] * 4 for _ in range(4)]
+    for pattern in SINGLET_PATTERNS:
+        shared, private = _pattern_grams(pattern, model.detector_efficiency,
+                                         model.false_click_prob)
+        for e, f in product(range(4), repeat=2):
+            gram[e][f] += 0.25 * (v * shared[e][f] + (1.0 - v) * private[e][f])
+    side_a, side_b = ([(w, (f_early, 1 ^ f_late))
+                       for w, f_early, f_late in _flip_branches(*errors.for_side(side))]
+                      for side in "AB")
+    rho = [[0.0] * 4 for _ in range(4)]
+    for (w_a, spin_a), (w_b, spin_b) in product(side_a, side_b):
+        w = w_a * w_b
+        spins = [spin_a[bin_a] * 2 + spin_b[bin_b] for bin_a, bin_b in product((0, 1), repeat=2)]
+        for e, f in product(range(4), repeat=2):
+            rho[spins[e]][spins[f]] += w * gram[e][f]
+    probability = sum(rho[s][s] for s in range(4))
+    if probability < 1e-15:
         raise UnheraldableError("requested detection pattern has zero probability")
-    spin = QuantumState(total / total_prob)
-    return HeraldResult(total_prob, spin)
+    spin = QuantumState([[x / probability for x in row] for row in rho])
+    return HeraldResult(probability, spin)
 
 
 @dataclass(frozen=True)

@@ -215,7 +215,7 @@ def _log_from_header(header: dict, line_no: int) -> TrialLog:
             raise LogFormatError(f"line {line_no}: header is missing {key!r}")
     version, seed = header["format_version"], header["seed"]
     if type(version) is not int or version != FORMAT_VERSION:
-        raise LogFormatError(f"unsupported format version {version}")
+        raise LogFormatError(f"line {line_no}: unsupported format version {version}")
     seeds = seed if type(seed) is list else [seed]
     log = TrialLog(header["config_hash"], tuple(seed) if type(seed) is list else seed,
                    partial=header.get("partial", False), created=header.get("created"))

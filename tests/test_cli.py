@@ -429,11 +429,11 @@ def test_model_outputs_are_pinned_by_digest(tmp_path, capsys):
     outputs["optimize"] = (tmp_path / "optimize.json").read_bytes()
     assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == {
         "characterize":
-            "e57b50390d0c04952f8b84ec1870ca12adbba6590d40d5116e9dfd68795712f6",
+            "808daeb4c4ed8d2c600636f36a0a2d1e900068e6c0841a07900a184346a9a3d2",
         "spin_photon_correlations.csv":
             "0b50e5ad68baa7966018ea1778820b0c08e59670daf359f8653285ad09b19a20",
         "setting_correlations.csv":
-            "26ba561277a42dd789c1cbd55e4ccf0840c33d363dc8bd5d9dac02da98f65a3d",
+            "8ffe45b6ca9e78c7a14711110a15ab5e24eaef8707089793edb5e566cd02eef9",
         "optimize":
             "117626c6791749779b8b9a8d07d1ef3d20923c0a4f56689b7e159c607a2f361d",
     }

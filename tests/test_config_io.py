@@ -292,8 +292,10 @@ def test_header_format_version_must_be_the_integer_1(tmp_path, value):
     path = tmp_path / "trials.jsonl"
     logio.write_log(sample_log(3), path)
     path.write_text(path.read_text().replace('"format_version":1', f'"format_version":{value}'))
-    with pytest.raises(logio.LogFormatError, match="unsupported format version"):
+    with pytest.raises(logio.LogFormatError) as info:
         logio.read_log(path)
+    shown = {"true": "True", "1.0": "1.0"}[value]  # as Python prints the parsed value
+    assert str(info.value) == f"line 1: unsupported format version {shown}"
 
 
 def test_header_of_the_right_types_accepted(tmp_path):

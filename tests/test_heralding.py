@@ -302,7 +302,7 @@ def test_interference_model_needs_one_efficiency_per_port(efficiency):
 
 def window_pair_probabilities(amp):
     """{sorted (window, window): probability} of where the two photons land."""
-    per_pair = 0.5 * (np.abs(amp.reshape(4, 2, 4, 2)) ** 2).sum(axis=(1, 3))
+    per_pair = 0.5 * (np.abs(np.asarray(amp).reshape(4, 2, 4, 2)) ** 2).sum(axis=(1, 3))
     out = {}
     for u, v in product(range(4), repeat=2):
         key = tuple(sorted((WINDOWS[u], WINDOWS[v])))
@@ -348,7 +348,7 @@ def test_beam_splitter_preserves_norm_on_random_inputs(seed):
     rng = np.random.default_rng(seed)
     weights = rng.normal(size=8) + 1j * rng.normal(size=8)
     weights /= np.linalg.norm(weights)
-    amp = sum(w * h._two_photon_amplitudes(*emission)
+    amp = sum(w * np.asarray(h._two_photon_amplitudes(*emission))
               for w, emission in zip(weights, product((0, 1), repeat=3)))
     assert abs(0.5 * np.sum(np.abs(amp) ** 2) - 1.0) < 1e-10
 
@@ -363,7 +363,7 @@ def test_two_photon_amplitudes_match_reference_splitter(bin_a, bin_b, sector_b):
     k = fock_index(("A-in", TIME_BINS[bin_a], "shared"),
                    ("B-in", TIME_BINS[bin_b], SECTORS[sector_b]))
     fock_out = reference_splitter()[:, k]
-    amp = h._two_photon_amplitudes(bin_a, bin_b, sector_b)
+    amp = np.asarray(h._two_photon_amplitudes(bin_a, bin_b, sector_b))
     outputs = [m for m in MODES if m[0] in OUT_PORTS]
     for m1, m2 in combinations_with_replacement(outputs, 2):
         i, j = (WINDOWS.index(m[:2]) * 2 + SECTORS.index(m[2]) for m in (m1, m2))
@@ -483,7 +483,7 @@ def test_including_same_port_heralds_degrades_the_mixture():
     assert abs(fid - 0.5) < 1e-9
 
 
-# ---- branch-ket build against the dense route ---------------------------------------
+# ---- Gram-matrix build against the dense route ---------------------------------------
 
 
 def _equivalence_grid():
@@ -510,13 +510,47 @@ def _equivalence_grid():
     return points
 
 
+def branch_spin_maps(errors):
+    """Weight and 0/1 (spin pair, emission pair) matrix of each (A x B) flip branch."""
+    out = []
+    for w_a, fe_a, fl_a in h._flip_branches(*errors.for_side("A")):
+        for w_b, fe_b, fl_b in h._flip_branches(*errors.for_side("B")):
+            m = np.zeros((4, 4))
+            for bin_a, bin_b in product((0, 1), repeat=2):
+                # ideal: spin up (0) with the early photon, down (1) with the late
+                s_a = fe_a if bin_a == 0 else 1 ^ fl_a
+                s_b = fe_b if bin_b == 0 else 1 ^ fl_b
+                m[s_a * 2 + s_b, bin_a * 2 + bin_b] = 1.0
+            out.append((w_a * w_b, m))
+    return out
+
+
+def gram_build(model, errors, patterns):
+    """``event_ready_state``'s sum over ``patterns`` from the library's per-pattern
+    Gram matrices, which take any early/late pattern, the same-port ones included."""
+    v = model.visibility
+    total = np.zeros((4, 4), dtype=np.complex128)
+    total_prob = 0.0
+    per_pattern = []
+    for pattern in patterns:
+        shared, private = (np.array(g) for g in h._pattern_grams(
+            pattern, model.detector_efficiency, model.false_click_prob))
+        gram = 0.25 * (v * shared + (1.0 - v) * private)
+        cond = sum(w * m @ gram @ m.T for w, m in branch_spin_maps(errors))
+        p = float(np.trace(cond))
+        per_pattern.append((pattern, p))
+        total += cond
+        total_prob += p
+    spin = q.QuantumState(total / total_prob)
+    return Herald(total_prob, spin, tuple(per_pattern))
+
+
 @pytest.mark.parametrize("include_same_port", [False, True])
 @pytest.mark.parametrize("model, errors", _equivalence_grid())
 def test_event_ready_state_matches_dense_route(model, errors, include_same_port):
     # the library heralds on the cross-port patterns alone; with the same-port
-    # ones too, its kets and click weights are checked where both photons may
-    # leave by one port
-    res = ket_build(model, errors, heralded_patterns(include_same_port))
+    # ones too, its Gram matrices are checked where both photons may leave by one port
+    res = gram_build(model, errors, heralded_patterns(include_same_port))
     ref = dense_event_ready_state(model, errors, include_same_port)
     assert len(res.pattern_probabilities) == len(ref.pattern_probabilities)
     for (pattern, p), (ref_pattern, ref_p) in zip(res.pattern_probabilities,
@@ -530,7 +564,11 @@ def test_event_ready_state_matches_dense_route(model, errors, include_same_port)
                                ref.spin_state.density_matrix(), rtol=0, atol=1e-12)
 
 
-# ---- the build against its per-branch loop, bit for bit ------------------------------
+# ---- the build against the per-branch ket loop ---------------------------------------
+#
+# The reference carries each flip branch as one ket over spin pair x ordered
+# output-mode pair and sums (ket * click weights) ket^T per pattern: the build
+# the Gram matrices factor.
 
 
 def reference_branch_kets(errors, visibility):
@@ -540,7 +578,7 @@ def reference_branch_kets(errors, visibility):
         for sector_b, amp_b in ((0, math.sqrt(visibility)), (1, math.sqrt(1.0 - visibility))):
             if amp_b == 0.0:
                 continue
-            pair = h._two_photon_amplitudes(bin_a, bin_b, sector_b).ravel()
+            pair = np.asarray(h._two_photon_amplitudes(bin_a, bin_b, sector_b)).ravel()
             emissions.append((bin_a, bin_b, 0.5 * amp_b * pair))
     weights, kets = [], []
     for w_a, fe_a, fl_a in h._flip_branches(*errors.for_side("A")):
@@ -569,23 +607,15 @@ def reference_pattern_weights(pattern, model):
     return np.kron(table, np.ones((2, 2))).ravel()
 
 
-def library_pattern_weights(pattern, model):
-    return h._pattern_weights(pattern, model.detector_efficiency, model.false_click_prob)
-
-
-def ket_build(model, errors, patterns, branch_kets=h._branch_kets,
-              pattern_weights=library_pattern_weights):
-    """``event_ready_state``'s sum over ``patterns``, from the given kets and click weights.
-
-    The defaults are the library's own, which take any early/late pattern,
-    the same-port ones included.
-    """
-    branch_weights, kets = branch_kets(errors, model.visibility)
+def ket_build(model, errors, patterns):
+    """``event_ready_state``'s sum over ``patterns``, from the two references above."""
+    branch_weights, kets = reference_branch_kets(errors, model.visibility)
     total = np.zeros((4, 4), dtype=np.complex128)
     total_prob = 0.0
     per_pattern = []
     for pattern in patterns:
-        clicked = kets * pattern_weights(pattern, model)
+        clicked = kets * reference_pattern_weights(pattern, model)
+        # half: every photon pair is counted as both (i, j) and (j, i)
         cond = 0.5 * np.einsum("b,bik,bjk->ij", branch_weights, clicked, kets)
         p = float(np.trace(cond))
         per_pattern.append((pattern, p))
@@ -596,9 +626,7 @@ def ket_build(model, errors, patterns, branch_kets=h._branch_kets,
 
 
 def reference_build(model, errors, include_same_port):
-    """``event_ready_state`` assembled from the two references above."""
-    return ket_build(model, errors, heralded_patterns(include_same_port),
-                     reference_branch_kets, reference_pattern_weights)
+    return ket_build(model, errors, heralded_patterns(include_same_port))
 
 
 def _random_points(count, seed=1305):
@@ -619,38 +647,39 @@ def _random_points(count, seed=1305):
     return points
 
 
-def _bits(x) -> bytes:
-    return np.float64(x).tobytes()
-
-
 @pytest.mark.parametrize("include_same_port", [False, True])
-def test_event_ready_state_is_bitwise_the_per_branch_loop(include_same_port):
+def test_event_ready_state_matches_the_per_branch_loop(include_same_port):
+    # the Gram build sums in another order than the ket loop: a few ulps apart
     for model, errors in _equivalence_grid() + _random_points(400):
         point = f"{model}, {errors}"
-        weights, kets = h._branch_kets(errors, model.visibility)
-        ref_weights, ref_kets = reference_branch_kets(errors, model.visibility)
-        assert kets.tobytes() == ref_kets.tobytes(), point
-        assert weights.tobytes() == ref_weights.tobytes(), point
-        # per-pattern bits from the library's kets and click weights, same-port ones too
-        res = ket_build(model, errors, heralded_patterns(include_same_port))
         ref = reference_build(model, errors, include_same_port)
-        assert [(pattern, _bits(p)) for pattern, p in res.pattern_probabilities] \
-            == [(pattern, _bits(p)) for pattern, p in ref.pattern_probabilities], point
+        # per-pattern probabilities from the library's Gram matrices, same-port ones too
+        res = gram_build(model, errors, heralded_patterns(include_same_port))
+        for (pattern, p), (ref_pattern, ref_p) in zip(res.pattern_probabilities,
+                                                      ref.pattern_probabilities, strict=True):
+            assert pattern == ref_pattern
+            assert abs(p - ref_p) <= 4e-15 * ref_p, point
         if not include_same_port:
             res = h.event_ready_state.__wrapped__(model, errors)
-        assert res.spin_state.data.tobytes() == ref.spin_state.data.tobytes(), point
-        assert _bits(res.probability) == _bits(ref.probability), point
+        assert np.max(np.abs(res.spin_state.data - ref.spin_state.data)) <= 1e-15, point
+        assert abs(res.probability - ref.probability) <= 4e-15 * ref.probability, point
 
 
-def test_pattern_weights_are_cached_and_read_only():
+def test_pattern_grams_are_cached_and_read_only():
     model = h.InterferenceModel(detector_efficiency=(0.7, 0.9), false_click_prob=0.01)
     for pattern in heralded_patterns(include_same_port=True):
-        weights = h._pattern_weights(pattern, model.detector_efficiency, model.false_click_prob)
-        assert weights.tobytes() == reference_pattern_weights(pattern, model).tobytes()
-        assert h._pattern_weights(pattern, model.detector_efficiency,
-                                  model.false_click_prob) is weights
-        with pytest.raises(ValueError):
-            weights[0] = 0.5
+        weights = reference_pattern_weights(pattern, model)
+        grams = h._pattern_grams(pattern, model.detector_efficiency, model.false_click_prob)
+        for sector_b, gram in enumerate(grams):
+            amps = np.array([np.ravel(h._two_photon_amplitudes(bin_a, bin_b, sector_b))
+                             for bin_a, bin_b in product((0, 1), repeat=2)])
+            np.testing.assert_allclose(gram, 0.5 * (amps * weights) @ amps.T,
+                                       rtol=0, atol=1e-16)
+            assert np.array(gram).tobytes() == np.array(gram).T.tobytes()  # symmetric
+        assert h._pattern_grams(pattern, model.detector_efficiency,
+                                model.false_click_prob) is grams
+        with pytest.raises(TypeError):
+            grams[0][0][0] = 0.5
 
 
 @pytest.mark.parametrize("change", [{"false_click_prob": 0.02},

@@ -303,4 +303,4 @@ def test_sweep_points_are_pinned_by_digest():
         digest.update(repr((herald.probability, corr, result.epsilon,
                             result.expected_s)).encode())
     assert digest.hexdigest() == \
-        "446bd6eb5f3128110c7f84c35401b9db8849415a5a60694adaf5e5a4a08f3c54"
+        "719908b9647ba89b4847df4e3ef371fbf4c667990391886bd5b8fcab4703b0dc"

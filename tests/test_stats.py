@@ -419,6 +419,21 @@ def test_the_two_passes_enclose_the_exact_tail_at_any_rational_win_bound(q_win, 
     assert_passes_enclose_the_exact_tail(n, q_win)
 
 
+def test_each_bound_rounds_up_from_its_digits_as_from_its_exact_ratio():
+    # the enclosure converts a bound from its decimal digits; the exact ratio,
+    # a gcd on integers of thousands of bits at n = 20,000, must give every bit
+    q_win = bs.win_probability_bound(DEFAULT_TAU)
+    underflows = 0
+    for n in (1, 2, 10, 245, 1000, 20000):
+        for ctx in (bs._DOWN, bs._UP):
+            for j, b in bs._tail_bounds(n, q_win, 0, ctx):
+                p = bs._decimal_up(b)
+                assert p == bs._float_up(*b.as_integer_ratio()), (n, ctx.rounding, j)
+                underflows += p == math.ulp(0.0)
+    # q^20000 is about 1e-2499: far below the smallest subnormal, which it rounds up to
+    assert underflows
+
+
 def decimal_context_fields():
     ctx = decimal.getcontext()
     return ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax
