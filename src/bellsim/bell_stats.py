@@ -303,13 +303,13 @@ def expected_correlations(state: QuantumState, readout_a: ReadoutModel,
                           basis: ReadoutBasisSet) -> dict[tuple[int, int], float]:
     """Predicted E(a,b) from the state, the readout POVMs, and the angles,
     all four from one :func:`correlation_tensor` of the state."""
-    import numpy as np  # the statistics alone load no numpy
-
-    from .quantum import correlation_tensor
+    from .quantum import correlation_tensor, times_tensor  # the statistics alone load no physics
     tensor = correlation_tensor(state)
-    row_a = [observable_components(readout_a, basis.angle("A", a)) @ tensor for a in (0, 1)]
-    u_b = [np.array(observable_components(readout_b, basis.angle("B", b))) for b in (0, 1)]
-    return {(a, b): float(row_a[a] @ u_b[b]) for a, b in SETTING_PAIRS}
+    row_a = [times_tensor(observable_components(readout_a, basis.angle("A", a)), tensor)
+             for a in (0, 1)]
+    u_b = [observable_components(readout_b, basis.angle("B", b)) for b in (0, 1)]
+    return {(a, b): row_a[a][0] * u_b[b][0] + row_a[a][1] * u_b[b][1] + row_a[a][2] * u_b[b][2]
+            for a, b in SETTING_PAIRS}
 
 
 def chsh_combination(correlations: Mapping[tuple[int, int], float]) -> float:

@@ -30,7 +30,8 @@ disjoint supports, so no cross term survives. Their visibility-weighted sum
 is carried to the spin pair by each node's classical flip channel, in plain
 Python on 4x4 lists. Only the final two-spin state is validated, as a
 :class:`~bellsim.quantum.QuantumState`, which the build imports when it
-runs, so a config loads neither ``quantum`` nor numpy.
+runs, so a config loads no ``quantum``; neither the build nor the state's
+checks load numpy.
 """
 
 from __future__ import annotations
@@ -226,13 +227,20 @@ def hom_visibility(n_indistinguishable: float, n_distinguishable: float) -> Visi
     """Two-photon interference contrast from central-peak coincidence counts.
 
     V = 1 - N_ind / N_dist, with the uncertainty from independent Poisson
-    errors on both counts.
+    errors on both counts. Counts so extreme that either number over- or
+    underflows a float are rejected.
     """
     if n_indistinguishable < 0 or n_distinguishable < 0:
         raise HeraldingError("coincidence counts must be non-negative")
     if n_distinguishable == 0:
         raise HeraldingError("visibility undefined: zero distinguishable-photon coincidences")
     a, b = float(n_indistinguishable), float(n_distinguishable)
-    value = 1.0 - a / b
-    sigma = math.sqrt(a / b**2 + a**2 / b**3)
+    try:
+        value = 1.0 - a / b
+        sigma = math.sqrt(a / b**2 + a**2 / b**3)
+    except (OverflowError, ZeroDivisionError):
+        value = sigma = math.nan
+    if not (math.isfinite(value) and math.isfinite(sigma)):
+        raise HeraldingError(f"visibility and its sigma from coincidence counts "
+                             f"({n_indistinguishable}, {n_distinguishable}) are not finite")
     return VisibilityEstimate(value, sigma)

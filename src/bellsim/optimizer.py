@@ -78,14 +78,14 @@ def tilt_coefficients(state: QuantumState, readout_a: ReadoutModel,
     -+g1 sin beta) and beta = 3pi/4 + eps: S = 2 g0 v_0[I] + 2 g1 (v_0[Z] cos beta
     - v_1[X] sin beta).
     """
-    from .quantum import correlation_tensor  # loading a config loads no numpy
+    from .quantum import correlation_tensor, times_tensor  # a config build needs neither
     tensor = correlation_tensor(state)
-    v0 = observable_components(readout_a, 0.0) @ tensor
-    v1 = observable_components(readout_a, math.pi / 2) @ tensor
+    v0 = times_tensor(observable_components(readout_a, 0.0), tensor)
+    v1 = times_tensor(observable_components(readout_a, math.pi / 2), tensor)
     g0, g1, _ = observable_components(readout_b, 0.0)
-    zz, xx = float(v0[1]), float(v1[2])
-    root2_g1 = math.sqrt(2.0) * float(g1)
-    return 2.0 * float(g0) * float(v0[0]), -root2_g1 * (zz + xx), root2_g1 * (xx - zz)
+    zz, xx = v0[1], v1[2]
+    root2_g1 = math.sqrt(2.0) * g1
+    return 2.0 * g0 * v0[0], -root2_g1 * (zz + xx), root2_g1 * (xx - zz)
 
 
 def _nearest_in(lo: float, hi: float, target: float) -> float:

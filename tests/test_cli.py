@@ -429,7 +429,7 @@ def test_model_outputs_are_pinned_by_digest(tmp_path, capsys):
     outputs["optimize"] = (tmp_path / "optimize.json").read_bytes()
     assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == {
         "characterize":
-            "808daeb4c4ed8d2c600636f36a0a2d1e900068e6c0841a07900a184346a9a3d2",
+            "bd93d09df86251fa1c67c02f0827445f161e314a0c49bf4b2f4a382607b4735d",
         "spin_photon_correlations.csv":
             "0b50e5ad68baa7966018ea1778820b0c08e59670daf359f8653285ad09b19a20",
         "setting_correlations.csv":
@@ -644,6 +644,9 @@ def bad_inputs(tmp_path_factory):
         "window.yaml": b"timing:\n  choice_to_readout_ns: 2\n  jitter_ns: 5\n"
                        b"readout_b:\n  duration_us: 0.003\n",
         "homneg.yaml": b"heralding:\n  hom_counts_indistinguishable: -1\n",
+        "homtiny.yaml": b"heralding:\n  hom_counts_distinguishable: 1.0e-200\n",
+        "homhuge.yaml": b"heralding:\n  hom_counts_indistinguishable: 1.0e+200\n",
+        "homhugeref.yaml": b"heralding:\n  hom_counts_distinguishable: 1.0e+200\n",
         "win.yaml": b"statistics:\n  win_adjustment: -1\n",
         "win0.yaml": b"statistics:\n  win_adjustment: 0.0\n",
         "tilt.yaml": b"basis:\n  epsilon_pi: 1.0e+308\n",
@@ -702,6 +705,16 @@ FAILING = {
                                   "config error: heralding: visibility undefined"),
     "negative-hom-counts": ("simulate --n 1 --config {homneg_yaml} --out {dir}/x.jsonl", 1,
                             "config error: heralding: coincidence counts must be non-negative"),
+    # 1e-200 squared underflows to 0 and 1e200 squared overflows: the sigma fails at load
+    "underflowing-hom-reference-counts": (
+        "audit {log} --config {homtiny_yaml}", 1,
+        "config error: heralding: visibility and its sigma from coincidence counts"),
+    "overflowing-hom-counts": (
+        "characterize --out {dir} --config {homhuge_yaml}", 1,
+        "config error: heralding: visibility and its sigma from coincidence counts"),
+    "overflowing-hom-reference-counts": (
+        "optimize --config {homhugeref_yaml}", 1,
+        "config error: heralding: visibility and its sigma from coincidence counts"),
     "negative-win-adjustment": ("analyze {log} --config {win_yaml}", 1,
                                 "config error: statistics: win_adjustment must be >= 1"),
     # x = y = +1 wins with 3/4 + tau - tau^2 against settings biased by tau
@@ -811,15 +824,16 @@ DEFAULT_YAML = str(Path(cli.__file__).resolve().parents[2] / "configs" / "defaul
 
 # modules a command has no use for, so a fresh process of it must not load them:
 # the physics outside the commands that build a model (the certification reads only
-# each trial's settings, outcomes and event times), the statistics outside analyze
-# and characterize, and the log format and its hash outside the commands that read
-# or write a log
+# each trial's settings, outcomes and event times), numpy outside the command that
+# samples trials (the state, its tensor and the optimizer are plain Python), the
+# statistics outside analyze and characterize, and the log format and its hash
+# outside the commands that read or write a log
 UNUSED_MODULES = {
-    "characterize": ["bellsim.logio", "hashlib"],
+    "characterize": ["bellsim.logio", "hashlib", "numpy"],
     "simulate": ["bellsim.bell_stats"],
     "analyze": ["numpy"],
     "audit": ["bellsim.bell_stats", "numpy"],
-    "optimize": ["bellsim.logio", "hashlib"],
+    "optimize": ["bellsim.logio", "hashlib", "numpy"],
 }
 
 

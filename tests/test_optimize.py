@@ -299,8 +299,8 @@ def test_sweep_points_are_pinned_by_digest():
         herald = h.event_ready_state(model, errors)
         corr = bs.expected_correlations(herald.spin_state, ra, rb, cfg.basis_set())
         result = opt.optimize(spec, herald.spin_state, ra, rb)
-        digest.update(herald.spin_state.data.tobytes())
+        digest.update(herald.spin_state.density_matrix().tobytes())
         digest.update(repr((herald.probability, corr, result.epsilon,
                             result.expected_s)).encode())
     assert digest.hexdigest() == \
-        "719908b9647ba89b4847df4e3ef371fbf4c667990391886bd5b8fcab4703b0dc"
+        "fbc86b6d44de9c2148b3448a6f74942654cef979794dab344d2f2f2a45f7220a"

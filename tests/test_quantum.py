@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellsim import heralding as h
 from bellsim import quantum as q
 from bellsim import readout as r
 
+from test_heralding import _equivalence_grid, _random_points
+
 SQRT2 = math.sqrt(2.0)
 PERFECT = r.ReadoutModel(1e9, 0.0, 0.0, duration_us=10.0)
+# I, Z and X in the up/down basis
+PAULIS = np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]]], dtype=np.complex128)
 
 
 # ---- plain-numpy references -------------------------------------------------------
@@ -53,8 +58,9 @@ def rotated_povm(model, theta):
 
 def program_singlet_correlation(theta_a, theta_b):
     """The program's <A (x) B> on the singlet with perfect readouts: u_A T u_B."""
-    return (r.observable_components(PERFECT, theta_a) @ q.correlation_tensor(singlet())
-            @ r.observable_components(PERFECT, theta_b))
+    return (np.array(r.observable_components(PERFECT, theta_a))
+            @ np.array(q.correlation_tensor(singlet()))
+            @ np.array(r.observable_components(PERFECT, theta_b)))
 
 
 def random_density_matrix(rng, dim):
@@ -88,6 +94,29 @@ def test_density_validation_rejects_negative_eigenvalue():
         q.QuantumState(m)
 
 
+@st.composite
+def hermitian_near_the_floor(draw):
+    """A random Hermitian 4x4 of norm about 1, two in three shifted so that its smallest
+    eigenvalue lies 1e-12 to 1e-6 above or below EIGENVALUE_FLOOR."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = (g + g.conj().T) / 2 * 10 ** rng.uniform(-2, 1)
+    if draw(st.integers(0, 2)):
+        offset = draw(st.sampled_from([-1, 1])) * 10 ** rng.uniform(-12, -6)
+        m -= (np.linalg.eigvalsh(m).min() - q.EIGENVALUE_FLOOR - offset) * np.eye(4)
+    return m
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(hermitian_near_the_floor())
+def test_floor_check_decides_as_eigvalsh(m):
+    below = q._eigenvalue_below_floor(tuple(tuple(row) for row in m.tolist()))
+    min_eig = float(np.linalg.eigvalsh(m).min())
+    assert (below is not None) == (min_eig < q.EIGENVALUE_FLOOR)
+    if below is not None:
+        assert abs(below - min_eig) <= 1e-13
+
+
 def test_density_validation_rejects_a_trace_away_from_one():
     with pytest.raises(q.StateError, match="trace"):
         q.QuantumState(np.eye(4) / 2)
@@ -112,11 +141,16 @@ def test_non_finite_entries_rejected(data):
 
 def test_the_state_is_read_only_and_density_matrix_is_a_copy():
     state = singlet()
-    with pytest.raises(ValueError):
-        state.data[0, 0] = 1.0
+    assert isinstance(state.data, tuple) and all(isinstance(row, tuple) for row in state.data)
+    assert all(type(z) is complex for row in state.data for z in row)
+    with pytest.raises(TypeError):
+        state.data[0][0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.data = ((1.0, 0.0, 0.0, 0.0),) + ((0.0,) * 4,) * 3
     rho = state.density_matrix()
+    assert rho.dtype == np.complex128 and rho.shape == (4, 4)
     rho[0, 0] = 1.0
-    assert state.data[0, 0] == 0.0
+    assert state.data[0][0] == 0.0
 
 
 def test_singlet_fidelity_against_direct_overlap():
@@ -127,7 +161,7 @@ def test_singlet_fidelity_against_direct_overlap():
     for _ in range(100):
         rho = random_density_matrix(rng, 4)
         assert abs(q.singlet_fidelity(q.QuantumState(rho)) - (psi @ rho @ psi).real) < 1e-14
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         q.SINGLET[0] = 1.0
 
 
@@ -200,11 +234,28 @@ def test_correlation_tensor_is_kept_on_the_state_and_read_only():
     state = q.QuantumState(random_density_matrix(rng, 4))
     tensor = q.correlation_tensor(state)
     assert q.correlation_tensor(state) is tensor
-    with pytest.raises(ValueError):
-        tensor[0, 0] = 2.0
+    with pytest.raises(TypeError):
+        tensor[0][0] = 2.0
     for i, j in np.ndindex(3, 3):
-        expected = np.trace(state.density_matrix() @ np.kron(q.PAULIS[i], q.PAULIS[j])).real
-        assert abs(tensor[i, j] - expected) < 1e-14
+        expected = np.trace(state.density_matrix() @ np.kron(PAULIS[i], PAULIS[j])).real
+        assert abs(tensor[i][j] - expected) < 1e-14
+
+
+def einsum_tensor(state):
+    """The correlation tensor as one contraction over the basis, in numpy."""
+    rho = state.density_matrix().reshape(2, 2, 2, 2)
+    return np.einsum("abcd,ica,jdb->ij", rho, PAULIS, PAULIS).real
+
+
+def test_correlation_tensor_is_bitwise_the_einsum():
+    # the engine's outcome table, and so every log body, is built from these bits
+    states = [h.event_ready_state.__wrapped__(model, errors).spin_state
+              for model, errors in _equivalence_grid() + _random_points(400)]
+    rng = np.random.default_rng(2727)
+    states += [q.QuantumState(random_density_matrix(rng, 4)) for _ in range(1000)]
+    for state in states:
+        tensor = np.array(q.correlation_tensor(state))
+        assert tensor.tobytes() == einsum_tensor(state).tobytes(), state
 
 
 def test_a_replaced_state_computes_its_own_tensor():
@@ -213,8 +264,8 @@ def test_a_replaced_state_computes_its_own_tensor():
     up_up = dataclasses.replace(state, data=np.diag([1.0, 0.0, 0.0, 0.0]))
     tensor = q.correlation_tensor(up_up)
     assert tensor is not kept
-    assert tensor[1, 1] == 1.0
-    assert abs(kept[1, 1] + 1.0) < 1e-15
+    assert tensor[1][1] == 1.0
+    assert abs(kept[1][1] + 1.0) < 1e-15
     assert q.correlation_tensor(state) is kept
 
 
