@@ -1,8 +1,13 @@
 import dataclasses
+import gc
+import hashlib
+import importlib.util
+import math
 import re
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from bellsim import cli
@@ -110,6 +115,61 @@ def test_pass_iff_every_margin_clears_allowance():
         assert check.passed == (check.margin_ns > BUDGET.sync_allowance_ns)
 
 
+def _perfbench_checks():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_checks_follow_the_benchmark_label_order():
+    report = sp.audit_trial(nominal_schedule(), GEOMETRY, BUDGET)
+    assert tuple(c.label for c in report.checks) == _perfbench_checks().AUDIT_LABELS == sp.LABELS
+    assert [c.margin_ns for c in report.checks] == list(report[:3])
+
+
+def test_a_report_leaves_the_gc_one_object():
+    report = sp.audit_trial(nominal_schedule(), GEOMETRY, BUDGET)
+    assert len(report) == 4 and report.allowance_ns == BUDGET.sync_allowance_ns
+    # besides its own class, which every instance of a Python class refers to,
+    # a report refers only to floats, which the GC never tracks
+    referents = [r for r in gc.get_referents(report) if r is not sp.LocalityReport]
+    assert len(referents) == 4
+    assert not any(gc.is_tracked(r) for r in referents)
+    assert all(type(r) is float for r in referents)
+
+
+def test_a_margin_equal_to_the_allowance_fails():
+    report = sp.LocalityReport(16.0, 16.5, math.nextafter(16.0, 0.0), 16.0)
+    assert [c.passed for c in report.checks] == [False, True, False]
+    assert not report.all_pass and report.min_margin_ns == math.nextafter(16.0, 0.0)
+    # and through audit_trial: an allowance of exactly A's readout margin fails A alone
+    herald, choice_a, choice_b, done_a, done_b = nominal_schedule()
+    times = (herald, choice_a + 3.0, choice_b, done_a, done_b)  # B's margin 3 ns wider
+    margin_a = sp.audit_trial(times, GEOMETRY, BUDGET).readout_a_ns
+    report = sp.audit_trial(times, GEOMETRY, sp.TimingBudget(sync_allowance_ns=margin_a))
+    assert report.readout_a_ns == report.allowance_ns == margin_a
+    assert [c.passed for c in report.checks] == [False, True, True]
+    assert not report.all_pass
+    assert sp.LocalityReport(16.5, 17.0, 18.0, 16.0).all_pass
+
+
+event_time = st.floats(-1e7, 1e7)
+
+
+@seed(20151021)
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(event_time, event_time, event_time, event_time, event_time),
+       st.floats(0.0, 5e3))
+def test_report_summaries_agree_with_its_checks(times, allowance):
+    report = sp.audit_trial(times, GEOMETRY, sp.TimingBudget(sync_allowance_ns=allowance))
+    checks = report.checks
+    assert [c.passed for c in checks] == [c.margin_ns > allowance for c in checks]
+    assert report.all_pass == all(c.passed for c in checks)
+    assert report.min_margin_ns == min(c.margin_ns for c in checks)
+
+
 def test_validation():
     with pytest.raises(sp.AuditError):
         sp.Geometry(ab_m=-1.0)
@@ -117,6 +177,53 @@ def test_validation():
         config_from_dict({"readout_a": {"duration_us": -5.0}})
     with pytest.raises(sp.AuditError, match="jitter_ns"):
         sp.TimingBudget(jitter_ns=-0.5)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(ab_m=math.inf, ac_m=math.inf, cb_m=math.inf),
+    dict(ab_m=math.nan),
+    dict(cb_m=math.nan),
+    dict(ac_m=math.inf),
+], ids=["all-inf", "ab-nan", "cb-nan", "ac-inf"])
+def test_non_finite_geometry_is_rejected(kwargs):
+    with pytest.raises(sp.AuditError, match="positive and finite"):
+        sp.Geometry(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(sp.TimingBudget)])
+def test_non_finite_timing_budget_is_rejected(name, value):
+    with pytest.raises(sp.AuditError, match=f"finite: {name}$"):
+        sp.TimingBudget(**{name: value})
+
+
+# ---- the audit pinned bit for bit -------------------------------------------------
+
+
+def test_audit_csv_is_pinned_by_digest(tmp_path):
+    # the default-config seed-59 log of 245 trials, audited by the command
+    write_log(run_experiment(default_config(), n_trials=245, seed=59), tmp_path / "run.jsonl")
+    assert cli.main(["audit", str(tmp_path / "run.jsonl"), "--out", str(tmp_path / "a.csv")]) == 0
+    assert (hashlib.sha256((tmp_path / "a.csv").read_bytes()).hexdigest()
+            == "3678f291ad27f185824dc9310025e50f218a6772858bad929e5763e72aa3f16e")
+
+
+def test_audit_margins_of_a_long_log_are_pinned_by_digest(tmp_path):
+    # a budget-cut run of about 19k trials, as the long-run benchmark makes it:
+    # every margin's float.hex and every pass flag, read back from the log
+    herald_p = 0.25 * (3.83e-3 * 10.0 ** (-0.8 * 0.85) * 0.2) ** 2
+    hours = 0.95 * 20_000 / herald_p * 20_000.0 / 3.6e12
+    cfg = default_config()
+    write_log(run_experiment(cfg, n_trials=20_000, hours=hours, seed=(1, 0)),
+              tmp_path / "long.jsonl")
+    back = read_log(tmp_path / "long.jsonl")
+    assert (len(back), back.partial) == (19_217, True)
+    geometry, budget = cfg.spacetime_geometry(), cfg.timing_budget()
+    digest = hashlib.sha256()
+    for rec in back.records:
+        for check in sp.audit_trial(record_events(rec), geometry, budget).checks:
+            digest.update(f"{check.margin_ns.hex()} {check.passed:d}\n".encode())
+    assert digest.hexdigest() == "80bbf9d3f7e0dc444b9ac611be76fadc3b1010d317cb486275364fd5cdef3ce8"
 
 
 # ---- event times in a log ----------------------------------------------------------
