@@ -313,11 +313,15 @@ def expected_correlations(state: QuantumState, readout_a: ReadoutModel,
 
 
 def chsh_combination(correlations: Mapping[tuple[int, int], float]) -> float:
-    """S from a full table of per-setting correlations."""
+    """S from a full table of per-setting correlations, summed left to right
+    (the builtin ``sum`` rounds floats differently from CPython 3.12 on)."""
     missing = [p for p in SETTING_PAIRS if p not in correlations]
     if missing:
         raise MissingSettingError(f"correlation table is missing {missing}")
-    return sum(CHSH_SIGNS[p] * correlations[p] for p in SETTING_PAIRS)
+    s = 0.0
+    for p in SETTING_PAIRS:
+        s += CHSH_SIGNS[p] * correlations[p]
+    return s
 
 
 @dataclass(frozen=True)

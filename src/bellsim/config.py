@@ -270,6 +270,31 @@ def config_hash(cfg: SimulationConfig) -> str:
     return cfg._hash
 
 
+def _yaml_float_hint(value) -> str:
+    """How to write ``value``, a string that reads as a number with an exponent,
+    so that YAML 1.1 reads it as one; '' for any other value.
+
+    PyYAML follows YAML 1.1, where a float needs a decimal point and a signed
+    exponent: ``4e-3`` and ``1.0e300`` load as text.
+    """
+    if not isinstance(value, str) or "e" not in value.lower():
+        return ""
+    try:
+        float(value)
+    except ValueError:
+        return ""
+    mantissa, _, exponent = value.strip().lower().partition("e")
+    sign, digits = ("", mantissa) if mantissa[0] not in "+-" else (mantissa[0], mantissa[1:])
+    if "." not in digits:
+        digits += ".0"
+    if digits[0] == ".":  # YAML 1.1 reads .5e+3 as a float, but -.5e+3 as text
+        digits = "0" + digits
+    if exponent[0] not in "+-":
+        exponent = "+" + exponent
+    return (f" (YAML 1.1 reads a number with an exponent as text unless it has a "
+            f"decimal point and a signed exponent: write {sign}{digits}e{exponent})")
+
+
 def _coerce_scalar(value, annotation, path: str):
     origin = typing.get_origin(annotation)
     if origin is typing.Union or origin is types.UnionType:
@@ -287,7 +312,8 @@ def _coerce_scalar(value, annotation, path: str):
         return tuple(_coerce_scalar(v, inner, f"{path}[{i}]") for i, v in enumerate(value))
     if annotation is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
+            raise ConfigError(f"{path}: expected a number, got {value!r}"
+                              + _yaml_float_hint(value))
         if not math.isfinite(value):
             raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value)

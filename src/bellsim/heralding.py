@@ -27,8 +27,13 @@ event-ready build never forms the joint spin-photon state. Each herald
 pattern weights the amplitudes of the four emission pairs (bin_a, bin_b) into
 two 4x4 Gram matrices, one per sector of node B's photon; the sectors have
 disjoint supports, so no cross term survives. Their visibility-weighted sum
-is carried to the spin pair by each node's classical flip channel, in plain
-Python on 4x4 lists. Only the final two-spin state is validated, as a
+G is carried to the spin pair by each node's classical flip channel. G and
+the spin state are flat 16-entry lists in row-major order, and each pair of
+flip branches reads where every entry of G lands from a precomputed table of
+spin-pair indices, so the build is a few plain-Python loops. Sums are
+explicit left-to-right additions, never the builtin ``sum``, whose float
+rounding differs between interpreters (compensated since CPython 3.12).
+Only the final two-spin state is validated, as a
 :class:`~bellsim.quantum.QuantumState`, which the build imports when it
 runs, so a config loads no ``quantum``; neither the build nor the state's
 checks load numpy.
@@ -39,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -111,6 +116,35 @@ def _flip_branches(e_early: float, e_late: float):
             yield w, f_early, f_late
 
 
+def _spin_index_table() -> tuple[tuple[int, ...], ...]:
+    """Where a pair of flip branches carries each entry of G.
+
+    A node's branch (f_early, f_late) sends its time bin to a spin, spin =
+    (f_early, 1 ^ f_late)[bin] (ideal: up early, down late). Row
+    branch_a * 4 + branch_b, with branch = f_early * 2 + f_late, holds for
+    every emission-pair entry (e, f) in row-major order the row-major index
+    s_e * 4 + s_f of the spin-pair entry it lands on.
+    """
+    bin_spins = [(f_early, 1 ^ f_late) for f_early, f_late in product((0, 1), repeat=2)]
+    table = []
+    for spin_a, spin_b in product(bin_spins, repeat=2):
+        spins = [spin_a[bin_a] * 2 + spin_b[bin_b] for bin_a, bin_b in product((0, 1), repeat=2)]
+        table.append(tuple(spins[e] * 4 + spins[f] for e, f in product(range(4), repeat=2)))
+    return tuple(table)
+
+
+_SPIN_INDEX = _spin_index_table()
+
+
+def _left_sum(terms) -> float:
+    """0.0 + t0 + t1 + ... in order, as the builtin ``sum`` of floats rounds
+    before CPython 3.12 (which compensates it)."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
 def _click_set_probability(visible: Sequence[int], clicked: Sequence[bool],
                            efficiency: tuple[float, float], false_click: float) -> float:
     """P(exactly this click set | photon counts per window), both indexed by window."""
@@ -168,8 +202,8 @@ def _pattern_grams(pattern: tuple[int, int], efficiency: tuple[float, float],
         amps = [_two_photon_amplitudes(bin_a, bin_b, sector_b)
                 for bin_a, bin_b in product((0, 1), repeat=2)]
         grams.append(tuple(
-            tuple(0.5 * sum(x[i][j] * y[i][j] * click[i >> 1][j >> 1]
-                            for i, j in product(range(8), repeat=2)) for y in amps)
+            tuple(0.5 * _left_sum(x[i][j] * y[i][j] * click[i >> 1][j >> 1]
+                                  for i, j in product(range(8), repeat=2)) for y in amps)
             for x in amps))
     return grams[0], grams[1]
 
@@ -186,32 +220,37 @@ def event_ready_state(model: InterferenceModel,
     Node A emits into the shared sector and node B into sqrt(V) shared +
     sqrt(1-V) private, each emission pair with amplitude 1/2. The sectors
     have disjoint supports, so the herald leaves G = 1/4 sum_p [V A_p +
-    (1-V) B_p] over emission pairs. Each node's flip branch sends its time
-    bin to a spin, spin = (f_early, 1 ^ f_late)[bin] (ideal: up early, down
-    late), and the unnormalised spin state is the weighted sum over the
-    (A x B) branches of G carried to spin pairs.
+    (1-V) B_p] over emission pairs, and the unnormalised spin state is the
+    weighted sum over the (A x B) flip branches of G carried to spin pairs
+    by ``_SPIN_INDEX``. Both are flat row-major lists; every entry sums its
+    terms in the order of the nested (pattern, e, f) and (branch A, branch B,
+    e, f) loops, so a flip that sends both bins to one spin adds its two
+    terms in (e, f) order. Zero entries of G, most of them, are skipped:
+    a sum that starts at +0.0 is never -0.0, and adding +-0.0 leaves any
+    other float as it is.
     """
     from .quantum import QuantumState
-    v = model.visibility
-    gram = [[0.0] * 4 for _ in range(4)]
+    v, u = model.visibility, 1.0 - model.visibility
+    gram = [0.0] * 16
     for pattern in SINGLET_PATTERNS:
         shared, private = _pattern_grams(pattern, model.detector_efficiency,
                                          model.false_click_prob)
-        for e, f in product(range(4), repeat=2):
-            gram[e][f] += 0.25 * (v * shared[e][f] + (1.0 - v) * private[e][f])
-    side_a, side_b = ([(w, (f_early, 1 ^ f_late))
+        gram = [g + 0.25 * (v * s + u * p)
+                for g, s, p in zip(gram, chain(*shared), chain(*private))]
+    side_a, side_b = ([(w, f_early * 2 + f_late)
                        for w, f_early, f_late in _flip_branches(*errors.for_side(side))]
                       for side in "AB")
-    rho = [[0.0] * 4 for _ in range(4)]
-    for (w_a, spin_a), (w_b, spin_b) in product(side_a, side_b):
+    nonzero = [(j, g) for j, g in enumerate(gram) if g]
+    rho = [0.0] * 16
+    for (w_a, branch_a), (w_b, branch_b) in product(side_a, side_b):
         w = w_a * w_b
-        spins = [spin_a[bin_a] * 2 + spin_b[bin_b] for bin_a, bin_b in product((0, 1), repeat=2)]
-        for e, f in product(range(4), repeat=2):
-            rho[spins[e]][spins[f]] += w * gram[e][f]
-    probability = sum(rho[s][s] for s in range(4))
+        row = _SPIN_INDEX[branch_a * 4 + branch_b]
+        for j, g in nonzero:
+            rho[row[j]] += w * g
+    probability = rho[0] + rho[5] + rho[10] + rho[15]
     if probability < 1e-15:
         raise UnheraldableError("requested detection pattern has zero probability")
-    spin = QuantumState([[x / probability for x in row] for row in rho])
+    spin = QuantumState([[x / probability for x in rho[r:r + 4]] for r in (0, 4, 8, 12)])
     return HeraldResult(probability, spin)
 
 

@@ -191,8 +191,11 @@ def correlation_tensor(state: QuantumState) -> tuple[tuple[float, float, float],
 def times_tensor(u: tuple[float, float, float],
                  tensor: tuple[tuple[float, float, float], ...]) -> tuple[float, float, float]:
     """The row u T, so that <A (x) B> = (u_A T) . u_B."""
-    return tuple(u[0] * tensor[0][j] + u[1] * tensor[1][j] + u[2] * tensor[2][j]
-                 for j in range(3))
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = tensor
+    u0, u1, u2 = u
+    return (u0 * t00 + u1 * t10 + u2 * t20,
+            u0 * t01 + u1 * t11 + u2 * t21,
+            u0 * t02 + u1 * t12 + u2 * t22)
 
 
 def singlet_fidelity(state: QuantumState) -> float:

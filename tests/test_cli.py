@@ -659,6 +659,7 @@ def bad_inputs(tmp_path_factory):
         "fibre1e306.yaml": b"link:\n  fibre_km_per_arm: 1.0e+306\n  loss_db_per_km: 0.0\n",
         "choice1e20.yaml": b"timing:\n  choice_delay_ns: 1.0e+20\n",
         "malformed.yaml": b"link: [1\n",
+        "exponent.yaml": b"link:\n  collection_efficiency: 4e-3\n",
         # blank line 3 and a broken line 6
         "blank.jsonl": "\n".join([HEADER, rows[0], "", *rows[1:3], "{broken", ""]).encode(),
     }
@@ -765,6 +766,12 @@ FAILING = {
     # libyaml and PyYAML word the rest of the message differently
     "malformed-yaml": ("characterize --out {dir} --config {malformed_yaml}", 1,
                        "config error: {malformed_yaml}: YAML parse error"),
+    # YAML 1.1 reads a float only with a decimal point and a signed exponent
+    "exponent-without-point": ("characterize --out {dir} --config {exponent_yaml}", 1,
+                               "config error: link.collection_efficiency: expected a number, "
+                               "got '4e-3' (YAML 1.1 reads a number with an exponent as text "
+                               "unless it has a decimal point and a signed exponent: "
+                               "write 4.0e-3)"),
     # the outputs are opened before the log is read
     "curve-dir-before-log": ("analyze {latin1_jsonl} --curve {dir}", 2, "data error: [Errno 21]"),
     "out-dir-before-log": ("analyze {latin1_jsonl} --out {dir}", 2, "data error: [Errno 21]"),

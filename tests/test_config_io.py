@@ -118,6 +118,27 @@ def test_type_error_reports_path(tmp_path):
         cfg_mod.load_config(path)
 
 
+@pytest.mark.parametrize("text", ["4e-3", "1.0e300", "-.5e3", "5.E3", "+2e+2", "1e-400"])
+def test_a_number_yaml_reads_as_text_gets_a_hint_that_loads(tmp_path, text):
+    # YAML 1.1 reads a float only with a decimal point and a signed exponent
+    path = tmp_path / "exponent.yaml"
+    path.write_text(f"link:\n  collection_efficiency: {text}\n")
+    with pytest.raises(cfg_mod.ConfigError, match=f"expected a number, got '{re.escape(text)}' "
+                       r"\(YAML 1.1 .* write ") as info:
+        cfg_mod.load_config(path)
+    written = str(info.value).rpartition("write ")[2].removesuffix(")")
+    assert yaml.safe_load(f"x: {written}") == {"x": float(text)}
+
+
+@pytest.mark.parametrize("text", ["not-a-number", "'0.5'", "e5", "1e"])
+def test_text_that_is_no_exponent_number_gets_no_hint(tmp_path, text):
+    path = tmp_path / "text.yaml"
+    path.write_text(f"link:\n  collection_efficiency: {text}\n")
+    with pytest.raises(cfg_mod.ConfigError, match="expected a number") as info:
+        cfg_mod.load_config(path)
+    assert "YAML 1.1" not in str(info.value)
+
+
 def test_invalid_value_reports_section(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("interference:\n  visibility: 1.5\n")

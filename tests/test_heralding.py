@@ -666,6 +666,81 @@ def test_event_ready_state_matches_the_per_branch_loop(include_same_port):
         assert abs(res.probability - ref.probability) <= 4e-15 * ref.probability, point
 
 
+# ---- the flat, table-driven build against the nested-list loop ------------------------
+#
+# The reference is the build on nested 4x4 lists, one (e, f) entry at a time:
+# the flat lists and the spin-index table must add the same terms to every
+# entry in the same order, so the two agree bit for bit.
+
+
+def nested_list_build(model, errors):
+    """(herald probability, 4x4 nested list of the spin state) over ``SINGLET_PATTERNS``."""
+    v = model.visibility
+    gram = [[0.0] * 4 for _ in range(4)]
+    for pattern in h.SINGLET_PATTERNS:
+        shared, private = h._pattern_grams(pattern, model.detector_efficiency,
+                                           model.false_click_prob)
+        for e, f in product(range(4), repeat=2):
+            gram[e][f] += 0.25 * (v * shared[e][f] + (1.0 - v) * private[e][f])
+    sides = []
+    for e_early, e_late in (errors.for_side("A"), errors.for_side("B")):
+        branches = []
+        for f_early, f_late in product((0, 1), repeat=2):
+            w = (e_early if f_early else 1.0 - e_early) * (e_late if f_late else 1.0 - e_late)
+            if w > 0.0:  # a branch that never happens adds no terms, not zero ones
+                branches.append((w, (f_early, 1 ^ f_late)))
+        sides.append(branches)
+    rho = [[0.0] * 4 for _ in range(4)]
+    for (w_a, spin_a), (w_b, spin_b) in product(*sides):
+        w = w_a * w_b
+        spins = [spin_a[bin_a] * 2 + spin_b[bin_b] for bin_a, bin_b in product((0, 1), repeat=2)]
+        for e, f in product(range(4), repeat=2):
+            rho[spins[e]][spins[f]] += w * gram[e][f]
+    probability = 0.0
+    for s in range(4):
+        probability += rho[s][s]
+    return probability, [[x / probability for x in row] for row in rho]
+
+
+def sweep_points():
+    """The 200 (model, errors) points of the pinned sweep-point digest."""
+    rng = np.random.default_rng(2323)
+    points = []
+    for _ in range(200):
+        model = h.InterferenceModel(visibility=float(rng.uniform(0.80, 0.99)))
+        points.append((model, h.SpinPhotonErrorModel(*map(float, rng.uniform(0.0, 0.03, 4)))))
+    return points
+
+
+def _bitwise_points():
+    half = h.SpinPhotonErrorModel(0.5, 0.5, 0.5, 0.5)
+    return [
+        *sweep_points(),
+        *((h.InterferenceModel(visibility=v), NO_ERRORS) for v in (0.0, 0.5, 0.9, 1.0)),
+        *((h.InterferenceModel(visibility=v), half) for v in (0.0, 0.9, 1.0)),
+        # one bin never flips on each node: half of each node's branches weigh exactly 0
+        (h.InterferenceModel(visibility=0.9), h.SpinPhotonErrorModel(0.0, 0.02, 0.013, 0.0)),
+        (h.InterferenceModel(visibility=0.85), h.SpinPhotonErrorModel(0.014, 0.0, 0.0, 0.007)),
+        (h.InterferenceModel(visibility=0.9, false_click_prob=false_click(0.01, 0.005)),
+         h.SpinPhotonErrorModel()),
+        (h.InterferenceModel(visibility=0.8, detector_efficiency=(0.6, 0.95)),
+         h.SpinPhotonErrorModel()),
+        *_equivalence_grid(),
+        *_random_points(400),
+    ]
+
+
+def test_event_ready_state_matches_the_nested_list_build_bit_for_bit():
+    for model, errors in _bitwise_points():
+        point = f"{model}, {errors}"
+        probability, rho = nested_list_build(model, errors)
+        res = h.event_ready_state.__wrapped__(model, errors)
+        assert res.probability.hex() == probability.hex(), point
+        assert [z.real.hex() for row in res.spin_state.data for z in row] == \
+            [x.hex() for row in rho for x in row], point
+        assert all(z.imag == 0.0 for row in res.spin_state.data for z in row), point
+
+
 def test_pattern_grams_are_cached_and_read_only():
     model = h.InterferenceModel(detector_efficiency=(0.7, 0.9), false_click_prob=0.01)
     for pattern in heralded_patterns(include_same_port=True):

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import hashlib
 import math
@@ -12,6 +13,7 @@ from bellsim import quantum as q
 from bellsim.config import default_config
 from bellsim.readout import ReadoutBasisSet, ReadoutModel
 
+from test_heralding import sweep_points
 from test_quantum import expectation, rotated_povm, singlet
 
 SQRT2 = math.sqrt(2.0)
@@ -285,22 +287,67 @@ def test_spec_validation():
         opt.OptimizationSpec(grid_points=1)
 
 
-def test_sweep_points_are_pinned_by_digest():
-    # 200 distinct model points: the heralded state's bytes, its probability,
-    # the four expected correlations and the optimizer's tilt and S
+SWEEP_DIGEST = "fbc86b6d44de9c2148b3448a6f74942654cef979794dab344d2f2f2a45f7220a"
+
+
+def sweep_point_digest():
+    """200 distinct model points: the heralded state's bytes, its probability,
+    the four expected correlations and the optimizer's tilt and S."""
     cfg = default_config()
     ra, rb = cfg.readout_model("A"), cfg.readout_model("B")
     spec = cfg.optimizer.spec()
-    rng = np.random.default_rng(2323)
     digest = hashlib.sha256()
-    for _ in range(200):
-        model = h.InterferenceModel(visibility=float(rng.uniform(0.80, 0.99)))
-        errors = h.SpinPhotonErrorModel(*map(float, rng.uniform(0.0, 0.03, 4)))
+    for model, errors in sweep_points():
         herald = h.event_ready_state(model, errors)
         corr = bs.expected_correlations(herald.spin_state, ra, rb, cfg.basis_set())
         result = opt.optimize(spec, herald.spin_state, ra, rb)
         digest.update(herald.spin_state.density_matrix().tobytes())
         digest.update(repr((herald.probability, corr, result.epsilon,
                             result.expected_s)).encode())
-    assert digest.hexdigest() == \
-        "fbc86b6d44de9c2148b3448a6f74942654cef979794dab344d2f2f2a45f7220a"
+    return digest.hexdigest()
+
+
+def test_sweep_points_are_pinned_by_digest():
+    assert sweep_point_digest() == SWEEP_DIGEST
+
+
+def neumaier_sum(terms, start=0):
+    """The builtin ``sum`` as CPython 3.12 on rounds floats: compensated (Neumaier)."""
+    terms = list(terms)
+    if not any(isinstance(t, float) for t in terms):
+        return builtins.sum(terms, start)
+    total, compensation = float(start), 0.0
+    for t in terms:
+        x = total + t
+        compensation += (total - x) + t if abs(total) >= abs(t) else (t - x) + total
+        total = x
+    return total + compensation if compensation else total
+
+
+def test_model_points_do_not_depend_on_how_the_interpreter_sums_floats(monkeypatch):
+    # the pins hold on every interpreter only if no float sum of a model point
+    # goes through the builtin sum, which CPython 3.12 made compensated
+    def default_point():
+        cfg = default_config()
+        herald = cfg.heralded_state()
+        s = opt.expected_s(herald.spin_state, cfg.readout_model("A"), cfg.readout_model("B"),
+                           cfg.basis_set())
+        return herald.probability, herald.spin_state.data, s
+
+    def clear_caches():
+        h.event_ready_state.cache_clear()
+        h._pattern_grams.cache_clear()
+
+    clear_caches()
+    probability, state, s = default_point()
+    for module in (h, bs):
+        monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)
+    clear_caches()
+    try:
+        compensated_probability, compensated_state, compensated_s = default_point()
+        assert compensated_probability.hex() == probability.hex()
+        assert repr(compensated_state) == repr(state)
+        assert compensated_s.hex() == s.hex()
+        assert sweep_point_digest() == SWEEP_DIGEST
+    finally:
+        clear_caches()  # drop what the patched sums built
