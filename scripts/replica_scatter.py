@@ -3,7 +3,9 @@
 
 Runs N independent replicas (seeds derived from a master seed), prints the
 mean and per-run spread of S, and optionally writes the per-replica values
-plus the significance curve to CSV for plotting.
+plus the significance curve to CSV for plotting. Fewer than two replicas
+(no spread) or no trials is a usage error, exit 2; a replica too short to
+fill all four setting pairs exits 2 with one ``error:`` line.
 
 Usage: python scripts/replica_scatter.py [--replicas N] [--master-seed N]
                                          [--csv PATH] [--curve PATH]
@@ -11,6 +13,7 @@ Usage: python scripts/replica_scatter.py [--replicas N] [--master-seed N]
 
 import argparse
 import csv
+import sys
 
 import numpy as np
 
@@ -26,6 +29,10 @@ def main() -> int:
     parser.add_argument("--csv", help="write per-replica S, k, p values here")
     parser.add_argument("--curve", help="write the p-versus-I curve here")
     args = parser.parse_args()
+    if args.replicas < 2:
+        parser.error(f"--replicas must be at least 2 for a per-run spread, got {args.replicas}")
+    if args.trials is not None and args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
 
     cfg = default_config()
     trials = args.trials if args.trials is not None else cfg.experiment.trials
@@ -35,8 +42,12 @@ def main() -> int:
     for i in range(args.replicas):
         log = engine.run_experiment(cfg, n_trials=trials,
                                     seed=engine.replica_seed(args.master_seed, i))
-        res = bell_stats.analyze_records(log.records, tau_out=tau,
-                                         win_adjustment=cfg.statistics.win_adjustment)
+        try:
+            res = bell_stats.analyze_records(log.records, tau_out=tau,
+                                             win_adjustment=cfg.statistics.win_adjustment)
+        except bell_stats.MissingSettingError as exc:
+            print(f"error: replica {i} of {trials} trials: {exc}", file=sys.stderr)
+            return 2
         rows.append((i, res.s, res.sigma_s, res.k, res.p_conventional, res.p_complete))
 
     s_values = np.array([r[1] for r in rows])

@@ -3,13 +3,15 @@
 
 Simulates one 245-trial experiment, analyses it with both hypothesis tests,
 audits every trial against the locality conditions, and prints the headline
-numbers next to the model's predictions.
+numbers next to the model's predictions. A run too short to fill all four
+setting pairs exits 2 with one ``error:`` line.
 
 Usage: python scripts/run_headline.py [--seed N] [--trials N]
 """
 
 import argparse
 import math
+import sys
 
 from bellsim import bell_stats, engine, heralding, optimizer, quantum, spacetime
 from bellsim.config import default_config, herald_probability
@@ -20,6 +22,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--trials", type=int, default=None)
     args = parser.parse_args()
+    if args.trials is not None and args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
 
     cfg = default_config()
     seed = args.seed if args.seed is not None else cfg.experiment.seed
@@ -41,8 +45,12 @@ def main() -> int:
 
     log = engine.run_experiment(cfg, n_trials=trials, seed=seed)
     hours = sum(r.attempts for r in log.records) * cfg.link.attempt_period_ns / 3600e9
-    result = bell_stats.analyze_records(log.records, tau_out=cfg.rng.tau_out,
-                                        win_adjustment=cfg.statistics.win_adjustment)
+    try:
+        result = bell_stats.analyze_records(log.records, tau_out=cfg.rng.tau_out,
+                                            win_adjustment=cfg.statistics.win_adjustment)
+    except bell_stats.MissingSettingError as exc:
+        print(f"error: {trials} trials: {exc}", file=sys.stderr)
+        return 2
 
     print(f"\nsimulated run (seed {seed}, {trials} trials, ~{hours:.0f} h of attempts)")
     print(f"  S                            {result.s:.3f} +- {result.sigma_s:.3f}")

@@ -34,9 +34,9 @@ spin-pair indices, so the build is a few plain-Python loops. Sums are
 explicit left-to-right additions, never the builtin ``sum``, whose float
 rounding differs between interpreters (compensated since CPython 3.12).
 Only the final two-spin state is validated, as a
-:class:`~bellsim.quantum.QuantumState`, which the build imports when it
-runs, so a config loads no ``quantum``; neither the build nor the state's
-checks load numpy.
+:class:`~bellsim.quantum.QuantumState` of the same 16 row-major floats,
+which the build imports when it runs, so a config loads no ``quantum``;
+neither the build nor the state's checks load numpy.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def event_ready_state(model: InterferenceModel,
     probability = rho[0] + rho[5] + rho[10] + rho[15]
     if probability < 1e-15:
         raise UnheraldableError("requested detection pattern has zero probability")
-    spin = QuantumState([[x / probability for x in rho[r:r + 4]] for r in (0, 4, 8, 12)])
+    spin = QuantumState([x / probability for x in rho])
     return HeraldResult(probability, spin)
 
 

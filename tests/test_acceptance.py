@@ -167,7 +167,7 @@ def test_c11_property_suites(tmp_path):
 
     # Tsirelson ceiling on 1000 random two-qubit states
     for _ in range(1000):
-        state = quantum.QuantumState(random_density_matrix(rng, 4))
+        state = quantum.QuantumState(random_density_matrix(rng, 4).ravel())
         angles = rng.uniform(-math.pi, math.pi, size=4)
         e = {
             (a, b): expectation(state, bloch(angles[a]), bloch(angles[2 + b]))

@@ -192,7 +192,7 @@ def herald(rho, model, patterns=h.SINGLET_PATTERNS):
         total_prob += p
     if total_prob < 1e-15:
         raise h.UnheraldableError("requested detection pattern has zero probability")
-    spin = q.QuantumState(total / total_prob)
+    spin = q.QuantumState((total / total_prob).ravel())
     return Herald(total_prob, spin, tuple(per_pattern))
 
 
@@ -541,7 +541,7 @@ def gram_build(model, errors, patterns):
         per_pattern.append((pattern, p))
         total += cond
         total_prob += p
-    spin = q.QuantumState(total / total_prob)
+    spin = q.QuantumState((total / total_prob).ravel())
     return Herald(total_prob, spin, tuple(per_pattern))
 
 
@@ -621,7 +621,7 @@ def ket_build(model, errors, patterns):
         per_pattern.append((pattern, p))
         total += cond
         total_prob += p
-    spin = q.QuantumState(total / total_prob)
+    spin = q.QuantumState((total / total_prob).ravel())
     return Herald(total_prob, spin, tuple(per_pattern))
 
 
@@ -736,9 +736,9 @@ def test_event_ready_state_matches_the_nested_list_build_bit_for_bit():
         probability, rho = nested_list_build(model, errors)
         res = h.event_ready_state.__wrapped__(model, errors)
         assert res.probability.hex() == probability.hex(), point
-        assert [z.real.hex() for row in res.spin_state.data for z in row] == \
-            [x.hex() for row in rho for x in row], point
-        assert all(z.imag == 0.0 for row in res.spin_state.data for z in row), point
+        assert [z.hex() for z in res.spin_state.data] == [x.hex() for row in rho for x in row], \
+            point
+        assert all(type(z) is float for z in res.spin_state.data), point
 
 
 def test_pattern_grams_are_cached_and_read_only():
@@ -779,7 +779,7 @@ def test_event_ready_build_validates_only_the_final_spin_state(monkeypatch):
     class RecordingState(q.QuantumState):
         def __post_init__(self):
             super().__post_init__()
-            built.append(np.shape(self.data))
+            built.append(len(self.data))
 
     # the build imports QuantumState from the quantum module when it runs
     monkeypatch.setattr(q, "QuantumState", RecordingState)
@@ -788,7 +788,7 @@ def test_event_ready_build_validates_only_the_final_spin_state(monkeypatch):
     h.event_ready_state(h.InterferenceModel(visibility=0.6180339887),
                         h.SpinPhotonErrorModel(0.011, 0.022, 0.033, 0.044))
     assert h.event_ready_state.cache_info().misses == misses + 1
-    assert built == [(4, 4)]
+    assert built == [16]
     # the benchmark tracer wraps the config module's global and reads cache_info()
     assert config.event_ready_state is h.event_ready_state
     assert callable(config.event_ready_state.cache_info)

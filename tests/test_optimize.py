@@ -89,13 +89,13 @@ def reference_optimize(state, readout_a, readout_b, lo=-math.pi / 8, hi=math.pi 
 
 def random_inputs(rng):
     """A random two-qubit state (half of them mixed with the singlet) and two readouts."""
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
+    g = rng.normal(size=(4, 4))
+    rho = g @ g.T
+    rho /= np.trace(rho)
     if rng.random() < 0.5:
         weight = rng.uniform(0.5, 1.0)
         rho = weight * singlet().density_matrix() + (1 - weight) * rho
-    state = q.QuantumState(rho)
+    state = q.QuantumState(rho.ravel())
 
     def readout():
         return ReadoutModel(rng.uniform(0.2, 5.0), rng.uniform(0.0, 0.1),
@@ -164,7 +164,7 @@ def test_expected_s_ideal_quarter_pi_tilt():
 
 
 def test_expected_s_fully_mixed_is_zero():
-    mixed = q.QuantumState(np.eye(4) / 4)
+    mixed = q.QuantumState(np.eye(4).ravel() / 4)
     s = opt.expected_s(mixed, perfect_readout(), perfect_readout(),
                        ReadoutBasisSet.from_tilt(0.0))
     assert abs(s) < 1e-12

@@ -45,7 +45,7 @@ def embed(op, side):
 def singlet():
     """The singlet (|up,down> - |down,up>)/sqrt(2) as a program state, built by hand."""
     psi = np.array([0, 1, -1, 0]) / SQRT2
-    return q.QuantumState(np.outer(psi, psi))
+    return q.QuantumState(np.outer(psi, psi).ravel())
 
 
 def rotated_povm(model, theta):
@@ -64,9 +64,10 @@ def program_singlet_correlation(theta_a, theta_b):
 
 
 def random_density_matrix(rng, dim):
-    """Ginibre construction: G G^dag normalised to unit trace."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
+    """Real Ginibre construction: G G^T normalised to unit trace, a real state as the
+    model's are."""
+    g = rng.normal(size=(dim, dim))
+    rho = g @ g.T
     return rho / np.trace(rho)
 
 
@@ -85,22 +86,22 @@ def test_density_validation_rejects_non_hermitian():
     m = np.eye(4) / 4
     m[0, 1] = 0.1
     with pytest.raises(q.StateError, match="Hermitian"):
-        q.QuantumState(m)
+        q.QuantumState(m.ravel())
 
 
 def test_density_validation_rejects_negative_eigenvalue():
     m = np.diag([1.2, 0.0, 0.0, -0.2])
     with pytest.raises(q.StateError, match="eigenvalue"):
-        q.QuantumState(m)
+        q.QuantumState(m.ravel())
 
 
 @st.composite
-def hermitian_near_the_floor(draw):
-    """A random Hermitian 4x4 of norm about 1, two in three shifted so that its smallest
-    eigenvalue lies 1e-12 to 1e-6 above or below EIGENVALUE_FLOOR."""
+def symmetric_near_the_floor(draw):
+    """A random real symmetric 4x4 of norm about 1, two in three shifted so that its
+    smallest eigenvalue lies 1e-12 to 1e-6 above or below EIGENVALUE_FLOOR."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m = (g + g.conj().T) / 2 * 10 ** rng.uniform(-2, 1)
+    g = rng.normal(size=(4, 4))
+    m = (g + g.T) / 2 * 10 ** rng.uniform(-2, 1)
     if draw(st.integers(0, 2)):
         offset = draw(st.sampled_from([-1, 1])) * 10 ** rng.uniform(-12, -6)
         m -= (np.linalg.eigvalsh(m).min() - q.EIGENVALUE_FLOOR - offset) * np.eye(4)
@@ -108,9 +109,9 @@ def hermitian_near_the_floor(draw):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(hermitian_near_the_floor())
+@given(symmetric_near_the_floor())
 def test_floor_check_decides_as_eigvalsh(m):
-    below = q._eigenvalue_below_floor(tuple(tuple(row) for row in m.tolist()))
+    below = q._eigenvalue_below_floor(tuple(m.ravel().tolist()))
     min_eig = float(np.linalg.eigvalsh(m).min())
     assert (below is not None) == (min_eig < q.EIGENVALUE_FLOOR)
     if below is not None:
@@ -119,48 +120,86 @@ def test_floor_check_decides_as_eigvalsh(m):
 
 def test_density_validation_rejects_a_trace_away_from_one():
     with pytest.raises(q.StateError, match="trace"):
-        q.QuantumState(np.eye(4) / 2)
+        q.QuantumState(np.eye(4).ravel() / 2)
 
 
 def test_non_4x4_data_is_rejected():
-    # a ket, a single spin, a spin and a qutrit, and three spins
+    # a ket, a single spin, a spin and a qutrit, and three spins, each flattened
     for data in (np.array([0, 1, -1, 0]) / SQRT2, np.eye(2) / 2, np.eye(6) / 6, np.eye(8) / 8):
-        with pytest.raises(q.StateError, match="expected \\(4, 4\\)"):
+        with pytest.raises(q.StateError, match="expected 16"):
+            q.QuantumState(data.ravel())
+
+
+def test_nested_4x4_data_is_rejected():
+    # the state is its 16 entries in row-major order, not a matrix of rows
+    for data in (np.eye(4) / 4, (np.eye(4) / 4).tolist(), tuple(map(tuple, np.eye(4) / 4))):
+        with pytest.raises(q.StateError, match="has 4 entries, expected 16"):
             q.QuantumState(data)
 
 
 @pytest.mark.parametrize("data", [
-    np.array([np.nan, 1.0, 0.0, 0.0]),
-    np.full((4, 4), np.nan),
-    np.diag([1.0, 0.0, 0.0, np.inf]),
+    np.array([np.nan, 1.0] + [0.0] * 14),
+    np.full(16, np.nan),
+    np.diag([1.0, 0.0, 0.0, np.inf]).ravel(),
 ])
 def test_non_finite_entries_rejected(data):
     with pytest.raises(q.StateError, match="non-finite"):
         q.QuantumState(data)
 
 
+def test_non_number_entries_are_rejected():
+    numbers = (np.eye(4) / 4).ravel().tolist()
+    for bad in ("0.25", b"0.25", None, [0.25]):
+        with pytest.raises(q.StateError, match="non-real"):
+            q.QuantumState([bad] + numbers[1:])
+
+
+def test_a_state_with_an_imaginary_part_is_rejected():
+    # (|01> + i|10>)/sqrt(2) is a valid two-spin state, but not one the Z-X plane model makes
+    psi = np.array([0, 1, 1j, 0]) / SQRT2
+    tiny = np.eye(4, dtype=np.complex128) / 4
+    tiny[0, 1], tiny[1, 0] = 1e-300j, -1e-300j
+    for rho in (np.outer(psi, psi.conj()), tiny):
+        with pytest.raises(q.StateError, match="non-real"):
+            q.QuantumState(rho.ravel())
+
+
+def test_a_complex_array_with_zero_imaginary_parts_loads_as_its_real_counterpart():
+    rng = np.random.default_rng(3030)
+    rho = random_density_matrix(rng, 4)
+    rho[0, 2] = rho[2, 0] = -0.0  # the sign of a zero survives the load
+    real = q.QuantumState(rho.ravel())
+    for data in (rho.astype(np.complex128).ravel(), list(rho.astype(np.complex128).ravel()),
+                 [complex(x) for x in rho.ravel()]):
+        state = q.QuantumState(data)
+        assert all(type(z) is float for z in state.data)
+        assert [z.hex() for z in state.data] == [x.hex() for x in real.data]
+        assert [x.hex() for x in real.data] == [x.hex() for x in rho.ravel().tolist()]
+        assert state.density_matrix().tobytes() == rho.astype(np.complex128).tobytes()
+
+
 def test_the_state_is_read_only_and_density_matrix_is_a_copy():
     state = singlet()
-    assert isinstance(state.data, tuple) and all(isinstance(row, tuple) for row in state.data)
-    assert all(type(z) is complex for row in state.data for z in row)
+    assert isinstance(state.data, tuple) and len(state.data) == 16
+    assert all(type(z) is float for z in state.data)
     with pytest.raises(TypeError):
-        state.data[0][0] = 1.0
+        state.data[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        state.data = ((1.0, 0.0, 0.0, 0.0),) + ((0.0,) * 4,) * 3
+        state.data = (1.0,) + (0.0,) * 15
     rho = state.density_matrix()
     assert rho.dtype == np.complex128 and rho.shape == (4, 4)
     rho[0, 0] = 1.0
-    assert state.data[0][0] == 0.0
+    assert state.data[0] == 0.0
 
 
 def test_singlet_fidelity_against_direct_overlap():
     rng = np.random.default_rng(2424)
     psi = np.array([0, 1, -1, 0]) / SQRT2
     assert abs(q.singlet_fidelity(singlet()) - 1.0) < 1e-15
-    assert abs(q.singlet_fidelity(q.QuantumState(np.eye(4) / 4)) - 0.25) < 1e-15
+    assert abs(q.singlet_fidelity(q.QuantumState(np.eye(4).ravel() / 4)) - 0.25) < 1e-15
     for _ in range(100):
         rho = random_density_matrix(rng, 4)
-        assert abs(q.singlet_fidelity(q.QuantumState(rho)) - (psi @ rho @ psi).real) < 1e-14
+        assert abs(q.singlet_fidelity(q.QuantumState(rho.ravel())) - psi @ rho @ psi) < 1e-14
     with pytest.raises(TypeError):
         q.SINGLET[0] = 1.0
 
@@ -231,7 +270,7 @@ def test_singlet_correlation_closed_form_over_random_angles():
 
 def test_correlation_tensor_is_kept_on_the_state_and_read_only():
     rng = np.random.default_rng(44)
-    state = q.QuantumState(random_density_matrix(rng, 4))
+    state = q.QuantumState(random_density_matrix(rng, 4).ravel())
     tensor = q.correlation_tensor(state)
     assert q.correlation_tensor(state) is tensor
     with pytest.raises(TypeError):
@@ -252,7 +291,7 @@ def test_correlation_tensor_is_bitwise_the_einsum():
     states = [h.event_ready_state.__wrapped__(model, errors).spin_state
               for model, errors in _equivalence_grid() + _random_points(400)]
     rng = np.random.default_rng(2727)
-    states += [q.QuantumState(random_density_matrix(rng, 4)) for _ in range(1000)]
+    states += [q.QuantumState(random_density_matrix(rng, 4).ravel()) for _ in range(1000)]
     for state in states:
         tensor = np.array(q.correlation_tensor(state))
         assert tensor.tobytes() == einsum_tensor(state).tobytes(), state
@@ -261,7 +300,7 @@ def test_correlation_tensor_is_bitwise_the_einsum():
 def test_a_replaced_state_computes_its_own_tensor():
     state = singlet()
     kept = q.correlation_tensor(state)
-    up_up = dataclasses.replace(state, data=np.diag([1.0, 0.0, 0.0, 0.0]))
+    up_up = dataclasses.replace(state, data=np.diag([1.0, 0.0, 0.0, 0.0]).ravel())
     tensor = q.correlation_tensor(up_up)
     assert tensor is not kept
     assert tensor[1][1] == 1.0
@@ -277,7 +316,7 @@ def test_full_depolarizing_kills_zz_correlation():
     paulis = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
               np.diag([1, -1]))
     out = q.QuantumState(apply_kraus(singlet().density_matrix(),
-                                     [embed(0.5 * p, 0) for p in paulis]))
+                                     [embed(0.5 * p, 0) for p in paulis]).ravel())
     assert abs(np.trace(out.density_matrix()).real - 1.0) < 1e-12
     e = expectation(out, bloch(0.0), bloch(0.0))
     assert abs(e) < 1e-12
@@ -312,7 +351,7 @@ def test_tsirelson_bound_on_random_states_and_angles():
     rng = np.random.default_rng(7)
     bound = 2 * SQRT2 + 1e-9
     for _ in range(1000):
-        state = q.QuantumState(random_density_matrix(rng, 4))
+        state = q.QuantumState(random_density_matrix(rng, 4).ravel())
         ta0, ta1, tb0, tb1 = rng.uniform(-math.pi, math.pi, size=4)
         e = {
             (a, b): expectation(state, bloch(t_a), bloch(t_b))

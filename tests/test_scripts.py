@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -32,3 +34,29 @@ def test_replica_scatter_writes_one_row_per_replica(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "replica,S,sigma_S,k,p_conventional,p_complete"
     assert len(lines) == 21
+
+
+@pytest.mark.parametrize("args", [
+    ("replica_scatter.py", "--replicas", "0"),
+    ("replica_scatter.py", "--replicas", "1"),  # a one-replica spread is nan
+    ("replica_scatter.py", "--replicas", "2", "--trials", "0"),
+    ("run_headline.py", "--trials", "0"),
+], ids=["no-replicas", "one-replica", "scatter-no-trials", "headline-no-trials"])
+def test_a_run_that_cannot_be_summarised_is_a_usage_error(args):
+    done = run_script(*args)
+    assert done.returncode == 2, (done.stdout, done.stderr)
+    assert ": error: --" in done.stderr
+    assert "Traceback" not in done.stderr and "nan" not in done.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ("replica_scatter.py", "--replicas", "2", "--trials", "3"),
+    ("run_headline.py", "--trials", "3"),
+], ids=["scatter", "headline"])
+def test_a_run_too_short_to_fill_every_setting_pair_is_one_error_line(args):
+    # three trials cannot fill four setting pairs
+    done = run_script(*args)
+    assert done.returncode == 2, (done.stdout, done.stderr)
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert "setting pair" in lines[0]

@@ -598,7 +598,7 @@ def test_expected_correlations_ideal_pattern():
 
 
 def test_expected_correlations_fully_mixed_state():
-    mixed = q.QuantumState(np.eye(4) / 4)
+    mixed = q.QuantumState(np.eye(4).ravel() / 4)
     e = bs.expected_correlations(mixed, calibrate_readout(0.971), calibrate_readout(0.963),
                                  ReadoutBasisSet.from_tilt(0.026 * math.pi))
     offset = np.mean(list(e.values()))  # readout asymmetry adds a constant
