@@ -9,8 +9,9 @@ which hands out an array, imports it. The simulator reads the state only
 through the (I, Z, X) correlation tensor and its fidelity to the singlet.
 
 The eigenvalue floor is checked by an LDL^T factorisation of rho - floor * I:
-every pivot positive means every eigenvalue lies above the floor. Only when a
-pivot fails is the smallest eigenvalue computed, by cyclic Jacobi rotations.
+every pivot positive means every eigenvalue lies above the floor. The same
+factorisation, bisected over the shift, measures the smallest eigenvalue of a
+state that fails.
 
 Conventions: qubit basis index 0 is spin-up (the optically bright level) and
 index 1 is spin-down; a measurement direction is given by its angle from Z.
@@ -19,6 +20,7 @@ index 1 is spin-down; a measurement direction is given by its angle from Z.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import TYPE_CHECKING
@@ -28,7 +30,6 @@ if TYPE_CHECKING:
 
 ATOL = 1e-10             # construction-time validity tolerance
 EIGENVALUE_FLOOR = -1e-9  # density matrices may dip this far below PSD
-JACOBI_SWEEPS = 50        # cyclic Jacobi converges in a handful for 4x4; a cap, not a tolerance
 
 # (row-major index of entry [i][j], of entry [j][i]) over the strict upper triangle
 _TRANSPOSED = tuple((i * 4 + j, j * 4 + i) for i, j in combinations(range(4), 2))
@@ -68,36 +69,20 @@ def _positive_definite_above(m: tuple[float, ...], floor: float) -> bool:
 def _eigenvalue_below_floor(m: tuple[float, ...]) -> float | None:
     """The smallest eigenvalue of the symmetric ``m`` if it is below EIGENVALUE_FLOOR, else None.
 
-    Only when a pivot of the LDL^T fails is it computed, by cyclic Jacobi rotations
-    on the lower triangle (as LAPACK's ``eigvalsh`` reads it). Each rotation, with
-    columns c e_p - s e_q and s e_p + c e_q, zeroes a[p][q]; t = s / c is the
-    smaller root of t^2 + 2 t (a_qq - a_pp) / (2 a_pq) - 1 = 0.
+    The LDL^T at the floor decides. Only when it fails is the eigenvalue found: as
+    the largest shift f at which ``m`` - f * I is still positive definite, by
+    bisection down to adjacent floats. No eigenvalue of a symmetric 4x4 lies below
+    -4 max |m_ij|, which bounds the bracket; halving before adding keeps it finite.
     """
     if _positive_definite_above(m, EIGENVALUE_FLOOR):
         return None
-    a = [[m[i * 4 + j] if i >= j else m[j * 4 + i] for j in range(4)] for i in range(4)]
-    for _ in range(JACOBI_SWEEPS):
-        if not any(a[p][q] for p, q in combinations(range(4), 2)):
-            break
-        for p, q in combinations(range(4), 2):
-            a_pp, a_qq, a_pq = a[p][p], a[q][q], a[p][q]
-            off = 100.0 * abs(a_pq)
-            if abs(a_pp) + off == abs(a_pp) and abs(a_qq) + off == abs(a_qq):
-                a[p][q] = a[q][p] = 0.0  # below rounding of both diagonal entries
-                continue
-            theta = (a_qq - a_pp) / (2.0 * a_pq)
-            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            for k in range(4):
-                if k != p and k != q:
-                    a_kp, a_kq = a[k][p], a[k][q]
-                    a[k][p] = a[p][k] = c * a_kp - s * a_kq
-                    a[k][q] = a[q][k] = s * a_kp + c * a_kq
-            a[p][p], a[q][q] = a_pp - t * a_pq, a_qq + t * a_pq
-            a[p][q] = a[q][p] = 0.0
-    min_eig = min(a[k][k] for k in range(4))
-    return min_eig if min_eig < EIGENVALUE_FLOOR else None
+    lo, hi = max(-4.0 * max(map(abs, m)) - 1.0, -sys.float_info.max), EIGENVALUE_FLOOR
+    while (mid := 0.5 * lo + 0.5 * hi) not in (lo, hi):
+        if _positive_definite_above(m, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True)
@@ -113,8 +98,11 @@ class QuantumState:
         if len(entries) != 16:
             raise StateError(f"density matrix has {len(entries)} entries, expected 16")
         # a number is kept if it is finite and real: a complex one only with imaginary part 0
-        data = tuple([float(z.real) for z in entries if isinstance(z, (int, float, complex))
-                      and z.imag == 0.0 and math.isfinite(z.real)])
+        try:
+            data = tuple([float(z.real) for z in entries if isinstance(z, (int, float, complex))
+                          and z.imag == 0.0 and math.isfinite(z.real)])
+        except OverflowError:  # an int beyond the float range
+            data = ()
         if len(data) != 16:
             raise StateError("state data has non-finite or non-real entries")
         if max([abs(data[i] - data[j]) for i, j in _TRANSPOSED]) > ATOL:

@@ -10,7 +10,7 @@ from bellsim import heralding as h
 from bellsim import quantum as q
 from bellsim import readout as r
 
-from test_heralding import _equivalence_grid, _random_points
+from test_heralding import _equivalence_grid, _random_points, sweep_points
 
 SQRT2 = math.sqrt(2.0)
 PERFECT = r.ReadoutModel(1e9, 0.0, 0.0, duration_us=10.0)
@@ -118,6 +118,36 @@ def test_floor_check_decides_as_eigvalsh(m):
         assert abs(below - min_eig) <= 1e-13
 
 
+@pytest.mark.parametrize("off", [1e300, -1e300, 1e308, -1e308, 1.7e308, -1.7e308])
+def test_an_eigenvalue_near_the_float_limit_is_named(off):
+    # the bisection's bracket, -4 max |m_ij| - 1 clamped to the largest float, stays finite
+    m = np.diag([0.5, 0.5, 0.0, 0.0])
+    m[0, 1] = m[1, 0] = off
+    min_eig = float(np.linalg.eigvalsh(m).min())
+    with pytest.raises(q.StateError, match="below floor") as caught:
+        q.QuantumState(m.ravel())
+    named = float(str(caught.value).split("eigenvalue ")[1].split(" below")[0])
+    assert abs(named - min_eig) <= 1e-12 * abs(min_eig)
+
+
+def test_every_model_state_passes_the_floor_check_at_the_floor(monkeypatch):
+    # the bisection runs only on a state that fails: no state the model builds pays it
+    calls = []
+
+    def counted(m, floor):
+        result = positive_definite_above(m, floor)
+        calls.append((floor, result))
+        return result
+
+    positive_definite_above = q._positive_definite_above
+    monkeypatch.setattr(q, "_positive_definite_above", counted)
+    points = sweep_points() + _equivalence_grid() + _random_points(400)
+    for model, errors in points:
+        h.event_ready_state.__wrapped__(model, errors)
+    assert len(calls) == len(points)
+    assert set(calls) == {(q.EIGENVALUE_FLOOR, True)}
+
+
 def test_density_validation_rejects_a_trace_away_from_one():
     with pytest.raises(q.StateError, match="trace"):
         q.QuantumState(np.eye(4).ravel() / 2)
@@ -141,6 +171,7 @@ def test_nested_4x4_data_is_rejected():
     np.array([np.nan, 1.0] + [0.0] * 14),
     np.full(16, np.nan),
     np.diag([1.0, 0.0, 0.0, np.inf]).ravel(),
+    [10**400] + [0.0] * 15,  # an int beyond the float range
 ])
 def test_non_finite_entries_rejected(data):
     with pytest.raises(q.StateError, match="non-finite"):
