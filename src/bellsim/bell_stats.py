@@ -1,5 +1,9 @@
 """CHSH estimators and hypothesis tests for event-ready trial logs.
 
+This module holds only the statistics of logs. The model's predictions
+(``expected_correlations`` and ``chsh_combination``) live in ``readout`` and
+are imported here under their old names.
+
 Two significance analyses are provided. The conventional one assumes i.i.d.
 trials, Gaussian statistics, and perfect input randomness: a one-sided normal
 tail at z = (S - 2) / sigma_S. The complete one allows arbitrary memory in
@@ -28,20 +32,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .readout import ReadoutBasisSet, ReadoutModel, observable_components
-
-if TYPE_CHECKING:
-    from .quantum import QuantumState
-
-SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-CHSH_SIGNS = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): -1.0}
+# the setting tables, and the model's predictions under the names callers know here
+from .readout import CHSH_SIGNS, SETTING_PAIRS, chsh_combination, expected_correlations
 
 DEFAULT_WIN_ADJUSTMENT = 3.0  # conservative: every favourable pair may gain tau
 
@@ -54,8 +52,7 @@ class MissingSettingError(StatisticsError):
     """A setting pair has no trials, leaving S undefined."""
 
 
-@dataclass(frozen=True)
-class SettingCell:
+class SettingCell(NamedTuple):
     """Per-setting-pair counts and correlation estimate."""
 
     n: int
@@ -65,8 +62,7 @@ class SettingCell:
     std_error: float
 
 
-@dataclass(frozen=True)
-class ChshEstimate:
+class ChshEstimate(NamedTuple):
     """S and its standard error from the four per-setting cells of a log."""
 
     cells: tuple[tuple[tuple[int, int], SettingCell], ...]
@@ -266,8 +262,7 @@ def complete_pvalue(k: int, n: int, tau_out: float = 0.0,
     return _tails_up(n, q, (k,))[k]
 
 
-@dataclass(frozen=True)
-class CurveRow:
+class CurveRow(NamedTuple):
     """One win count k of the p-versus-I curve, with both p-values."""
 
     k: int
@@ -298,34 +293,7 @@ def p_vs_i_curve(n: int, tau_out: float = 0.0,
     return rows
 
 
-def expected_correlations(state: QuantumState, readout_a: ReadoutModel,
-                          readout_b: ReadoutModel,
-                          basis: ReadoutBasisSet) -> dict[tuple[int, int], float]:
-    """Predicted E(a,b) from the state, the readout POVMs, and the angles,
-    all four from one :func:`correlation_tensor` of the state."""
-    from .quantum import correlation_tensor, times_tensor  # the statistics alone load no physics
-    tensor = correlation_tensor(state)
-    row_a = [times_tensor(observable_components(readout_a, basis.angle("A", a)), tensor)
-             for a in (0, 1)]
-    u_b = [observable_components(readout_b, basis.angle("B", b)) for b in (0, 1)]
-    return {(a, b): row_a[a][0] * u_b[b][0] + row_a[a][1] * u_b[b][1] + row_a[a][2] * u_b[b][2]
-            for a, b in SETTING_PAIRS}
-
-
-def chsh_combination(correlations: Mapping[tuple[int, int], float]) -> float:
-    """S from a full table of per-setting correlations, summed left to right
-    (the builtin ``sum`` rounds floats differently from CPython 3.12 on)."""
-    missing = [p for p in SETTING_PAIRS if p not in correlations]
-    if missing:
-        raise MissingSettingError(f"correlation table is missing {missing}")
-    s = 0.0
-    for p in SETTING_PAIRS:
-        s += CHSH_SIGNS[p] * correlations[p]
-    return s
-
-
-@dataclass(frozen=True)
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     """Everything the analysis pipeline reports for one trial log."""
 
     n: int

@@ -145,6 +145,34 @@ class HeraldingConfig:
         hom_visibility(self.hom_counts_indistinguishable, self.hom_counts_distinguishable)
 
 
+OBJECTIVES = ("expected-s", "expected-complete-significance")
+
+
+class OptimizerError(ValueError):
+    """Invalid optimisation input or non-finite objective."""
+
+
+@dataclass(frozen=True)
+class OptimizationSpec:
+    """Objective and tilt bounds; ``grid_points`` and ``tolerance_rad`` are unused."""
+
+    objective: str = "expected-s"
+    epsilon_min: float = -math.pi / 8
+    epsilon_max: float = math.pi / 8
+    grid_points: int = 64
+    tolerance_rad: float = 1e-4
+
+    def __post_init__(self):
+        if self.objective not in OBJECTIVES:
+            raise OptimizerError(f"objective must be one of {OBJECTIVES}")
+        if not (math.isfinite(self.epsilon_min) and math.isfinite(self.epsilon_max)):
+            raise OptimizerError("bounds must be finite")
+        if self.epsilon_min >= self.epsilon_max:
+            raise OptimizerError("empty search interval")
+        if self.tolerance_rad <= 0 or self.grid_points < 2:
+            raise OptimizerError("need positive tolerance and >= 2 grid points")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """The readout-tilt optimizer's objective and bounds, in units of pi."""
@@ -158,9 +186,8 @@ class OptimizerConfig:
     def __post_init__(self):
         self.spec()
 
-    def spec(self):
+    def spec(self) -> OptimizationSpec:
         """The optimizer's input; its checks are the only rules of this section."""
-        from .optimizer import OptimizationSpec  # not loaded by `import bellsim.config`
         return OptimizationSpec(self.objective, self.epsilon_min_pi * math.pi,
                                 self.epsilon_max_pi * math.pi, self.grid_points,
                                 self.tolerance_rad)
@@ -182,8 +209,7 @@ class SimulationConfig:
     experiment: ExperimentSection = ExperimentSection()
     statistics: StatisticsConfig = StatisticsConfig()
     heralding: HeraldingConfig = HeraldingConfig()
-    # a factory, so that importing this module loads no optimizer
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    optimizer: OptimizerConfig = OptimizerConfig()
     _hash: str | None = field(default=None, init=False, repr=False, compare=False)
     # engine.run_experiment's cumulative outcome table (a numpy array), kept here like _hash
     _cumulative_outcomes: object = field(default=None, init=False, repr=False, compare=False)

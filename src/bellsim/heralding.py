@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .quantum import QuantumState
@@ -155,8 +155,7 @@ def _click_set_probability(visible: Sequence[int], clicked: Sequence[bool],
     return p
 
 
-@dataclass(frozen=True)
-class HeraldResult:
+class HeraldResult(NamedTuple):
     """Herald probability and the conditional two-spin state."""
 
     probability: float
@@ -254,8 +253,7 @@ def event_ready_state(model: InterferenceModel,
     return HeraldResult(probability, spin)
 
 
-@dataclass(frozen=True)
-class VisibilityEstimate:
+class VisibilityEstimate(NamedTuple):
     """An interference visibility and its one-sigma Poisson uncertainty."""
 
     value: float

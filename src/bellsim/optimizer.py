@@ -15,59 +15,23 @@ nearest to it modulo 2 pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
-from .readout import ReadoutBasisSet, ReadoutModel, observable_components
-
-if TYPE_CHECKING:
-    from .quantum import QuantumState
+# the spec and its error live with the config section that checks the spec
+from .config import OBJECTIVES, OptimizationSpec, OptimizerError
+from .quantum import QuantumState, correlation_tensor, times_tensor
+from .readout import (ReadoutBasisSet, ReadoutModel, chsh_combination, expected_correlations,
+                      observable_components)
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
-OBJECTIVES = ("expected-s", "expected-complete-significance")
-
 DEGENERACY_SPAN = 1e-9  # S flatter than this over the bounds carries no tilt preference
-
-
-class OptimizerError(ValueError):
-    """Invalid optimisation input or non-finite objective."""
-
-
-@dataclass(frozen=True)
-class OptimizationSpec:
-    """Objective and tilt bounds; ``grid_points`` and ``tolerance_rad`` are unused."""
-
-    objective: str = "expected-s"
-    epsilon_min: float = -math.pi / 8
-    epsilon_max: float = math.pi / 8
-    grid_points: int = 64
-    tolerance_rad: float = 1e-4
-
-    def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise OptimizerError(f"objective must be one of {OBJECTIVES}")
-        if not (math.isfinite(self.epsilon_min) and math.isfinite(self.epsilon_max)):
-            raise OptimizerError("bounds must be finite")
-        if self.epsilon_min >= self.epsilon_max:
-            raise OptimizerError("empty search interval")
-        if self.tolerance_rad <= 0 or self.grid_points < 2:
-            raise OptimizerError("need positive tolerance and >= 2 grid points")
 
 
 def expected_s(state: QuantumState, readout_a: ReadoutModel, readout_b: ReadoutModel,
                basis: ReadoutBasisSet) -> float:
     """Predicted CHSH combination for the given angles."""
-    from .bell_stats import chsh_combination, expected_correlations  # a config build needs neither
     return chsh_combination(expected_correlations(state, readout_a, readout_b, basis))
-
-
-def __getattr__(name: str):
-    # perfbench's tracer wraps optimizer.expected_correlations by name
-    if name == "expected_correlations":
-        from .bell_stats import expected_correlations
-        return expected_correlations
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def tilt_coefficients(state: QuantumState, readout_a: ReadoutModel,
@@ -78,7 +42,6 @@ def tilt_coefficients(state: QuantumState, readout_a: ReadoutModel,
     -+g1 sin beta) and beta = 3pi/4 + eps: S = 2 g0 v_0[I] + 2 g1 (v_0[Z] cos beta
     - v_1[X] sin beta).
     """
-    from .quantum import correlation_tensor, times_tensor  # a config build needs neither
     tensor = correlation_tensor(state)
     v0 = times_tensor(observable_components(readout_a, 0.0), tensor)
     v1 = times_tensor(observable_components(readout_a, math.pi / 2), tensor)
@@ -109,8 +72,7 @@ def _significance_rate(s: float) -> float:
     return q * math.log(q / q0) + (1 - q) * math.log((1 - q) / (1 - q0))
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     """The chosen tilt, its readout angles, the objective and S there."""
 
     epsilon: float

@@ -1,4 +1,4 @@
-"""Single-shot spin readout: fluorescence thresholding and basis rotation.
+"""Single-shot spin readout, and what the readouts measure on a state.
 
 The bright spin level scatters photons at a constant rate until an optional
 spin-flip (decay/ionisation) interrupts it; the dark level produces only
@@ -6,7 +6,8 @@ false counts. Outcome +1 is assigned when at least one count arrives inside
 the readout window, -1 otherwise. Reading out along a tilted axis in the Z-X
 plane means rotating the spin first and then thresholding along Z; the
 simulator uses the result only as the (I, Z, X) components of the observable
-it measures.
+it measures. From those components and a state's correlation tensor come the
+predicted correlation E(a, b) of each setting pair and their CHSH combination S.
 """
 
 from __future__ import annotations
@@ -14,6 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING, Mapping
+
+if TYPE_CHECKING:
+    from .quantum import QuantumState
+
+SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+CHSH_SIGNS = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): -1.0}
 
 
 class ReadoutError(ValueError):
@@ -149,3 +157,29 @@ class ReadoutBasisSet:
         if side == "B":
             return self.b0 if bit == 0 else self.b1
         raise ReadoutError(f"side must be 'A' or 'B', got {side!r}")
+
+
+def expected_correlations(state: QuantumState, readout_a: ReadoutModel,
+                          readout_b: ReadoutModel,
+                          basis: ReadoutBasisSet) -> dict[tuple[int, int], float]:
+    """Predicted E(a,b) from the state, the readout POVMs, and the angles,
+    all four from one :func:`correlation_tensor` of the state."""
+    from .quantum import correlation_tensor, times_tensor  # a config load builds no state
+    tensor = correlation_tensor(state)
+    row_a = [times_tensor(observable_components(readout_a, basis.angle("A", a)), tensor)
+             for a in (0, 1)]
+    u_b = [observable_components(readout_b, basis.angle("B", b)) for b in (0, 1)]
+    return {(a, b): row_a[a][0] * u_b[b][0] + row_a[a][1] * u_b[b][1] + row_a[a][2] * u_b[b][2]
+            for a, b in SETTING_PAIRS}
+
+
+def chsh_combination(correlations: Mapping[tuple[int, int], float]) -> float:
+    """S from a full table of per-setting correlations, summed left to right
+    (the builtin ``sum`` rounds floats differently from CPython 3.12 on)."""
+    missing = [p for p in SETTING_PAIRS if p not in correlations]
+    if missing:
+        raise ReadoutError(f"correlation table is missing {missing}")
+    s = 0.0
+    for p in SETTING_PAIRS:
+        s += CHSH_SIGNS[p] * correlations[p]
+    return s

@@ -833,14 +833,17 @@ DEFAULT_YAML = str(Path(cli.__file__).resolve().parents[2] / "configs" / "defaul
 # the physics outside the commands that build a model (the certification reads only
 # each trial's settings, outcomes and event times), numpy outside the command that
 # samples trials (the state, its tensor and the optimizer are plain Python), the
-# statistics outside analyze and characterize, and the log format and its hash
-# outside the commands that read or write a log
+# statistics of logs and their decimal and fractions outside analyze (the model's
+# predictions are readout's), the optimizer outside optimize, and the log format
+# and its hash outside the commands that read or write a log
 UNUSED_MODULES = {
-    "characterize": ["bellsim.logio", "hashlib", "numpy"],
-    "simulate": ["bellsim.bell_stats"],
-    "analyze": ["numpy"],
-    "audit": ["bellsim.bell_stats", "numpy"],
-    "optimize": ["bellsim.logio", "hashlib", "numpy"],
+    "characterize": ["bellsim.bell_stats", "bellsim.logio", "bellsim.optimizer", "decimal",
+                     "fractions", "hashlib", "numpy"],
+    "simulate": ["bellsim.bell_stats", "bellsim.optimizer"],
+    "analyze": ["bellsim.optimizer", "numpy"],
+    "audit": ["bellsim.bell_stats", "bellsim.optimizer", "numpy"],
+    "optimize": ["bellsim.bell_stats", "bellsim.logio", "decimal", "fractions", "hashlib",
+                 "numpy"],
 }
 
 
@@ -869,7 +872,8 @@ def test_the_model_build_loads_no_statistics_and_no_hash():
             f"cfg = config.load_config({DEFAULT_YAML!r})\n"
             "cfg.heralded_state()\n"
             "engine.outcome_distribution(cfg)")
-    assert loaded_in_fresh_interpreter(code, ["bellsim.bell_stats", "hashlib"]) == []
+    assert loaded_in_fresh_interpreter(
+        code, ["bellsim.bell_stats", "bellsim.optimizer", "hashlib"]) == []
 
 
 def test_annotations_resolve_with_the_type_checking_imports():
@@ -881,12 +885,13 @@ def test_annotations_resolve_with_the_type_checking_imports():
     code = """
 import dataclasses, importlib, inspect, typing
 typing.TYPE_CHECKING = True
-for name in ("heralding", "randomness", "bell_stats", "optimizer"):
+for name in ("heralding", "randomness", "readout", "bell_stats", "optimizer"):
     module = importlib.import_module("bellsim." + name)
     for attr, obj in sorted(vars(module).items()):
         if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
             continue
-        if inspect.isfunction(inspect.unwrap(obj)) or dataclasses.is_dataclass(obj):
+        named_tuple = inspect.isclass(obj) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+        if inspect.isfunction(inspect.unwrap(obj)) or dataclasses.is_dataclass(obj) or named_tuple:
             typing.get_type_hints(obj)
             print(name + "." + attr)
 """
@@ -894,7 +899,7 @@ for name in ("heralding", "randomness", "bell_stats", "optimizer"):
     assert (done.returncode, done.stderr) == (0, "")
     resolved = set(done.stdout.split())
     assert {"heralding.HeraldResult", "heralding.event_ready_state", "randomness.setting_bits",
-            "bell_stats.expected_correlations", "bell_stats.complete_pvalue",
+            "readout.expected_correlations", "bell_stats.complete_pvalue",
             "optimizer.optimize"} <= resolved
 
 

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from bellsim import bell_stats as bs
 from bellsim import quantum as q
 from bellsim.config import load_config
-from bellsim.readout import ReadoutBasisSet, ReadoutModel, calibrate_readout
+from bellsim.readout import ReadoutBasisSet, ReadoutError, ReadoutModel, calibrate_readout
 
 from test_quantum import singlet
 
@@ -595,6 +595,12 @@ def test_expected_correlations_ideal_pattern():
     for pair, sign in (((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 1), -1)):
         assert abs(e[pair] - sign / SQRT2) < 1e-9
     assert abs(bs.chsh_combination(e) - 2 * SQRT2) < 1e-9
+
+
+def test_chsh_combination_rejects_a_table_missing_a_pair():
+    table = {(0, 0): 0.7, (0, 1): 0.7, (1, 0): 0.7}
+    with pytest.raises(ReadoutError, match=r"\(1, 1\)"):
+        bs.chsh_combination(table)
 
 
 def test_expected_correlations_fully_mixed_state():
