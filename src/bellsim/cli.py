@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import heralding, spacetime
-from .config import (ConfigError, OptimizerError, SimulationConfig, config_hash,
-                     default_config, herald_probability, load_config)
+from .config import (ConfigError, OptimizerError, SimulationConfig, default_config,
+                     herald_probability, load_config)
 from .readout import ReadoutBasisSet, chsh_combination, expected_correlations
 
 if TYPE_CHECKING:
@@ -67,7 +67,7 @@ def _read_log(args, cfg: SimulationConfig) -> logio.TrialLog:
     """The log at ``args.logfile``, with one stderr warning if another config wrote it."""
     from . import logio
     log = logio.read_log(args.logfile)
-    if log.config_hash != (active := config_hash(cfg)):
+    if log.config_hash != (active := cfg.config_hash):
         print(f"warning: {args.logfile} was written under config {log.config_hash[:8]}, "
               f"not the active config {active[:8]}", file=sys.stderr)
     return log

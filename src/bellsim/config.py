@@ -18,11 +18,12 @@ import math
 import types
 import typing
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 from .heralding import (HeraldResult, InterferenceModel, SpinPhotonErrorModel,
                         event_ready_state, hom_visibility)
 from .randomness import RngModel
-from .readout import ReadoutBasisSet, ReadoutModel, calibrate_readout
+from .readout import ReadoutBasisSet, ReadoutError, ReadoutModel, calibrate_readout
 from .spacetime import SPEED_OF_LIGHT_M_PER_S, Geometry, TimingBudget
 
 
@@ -210,8 +211,7 @@ class SimulationConfig:
     statistics: StatisticsConfig = StatisticsConfig()
     heralding: HeraldingConfig = HeraldingConfig()
     optimizer: OptimizerConfig = OptimizerConfig()
-    _hash: str | None = field(default=None, init=False, repr=False, compare=False)
-    # engine.run_experiment's cumulative outcome table (a numpy array), kept here like _hash
+    # engine.run_experiment's cumulative outcome table (a numpy array), kept on the config
     _cumulative_outcomes: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -247,11 +247,21 @@ class SimulationConfig:
 
     # ---- derived model objects -------------------------------------------
 
+    @cached_property  # once per config: a replaced config is a new object
+    def config_hash(self) -> str:
+        """Stable hash of the full parameter tree, embedded in trial logs."""
+        import hashlib  # OpenSSL's loader: only the commands that read or write a log pay it
+        canonical = json.dumps(config_to_dict(self), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
     def basis_set(self) -> ReadoutBasisSet:
         return ReadoutBasisSet.from_tilt(self.basis.epsilon_pi * math.pi)
 
     def readout_model(self, side: str) -> ReadoutModel:
-        return (self.readout_a if side.upper() == "A" else self.readout_b).model
+        side = side.upper()
+        if side not in ("A", "B"):
+            raise ReadoutError(f"side must be 'A' or 'B', got {side!r}")
+        return (self.readout_a if side == "A" else self.readout_b).model
 
     def heralded_state(self) -> HeraldResult:
         return event_ready_state(self.interference, self.spin_photon_errors)
@@ -285,15 +295,6 @@ def config_to_dict(cfg: SimulationConfig) -> dict:
         return value
 
     return convert(cfg)
-
-
-def config_hash(cfg: SimulationConfig) -> str:
-    """Stable hash of the full parameter tree (embedded in trial logs), kept on ``cfg``."""
-    if cfg._hash is None:
-        import hashlib  # OpenSSL's loader: only the commands that read or write a log pay it
-        canonical = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
-        object.__setattr__(cfg, "_hash", hashlib.sha256(canonical.encode("utf-8")).hexdigest())
-    return cfg._hash
 
 
 def _yaml_float_hint(value) -> str:
@@ -404,6 +405,28 @@ def config_from_dict(data: dict) -> SimulationConfig:
     return _build_dataclass(default, data, "")
 
 
+@cache  # one class per base, so per process
+def _unique_key_loader(base: type) -> type:
+    """``base``, a PyYAML safe loader, rejecting a key given twice in one mapping:
+    YAML forbids it, and PyYAML would keep the last value without a word."""
+
+    class UniqueKeyLoader(base):
+        def construct_mapping(self, node, deep=False):
+            # the keys as written; a '<<' merge may repeat one of them by design
+            written = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+            mapping = super().construct_mapping(node, deep=deep)
+            seen = set()
+            for key_node in written:
+                if (key := self.construct_object(key_node)) in seen:  # constructed above
+                    mark = key_node.start_mark
+                    raise ConfigError(f"{mark.name}: line {mark.line + 1}: key {key!r} is "
+                                      "given twice in one mapping")
+                seen.add(key)
+            return mapping
+
+    return UniqueKeyLoader
+
+
 def load_config(path) -> SimulationConfig:
     """Load and validate a YAML config file; missing sections keep defaults.
 
@@ -411,7 +434,7 @@ def load_config(path) -> SimulationConfig:
     times faster; PyYAML built without libyaml falls back to the latter.
     """
     import yaml  # only a command given --config loads it
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    loader = _unique_key_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=loader)

@@ -31,11 +31,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import SimulationConfig, config_hash, herald_probability
+from .config import SimulationConfig, herald_probability
 # record_events: also reached as engine.record_events
 from .logio import (BLOCK_TRIALS, EngineError, TrialLog, TrialRecord, _new_record,
                     check_record, record_events)
-from .quantum import correlation_tensor
 from .randomness import setting_bits
 from .readout import observable_components
 
@@ -76,7 +75,7 @@ def outcome_distribution(cfg: SimulationConfig) -> np.ndarray:
     with w(x) = ((1, 0, 0) + x u) / 2, so P(x, y | a, b) = w_A(x) T w_B(y).
     Cached per config; the table is read-only because every caller shares it.
     """
-    tensor = correlation_tensor(cfg.heralded_state().spin_state)
+    tensor = cfg.heralded_state().spin_state.correlation_tensor
     basis = cfg.basis_set()
 
     def weights(side):  # w[setting, x] for x = +1, -1 in OUTCOME_PAIRS order
@@ -156,14 +155,14 @@ def run_experiment(cfg: SimulationConfig, n_trials: int | None = None,
         raise EngineError("trial count must be non-negative")
     streams = TrialStreams.from_seed(seed)
     p = herald_probability(cfg.link)
-    if cfg._cumulative_outcomes is None:  # kept on cfg, as config_hash keeps its hash
+    if cfg._cumulative_outcomes is None:  # kept on cfg, as cfg.config_hash is
         cumulative = outcome_distribution(cfg).cumsum(axis=2)
         cumulative.setflags(write=False)
         object.__setattr__(cfg, "_cumulative_outcomes", cumulative)
     cumulative = cfg._cumulative_outcomes
     period_ns = cfg.link.attempt_period_ns
     budget_ns = None if hours is None else hours * 3600.0 * 1e9
-    log = TrialLog(config_hash=config_hash(cfg), seed=seed)
+    log = TrialLog(config_hash=cfg.config_hash, seed=seed)
     records = log.records
     elapsed_ns = 0.0
     while n_trials is None or len(records) < n_trials:

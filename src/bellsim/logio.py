@@ -209,10 +209,14 @@ def _read_block(records: list, block: list[str], line_no: int) -> None:
 
 
 def _log_from_header(header: dict, line_no: int) -> TrialLog:
-    """The empty log a header describes, once every key is present and of its JSON type."""
+    """The empty log a header describes, once every key is present, known and of its
+    JSON type: a key this reader does not know could change what the log means."""
     for key in ("format_version", "config_hash", "seed"):
         if key not in header:
             raise LogFormatError(f"line {line_no}: header is missing {key!r}")
+    if unknown := header.keys() - {"format_version", "config_hash", "seed", "created", "partial"}:
+        raise LogFormatError(f"line {line_no}: header has unknown key(s): "
+                             + ", ".join(sorted(unknown)))
     version, seed = header["format_version"], header["seed"]
     if type(version) is not int or version != FORMAT_VERSION:
         raise LogFormatError(f"line {line_no}: unsupported format version {version}")

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 # the spec and its error live with the config section that checks the spec
 from .config import OBJECTIVES, OptimizationSpec, OptimizerError
-from .quantum import QuantumState, correlation_tensor, times_tensor
+from .quantum import QuantumState, times_tensor
 from .readout import (ReadoutBasisSet, ReadoutModel, chsh_combination, expected_correlations,
                       observable_components)
 
@@ -42,7 +42,7 @@ def tilt_coefficients(state: QuantumState, readout_a: ReadoutModel,
     -+g1 sin beta) and beta = 3pi/4 + eps: S = 2 g0 v_0[I] + 2 g1 (v_0[Z] cos beta
     - v_1[X] sin beta).
     """
-    tensor = correlation_tensor(state)
+    tensor = state.correlation_tensor
     v0 = times_tensor(observable_components(readout_a, 0.0), tensor)
     v1 = times_tensor(observable_components(readout_a, math.pi / 2), tensor)
     g0, g1, _ = observable_components(readout_b, 0.0)

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING
 
@@ -90,8 +91,6 @@ class QuantumState:
     """The spin pair's density matrix (index s_a * 2 + s_b), 16 floats in row-major order."""
 
     data: tuple[float, ...]
-    _tensor: tuple[tuple[float, ...], ...] | None = field(default=None, init=False, repr=False,
-                                                          compare=False)
 
     def __post_init__(self):
         entries = tuple(self.data)
@@ -120,26 +119,23 @@ class QuantumState:
         import numpy as np  # building and reading a state loads no numpy
         return np.array(self.data, dtype=np.complex128).reshape(4, 4)
 
+    @cached_property  # once per state: a replaced state is a new object
+    def correlation_tensor(self) -> tuple[tuple[float, float, float], ...]:
+        """T[i][j] = Tr(rho sigma_i (x) sigma_j) for sigma_i, sigma_j in (I, Z, X).
+
+        Every product of two observables in the Z-X plane, u_A . (I, Z, X) on
+        spin A and u_B . (I, Z, X) on spin B, has <A (x) B> = u_A T u_B. Each
+        entry sums four entries of rho in row order, as a contraction over the
+        basis does.
+        """
+        r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23, r30, r31, r32, r33 = self.data
+        return ((r00 + r11 + r22 + r33, r00 - r11 + r22 - r33, r01 + r10 + r23 + r32),
+                (r00 + r11 - r22 - r33, r00 - r11 - r22 + r33, r01 + r10 - r23 - r32),
+                (r02 + r13 + r20 + r31, r02 - r13 + r20 - r31, r03 + r12 + r21 + r30))
+
 
 # the singlet (|up,down> - |down,up>)/sqrt(2)
 SINGLET = (0.0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0.0)
-
-
-def correlation_tensor(state: QuantumState) -> tuple[tuple[float, float, float], ...]:
-    """T[i][j] = Tr(rho sigma_i (x) sigma_j) for sigma_i, sigma_j in (I, Z, X).
-
-    Every product of two observables in the Z-X plane, u_A . (I, Z, X) on
-    spin A and u_B . (I, Z, X) on spin B, has <A (x) B> = u_A T u_B. Each
-    entry sums four entries of rho in row order, as a contraction over the
-    basis does. Computed once per state and kept on it, as tuples.
-    """
-    if state._tensor is None:
-        r00, r01, r02, r03, r10, r11, r12, r13, r20, r21, r22, r23, r30, r31, r32, r33 = state.data
-        tensor = ((r00 + r11 + r22 + r33, r00 - r11 + r22 - r33, r01 + r10 + r23 + r32),
-                  (r00 + r11 - r22 - r33, r00 - r11 - r22 + r33, r01 + r10 - r23 - r32),
-                  (r02 + r13 + r20 + r31, r02 - r13 + r20 - r31, r03 + r12 + r21 + r30))
-        object.__setattr__(state, "_tensor", tensor)
-    return state._tensor
 
 
 def times_tensor(u: tuple[float, float, float],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -61,7 +62,7 @@ class RngModel:
             raise RandomnessError(f"raw bits per output must be in [1, {MAX_RAW_BITS_PER_OUTPUT}], "
                                   f"got {self.raw_bits_per_output}")
 
-    @property
+    @cached_property  # once per model: the exact power is a Fraction of ~55 bits per raw bit
     def tau_out(self) -> float:
         return output_predictability(self.excess_predictability, self.raw_bits_per_output)
 

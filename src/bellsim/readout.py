@@ -163,9 +163,9 @@ def expected_correlations(state: QuantumState, readout_a: ReadoutModel,
                           readout_b: ReadoutModel,
                           basis: ReadoutBasisSet) -> dict[tuple[int, int], float]:
     """Predicted E(a,b) from the state, the readout POVMs, and the angles,
-    all four from one :func:`correlation_tensor` of the state."""
-    from .quantum import correlation_tensor, times_tensor  # a config load builds no state
-    tensor = correlation_tensor(state)
+    all four from the state's one correlation tensor."""
+    from .quantum import times_tensor  # a config load builds no state
+    tensor = state.correlation_tensor
     row_a = [times_tensor(observable_components(readout_a, basis.angle("A", a)), tensor)
              for a in (0, 1)]
     u_b = [observable_components(readout_b, basis.angle("B", b)) for b in (0, 1)]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
@@ -47,16 +48,10 @@ class Geometry:
         if not all(0 < d < math.inf for d in (self.ab_m, self.ac_m, self.cb_m)):
             raise AuditError("distances must be positive and finite")
 
-
-def light_time_ns(geometry: Geometry, site_x: str, site_y: str) -> float:
-    """Light travel time between two sites in nanoseconds."""
-    x, y = sorted((site_x.upper(), site_y.upper()))
-    if x == y:
-        return 0.0
-    metres = {("A", "B"): geometry.ab_m, ("A", "C"): geometry.ac_m, ("B", "C"): geometry.cb_m}
-    if (x, y) not in metres:
-        raise AuditError(f"unknown site in pair ({x}, {y})")
-    return metres[x, y] / SPEED_OF_LIGHT_M_PER_S * 1e9
+    @cached_property  # once per geometry: a replaced geometry is a new object
+    def light_times_ns(self) -> tuple[float, float, float]:
+        """Light travel times in ns over the A-B, A-C and C-B paths."""
+        return tuple(d / SPEED_OF_LIGHT_M_PER_S * 1e9 for d in (self.ab_m, self.ac_m, self.cb_m))
 
 
 @dataclass(frozen=True)
@@ -122,10 +117,9 @@ def audit_trial(times: tuple[float, float, float, float, float], geometry: Geome
     in ns, the order ``logio.record_events`` returns.
     """
     t_herald, t_choice_a, t_choice_b, t_done_a, t_done_b = times
-    lt_ab = geometry.ab_m / SPEED_OF_LIGHT_M_PER_S * 1e9
+    lt_ab, lt_ac, lt_cb = geometry.light_times_ns
     m_a = t_choice_b + lt_ab - t_done_a
     m_b = t_choice_a + lt_ab - t_done_b
-    m_c = min(t_choice_a + geometry.ac_m / SPEED_OF_LIGHT_M_PER_S * 1e9 - t_herald,
-              t_choice_b + geometry.cb_m / SPEED_OF_LIGHT_M_PER_S * 1e9 - t_herald)
+    m_c = min(t_choice_a + lt_ac - t_herald, t_choice_b + lt_cb - t_herald)
     # tuple.__new__ skips the NamedTuple's Python-level __new__: a quarter of the audit's time
     return _new(LocalityReport, (m_a, m_b, m_c, budget.sync_allowance_ns))

@@ -103,7 +103,7 @@ def test_c07_visibility_estimate():
 def test_c08_locality_audit_margins():
     geometry = CFG.spacetime_geometry()
     budget = CFG.timing_budget()
-    window = spacetime.light_time_ns(geometry, "A", "B")
+    window = geometry.light_times_ns[0]
     # nominal (jitter-free) schedule from the configured budget
     cfg = dataclasses.replace(CFG, timing=dataclasses.replace(CFG.timing, jitter_ns=0.0))
     rec = run_trial(cfg, 0, engine.TrialStreams.from_seed(0))

@@ -274,7 +274,7 @@ def test_analyze_missing_setting_cell_is_data_error(tmp_path, capsys):
 
 
 def test_a_log_from_another_config_is_flagged_on_stderr_only(tmp_path, capsys):
-    from bellsim.config import config_hash, default_config
+    from bellsim.config import default_config
 
     # tau_out = 0.02 where it was written, 2.1e-23 under the defaults it is read with
     other = tmp_path / "rbits.yaml"
@@ -282,7 +282,7 @@ def test_a_log_from_another_config_is_flagged_on_stderr_only(tmp_path, capsys):
     log = tmp_path / "rbits.jsonl"
     assert run(["simulate", "--config", str(other), "--out", str(log)]) == 0
     written = json.loads(log.read_text().partition("\n")[0])["config_hash"]
-    active = config_hash(default_config())
+    active = default_config().config_hash
     # the same trials under a header that names the active config
     relabelled = tmp_path / "relabelled.jsonl"
     relabelled.write_text(log.read_text().replace(written, active, 1))
@@ -660,13 +660,15 @@ def bad_inputs(tmp_path_factory):
         "choice1e20.yaml": b"timing:\n  choice_delay_ns: 1.0e+20\n",
         "malformed.yaml": b"link: [1\n",
         "exponent.yaml": b"link:\n  collection_efficiency: 4e-3\n",
+        "twice.yaml": b"interference:\n  visibility: 0.5\ninterference:\n  visibility: 0.9\n",
         # blank line 3 and a broken line 6
         "blank.jsonl": "\n".join([HEADER, rows[0], "", *rows[1:3], "{broken", ""]).encode(),
     }
     for name, old, new in (("partial", "false", '"no"'), ("hash", '"h"', "5"),
                            ("created", "null", "7"), ("seed", "59", '{"x":1}'),
                            ("negseed", "59", "-1"), ("seeds", "59", "[7,-2]"),
-                           ("boolseed", "59", "true")):
+                           ("boolseed", "59", "true"),
+                           ("plan", '"partial":false', '"partial":false,"plan":{"tau_out":0.5}')):
         texts[f"{name}.jsonl"] = "\n".join([HEADER.replace(old, new, 1), *rows, ""]).encode()
     for name, data in texts.items():
         (root / name).write_bytes(data)
@@ -741,6 +743,9 @@ FAILING = {
     "header-seed-negative": ("analyze {negseed_jsonl}", 2, "line 1: header seed"),
     "header-seed-list": ("analyze {seeds_jsonl}", 2, "line 1: header seed"),
     "header-seed-bool": ("analyze {boolseed_jsonl}", 2, "line 1: header seed"),
+    # a key the reader would ignore, such as a trial plan, could change what the log means
+    "header-unknown-key": ("analyze {plan_jsonl}", 2,
+                           "data error: {plan_jsonl}: line 1: header has unknown key(s): plan"),
     "blank-line-counted": ("analyze {blank_jsonl}", 2, "{blank_jsonl}: line 6: invalid JSON"),
     "tau-above-quarter": ("analyze {log} --tau 5", 1,
                           "error: argument --tau: expected a tau in [0, 1/4), got '5'"),
@@ -772,6 +777,10 @@ FAILING = {
                                "got '4e-3' (YAML 1.1 reads a number with an exponent as text "
                                "unless it has a decimal point and a signed exponent: "
                                "write 4.0e-3)"),
+    # PyYAML alone would keep the last of the two values
+    "repeated-yaml-key": ("characterize --out {dir} --config {twice_yaml}", 1,
+                          "config error: {twice_yaml}: line 3: key 'interference' is given "
+                          "twice in one mapping"),
     # the outputs are opened before the log is read
     "curve-dir-before-log": ("analyze {latin1_jsonl} --curve {dir}", 2, "data error: [Errno 21]"),
     "out-dir-before-log": ("analyze {latin1_jsonl} --out {dir}", 2, "data error: [Errno 21]"),

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from bellsim import cli, engine, logio
 from bellsim import config as cfg_mod
+from bellsim.readout import ReadoutError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,7 +91,7 @@ def loaders_used(monkeypatch) -> list:
 def test_load_config_parses_with_libyaml(monkeypatch):
     used = loaders_used(monkeypatch)
     assert cfg_mod.load_config(REPO_ROOT / "configs" / "default.yaml") == cfg_mod.default_config()
-    assert used == [yaml.CSafeLoader]
+    assert [loader.__bases__ for loader in used] == [(yaml.CSafeLoader,)]
 
 
 def test_load_config_falls_back_without_libyaml(monkeypatch, tmp_path):
@@ -101,7 +102,36 @@ def test_load_config_falls_back_without_libyaml(monkeypatch, tmp_path):
     path.write_text("link: [1\n")
     with pytest.raises(cfg_mod.ConfigError, match=f"^{re.escape(str(path))}: YAML parse error: "):
         cfg_mod.load_config(path)
-    assert used == [yaml.SafeLoader, yaml.SafeLoader]
+    assert [loader.__bases__ for loader in used] == [(yaml.SafeLoader,)] * 2
+    assert used[0] is used[1]  # the subclass is built once
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])
+@pytest.mark.parametrize("text, line, key", [
+    ("interference:\n  visibility: 0.5\ninterference:\n  visibility: 0.9\n", 3, "interference"),
+    ("link:\n  loss_db_per_km: 8.0\n  fibre_km_per_arm: 0.85\n  loss_db_per_km: 4.0\n",
+     4, "loss_db_per_km"),
+    ("link: {loss_db_per_km: 8.0, 'loss_db_per_km': 4.0}\n", 1, "loss_db_per_km"),
+], ids=["section", "key", "flow"])
+def test_a_key_given_twice_in_one_mapping_rejected(monkeypatch, tmp_path, libyaml, text, line,
+                                                    key):
+    # PyYAML alone keeps the last value without a word
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    path = tmp_path / "twice.yaml"
+    path.write_text(text)
+    with pytest.raises(cfg_mod.ConfigError) as info:
+        cfg_mod.load_config(path)
+    assert str(info.value) == f"{path}: line {line}: key {key!r} is given twice in one mapping"
+
+
+def test_a_merge_key_may_restate_a_merged_key(tmp_path):
+    path = tmp_path / "merge.yaml"
+    path.write_text("readout_a: &ro\n  mean_fidelity: 0.971\n  duration_us: 3.7\n"
+                    "readout_b:\n  <<: *ro\n  mean_fidelity: 0.963\n")
+    assert cfg_mod.load_config(path) == cfg_mod.default_config()
 
 
 def test_unknown_top_level_key_rejected(tmp_path):
@@ -169,7 +199,7 @@ def test_empty_section_loads_as_the_default(tmp_path):
     path.write_text("readout_a:\n")
     loaded = cfg_mod.load_config(path)
     assert loaded == cfg_mod.default_config()
-    assert cfg_mod.config_hash(loaded) == cfg_mod.config_hash(cfg_mod.default_config())
+    assert loaded.config_hash == cfg_mod.default_config().config_hash
 
 
 def test_bad_readout_anchor_fails_at_load(tmp_path):
@@ -181,11 +211,11 @@ def test_bad_readout_anchor_fails_at_load(tmp_path):
 
 def test_config_hash_stable_and_sensitive():
     base = cfg_mod.default_config()
-    assert cfg_mod.config_hash(base) == cfg_mod.config_hash(cfg_mod.default_config())
+    assert base.config_hash == cfg_mod.default_config().config_hash
     changed = dataclasses.replace(
         base, basis=dataclasses.replace(base.basis, epsilon_pi=0.03)
     )
-    assert cfg_mod.config_hash(base) != cfg_mod.config_hash(changed)
+    assert base.config_hash != changed.config_hash
 
 
 def test_config_hash_is_computed_once_per_config(monkeypatch):
@@ -193,13 +223,22 @@ def test_config_hash_is_computed_once_per_config(monkeypatch):
     to_dict = cfg_mod.config_to_dict
     monkeypatch.setattr(cfg_mod, "config_to_dict", lambda cfg: hashed.append(cfg) or to_dict(cfg))
     base = cfg_mod.SimulationConfig()
-    first = cfg_mod.config_hash(base)
-    assert cfg_mod.config_hash(base) == first and hashed == [base]
+    keys = cfg_mod.config_to_dict(base)
+    hashed.clear()
+    first = base.config_hash
+    assert base.config_hash == first and hashed == [base]
+    # kept in the instance dict: no field, serialised key, repr or equality sees it
+    assert base.__dict__["config_hash"] == first
+    assert "config_hash" not in {f.name for f in dataclasses.fields(base)}
+    assert cfg_mod.config_to_dict(base) == keys and "config_hash" not in repr(base)
+    assert base == cfg_mod.SimulationConfig() and hash(base) == hash(cfg_mod.SimulationConfig())
+    hashed.clear()
     # a replaced config is a new object, hashed on its own first use
     changed = dataclasses.replace(base, rng=dataclasses.replace(base.rng, raw_bits_per_output=2))
-    assert cfg_mod.config_hash(changed) != first and hashed == [base, changed]
+    assert "config_hash" not in changed.__dict__
+    assert changed.config_hash != first and hashed == [changed]
     assert dataclasses.replace(changed, rng=base.rng) == base
-    assert cfg_mod.config_hash(dataclasses.replace(changed, rng=base.rng)) == first
+    assert dataclasses.replace(changed, rng=base.rng).config_hash == first
 
 
 def test_config_round_trip_through_dict():
@@ -214,6 +253,15 @@ def test_derived_models_available():
     assert cfg.basis_set().b1 == 3 * math.pi / 4 + 0.026 * math.pi
     assert cfg.herald_delay_ns() > 0
     assert cfg.timing_budget().sync_allowance_ns == 16.0
+
+
+def test_readout_model_rejects_a_site_without_a_readout():
+    cfg = cfg_mod.default_config()
+    assert cfg.readout_model("a") is cfg.readout_a.model
+    assert cfg.readout_model("b") is cfg.readout_b.model
+    for side in ("C", "x", ""):
+        with pytest.raises(ReadoutError, match=f"side must be 'A' or 'B', got {side.upper()!r}"):
+            cfg.readout_model(side)
 
 
 # ---- trial-log round trips -------------------------------------------------------
@@ -305,6 +353,22 @@ def test_header_of_the_wrong_type_rejected(tmp_path, key, value):
     path.write_text("\n".join([header, *rows, ""]))
     with pytest.raises(logio.LogFormatError, match=rf"^line 1: header {key} must be") as info:
         logio.read_log(path)
+    assert info.value.path == path
+
+
+@pytest.mark.parametrize("extra, named", [
+    ('"plan":{"tau_out":0.5}', "plan"),
+    ('"planned_trials":245,"plan":null', "plan, planned_trials"),
+], ids=["plan", "two"])
+def test_header_with_an_unknown_key_rejected(tmp_path, extra, named):
+    # a key this reader ignored could change the log's meaning, as a plan of trials would
+    path = tmp_path / "trials.jsonl"
+    logio.write_log(sample_log(3), path)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header[:-1] + "," + extra + "}", *rows, ""]))
+    with pytest.raises(logio.LogFormatError) as info:
+        logio.read_log(path)
+    assert str(info.value) == f"line 1: header has unknown key(s): {named}"
     assert info.value.path == path
 
 

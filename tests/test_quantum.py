@@ -59,7 +59,7 @@ def rotated_povm(model, theta):
 def program_singlet_correlation(theta_a, theta_b):
     """The program's <A (x) B> on the singlet with perfect readouts: u_A T u_B."""
     return (np.array(r.observable_components(PERFECT, theta_a))
-            @ np.array(q.correlation_tensor(singlet()))
+            @ np.array(singlet().correlation_tensor)
             @ np.array(r.observable_components(PERFECT, theta_b)))
 
 
@@ -302,8 +302,8 @@ def test_singlet_correlation_closed_form_over_random_angles():
 def test_correlation_tensor_is_kept_on_the_state_and_read_only():
     rng = np.random.default_rng(44)
     state = q.QuantumState(random_density_matrix(rng, 4).ravel())
-    tensor = q.correlation_tensor(state)
-    assert q.correlation_tensor(state) is tensor
+    tensor = state.correlation_tensor
+    assert state.correlation_tensor is tensor
     with pytest.raises(TypeError):
         tensor[0][0] = 2.0
     for i, j in np.ndindex(3, 3):
@@ -324,19 +324,26 @@ def test_correlation_tensor_is_bitwise_the_einsum():
     rng = np.random.default_rng(2727)
     states += [q.QuantumState(random_density_matrix(rng, 4).ravel()) for _ in range(1000)]
     for state in states:
-        tensor = np.array(q.correlation_tensor(state))
+        tensor = np.array(state.correlation_tensor)
         assert tensor.tobytes() == einsum_tensor(state).tobytes(), state
 
 
 def test_a_replaced_state_computes_its_own_tensor():
     state = singlet()
-    kept = q.correlation_tensor(state)
+    kept = state.correlation_tensor
+    # kept in the instance dict, beside the one field: no field, repr or equality sees it
+    assert state.__dict__["correlation_tensor"] is kept
+    assert [f.name for f in dataclasses.fields(state)] == ["data"]
+    assert state == singlet() and "correlation_tensor" not in repr(state)
     up_up = dataclasses.replace(state, data=np.diag([1.0, 0.0, 0.0, 0.0]).ravel())
-    tensor = q.correlation_tensor(up_up)
+    assert "correlation_tensor" not in up_up.__dict__
+    tensor = up_up.correlation_tensor
     assert tensor is not kept
     assert tensor[1][1] == 1.0
     assert abs(kept[1][1] + 1.0) < 1e-15
-    assert q.correlation_tensor(state) is kept
+    assert state.correlation_tensor is kept
+    # a copy that keeps the data recomputes the same bits
+    assert dataclasses.replace(state).correlation_tensor == kept
 
 
 # ---- channels -------------------------------------------------------------------

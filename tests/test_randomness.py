@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
@@ -148,6 +149,20 @@ def test_raw_bits_per_output_is_bounded():
             rnd.RngModel(raw_bits_per_output=k)
     assert rnd.RngModel().tau_out == 2.147483648000004e-23
     assert rnd.RngModel(raw_bits_per_output=2).tau_out == rnd.output_predictability(0.1, 2)
+
+
+def test_tau_out_is_computed_once_per_model(monkeypatch):
+    calls = []
+    exact = rnd.output_predictability
+    monkeypatch.setattr(rnd, "output_predictability",
+                        lambda tau, k: calls.append((tau, k)) or exact(tau, k))
+    model = rnd.RngModel(raw_bits_per_output=2)
+    assert model.tau_out == exact(0.1, 2) and model.tau_out == exact(0.1, 2)
+    assert calls == [(0.1, 2)]
+    # no field or equality sees it, and a replaced model computes its own
+    assert model == rnd.RngModel(raw_bits_per_output=2) and len(dataclasses.fields(model)) == 2
+    longer = dataclasses.replace(model, raw_bits_per_output=3)
+    assert longer.tau_out == exact(0.1, 3) and calls == [(0.1, 2), (0.1, 3)]
 
 
 def test_model_validation():

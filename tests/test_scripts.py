@@ -1,7 +1,7 @@
 """The demonstration scripts run end to end as fresh processes.
 
 They reach ``engine.record_events``, ``spacetime.audit_trial``,
-``light_time_ns`` and ``heralding.hom_visibility`` the way a user does, so a
+``Geometry.light_times_ns`` and ``heralding.hom_visibility`` the way a user does, so a
 change that moves or deletes one of those breaks a test here.
 """
 

@@ -33,21 +33,27 @@ def nominal_schedule(choice_ns=0.0, readout_ns=3700.0, herald_ns=None, choice_de
 
 
 def test_light_time_site_separation():
-    assert abs(sp.light_time_ns(GEOMETRY, "A", "B") - 4269.6) < 0.1
-
-
-def test_light_time_zero_distance():
-    assert sp.light_time_ns(GEOMETRY, "A", "A") == 0.0
+    assert abs(GEOMETRY.light_times_ns[0] - 4269.6) < 0.1
 
 
 def test_light_time_definition_of_c():
     g = sp.Geometry(ab_m=299.792458, ac_m=1.0, cb_m=1.0)
-    assert abs(sp.light_time_ns(g, "A", "B") - 1000.0) < 1e-9
+    assert abs(g.light_times_ns[0] - 1000.0) < 1e-9
 
 
-def test_unknown_site_rejected():
-    with pytest.raises(sp.AuditError):
-        sp.light_time_ns(GEOMETRY, "A", "D")
+@pytest.mark.parametrize("distances", [(1280.0, 640.0, 640.0), (299.792458, 1.0, 1.0),
+                                       (1e-3, 7.0e5, 7.0e5 - 1e-3)])
+def test_light_times_are_computed_once_per_geometry_and_bitwise_the_division(distances):
+    g = sp.Geometry(*distances)
+    times = g.light_times_ns
+    assert g.light_times_ns is times and g.__dict__["light_times_ns"] is times
+    assert [t.hex() for t in times] == [(d / sp.SPEED_OF_LIGHT_M_PER_S * 1e9).hex()
+                                        for d in distances]
+    # no field or equality sees it, and a replaced geometry computes its own
+    assert g == sp.Geometry(*distances) and len(dataclasses.fields(g)) == 3
+    moved = dataclasses.replace(g, ab_m=2 * distances[0])
+    assert "light_times_ns" not in moved.__dict__
+    assert moved.light_times_ns[0] == 2 * distances[0] / sp.SPEED_OF_LIGHT_M_PER_S * 1e9
 
 
 # ---- audit ------------------------------------------------------------------------
@@ -76,7 +82,7 @@ def test_zero_duration_everything_passes_with_full_window():
     assert report.all_pass
     for check in report.checks:
         if check.label.startswith("readout"):
-            assert abs(check.margin_ns - sp.light_time_ns(GEOMETRY, "A", "B")) < 1e-6
+            assert abs(check.margin_ns - GEOMETRY.light_times_ns[0]) < 1e-6
 
 
 def test_herald_condition_uses_midpoint_light_cones():
