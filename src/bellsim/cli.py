@@ -3,12 +3,13 @@
 Subcommands: characterize | simulate | analyze | audit | optimize.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 scientific failure
 (a locality condition failed the audit). Commands raise; ``main`` alone maps
-an exception to its exit code, by the table of ``_failure``. A reader that closes
-stdout early (``bellsim audit LOG | head``) ends the command quietly with 141,
-the code a shell gives a command that a closed pipe stopped. Tabular reports
-are CSV with fixed column orders and '.' decimal separator; structured results
-are JSON. Each command imports, in its own body, the modules that only it uses,
-so that a fresh process loads what its command needs and no more.
+an exception to its exit code, by the table of ``_failure``. An output path that
+names an input or the other output is a usage error, found before any file opens.
+A reader that closes stdout early (``bellsim audit LOG | head``) ends the command
+quietly with 141, the code a shell gives a command that a closed pipe stopped.
+Tabular reports are CSV with fixed column orders and '.' decimal separator;
+structured results are JSON. Each command imports, in its own body, the modules
+that only it uses, so that a fresh process loads what its command needs and no more.
 """
 
 from __future__ import annotations
@@ -71,6 +72,26 @@ def _read_log(args, cfg: SimulationConfig) -> logio.TrialLog:
         print(f"warning: {args.logfile} was written under config {log.config_hash[:8]}, "
               f"not the active config {active[:8]}", file=sys.stderr)
     return log
+
+
+def _same_file(p: str, q: str) -> bool:
+    try:
+        return os.path.samefile(p, q)
+    except OSError:  # a path that does not exist yet: compare where it would be
+        return os.path.realpath(p) == os.path.realpath(q)
+
+
+def _refuse_overwrite(args) -> None:
+    """Raise UsageError if an output path (--out, --curve) names an input (LOG,
+    --config) or the other output; it runs before any file is opened."""
+    outputs = [(f"--{flag}", path) for flag in ("out", "curve")
+               if (path := getattr(args, flag, None))]
+    inputs = [(name, path) for name, path in
+              (("LOG", getattr(args, "logfile", None)), ("--config", args.config)) if path]
+    for i, (name, path) in enumerate(outputs):
+        for other, other_path in outputs[i + 1:] + inputs:
+            if _same_file(path, other_path):
+                raise UsageError(f"{name} and {other} name the same file: {path}")
 
 
 def _output(path):
@@ -144,9 +165,8 @@ def cmd_simulate(args) -> int:
     if args.stamp:
         from datetime import datetime, timezone
         log.created = datetime.now(timezone.utc).isoformat()
-    out = args.out or "bell_trials.jsonl"
-    logio.write_log(log, out)
-    print(f"wrote {len(log)} trials to {out}" + (" (partial)" if log.partial else ""))
+    logio.write_log(log, args.out)
+    print(f"wrote {len(log)} trials to {args.out}" + (" (partial)" if log.partial else ""))
     return EXIT_OK
 
 
@@ -255,7 +275,8 @@ def build_parser() -> _Parser:
     p.add_argument("--hours", type=hours, metavar="H", help="simulated wall-clock budget")
     p.add_argument("--seed", type=_run_budget(int, lambda v: v >= 0, "a seed >= 0"),
                    metavar="U64", help="master seed (default from config)")
-    p.add_argument("--out", metavar="PATH", help="log path (default bell_trials.jsonl)")
+    p.add_argument("--out", metavar="PATH", default="bell_trials.jsonl",
+                   help="log path (default bell_trials.jsonl)")
     p.add_argument("--stamp", action="store_true",
                    help="record the wall-clock creation time (breaks byte-reproducibility)")
     p.set_defaults(func=cmd_simulate)
@@ -307,6 +328,7 @@ def _failure(exc: Exception) -> tuple[int, str] | None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _refuse_overwrite(args)
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code

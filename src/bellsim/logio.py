@@ -2,18 +2,17 @@
 
 A trial is a ``TrialRecord`` row, and ``check_record`` is its one validator.
 The log writer and reader run it on every row, since their rows may come from
-outside the engine; the engine checks each block's columns by its rules and
-runs it on the rows of a block that fails.
+outside the engine, whose rows keep its rules by construction.
 Nothing here loads numpy or the model, so certifying a log needs neither.
 
 The first line is a JSON header object (format version, config hash, master
 seed, creation timestamp, partial flag); every following line is one trial,
-whose field order is the line's key order. Each line parses independently,
-so a damaged file can be recovered up to the bad line. Writing is
-deterministic: identical logs serialise byte-identically (the creation
-timestamp is null unless explicitly stamped). Rows are written and read in
-blocks of ``BLOCK_TRIALS`` lines, each formatted from one ``%r`` template,
-which gives the bytes ``json.dumps`` gives a valid row.
+whose field order is the line's key order; a key given twice in one line is
+an error. Each line parses independently, so a damaged file can be recovered
+up to the bad line. Writing is deterministic: identical logs serialise
+byte-identically (the creation timestamp is null unless explicitly stamped).
+Rows are written and read in blocks of ``BLOCK_TRIALS`` lines, each formatted
+from one ``%r`` template, which gives the bytes ``json.dumps`` gives a valid row.
 """
 
 from __future__ import annotations
@@ -166,11 +165,23 @@ def write_log(log: TrialLog, path) -> None:
             fh.write("".join([_LINE % rec for rec in records[start:start + BLOCK_TRIALS]]))
 
 
+def _distinct_keys(pairs: list) -> dict:
+    """A JSON object's dict, unless a key is given twice (``json`` keeps its last value)."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        twice = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise LogFormatError(f"key {twice!r} is given twice")
+    return data
+
+
 def _parse_line(raw: str, line_no: int) -> dict:
     try:
-        data = json.loads(raw)
+        data = json.loads(raw, object_pairs_hook=_distinct_keys)
     except json.JSONDecodeError as exc:
         raise LogFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
+    except LogFormatError as exc:
+        raise LogFormatError(f"line {line_no}: {exc}") from None
     if not isinstance(data, dict):
         raise LogFormatError(f"line {line_no}: expected a JSON object")
     return data
@@ -179,16 +190,20 @@ def _parse_line(raw: str, line_no: int) -> dict:
 def _read_block(records: list, block: list[str], line_no: int) -> None:
     """Append the rows of ``block``, whose first line is file line ``line_no``.
 
-    One JSON array parse of the block counts only if each line is one ``{...}``
-    and gives one valid row in sequence (rows hold no other brace, so no row
-    then spans two lines); otherwise each line is parsed on its own, and blank
-    lines are skipped but counted.
+    One JSON array parse of the block counts only if each line is one ``{...}``,
+    the block holds 11 colons per line, and the parse gives one valid row per
+    line in sequence. A row takes a colon per key, so each line then holds its
+    11 keys once: no key is extra or given twice (the array parse would keep
+    the last value), and as rows hold no other brace, no row spans two lines.
+    Otherwise each line is parsed on its own, and blank lines are skipped but
+    counted.
     """
     start = len(records)
+    text = ",".join(block)
     try:
-        if "" not in block and all(ln[0] == "{" and ln[-1] == "}" for ln in block):
-            rows = [_new_record(_row_values(d))
-                    for d in json.loads("[" + ",".join(block) + "]") if len(d) == len(RECORD_KEYS)]
+        if ("" not in block and all(ln[0] == "{" and ln[-1] == "}" for ln in block)
+                and text.count(":") == len(RECORD_KEYS) * len(block)):
+            rows = [_new_record(_row_values(d)) for d in json.loads("[" + text + "]")]
             for rec in rows:
                 check_record(rec)
             if [rec.idx for rec in rows] == list(range(start, start + len(block))):

@@ -661,6 +661,7 @@ def bad_inputs(tmp_path_factory):
         "malformed.yaml": b"link: [1\n",
         "exponent.yaml": b"link:\n  collection_efficiency: 4e-3\n",
         "twice.yaml": b"interference:\n  visibility: 0.5\ninterference:\n  visibility: 0.9\n",
+        "own.yaml": b"experiment:\n  seed: 59\n",
         # blank line 3 and a broken line 6
         "blank.jsonl": "\n".join([HEADER, rows[0], "", *rows[1:3], "{broken", ""]).encode(),
     }
@@ -668,12 +669,15 @@ def bad_inputs(tmp_path_factory):
                            ("created", "null", "7"), ("seed", "59", '{"x":1}'),
                            ("negseed", "59", "-1"), ("seeds", "59", "[7,-2]"),
                            ("boolseed", "59", "true"),
-                           ("plan", '"partial":false', '"partial":false,"plan":{"tau_out":0.5}')):
+                           ("plan", '"partial":false', '"partial":false,"plan":{"tau_out":0.5}'),
+                           ("twice", '"partial":false', '"partial":true,"partial":false')):
         texts[f"{name}.jsonl"] = "\n".join([HEADER.replace(old, new, 1), *rows, ""]).encode()
     for name, data in texts.items():
         (root / name).write_bytes(data)
         paths[name.replace(".", "_")] = str(root / name)
     paths["log"] = str(log)
+    (root / "link.jsonl").symlink_to(log)
+    paths["link_jsonl"] = str(root / "link.jsonl")
     return paths
 
 
@@ -754,7 +758,7 @@ FAILING = {
     "tau-nan": ("analyze {log} --tau nan", 1, "error: argument --tau: expected"),
     "tau-inf": ("analyze {log} --tau inf", 1, "error: argument --tau: expected"),
     # 1e3 * 1e306 us, 1e308 + 1e308 ns and the flight time of 1e306 km overflow: the
-    # event times fail at load, not in the engine's row check
+    # event times fail at load, which is what keeps every engine row's times finite
     "overflowing-readout-end": ("simulate --n 3 --config {readout1e306_yaml} --out {dir}/x.jsonl",
                                 1, "config error: the latest event time of a trial overflows"),
     "overflowing-choice-time": ("simulate --n 3 --config {choice1e308_yaml} --out {dir}/x.jsonl",
@@ -762,7 +766,7 @@ FAILING = {
     "overflowing-herald-time": ("simulate --n 3 --config {fibre1e306_yaml} --out {dir}/x.jsonl",
                                 1, "config error: the latest event time of a trial overflows"),
     # one ulp of 1e20 ns is 16,384 ns, so the engine's sums would round the 4,175 ns from a
-    # choice to its readout end away: the window fails at load, not in the engine's row check
+    # choice to its readout end away: the window fails at load, before any trial is sampled
     "choice-delay-past-rounding": (
         "simulate --n 3 --config {choice1e20_yaml} --out {dir}/x.jsonl", 1,
         "config error: timing.choice_to_readout_ns + 1e3 * min(readout_a.duration_us, "
@@ -781,6 +785,24 @@ FAILING = {
     "repeated-yaml-key": ("characterize --out {dir} --config {twice_yaml}", 1,
                           "config error: {twice_yaml}: line 3: key 'interference' is given "
                           "twice in one mapping"),
+    # json.loads alone would keep the last of the two values
+    "repeated-log-key": ("analyze {twice_jsonl}", 2,
+                         "data error: {twice_jsonl}: line 1: key 'partial' is given twice"),
+    # no output may overwrite an input or the other output, by any path to the file
+    "out-is-log-analyze": ("analyze {log} --out {log}", 1,
+                           "error: --out and LOG name the same file: {log}"),
+    "curve-is-log": ("analyze {log} --curve {log}", 1,
+                     "error: --curve and LOG name the same file: {log}"),
+    "out-is-log-audit": ("audit {log} --out {log}", 1,
+                         "error: --out and LOG name the same file: {log}"),
+    "out-is-log-by-a-link": ("audit {link_jsonl} --out {log}", 1,
+                             "error: --out and LOG name the same file: {log}"),
+    "out-is-curve": ("analyze {log} --curve {dir}/same.csv --out {dir}/same.csv", 1,
+                     "error: --out and --curve name the same file: {dir}/same.csv"),
+    "out-is-config-simulate": ("simulate --n 1 --config {own_yaml} --out {own_yaml}", 1,
+                               "error: --out and --config name the same file: {own_yaml}"),
+    "out-is-config-optimize": ("optimize --config {own_yaml} --out {own_yaml}", 1,
+                               "error: --out and --config name the same file: {own_yaml}"),
     # the outputs are opened before the log is read
     "curve-dir-before-log": ("analyze {latin1_jsonl} --curve {dir}", 2, "data error: [Errno 21]"),
     "out-dir-before-log": ("analyze {latin1_jsonl} --out {dir}", 2, "data error: [Errno 21]"),
@@ -802,11 +824,14 @@ FAILING.update({
 @pytest.mark.parametrize("case", FAILING)
 def test_failure_is_one_prefixed_line(bad_inputs, capsys, case):
     argv, code, fragment = FAILING[case]
+    files = {path: Path(path).read_bytes() for path in bad_inputs.values() if Path(path).is_file()}
     capsys.readouterr()
     assert run([arg.format(**bad_inputs) for arg in argv.split()]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") == 1
     assert fragment.format(**bad_inputs) in err
+    assert {path: Path(path).read_bytes() for path in files} == files  # every input kept
+    assert not Path(bad_inputs["dir"], "same.csv").exists()
 
 
 def test_closed_stdout_pipe_ends_quietly(tmp_path):

@@ -521,7 +521,7 @@ def _split(lines, at):
     (lambda ls: ls[:4999] + [ls[4999][:-1] + ',"z":0}'] + ls[5000:],
      "line 5000: unknown key(s) z"),
     (lambda ls: ls[:4999] + [ls[4999].replace('"b":', '"a":')] + ls[5000:],
-     "line 5000: missing key(s) b"),
+     "line 5000: key 'a' is given twice"),
     (lambda ls: ls[:4999] + [re.sub(r'"t_herald_ns":[^,]+', '"t_herald_ns":NaN', ls[4999])]
      + ls[5000:],
      "line 5000: event times must be finite"),
@@ -547,7 +547,7 @@ def test_block_reader_reports_the_bad_line(tmp_path, log_lines_6000, corrupt, me
 
 
 @pytest.mark.parametrize("variant", [
-    lambda ln: ln.replace('"a":', '"a":0,"a":', 1),  # a duplicate key: the last one counts
+    lambda ln: ln.replace(":", ": "),  # json.dumps's default separator
     lambda ln: ln.replace('"idx":4998,', "")[:-1] + ',"idx":4998}',  # keys in another order
     lambda ln: ln + "\r",
 ])
@@ -559,6 +559,28 @@ def test_block_reader_accepts_what_the_line_reader_accepts(tmp_path, log_lines_6
     clean = tmp_path / "clean.jsonl"
     clean.write_text("\n".join(log_lines_6000) + "\n")
     assert logio.read_log(path).records == logio.read_log(clean).records
+
+
+# json.loads keeps the last value of a key given twice; the reader refuses the line
+@pytest.mark.parametrize("line, old, new, message", [
+    (0, '"partial":false', '"partial":true,"partial":false', "line 1: key 'partial' is given twice"),
+    (0, '"seed":11', '"seed":11,"seed":11', "line 1: key 'seed' is given twice"),
+    (2, '"x":', '"x":1,"x":', "line 3: key 'x' is given twice"),
+    # in the second block, a repeat of a valid row's own value
+    (4999, '"idx":4998,', '"idx":4998,"idx":4998,', "line 5000: key 'idx' is given twice"),
+    (4999, '"a":', '"a":0,"a":', "line 5000: key 'a' is given twice"),
+], ids=["header-partial", "header-seed", "first-block", "second-block-same", "second-block"])
+def test_a_key_given_twice_in_a_log_line_rejected(tmp_path, log_lines_6000, line, old, new,
+                                                  message):
+    lines = list(log_lines_6000)
+    assert old in lines[line]
+    lines[line] = lines[line].replace(old, new, 1)
+    path = tmp_path / "twice.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(logio.LogFormatError) as info:
+        logio.read_log(path)
+    assert str(info.value) == message
+    assert info.value.path == path
 
 
 @pytest.mark.parametrize("field", ["idx", "a", "b", "x", "y", "attempts"])

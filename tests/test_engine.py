@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bellsim import bell_stats as bs
 from bellsim import engine
 from bellsim.config import BasisConfig, ConfigError, LinkConfig, ReadoutConfig, default_config
 from bellsim.heralding import InterferenceModel, SpinPhotonErrorModel
 from bellsim.logio import check_record, write_log
-from bellsim.randomness import setting_bits
+from bellsim.randomness import RngModel, setting_bits
 from bellsim.readout import ReadoutError, ReadoutModel
 
 from test_quantum import embed, rotated_povm
@@ -273,20 +275,28 @@ def test_different_seeds_differ(tmp_path):
     assert log_bytes(log1, tmp_path / "1.jsonl") != log_bytes(log2, tmp_path / "2.jsonl")
 
 
+ZERO_JITTER = dataclasses.replace(CFG, timing=dataclasses.replace(CFG.timing, jitter_ns=0.0))
+
+
 @pytest.fixture(scope="module", params=[
-    (dict(n_trials=245, seed=59), 245, False,
+    (CFG, dict(n_trials=245, seed=59), 245, False,
      "fcd137acf4b38ec8929c3d5cc5d4ac634be5b58a5ff3802c7a05fe6ab2a9f873",
      "7c63d5b1e54e72202885842d61e48494e698620461259a5e6146fc5ce61dc7ec"),
     # 95 % of the expected duration of 20,000 trials: the budget ends the run
-    (dict(n_trials=20_000, hours=0.95 * 20_000 / 6.4e-9 * 20_000 / 3.6e12, seed=(7, 0)),
+    (CFG, dict(n_trials=20_000, hours=0.95 * 20_000 / 6.4e-9 * 20_000 / 3.6e12, seed=(7, 0)),
      18_967, True,
      "edebda2e459f62abc04b01a96f4a4b15c43c73d477eb6be9ca0d285573c6f6ac",
      "a5d30157e5387007b20be5b4f87c42752d53bb19cef3bb0ed4ac936a8ef4ce6d"),
-], ids=["seed59", "budget-cut"])
+    # every jitter draw is +0.0, so each time is its schedule's sum
+    (ZERO_JITTER, dict(n_trials=5000, seed=59), 5000, False,
+     "2a5cef307d80902f1d0b4ffd6d3794bc20b1ab54450ecff7db7207854a6ed426",
+     "018438ff4d481fff61abfdf0ca7d1ab43a6f330003d16b9d625f03bfdab7371a"),
+], ids=["seed59", "budget-cut", "zero-jitter"])
 def pinned_log(request, tmp_path_factory):
-    """(log bytes, file digest, body digest) of a default-config run."""
-    kwargs, n, partial, digest, body_digest = request.param
-    log = engine.run_experiment(CFG, **kwargs)
+    """(log bytes, file digest, body digest) of a run of the default config, or of
+    the default config without jitter."""
+    cfg, kwargs, n, partial, digest, body_digest = request.param
+    log = engine.run_experiment(cfg, **kwargs)
     assert (len(log), log.partial) == (n, partial)
     return log_bytes(log, tmp_path_factory.mktemp("pinned") / "log.jsonl"), digest, body_digest
 
@@ -431,10 +441,8 @@ def test_uniform_above_the_last_cumulative_entry_draws_the_last_pair(monkeypatch
     assert {(r.x, r.y) for r in log.records} == {(-1, -1)}
 
 
-def test_outcome_distribution_is_cached_and_read_only():
-    cfg = fast_cfg()
-    table = engine.outcome_distribution(cfg)
-    assert engine.outcome_distribution(dataclasses.replace(cfg)) is table
+def test_outcome_distribution_is_read_only():
+    table = engine.outcome_distribution(fast_cfg())
     with pytest.raises(ValueError):
         table[0, 0, 0] = 1.0
 
@@ -467,100 +475,37 @@ def test_record_events_are_the_five_times_in_field_order():
 def test_non_finite_event_time_rejected(tmp_path, field, value):
     rec = run_trial(fast_cfg(), 0, engine.TrialStreams.from_seed(1))._replace(**{field: value})
     with pytest.raises(engine.EngineError, match="finite"):
-        engine.check_record(rec)
+        check_record(rec)
     log = engine.TrialLog(config_hash="manual", seed=0, records=[rec])
     with pytest.raises(engine.EngineError, match="finite"):
         write_log(log, tmp_path / "log.jsonl")
 
 
-# ---- the block check: check_record's rules on each block's columns ---------------
-
-A, B, X, Y, TIMES, ATTEMPTS = range(6)  # positions in engine._sample_block's result
+# ---- every row the engine builds keeps the log's row rules --------------------------
 
 
-def _set(index, value):
-    def change(col):
-        col = col.copy()
-        col[index] = value
-        return col
-    return change
-
-
-def _read_before_choice(side):
-    def change(times):
-        times = times.copy()
-        times[3 + side, 11] = times[1 + side, 11] - 1.0
-        return times
-    return change
-
-
-BAD_COLUMNS = {
-    "setting of 2": (A, _set(7, 2)),
-    "setting of 3": (B, _set(7, 3)),
-    "setting of -1": (A, lambda col: _set(7, -1)(col.astype(np.int64))),
-    "outcome of 0": (X, _set(3, 0)),
-    "outcome of -2": (Y, _set(3, -2)),
-    "zero attempts": (ATTEMPTS, _set(5, 0)),
-    "nan time": (TIMES, _set((0, 9), math.nan)),
-    "inf time": (TIMES, _set((3, 2), math.inf)),
-    "readout end before its choice": (TIMES, _read_before_choice(1)),
-    "readout A ends before its choice": (TIMES, _read_before_choice(0)),
-    "float settings column": (B, lambda col: col.astype(float)),
-}
-
-
-def inject(monkeypatch, column: int, change) -> list:
-    """Pass one column of every block through ``change``; return the blocks' rows as
-    check_record sees them, built here from the changed columns."""
-    sample, rows = engine._sample_block, []
-
-    def patched(*args):
-        columns = list(sample(*args))
-        columns[column] = change(columns[column])
-        a, b, x, y, times, attempts = columns
-        rows.extend(engine.TrialRecord(len(rows) + i, *values) for i, values in enumerate(
-            zip(a.tolist(), b.tolist(), x.tolist(), y.tolist(), *times.tolist(),
-                attempts.tolist())))
-        return tuple(columns)
-
-    monkeypatch.setattr(engine, "_sample_block", patched)
-    return rows
-
-
-def first_row_error(rows) -> str | None:
-    for rec in rows:
-        try:
-            check_record(rec)
-        except engine.EngineError as exc:
-            return str(exc)
-    return None
-
-
-@pytest.mark.parametrize("case", BAD_COLUMNS)
-def test_bad_column_raises_check_record_error_of_its_row(monkeypatch, case):
-    rows = inject(monkeypatch, *BAD_COLUMNS[case])
-    with pytest.raises(engine.EngineError) as info:
-        engine.run_experiment(fast_cfg(), n_trials=50, seed=3)
-    expected = first_row_error(rows)
-    assert expected is not None
-    assert str(info.value) == expected
-
-
-def test_block_check_failure_raises_though_every_row_passes(monkeypatch):
-    # integer times are valid rows, but the engine's times column must be float
-    rows = inject(monkeypatch, TIMES, lambda t: t.astype(np.int64))
-    with pytest.raises(engine.EngineError, match="column check"):
-        engine.run_experiment(fast_cfg(), n_trials=50, seed=3)
-    assert len(rows) == 50 and first_row_error(rows) is None
-
-
-def test_valid_blocks_are_not_checked_row_by_row(monkeypatch):
-    def refuse(rec):
-        raise AssertionError("check_record ran on a valid block")
-
-    monkeypatch.setattr(engine, "check_record", refuse)
-    log = engine.run_experiment(fast_cfg(), n_trials=engine.BLOCK_TRIALS + 10, seed=3)
-    assert [rec.idx for rec in log.records] == list(range(engine.BLOCK_TRIALS + 10))
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(choice_exponent=st.integers(3, 19), ulps_below=st.integers(0, 3),
+       bias=st.floats(0.0, 0.5), seed=st.integers(0, 2**63))
+def test_rows_near_the_load_time_bounds_keep_the_row_rules(choice_exponent, ulps_below,
+                                                           bias, seed):
+    # The jitter sits a few ulps under the readout window less the engine's rounding,
+    # at a choice delay whose ulp reaches 2,048 ns; each setting is one raw bit with
+    # a bias up to 1/2. Whatever config loads, every row passes check_record.
+    timing = dataclasses.replace(CFG.timing, choice_delay_ns=10.0 ** choice_exponent)
+    durations_ns = [1e3 * r.duration_us for r in (CFG.readout_a, CFG.readout_b)]
+    window_ns = timing.choice_to_readout_ns + min(durations_ns)
+    readout_end_ns = timing.choice_delay_ns + timing.choice_to_readout_ns + max(durations_ns)
+    jitter_ns = window_ns - 1.5 * math.ulp(readout_end_ns + 2 * window_ns)
+    for _ in range(ulps_below):
+        jitter_ns = math.nextafter(jitter_ns, 0.0)
+    try:
+        cfg = dataclasses.replace(CFG, timing=dataclasses.replace(timing, jitter_ns=jitter_ns),
+                                  rng=RngModel(excess_predictability=bias, raw_bits_per_output=1))
+    except ConfigError:
+        assume(False)
+    log = engine.run_experiment(cfg, n_trials=engine.BLOCK_TRIALS + 1, seed=seed)
+    assert [rec.idx for rec in log.records] == list(range(engine.BLOCK_TRIALS + 1))
     for rec in log.records:
         check_record(rec)
 
