@@ -82,10 +82,13 @@ def _same_file(p: str, q: str) -> bool:
 
 
 def _refuse_overwrite(args) -> None:
-    """Raise UsageError if an output path (--out, --curve) names an input (LOG,
-    --config) or the other output; it runs before any file is opened."""
+    """Raise UsageError if an output path (--out, --curve, or a report in
+    characterize's --out directory) names an input (LOG, --config) or the other
+    output; it runs before any file is opened."""
     outputs = [(f"--{flag}", path) for flag in ("out", "curve")
                if (path := getattr(args, flag, None))]
+    if args.func is cmd_characterize:  # --out is a directory: the reports in it count too
+        outputs += [("--out", os.path.join(args.out or ".", name)) for name in _REPORTS]
     inputs = [(name, path) for name, path in
               (("LOG", getattr(args, "logfile", None)), ("--config", args.config)) if path]
     for i, (name, path) in enumerate(outputs):
@@ -110,6 +113,9 @@ def _write_csv(fh, header, rows) -> None:
 
 
 # ---- characterize -----------------------------------------------------------
+
+# the CSV reports characterize writes into its --out directory
+_REPORTS = ("spin_photon_correlations.csv", "setting_correlations.csv")
 
 
 def cmd_characterize(args) -> int:
@@ -147,9 +153,9 @@ def cmd_characterize(args) -> int:
     }
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    with _output(out / "spin_photon_correlations.csv") as fh:
+    with _output(out / _REPORTS[0]) as fh:
         _write_csv(fh, ("side", "time_bin", "p_spin_up", "p_spin_down"), spin_photon_rows)
-    with _output(out / "setting_correlations.csv") as fh:
+    with _output(out / _REPORTS[1]) as fh:
         _write_csv(fh, ("basis", "orientation", "expected_correlation"), colinear)
     _emit_json(summary, sys.stdout)
     return EXIT_OK
@@ -198,7 +204,6 @@ def cmd_analyze(args) -> int:
 # one trial's three CSV lines, one per check in LABELS order; %.1f writes f"{m:.1f}"
 _AUDIT_LINES = "".join(f"%d,{label},%.1f,%s\n" for label in spacetime.LABELS)
 _RESULT = ("fail", "pass")
-_AUDIT_BLOCK = 4096  # trials per write
 
 
 def cmd_audit(args) -> int:
@@ -212,9 +217,9 @@ def cmd_audit(args) -> int:
     any_fail = False
     with _output(args.out) as fh:
         fh.write("trial,condition,margin_ns,result\n")
-        for start in range(0, len(records), _AUDIT_BLOCK):
+        for start in range(0, len(records), logio.BLOCK_TRIALS):  # trials per write
             lines = []
-            for rec in records[start:start + _AUDIT_BLOCK]:
+            for rec in records[start:start + logio.BLOCK_TRIALS]:
                 m_a, m_b, m_c, allowance = audit(events(rec), geometry, budget)
                 ok_a, ok_b, ok_c = m_a > allowance, m_b > allowance, m_c > allowance
                 any_fail = any_fail or not (ok_a and ok_b and ok_c)

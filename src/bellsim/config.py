@@ -7,7 +7,9 @@ probability 6.4e-9 per attempt, 1280 m site separation, readout from 480 ns to
 4180 ns after each choice). ``configs/default.yaml`` in the repository mirrors these
 defaults with commentary. A config file is merged onto the defaults: a
 section may give only the keys it changes. Unknown keys are rejected with
-their full path, and every section checks its values when it is built.
+their full path. A value is read as the type of the default it replaces, and a
+number with an exponent needs no decimal point (``4e-3``, as YAML 1.2 reads
+it); every section checks its values when it is built.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import types
-import typing
+import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -297,83 +298,48 @@ def config_to_dict(cfg: SimulationConfig) -> dict:
     return convert(cfg)
 
 
-def _yaml_float_hint(value) -> str:
-    """How to write ``value``, a string that reads as a number with an exponent,
-    so that YAML 1.1 reads it as one; '' for any other value.
-
-    PyYAML follows YAML 1.1, where a float needs a decimal point and a signed
-    exponent: ``4e-3`` and ``1.0e300`` load as text.
-    """
-    if not isinstance(value, str) or "e" not in value.lower():
-        return ""
-    try:
-        float(value)
-    except ValueError:
-        return ""
-    mantissa, _, exponent = value.strip().lower().partition("e")
-    sign, digits = ("", mantissa) if mantissa[0] not in "+-" else (mantissa[0], mantissa[1:])
-    if "." not in digits:
-        digits += ".0"
-    if digits[0] == ".":  # YAML 1.1 reads .5e+3 as a float, but -.5e+3 as text
-        digits = "0" + digits
-    if exponent[0] not in "+-":
-        exponent = "+" + exponent
-    return (f" (YAML 1.1 reads a number with an exponent as text unless it has a "
-            f"decimal point and a signed exponent: write {sign}{digits}e{exponent})")
-
-
-def _coerce_scalar(value, annotation, path: str):
-    origin = typing.get_origin(annotation)
-    if origin is typing.Union or origin is types.UnionType:
-        args = [a for a in typing.get_args(annotation) if a is not type(None)]
-        if value is None:
-            return None
-        return _coerce_scalar(value, args[0], path)
-    if origin is tuple:
-        args = typing.get_args(annotation)
+def _coerce_scalar(value, default, path: str):
+    """``value`` read as the built-in ``default`` it replaces: a tuple entry by entry,
+    then as a string, an integer or a finite float; a None default takes null too."""
+    if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a sequence")
-        if len(value) != len(args):
-            raise ConfigError(f"{path}: expected {len(args)} entries, got {len(value)}")
-        inner = args[0]
-        return tuple(_coerce_scalar(v, inner, f"{path}[{i}]") for i, v in enumerate(value))
-    if annotation is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}"
-                              + _yaml_float_hint(value))
-        if not math.isfinite(value):
-            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-        return float(value)
-    if annotation is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        return int(value)
-    if annotation is str:
+        if len(value) != len(default):
+            raise ConfigError(f"{path}: expected {len(default)} entries, got {len(value)}")
+        return tuple(_coerce_scalar(v, d, f"{path}[{i}]")
+                     for i, (v, d) in enumerate(zip(value, default)))
+    if isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")
         return value
-    raise ConfigError(f"{path}: unsupported config field type {annotation!r}")
+    if isinstance(default, int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        return int(value)
+    if default is None and value is None:  # experiment.hours: null or a number
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return float(value)
 
 
 def _build_dataclass(default, data, path: str):
     """``default`` with the keys ``data`` gives replaced; sub-sections merge the same way."""
-    if data is None:
-        data = {}
+    data = {} if data is None else data
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'top level'}: expected a mapping")
-    cls = type(default)
-    hints = typing.get_type_hints(cls)
-    names = [f.name for f in dataclasses.fields(cls) if f.init]
     changes = {}
-    for name in names:
-        if name not in data:
+    for f in dataclasses.fields(default):
+        if not f.init or f.name not in data:
             continue
-        sub_path = f"{path}.{name}" if path else name
-        annotation = hints[name]
-        if dataclasses.is_dataclass(annotation):
-            changes[name] = _build_dataclass(getattr(default, name), data[name], sub_path)
+        sub_path = f"{path}.{f.name}" if path else f.name
+        current = getattr(default, f.name)
+        if dataclasses.is_dataclass(current):
+            changes[f.name] = _build_dataclass(current, data[f.name], sub_path)
         else:
-            changes[name] = _coerce_scalar(data[name], annotation, sub_path)
+            changes[f.name] = _coerce_scalar(data[f.name], current, sub_path)
     if not changes:
         return default
     try:
@@ -406,11 +372,12 @@ def config_from_dict(data: dict) -> SimulationConfig:
 
 
 @cache  # one class per base, so per process
-def _unique_key_loader(base: type) -> type:
-    """``base``, a PyYAML safe loader, rejecting a key given twice in one mapping:
-    YAML forbids it, and PyYAML would keep the last value without a word."""
+def _config_loader(base: type) -> type:
+    """``base``, a PyYAML safe loader, reading a plain number with an exponent as a
+    float, and rejecting a key given twice in one mapping: YAML forbids it, and
+    PyYAML would keep the last value without a word."""
 
-    class UniqueKeyLoader(base):
+    class ConfigLoader(base):
         def construct_mapping(self, node, deep=False):
             # the keys as written; a '<<' merge may repeat one of them by design
             written = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
@@ -424,7 +391,13 @@ def _unique_key_loader(base: type) -> type:
                 seen.add(key)
             return mapping
 
-    return UniqueKeyLoader
+    # YAML 1.2's float with an exponent, which YAML 1.1 reads as text without a decimal
+    # point and a signed exponent; YAML 1.1's resolvers, tried first, match no such number
+    ConfigLoader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
+    return ConfigLoader
 
 
 def load_config(path) -> SimulationConfig:
@@ -434,7 +407,7 @@ def load_config(path) -> SimulationConfig:
     times faster; PyYAML built without libyaml falls back to the latter.
     """
     import yaml  # only a command given --config loads it
-    loader = _unique_key_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    loader = _config_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=loader)
@@ -442,8 +415,6 @@ def load_config(path) -> SimulationConfig:
         raise ConfigError(f"{path}: YAML parse error: {' '.join(str(exc).split())}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
+    if not isinstance(data, (dict, type(None))):  # an empty file is the defaults
         raise ConfigError(f"{path}: top level must be a mapping")
     return config_from_dict(data)

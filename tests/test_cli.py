@@ -659,7 +659,6 @@ def bad_inputs(tmp_path_factory):
         "fibre1e306.yaml": b"link:\n  fibre_km_per_arm: 1.0e+306\n  loss_db_per_km: 0.0\n",
         "choice1e20.yaml": b"timing:\n  choice_delay_ns: 1.0e+20\n",
         "malformed.yaml": b"link: [1\n",
-        "exponent.yaml": b"link:\n  collection_efficiency: 4e-3\n",
         "twice.yaml": b"interference:\n  visibility: 0.5\ninterference:\n  visibility: 0.9\n",
         "own.yaml": b"experiment:\n  seed: 59\n",
         # blank line 3 and a broken line 6
@@ -670,12 +669,20 @@ def bad_inputs(tmp_path_factory):
                            ("negseed", "59", "-1"), ("seeds", "59", "[7,-2]"),
                            ("boolseed", "59", "true"),
                            ("plan", '"partial":false', '"partial":false,"plan":{"tau_out":0.5}'),
+                           ("noseed", '"seed":59,', ""),
                            ("twice", '"partial":false', '"partial":true,"partial":false')):
         texts[f"{name}.jsonl"] = "\n".join([HEADER.replace(old, new, 1), *rows, ""]).encode()
     for name, data in texts.items():
         (root / name).write_bytes(data)
         paths[name.replace(".", "_")] = str(root / name)
     paths["log"] = str(log)
+    # a valid config under the name of each report that characterize writes
+    reports = root / "reports"
+    reports.mkdir()
+    for name in ("setting_correlations.csv", "spin_photon_correlations.csv"):
+        (reports / name).write_bytes(texts["own.yaml"])
+        paths[f"reports_{name.partition('_')[0]}"] = str(reports / name)
+    paths["reports"] = str(reports)
     (root / "link.jsonl").symlink_to(log)
     paths["link_jsonl"] = str(root / "link.jsonl")
     return paths
@@ -750,6 +757,8 @@ FAILING = {
     # a key the reader would ignore, such as a trial plan, could change what the log means
     "header-unknown-key": ("analyze {plan_jsonl}", 2,
                            "data error: {plan_jsonl}: line 1: header has unknown key(s): plan"),
+    "header-missing-seed": ("analyze {noseed_jsonl}", 2,
+                            "data error: {noseed_jsonl}: line 1: header is missing 'seed'"),
     "blank-line-counted": ("analyze {blank_jsonl}", 2, "{blank_jsonl}: line 6: invalid JSON"),
     "tau-above-quarter": ("analyze {log} --tau 5", 1,
                           "error: argument --tau: expected a tau in [0, 1/4), got '5'"),
@@ -775,12 +784,6 @@ FAILING = {
     # libyaml and PyYAML word the rest of the message differently
     "malformed-yaml": ("characterize --out {dir} --config {malformed_yaml}", 1,
                        "config error: {malformed_yaml}: YAML parse error"),
-    # YAML 1.1 reads a float only with a decimal point and a signed exponent
-    "exponent-without-point": ("characterize --out {dir} --config {exponent_yaml}", 1,
-                               "config error: link.collection_efficiency: expected a number, "
-                               "got '4e-3' (YAML 1.1 reads a number with an exponent as text "
-                               "unless it has a decimal point and a signed exponent: "
-                               "write 4.0e-3)"),
     # PyYAML alone would keep the last of the two values
     "repeated-yaml-key": ("characterize --out {dir} --config {twice_yaml}", 1,
                           "config error: {twice_yaml}: line 3: key 'interference' is given "
@@ -803,6 +806,14 @@ FAILING = {
                                "error: --out and --config name the same file: {own_yaml}"),
     "out-is-config-optimize": ("optimize --config {own_yaml} --out {own_yaml}", 1,
                                "error: --out and --config name the same file: {own_yaml}"),
+    # characterize's --out is a directory: its two reports are the outputs (the test runs
+    # in {reports}, so the default --out . is that directory)
+    "report-is-config-default-out": (
+        "characterize --config setting_correlations.csv", 1,
+        "error: --out and --config name the same file: ./setting_correlations.csv"),
+    "report-is-config-out": (
+        "characterize --out {reports} --config {reports_spin}", 1,
+        "error: --out and --config name the same file: {reports_spin}"),
     # the outputs are opened before the log is read
     "curve-dir-before-log": ("analyze {latin1_jsonl} --curve {dir}", 2, "data error: [Errno 21]"),
     "out-dir-before-log": ("analyze {latin1_jsonl} --out {dir}", 2, "data error: [Errno 21]"),
@@ -822,8 +833,9 @@ FAILING.update({
 
 
 @pytest.mark.parametrize("case", FAILING)
-def test_failure_is_one_prefixed_line(bad_inputs, capsys, case):
+def test_failure_is_one_prefixed_line(bad_inputs, capsys, monkeypatch, case):
     argv, code, fragment = FAILING[case]
+    monkeypatch.chdir(bad_inputs["reports"])
     files = {path: Path(path).read_bytes() for path in bad_inputs.values() if Path(path).is_file()}
     capsys.readouterr()
     assert run([arg.format(**bad_inputs) for arg in argv.split()]) == code

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -148,25 +149,50 @@ def test_type_error_reports_path(tmp_path):
         cfg_mod.load_config(path)
 
 
-@pytest.mark.parametrize("text", ["4e-3", "1.0e300", "-.5e3", "5.E3", "+2e+2", "1e-400"])
-def test_a_number_yaml_reads_as_text_gets_a_hint_that_loads(tmp_path, text):
-    # YAML 1.1 reads a float only with a decimal point and a signed exponent
+def yaml_bases():
+    """The safe loaders PyYAML offers here: libyaml's, if built, and the pure-Python one."""
+    return [yaml.CSafeLoader] * hasattr(yaml, "CSafeLoader") + [yaml.SafeLoader]
+
+
+def load_with(monkeypatch, base, path):
+    """``load_config(path)`` with ``base`` as the YAML loader it extends."""
+    with monkeypatch.context() as patch:
+        if base is yaml.SafeLoader:
+            patch.delattr(yaml, "CSafeLoader", raising=False)  # as PyYAML built without it
+        return cfg_mod.load_config(path)
+
+
+# YAML 1.2 reads each as a number; YAML 1.1 alone wants a decimal point and a signed
+# exponent. Each goes to a key whose checks its value passes; 1e-400 underflows to 0.0.
+@pytest.mark.parametrize("text, section, key", [
+    ("4e-3", "link", "collection_efficiency"),
+    ("1.0e300", "statistics", "win_adjustment"),
+    ("-.5e3", "optimizer", "epsilon_min_pi"),
+    ("5.E3", "optimizer", "epsilon_max_pi"),
+    ("+2e+2", "experiment", "hours"),
+    ("1e-400", "interference", "false_click_prob"),
+], ids=["4e-3", "1.0e300", "-.5e3", "5.E3", "+2e+2", "1e-400"])
+def test_a_number_with_an_exponent_loads_as_yaml_1_2_reads_it(monkeypatch, tmp_path, text,
+                                                                section, key):
     path = tmp_path / "exponent.yaml"
-    path.write_text(f"link:\n  collection_efficiency: {text}\n")
-    with pytest.raises(cfg_mod.ConfigError, match=f"expected a number, got '{re.escape(text)}' "
-                       r"\(YAML 1.1 .* write ") as info:
-        cfg_mod.load_config(path)
-    written = str(info.value).rpartition("write ")[2].removesuffix(")")
-    assert yaml.safe_load(f"x: {written}") == {"x": float(text)}
+    path.write_text(f"{section}:\n  {key}: {text}\n")
+    expected = cfg_mod.config_from_dict({section: {key: float(text)}})
+    for base in yaml_bases():
+        loaded = load_with(monkeypatch, base, path)
+        assert getattr(getattr(loaded, section), key) == float(text)
+        assert loaded == expected and loaded.config_hash == expected.config_hash
 
 
-@pytest.mark.parametrize("text", ["not-a-number", "'0.5'", "e5", "1e"])
-def test_text_that_is_no_exponent_number_gets_no_hint(tmp_path, text):
+@pytest.mark.parametrize("text", ["not-a-number", "'0.5'", "e5", "1e", "'4e-3'"])
+def test_text_that_is_no_exponent_number_gets_no_hint(monkeypatch, tmp_path, text):
+    # a quoted scalar is text: only a plain one is resolved as a number
     path = tmp_path / "text.yaml"
     path.write_text(f"link:\n  collection_efficiency: {text}\n")
-    with pytest.raises(cfg_mod.ConfigError, match="expected a number") as info:
-        cfg_mod.load_config(path)
-    assert "YAML 1.1" not in str(info.value)
+    for base in yaml_bases():
+        with pytest.raises(cfg_mod.ConfigError) as info:
+            load_with(monkeypatch, base, path)
+        assert str(info.value) == ("link.collection_efficiency: expected a number, "
+                                   f"got {text.strip(chr(39))!r}")
 
 
 def test_invalid_value_reports_section(tmp_path):
@@ -207,6 +233,69 @@ def test_bad_readout_anchor_fails_at_load(tmp_path):
     path.write_text("readout_a:\n  mean_fidelity: 0.3\n")
     with pytest.raises(cfg_mod.ConfigError, match="readout_a: mean fidelity"):
         cfg_mod.load_config(path)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"link": 5}, "link: expected a mapping"),
+    ({"interference": {"detector_efficiency": 0.5}},
+     "interference.detector_efficiency: expected a sequence"),
+    ({"interference": {"detector_efficiency": [0.5]}},
+     "interference.detector_efficiency: expected 2 entries, got 1"),
+    ({"interference": {"detector_efficiency": [0.5, "x"]}},
+     "interference.detector_efficiency[1]: expected a number, got 'x'"),
+    ({"optimizer": {"objective": 5}}, "optimizer.objective: expected a string, got 5"),
+    ({"experiment": {"trials": 2.0}}, "experiment.trials: expected an integer, got 2.0"),
+    ({"experiment": {"seed": True}}, "experiment.seed: expected an integer, got True"),
+    ({"link": {"loss_db_per_km": True}}, "link.loss_db_per_km: expected a number, got True"),
+    ({"link": {"loss_db_per_km": math.nan}},
+     "link.loss_db_per_km: expected a finite number, got nan"),
+    ({"experiment": {"hours": "x"}}, "experiment.hours: expected a number, got 'x'"),
+    ({"experiment": {"hours": math.inf}}, "experiment.hours: expected a finite number, got inf"),
+    ({"readout_a": {"dark_fidelity": 1.5}}, "readout_a: dark fidelity must be in (0, 1]"),
+    ({"readout_a": {"mean_fidelity": 0.99, "dark_fidelity": 0.97}},
+     "readout_a: anchor F+=1.01 out of range; lower dark_fidelity or mean_fidelity"),
+    ({"readout_a": {"flip_rate_per_us": 1.0e+5}},
+     "readout_a: anchor F+=0.947000 unreachable: spin flips cap the bright fidelity at 0.909545"),
+], ids=["section-not-mapping", "not-a-sequence", "one-entry", "entry-not-a-number",
+        "objective-not-string", "float-for-int", "bool-for-int", "bool-for-float", "nan",
+        "text-for-optional", "inf-for-optional", "dark-above-one", "bright-anchor-above-one",
+        "bright-anchor-unreachable"])
+def test_a_value_that_fails_its_check_is_named_by_its_path(data, message):
+    with pytest.raises(cfg_mod.ConfigError) as info:
+        cfg_mod.config_from_dict(data)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("hours", [None, 5, 2.5])
+def test_optional_hours_take_null_or_a_number(hours):
+    loaded = cfg_mod.config_from_dict({"experiment": {"hours": hours}})
+    assert loaded.experiment.hours == hours
+    assert type(loaded.experiment.hours) is (float if hours is not None else type(None))
+
+
+def holds(value, annotation) -> bool:
+    """Whether ``value`` is exactly of the type ``annotation`` names, entry by entry."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is tuple:
+        return type(value) is tuple and len(value) == len(args) and all(map(holds, value, args))
+    if args:  # X | None
+        return any(holds(value, arg) for arg in args)
+    return type(value) is annotation
+
+
+def test_every_default_is_of_its_annotated_type():
+    # the loader reads a value as the type of the default it replaces, not its annotation
+    sections = [cfg_mod.default_config()]
+    while sections:
+        section = sections.pop()
+        hints = typing.get_type_hints(type(section))
+        for f in dataclasses.fields(section):
+            value = getattr(section, f.name)
+            if f.init and dataclasses.is_dataclass(hints[f.name]):
+                assert type(value) is hints[f.name], f.name
+                sections.append(value)
+            elif f.init:
+                assert holds(value, hints[f.name]), f"{type(section).__name__}.{f.name}"
 
 
 def test_config_hash_stable_and_sensitive():
@@ -525,6 +614,15 @@ def _split(lines, at):
     (lambda ls: ls[:4999] + [re.sub(r'"t_herald_ns":[^,]+', '"t_herald_ns":NaN', ls[4999])]
      + ls[5000:],
      "line 5000: event times must be finite"),
+    (lambda ls: ls[:4999] + [re.sub(r'"a":\d,"b":\d', '"a":2,"b":1', ls[4999])] + ls[5000:],
+     "line 5000: settings must be bits, got a=2, b=1"),
+    (lambda ls: ls[:4999] + [re.sub(r'"x":-?\d,"y":-?\d', '"x":0,"y":1', ls[4999])] + ls[5000:],
+     "line 5000: outcomes must be +-1, got x=0, y=1"),
+    (lambda ls: ls[:4999] + [re.sub(r'"attempts":\d+', '"attempts":0', ls[4999])] + ls[5000:],
+     "line 5000: attempt count must be >= 1"),
+    (lambda ls: ls[:4999] + [re.sub(r'"t_read_done_b_ns":[^,]+', '"t_read_done_b_ns":-1.0',
+                                    ls[4999])] + ls[5000:],
+     "line 5000: per-site ordering violated: choice must precede readout end"),
     (lambda ls: ls[:4999] + [re.sub(r'"idx":\d+', '"idx":7', ls[4999])] + ls[5000:],
      "line 5000: trial index 7 out of sequence (expected 4998)"),
     (lambda ls: ls[:4999] + ["[1, 2]"] + ls[5000:],
@@ -536,7 +634,9 @@ def _split(lines, at):
     (lambda ls: ls[:4999] + _split(ls, 4999) + [ls[5000] + "," + ls[5001]] + ls[5002:],
      "line 5000: invalid JSON: Expecting ',' delimiter: line 1 column 37 (char 36)"),
 ], ids=["two-objects", "trailing-comma", "missing-key", "unknown-key", "duplicate-key",
-        "nan-time", "out-of-sequence", "non-object", "split-object", "split-and-merged"])
+        "nan-time", "setting-not-a-bit", "outcome-not-pm1", "zero-attempts",
+        "readout-before-choice", "out-of-sequence", "non-object", "split-object",
+        "split-and-merged"])
 def test_block_reader_reports_the_bad_line(tmp_path, log_lines_6000, corrupt, message):
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(corrupt(log_lines_6000)) + "\n")
