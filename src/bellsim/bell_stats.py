@@ -17,6 +17,9 @@ included, each site's setting bit is predictable by at most tau, so it is 1
 with a probability in [1/2 - tau, 1/2 + tau]. Against such settings the best
 local strategy wins with 1 - (1/2 - tau)^2 = 3/4 + tau - tau^2, so c must be
 at least 1; the config rejects c < 1, and its default c = 3 is conservative.
+At tau >= 1/4 the bound is 1, and so is every p-value. A config's tau is
+``randomness``' 2^(k-1) tau^k, which assumes independent raw bits: a
+Santha-Vazirani source can leave a setting bit predictable by the raw tau.
 
 Every p-value of the complete analysis is the smallest float >= the exact
 binomial tail, so it is conservative and one defined float. The tail is
@@ -230,8 +233,8 @@ def _tails_up(n: int, q: Fraction, ks: Iterable[int]) -> dict[int, float]:
 def win_probability_bound(tau_out: float,
                           win_adjustment: float = DEFAULT_WIN_ADJUSTMENT) -> Fraction:
     """Per-trial local-realist win bound 3/4 + c tau, capped at 1."""
-    if not 0.0 <= tau_out < 0.25:
-        raise StatisticsError("tau_out must be in [0, 1/4)")
+    if not 0.0 <= tau_out <= 0.5:
+        raise StatisticsError("tau_out must be in [0, 1/2]")
     if not 1 <= win_adjustment < math.inf:  # a NaN fails here too
         raise StatisticsError(f"win adjustment {win_adjustment} must be finite and at least 1")
     q = Fraction(3, 4) + Fraction(win_adjustment) * Fraction(tau_out)

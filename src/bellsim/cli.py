@@ -127,10 +127,11 @@ def cmd_characterize(args) -> int:
         cfg.heralding.hom_counts_indistinguishable,
         cfg.heralding.hom_counts_distinguishable,
     )
+    errors = cfg.spin_photon_errors
     spin_photon_rows = []
-    for side in ("A", "B"):
+    for side, e_early, e_late in (("A", errors.a_early, errors.a_late),
+                                  ("B", errors.b_early, errors.b_late)):
         # ideal: spin up with the early photon, down with the late
-        e_early, e_late = cfg.spin_photon_errors.for_side(side)
         spin_photon_rows += [(side, "early", 1.0 - e_early, e_early),
                              (side, "late", e_late, 1.0 - e_late)]
     model_a, model_b = cfg.readout_model("A"), cfg.readout_model("B")
@@ -289,7 +290,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="estimate S and both p-values from a log")
     add_config(p)
     p.add_argument("logfile", metavar="LOG")
-    tau = _run_budget(float, lambda v: 0 <= v < 0.25, "a tau in [0, 1/4)")
+    tau = _run_budget(float, lambda v: 0 <= v <= 0.5, "a tau in [0, 1/2]")
     p.add_argument("--tau", type=tau, metavar="FLOAT",
                    help="input excess predictability (default: derived from config)")
     p.add_argument("--out", metavar="PATH", help="write the JSON result here instead of stdout")

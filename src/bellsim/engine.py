@@ -75,12 +75,12 @@ def outcome_distribution(cfg: SimulationConfig) -> np.ndarray:
     tensor = cfg.heralded_state().spin_state.correlation_tensor
     basis = cfg.basis_set()
 
-    def weights(side):  # w[setting, x] for x = +1, -1 in OUTCOME_PAIRS order
-        model = cfg.readout_model(side)
-        u = np.array([observable_components(model, basis.angle(side, s)) for s in (0, 1)])
+    def weights(side, angles):  # w[setting, x] for x = +1, -1 in OUTCOME_PAIRS order
+        u = np.array([observable_components(cfg.readout_model(side), theta) for theta in angles])
         return (np.eye(3)[0] + np.array([[1.0], [-1.0]]) * u[:, None]) / 2
 
-    table = np.einsum("axi,ij,byj->abxy", weights("A"), tensor, weights("B")).reshape(2, 2, 4)
+    table = np.einsum("axi,ij,byj->abxy", weights("A", (basis.a0, basis.a1)), tensor,
+                      weights("B", (basis.b0, basis.b1))).reshape(2, 2, 4)
     table = np.maximum(table, 0.0)
     table /= table.sum(axis=2, keepdims=True)
     table.setflags(write=False)

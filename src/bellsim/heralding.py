@@ -99,14 +99,6 @@ class SpinPhotonErrorModel:
             if not 0.0 <= v <= 0.5:
                 raise HeraldingError(f"{name}={v} outside [0, 0.5]")
 
-    def for_side(self, side: str) -> tuple[float, float]:
-        side = side.upper()
-        if side == "A":
-            return (self.a_early, self.a_late)
-        if side == "B":
-            return (self.b_early, self.b_late)
-        raise HeraldingError(f"side must be 'A' or 'B', got {side!r}")
-
 
 def _flip_branches(e_early: float, e_late: float):
     """Weights of the four (flip-early?, flip-late?) classical error branches."""
@@ -237,8 +229,9 @@ def event_ready_state(model: InterferenceModel,
         gram = [g + 0.25 * (v * s + u * p)
                 for g, s, p in zip(gram, chain(*shared), chain(*private))]
     side_a, side_b = ([(w, f_early * 2 + f_late)
-                       for w, f_early, f_late in _flip_branches(*errors.for_side(side))]
-                      for side in "AB")
+                       for w, f_early, f_late in _flip_branches(e_early, e_late)]
+                      for e_early, e_late in ((errors.a_early, errors.a_late),
+                                              (errors.b_early, errors.b_late)))
     nonzero = [(j, g) for j, g in enumerate(gram) if g]
     rho = [0.0] * 16
     for (w_a, branch_a), (w_b, branch_b) in product(side_a, side_b):

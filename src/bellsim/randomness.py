@@ -1,10 +1,12 @@
 """Partially predictable bit sources and real-time parity extraction.
 
-Each basis-choice bit is the XOR of a block of raw bits, every raw bit
-carrying at most a configured excess predictability tau (an adversary's
-advantage over 1/2). Under the worst-case model of independent, constantly
-biased raw bits, the parity of k bits has excess predictability
-2^(k-1) tau^k, which is the bound propagated to the hypothesis tests.
+Each basis-choice bit is the XOR of a block of raw bits, each 1 with
+probability 1/2 + tau (an adversary's advantage over 1/2). For independent
+raw bits the parity of k bits has excess predictability 2^(k-1) tau^k, the
+bound propagated to the hypothesis tests. Independence is assumed, not the
+worst case: a Santha-Vazirani source (each bit 1 with a probability in
+[1/2 - tau, 1/2 + tau] given the earlier ones) can lean a block's last bit
+by the parity of the others, leaving the XOR predictable by tau.
 """
 
 from __future__ import annotations
@@ -68,10 +70,8 @@ class RngModel:
 
 
 def raw_bits(model: RngModel, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` i.i.d. raw bits with P(1) = 1/2 + tau (worst-case bias)."""
+    """``count`` i.i.d. raw bits with P(1) = 1/2 + tau (the model's constant bias)."""
     import numpy as np
-    if count < 0:
-        raise RandomnessError("count must be non-negative")
     p_one = 0.5 + model.excess_predictability
     return (rng.random(count) < p_one).astype(np.uint8)
 
@@ -79,8 +79,6 @@ def raw_bits(model: RngModel, count: int, rng: np.random.Generator) -> np.ndarra
 def setting_bits(model: RngModel, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` extracted basis-choice bits (one block of raw bits each)."""
     import numpy as np
-    if count < 0:
-        raise RandomnessError("count must be non-negative")
     k = model.raw_bits_per_output
     raw = raw_bits(model, count * k, rng).reshape(count, k)
     return np.bitwise_xor.reduce(raw, axis=1)

@@ -3,11 +3,13 @@
 The bright spin level scatters photons at a constant rate until an optional
 spin-flip (decay/ionisation) interrupts it; the dark level produces only
 false counts. Outcome +1 is assigned when at least one count arrives inside
-the readout window, -1 otherwise. Reading out along a tilted axis in the Z-X
-plane means rotating the spin first and then thresholding along Z; the
-simulator uses the result only as the (I, Z, X) components of the observable
-it measures. From those components and a state's correlation tensor come the
-predicted correlation E(a, b) of each setting pair and their CHSH combination S.
+the readout window, -1 otherwise. A model's fidelities are those at its own
+window, where ``calibrate_readout`` solves the bright rate. Reading out
+along a tilted axis in the Z-X plane means rotating the spin first and then
+thresholding along Z; the simulator uses the result only as the (I, Z, X)
+components of the observable it measures. From those components and a
+state's correlation tensor come the predicted correlation E(a, b) of each
+setting pair and their CHSH combination S.
 """
 
 from __future__ import annotations
@@ -48,30 +50,20 @@ class ReadoutModel:
 
     @cached_property  # once per model: a replaced model is a new object
     def fidelities(self) -> tuple[float, float]:
-        f_plus, f_minus, _ = fidelity_vs_duration(self, self.duration_us)
-        return f_plus, f_minus
-
-
-def fidelity_vs_duration(model: ReadoutModel, t_us: float) -> tuple[float, float, float]:
-    """(F+, F-, F_avg) for a readout window of ``t_us`` microseconds.
-
-    F+ = P(outcome +1 | bright): one minus the no-count probability, where
-    bright emission runs until an exponential spin flip truncates it and dark
-    counts accumulate for the whole window. F- = P(outcome -1 | dark) decays
-    only through dark counts. F+ is non-decreasing and F- non-increasing in t.
-    """
-    if t_us < 0:
-        raise ReadoutError("duration must be non-negative")
-    r_b, r_d, r_f = model.bright_rate_per_us, model.dark_rate_per_us, model.flip_rate_per_us
-    total = r_b + r_f
-    if total > 0:
-        # E[exp(-r_b * min(t, T_flip))], flip time exponential with rate r_f
-        survival = (r_f / total) * (1.0 - math.exp(-total * t_us)) + math.exp(-total * t_us)
-    else:
-        survival = 1.0
-    f_minus = math.exp(-r_d * t_us)
-    f_plus = 1.0 - f_minus * survival
-    return f_plus, f_minus, 0.5 * (f_plus + f_minus)
+        """(F+, F-) at the model's own window. F+ = P(+1 | bright) is one minus the
+        no-count probability: bright emission runs until an exponential spin flip
+        truncates it, dark counts for the whole window. F- = P(-1 | dark) decays
+        only through dark counts. F+ rises and F- falls with the window."""
+        r_b, r_d, r_f, t_us = (self.bright_rate_per_us, self.dark_rate_per_us,
+                               self.flip_rate_per_us, self.duration_us)
+        total = r_b + r_f
+        if total > 0:
+            # E[exp(-r_b * min(t, T_flip))], flip time exponential with rate r_f
+            survival = (r_f / total) * (1.0 - math.exp(-total * t_us)) + math.exp(-total * t_us)
+        else:
+            survival = 1.0
+        f_minus = math.exp(-r_d * t_us)
+        return 1.0 - f_minus * survival, f_minus
 
 
 def calibrate_readout(mean_fidelity: float, duration_us: float = 3.7,
@@ -97,8 +89,7 @@ def calibrate_readout(mean_fidelity: float, duration_us: float = 3.7,
         )
 
     def gap(r_b: float) -> float:
-        m = ReadoutModel(r_b, r_d, flip_rate_per_us, duration_us)
-        return fidelity_vs_duration(m, duration_us)[0] - target_plus
+        return ReadoutModel(r_b, r_d, flip_rate_per_us, duration_us).fidelities[0] - target_plus
 
     lo, hi = 1e-9, 1e6
     if gap(hi) < 0:
@@ -150,14 +141,6 @@ class ReadoutBasisSet:
         return cls(0.0, math.pi / 2, -3 * math.pi / 4 - epsilon,
                    3 * math.pi / 4 + epsilon)
 
-    def angle(self, side: str, bit: int) -> float:
-        side = side.upper()
-        if side == "A":
-            return self.a0 if bit == 0 else self.a1
-        if side == "B":
-            return self.b0 if bit == 0 else self.b1
-        raise ReadoutError(f"side must be 'A' or 'B', got {side!r}")
-
 
 def expected_correlations(state: QuantumState, readout_a: ReadoutModel,
                           readout_b: ReadoutModel,
@@ -166,9 +149,9 @@ def expected_correlations(state: QuantumState, readout_a: ReadoutModel,
     all four from the state's one correlation tensor."""
     from .quantum import times_tensor  # a config load builds no state
     tensor = state.correlation_tensor
-    row_a = [times_tensor(observable_components(readout_a, basis.angle("A", a)), tensor)
-             for a in (0, 1)]
-    u_b = [observable_components(readout_b, basis.angle("B", b)) for b in (0, 1)]
+    row_a = [times_tensor(observable_components(readout_a, theta), tensor)
+             for theta in (basis.a0, basis.a1)]
+    u_b = [observable_components(readout_b, theta) for theta in (basis.b0, basis.b1)]
     return {(a, b): row_a[a][0] * u_b[b][0] + row_a[a][1] * u_b[b][1] + row_a[a][2] * u_b[b][2]
             for a, b in SETTING_PAIRS}
 

@@ -147,6 +147,23 @@ def test_analyze_reports_headline_quantities(tmp_path, fast_config, capsys):
     assert 0.0 <= payload["p_complete"] <= 1.0
 
 
+@pytest.mark.parametrize("how", [["--tau", "0.25"], ["--tau", "0.3"], ["--tau", "0.5"], "config"],
+                         ids=["tau-quarter", "tau-0.3", "tau-half", "config-tau-0.3"])
+def test_a_tau_whose_win_bound_reaches_one_gives_p_one(tmp_path, fast_config, capsys, how):
+    # 3/4 + c tau >= 1 for every allowed c >= 1: no local bound is left to beat
+    if how == "config":  # one raw bit of bias 0.3 per output: tau_out = 0.3
+        config = tmp_path / "tau.yaml"
+        config.write_text(FAST_LINK + "rng:\n  excess_predictability: 0.3\n"
+                          "  raw_bits_per_output: 1\n")
+        how = ["--config", str(config)]
+        make_log(tmp_path, str(config))
+    else:
+        make_log(tmp_path, fast_config)
+    capsys.readouterr()
+    assert run(["analyze", str(tmp_path / "log.jsonl"), *how]) == 0
+    assert json.loads(capsys.readouterr().out)["p_complete"] == 1.0
+
+
 def test_analyze_reports_whether_the_log_is_partial(tmp_path, fast_config, capsys):
     from bellsim import engine
     from bellsim.config import load_config
@@ -650,6 +667,8 @@ def bad_inputs(tmp_path_factory):
         "win.yaml": b"statistics:\n  win_adjustment: -1\n",
         "win0.yaml": b"statistics:\n  win_adjustment: 0.0\n",
         "tilt.yaml": b"basis:\n  epsilon_pi: 1.0e+308\n",
+        "bound1e308.yaml": b"optimizer:\n  epsilon_min_pi: -1.0e+308\n",
+        "list.yaml": b"- readout_a\n- readout_b\n",
         "dark.yaml": b"interference:\n  visibility: 0.0\n  detector_efficiency: [0.0, 0.0]\n",
         "fibre01.yaml": b"link:\n  fibre_km_per_arm: 0.1\n",
         "ab5000.yaml": b"geometry:\n  ab_m: 5000.0\n",
@@ -739,6 +758,11 @@ FAILING = {
                                   "config error: basis: angle b0 must be finite"),
     "overflowing-tilt-characterize": ("characterize --out {dir} --config {tilt_yaml}", 1,
                                       "config error: basis: angle b0 must be finite"),
+    # a bound in units of pi that overflows once multiplied by pi
+    "overflowing-optimizer-bound": ("optimize --config {bound1e308_yaml}", 1,
+                                    "config error: optimizer: bounds must be finite"),
+    "config-top-level-list": ("characterize --out {dir} --config {list_yaml}", 1,
+                              "config error: {list_yaml}: top level must be a mapping"),
     "unheraldable-characterize": ("characterize --out {dir} --config {dark_yaml}", 1,
                                   "config error: requested detection pattern has zero"),
     "unheraldable-simulate": ("simulate --n 1 --config {dark_yaml} --out {dir}/x.jsonl", 1,
@@ -760,9 +784,9 @@ FAILING = {
     "header-missing-seed": ("analyze {noseed_jsonl}", 2,
                             "data error: {noseed_jsonl}: line 1: header is missing 'seed'"),
     "blank-line-counted": ("analyze {blank_jsonl}", 2, "{blank_jsonl}: line 6: invalid JSON"),
-    "tau-above-quarter": ("analyze {log} --tau 5", 1,
-                          "error: argument --tau: expected a tau in [0, 1/4), got '5'"),
-    "tau-quarter": ("analyze {log} --tau 0.25", 1, "error: argument --tau: expected"),
+    "tau-above-half": ("analyze {log} --tau 5", 1,
+                       "error: argument --tau: expected a tau in [0, 1/2], got '5'"),
+    "tau-just-above-half": ("analyze {log} --tau 0.6", 1, "error: argument --tau: expected"),
     "tau-negative": ("analyze {log} --tau -1", 1, "error: argument --tau: expected"),
     "tau-nan": ("analyze {log} --tau nan", 1, "error: argument --tau: expected"),
     "tau-inf": ("analyze {log} --tau inf", 1, "error: argument --tau: expected"),

@@ -113,9 +113,9 @@ def run_trial(cfg, idx, streams, force_settings=None):
         b = setting_bits(cfg.rng, 1, streams.settings_b)[0]
     basis = cfg.basis_set()
     rho = cfg.heralded_state().spin_state.density_matrix()
-    x, post = measure_in_basis(rho, basis.angle("A", a), cfg.readout_model("A"),
+    x, post = measure_in_basis(rho, (basis.a0, basis.a1)[a], cfg.readout_model("A"),
                                streams.outcomes, side=0)
-    y, _ = measure_in_basis(post, basis.angle("B", b), cfg.readout_model("B"),
+    y, _ = measure_in_basis(post, (basis.b0, basis.b1)[b], cfg.readout_model("B"),
                             streams.outcomes, side=1)
     times = engine._timestamps(cfg, streams.timing, 1)[:, 0].tolist()
     return engine.TrialRecord(idx, int(a), int(b), int(x), int(y), *times, attempts=attempts)
@@ -234,6 +234,11 @@ def test_link_beyond_the_attempt_cap_rejected():
         fibre_limited_link(0.5 / MAX_EXPECTED_ATTEMPTS)
     with pytest.raises(ConfigError, match="expected attempts per trial"):
         LinkConfig(loss_db_per_km=200.0)  # p about 1.5e-41
+
+
+def test_negative_trial_count_rejected():
+    with pytest.raises(engine.EngineError, match="trial count must be non-negative"):
+        engine.run_experiment(CFG, n_trials=-1, seed=1)
 
 
 def test_saturated_attempt_draw_raises(monkeypatch):
@@ -384,10 +389,10 @@ def kron_table(cfg) -> np.ndarray:
     rho = cfg.heralded_state().spin_state.density_matrix()
     basis = cfg.basis_set()
     table = np.zeros((2, 2, 4))
-    for a in (0, 1):
-        ea = rotated_povm(cfg.readout_model("A"), basis.angle("A", a))
-        for b in (0, 1):
-            eb = rotated_povm(cfg.readout_model("B"), basis.angle("B", b))
+    for a, theta_a in enumerate((basis.a0, basis.a1)):
+        ea = rotated_povm(cfg.readout_model("A"), theta_a)
+        for b, theta_b in enumerate((basis.b0, basis.b1)):
+            eb = rotated_povm(cfg.readout_model("B"), theta_b)
             for i, (x, y) in enumerate(engine.OUTCOME_PAIRS):
                 eff = np.kron(ea[0 if x == 1 else 1], eb[0 if y == 1 else 1])
                 table[a, b, i] = max(0.0, float(np.real(np.trace(rho @ eff))))

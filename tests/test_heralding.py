@@ -149,8 +149,8 @@ def _visible_groups():
 def joint_source_state(errors, visibility):
     """Both nodes' spins and photons before the beam splitter, as one dense matrix."""
     rho = np.zeros((4 * FOCK_DIM, 4 * FOCK_DIM), dtype=np.complex128)
-    for w_a, fe_a, fl_a in h._flip_branches(*errors.for_side("A")):
-        for w_b, fe_b, fl_b in h._flip_branches(*errors.for_side("B")):
+    for w_a, fe_a, fl_a in h._flip_branches(errors.a_early, errors.a_late):
+        for w_b, fe_b, fl_b in h._flip_branches(errors.b_early, errors.b_late):
             vec = np.zeros(4 * FOCK_DIM, dtype=np.complex128)
             for bin_a, bin_b in product(TIME_BINS, repeat=2):
                 s_a = (0 if bin_a == "early" else 1) ^ (fe_a if bin_a == "early" else fl_a)
@@ -234,10 +234,10 @@ def dense_event_ready_state(model, errors, include_same_port=False):
 # reads straight from the error model.
 
 
-def spin_photon_state(side, errors):
-    """(|up, early> + |down, late>)/sqrt(2), the spin flipped per the time bin's rate."""
+def spin_photon_state(errors):
+    """Node A's (|up, early> + |down, late>)/sqrt(2), the spin flipped per the time bin's rate."""
     rho = np.zeros((4, 4))
-    for w, f_early, f_late in h._flip_branches(*errors.for_side(side)):
+    for w, f_early, f_late in h._flip_branches(errors.a_early, errors.a_late):
         vec = np.zeros(4)
         vec[(0 ^ f_early) * 2 + 0] = 1 / SQRT2  # ideal: up with early
         vec[(1 ^ f_late) * 2 + 1] = 1 / SQRT2   # ideal: down with late
@@ -255,7 +255,7 @@ def bin_conditionals(rho):
 
 
 def test_spin_photon_state_ideal_perfectly_correlated():
-    rho = spin_photon_state("A", NO_ERRORS)
+    rho = spin_photon_state(NO_ERRORS)
     cond = bin_conditionals(rho)
     assert abs(cond["early"] - 1.0) < 1e-12
     assert abs(cond["late"] - 0.0) < 1e-12
@@ -267,14 +267,14 @@ def test_spin_photon_state_ideal_perfectly_correlated():
 
 def test_spin_photon_state_reproduces_conditional_error_rates():
     errors = h.SpinPhotonErrorModel(a_early=0.014, a_late=0.016, b_early=0.0, b_late=0.0)
-    cond = bin_conditionals(spin_photon_state("A", errors))
+    cond = bin_conditionals(spin_photon_state(errors))
     assert abs((1.0 - cond["early"]) - 0.014) < 1e-12
     assert abs(cond["late"] - 0.016) < 1e-12
 
 
 def test_spin_photon_state_half_errors_decouple_spin_from_bin():
     errors = h.SpinPhotonErrorModel(a_early=0.5, a_late=0.5, b_early=0.0, b_late=0.0)
-    cond = bin_conditionals(spin_photon_state("A", errors))
+    cond = bin_conditionals(spin_photon_state(errors))
     assert abs(cond["early"] - 0.5) < 1e-12
     assert abs(cond["late"] - 0.5) < 1e-12
 
@@ -513,8 +513,8 @@ def _equivalence_grid():
 def branch_spin_maps(errors):
     """Weight and 0/1 (spin pair, emission pair) matrix of each (A x B) flip branch."""
     out = []
-    for w_a, fe_a, fl_a in h._flip_branches(*errors.for_side("A")):
-        for w_b, fe_b, fl_b in h._flip_branches(*errors.for_side("B")):
+    for w_a, fe_a, fl_a in h._flip_branches(errors.a_early, errors.a_late):
+        for w_b, fe_b, fl_b in h._flip_branches(errors.b_early, errors.b_late):
             m = np.zeros((4, 4))
             for bin_a, bin_b in product((0, 1), repeat=2):
                 # ideal: spin up (0) with the early photon, down (1) with the late
@@ -581,8 +581,8 @@ def reference_branch_kets(errors, visibility):
             pair = np.asarray(h._two_photon_amplitudes(bin_a, bin_b, sector_b)).ravel()
             emissions.append((bin_a, bin_b, 0.5 * amp_b * pair))
     weights, kets = [], []
-    for w_a, fe_a, fl_a in h._flip_branches(*errors.for_side("A")):
-        for w_b, fe_b, fl_b in h._flip_branches(*errors.for_side("B")):
+    for w_a, fe_a, fl_a in h._flip_branches(errors.a_early, errors.a_late):
+        for w_b, fe_b, fl_b in h._flip_branches(errors.b_early, errors.b_late):
             ket = np.zeros((4, 64))
             for bin_a, bin_b, amp in emissions:
                 # ideal: spin up (0) with the early photon, down (1) with the late
@@ -683,7 +683,7 @@ def nested_list_build(model, errors):
         for e, f in product(range(4), repeat=2):
             gram[e][f] += 0.25 * (v * shared[e][f] + (1.0 - v) * private[e][f])
     sides = []
-    for e_early, e_late in (errors.for_side("A"), errors.for_side("B")):
+    for e_early, e_late in ((errors.a_early, errors.a_late), (errors.b_early, errors.b_late)):
         branches = []
         for f_early, f_late in product((0, 1), repeat=2):
             w = (e_early if f_early else 1.0 - e_early) * (e_late if f_late else 1.0 - e_late)

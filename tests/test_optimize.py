@@ -42,8 +42,9 @@ def reference_correlations(state, readout_a, readout_b, basis):
         e_plus, e_minus = rotated_povm(model, theta)
         return e_plus - e_minus
 
-    return {(a, b): expectation(state, observable(readout_a, basis.angle("A", a)),
-                                observable(readout_b, basis.angle("B", b)))
+    angles_a, angles_b = (basis.a0, basis.a1), (basis.b0, basis.b1)
+    return {(a, b): expectation(state, observable(readout_a, angles_a[a]),
+                                observable(readout_b, angles_b[b]))
             for a, b in bs.SETTING_PAIRS}
 
 

@@ -170,5 +170,42 @@ def test_model_validation():
         rnd.RngModel(excess_predictability=0.6)
     with pytest.raises(rnd.RandomnessError):
         rnd.RngModel(raw_bits_per_output=0)
-    with pytest.raises(rnd.RandomnessError):
+    with pytest.raises(ValueError):
         rnd.raw_bits(rnd.RngModel(), -1, np.random.default_rng(0))
+    with pytest.raises(rnd.RandomnessError, match="raw excess predictability"):
+        rnd.output_predictability(0.6, 3)
+    with pytest.raises(rnd.RandomnessError, match="block length"):
+        rnd.output_predictability(0.1, 0)
+
+
+# ---- the setting-source assumption ----------------------------------------------------
+#
+# 2^(k-1) tau^k holds only for raw bits independent of each other. A Santha-Vazirani
+# source keeps every raw bit within [1/2 - tau, 1/2 + tau] given all earlier bits, and
+# may lean the last bit of a block by the parity of the others: the XOR is then
+# predictable by tau itself.
+
+
+def parity_adversary_bias(tau: Fraction, k: int) -> Fraction:
+    """P(XOR of the block = 1) - 1/2, exactly, when the first k - 1 raw bits are 1 with
+    1/2 + tau and the last is 1 with 1/2 + tau after an even parity, 0 after an odd one."""
+    lean = Fraction(1, 2) + tau
+    even, odd = Fraction(1), Fraction(0)  # two states: the parity of the bits so far
+    for _ in range(k - 1):
+        even, odd = even * (1 - lean) + odd * lean, even * lean + odd * (1 - lean)
+    last_one = {0: lean, 1: 1 - lean}  # P(last bit = 1 | parity of the others)
+    assert all(abs(p - Fraction(1, 2)) <= tau for p in last_one.values())
+    return even * last_one[0] + odd * (1 - last_one[1]) - Fraction(1, 2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 32])
+def test_a_parity_leaning_source_keeps_the_raw_bias_through_the_xor(k):
+    tau = Fraction(0.1)
+    assert parity_adversary_bias(tau, k) == tau
+    assert rnd.output_predictability(0.1, k) <= 0.1  # the independent-bits bound
+
+
+def test_at_the_raw_bias_the_golden_win_count_is_not_significant():
+    from bellsim import bell_stats
+    assert bell_stats.complete_pvalue(196, 245, 0.1, 1.0) == 0.9863180123039944
+    assert bell_stats.complete_pvalue(196, 245, 0.1, 3.0) == 1.0

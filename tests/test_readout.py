@@ -17,33 +17,31 @@ UP_UP = np.diag([1.0, 0.0, 0.0, 0.0])  # both spins up; the tests read spin A
 # ---- fidelity curve ------------------------------------------------------------
 
 
-def test_zero_duration_window():
-    model = r.ReadoutModel(20.0, 0.01, 0.02)
-    f_plus, f_minus, f_avg = r.fidelity_vs_duration(model, 0.0)
-    assert (f_plus, f_minus, f_avg) == (0.0, 1.0, 0.5)
+def at_window(model, t_us):
+    """The same rates read out over a window of ``t_us`` microseconds."""
+    return dataclasses.replace(model, duration_us=t_us)
 
 
 def test_long_window_with_clean_detector_saturates():
-    model = r.ReadoutModel(5.0, 0.0, 0.0)
-    f_plus, f_minus, f_avg = r.fidelity_vs_duration(model, 1e4)
+    model = r.ReadoutModel(5.0, 0.0, 0.0, duration_us=1e4)
+    f_plus, f_minus = model.fidelities
     assert abs(f_plus - 1.0) < 1e-12
     assert f_minus == 1.0
-    assert abs(f_avg - 1.0) < 1e-12
+    assert abs(0.5 * (f_plus + f_minus) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("mean", [0.971, 0.963])
 def test_calibration_hits_the_anchor(mean):
     model = r.calibrate_readout(mean)
-    _, _, f_avg = r.fidelity_vs_duration(model, 3.7)
-    assert abs(f_avg - mean) < 1e-9
     f_plus, f_minus = model.fidelities
+    assert abs(0.5 * (f_plus + f_minus) - mean) < 1e-9
     assert f_minus > 0.98
 
 
 def test_fidelity_monotonicity_in_duration():
     model = r.calibrate_readout(0.971)
-    ts = np.linspace(0.0, 12.0, 200)
-    curves = [r.fidelity_vs_duration(model, float(t)) for t in ts]
+    ts = np.linspace(0.0, 12.0, 200)[1:]  # a model's window is positive
+    curves = [at_window(model, float(t)).fidelities for t in ts]
     plus = [c[0] for c in curves]
     minus = [c[1] for c in curves]
     assert all(b >= a - 1e-12 for a, b in zip(plus, plus[1:]))
@@ -53,7 +51,7 @@ def test_fidelity_monotonicity_in_duration():
 def test_average_fidelity_has_interior_maximum():
     model = r.ReadoutModel(3.0, 0.05, 0.1)
     ts = np.linspace(0.01, 30.0, 600)
-    avg = [r.fidelity_vs_duration(model, float(t))[2] for t in ts]
+    avg = [0.5 * sum(at_window(model, float(t)).fidelities) for t in ts]
     peak = int(np.argmax(avg))
     assert 0 < peak < len(ts) - 1
     assert avg[peak] > avg[0] and avg[peak] > avg[-1]
@@ -61,10 +59,11 @@ def test_average_fidelity_has_interior_maximum():
 
 def test_fidelities_are_computed_once_and_a_replaced_model_recomputes():
     model = r.ReadoutModel(5.0, 0.01, 0.02, duration_us=3.7)
-    assert model.fidelities == r.fidelity_vs_duration(model, 3.7)[:2]
+    # bright emission until an exponential flip, dark counts over the whole window
+    survival = (0.02 / 5.02) * (1.0 - math.exp(-5.02 * 3.7)) + math.exp(-5.02 * 3.7)
+    assert model.fidelities == (1.0 - math.exp(-0.01 * 3.7) * survival, math.exp(-0.01 * 3.7))
     assert model.fidelities is model.fidelities
-    shorter = dataclasses.replace(model, duration_us=1.0)
-    assert shorter.fidelities == r.fidelity_vs_duration(shorter, 1.0)[:2]
+    shorter = at_window(model, 1.0)
     assert shorter.fidelities != model.fidelities
     assert shorter == r.ReadoutModel(5.0, 0.01, 0.02, duration_us=1.0)
 
@@ -89,7 +88,7 @@ def test_bright_state_click_probability_matches_f_plus():
 def test_uninformative_limit():
     # F+ = F- = 1/2 makes the outcome independent of the state
     model = r.ReadoutModel(math.log(2.0), 0.0, 0.0, duration_us=1.0)
-    f_plus, f_minus, _ = r.fidelity_vs_duration(model, 1.0)
+    f_plus, f_minus = model.fidelities
     assert abs(f_plus - 0.5) < 1e-12 and f_minus == 1.0
     # construct the uninformative POVM directly as the edge case
     e_plus = 0.5 * np.eye(2)
@@ -182,8 +181,8 @@ def test_monte_carlo_s_at_ideal_angles_matches_tsirelson():
     for (a, b), sign in (((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 1), -1)):
         probs = np.zeros(4)
         for i, (x, y) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
-            ea = rotated_povm(model, basis.angle("A", a))[0 if x == 1 else 1]
-            eb = rotated_povm(model, basis.angle("B", b))[0 if y == 1 else 1]
+            ea = rotated_povm(model, (basis.a0, basis.a1)[a])[0 if x == 1 else 1]
+            eb = rotated_povm(model, (basis.b0, basis.b1)[b])[0 if y == 1 else 1]
             probs[i] = max(0.0, float(np.real(np.trace(psi.density_matrix() @ np.kron(ea, eb)))))
         probs /= probs.sum()
         counts = rng.multinomial(n_per_setting, probs)
@@ -198,10 +197,10 @@ def test_monte_carlo_s_at_ideal_angles_matches_tsirelson():
 
 def test_default_basis_angles():
     basis = r.ReadoutBasisSet.from_tilt(0.026 * math.pi)
-    assert basis.angle("A", 0) == 0.0
-    assert basis.angle("A", 1) == math.pi / 2
-    assert abs(basis.angle("B", 0) - (-3 * math.pi / 4 - 0.026 * math.pi)) < 1e-15
-    assert abs(basis.angle("B", 1) - (3 * math.pi / 4 + 0.026 * math.pi)) < 1e-15
+    assert basis.a0 == 0.0
+    assert basis.a1 == math.pi / 2
+    assert abs(basis.b0 - (-3 * math.pi / 4 - 0.026 * math.pi)) < 1e-15
+    assert abs(basis.b1 - (3 * math.pi / 4 + 0.026 * math.pi)) < 1e-15
 
 
 def test_model_validation():

@@ -321,7 +321,20 @@ def test_complete_pvalue_validation():
     with pytest.raises(bs.StatisticsError):
         bs.complete_pvalue(10, 5, 0.0)
     with pytest.raises(bs.StatisticsError):
-        bs.complete_pvalue(5, 10, 0.3)
+        bs.complete_pvalue(5, 10, 0.6)
+    with pytest.raises(bs.StatisticsError, match="n must be >= 1"):
+        bs.complete_pvalue(0, 0)
+    with pytest.raises(bs.StatisticsError, match="n must be >= 1"):
+        bs.p_vs_i_curve(0)
+
+
+@pytest.mark.parametrize("tau", [0.25, 0.3, 0.5])
+def test_a_tau_whose_win_bound_reaches_one_gives_p_one(tau):
+    # 3/4 + c tau >= 1 for every allowed c >= 1: no local bound is left to beat
+    for c in (1.0, 3.0):
+        assert bs.win_probability_bound(tau, c) == 1
+        assert bs.complete_pvalue(196, 245, tau, c) == 1.0
+        assert {r.p_complete for r in bs.p_vs_i_curve(245, tau, c)} == {1.0}
 
 
 def exact_tail(k, n, q):
@@ -501,7 +514,7 @@ def test_cached_pvalue_still_rejects_bad_arguments():
         with pytest.raises(bs.StatisticsError):
             bs.complete_pvalue(246, 245, DEFAULT_TAU)
         with pytest.raises(bs.StatisticsError):
-            bs.complete_pvalue(196, 245, 0.3)
+            bs.complete_pvalue(196, 245, 0.6)
     # an int k cached first does not answer a float k, which the tail loop rejects
     with pytest.raises(TypeError):
         bs.complete_pvalue(196.0, 245, DEFAULT_TAU)
