@@ -27,10 +27,10 @@ event-ready build never forms the joint spin-photon state. Each herald
 pattern weights the amplitudes of the four emission pairs (bin_a, bin_b) into
 two 4x4 Gram matrices, one per sector of node B's photon; the sectors have
 disjoint supports, so no cross term survives. Their visibility-weighted sum
-G is carried to the spin pair by each node's classical flip channel. G and
-the spin state are flat 16-entry lists in row-major order, and each pair of
-flip branches reads where every entry of G lands from a precomputed table of
-spin-pair indices, so the build is a few plain-Python loops. Sums are
+G is carried to the spin pair by each node's classical flip channel. G, on
+its cached support, and the spin state are flat row-major lists, and each
+pair of flip branches reads where every entry of G lands from a precomputed
+table of spin-pair indices, so the build is a few plain-Python loops. Sums are
 explicit left-to-right additions, never the builtin ``sum``, whose float
 rounding differs between interpreters (compensated since CPython 3.12).
 Only the final two-spin state is validated, as a
@@ -100,12 +100,12 @@ class SpinPhotonErrorModel:
                 raise HeraldingError(f"{name}={v} outside [0, 0.5]")
 
 
-def _flip_branches(e_early: float, e_late: float):
-    """Weights of the four (flip-early?, flip-late?) classical error branches."""
-    for f_early, f_late in product((0, 1), repeat=2):
-        w = (e_early if f_early else 1.0 - e_early) * (e_late if f_late else 1.0 - e_late)
-        if w > 0.0:
-            yield w, f_early, f_late
+def _flip_branches(e_early: float, e_late: float) -> list[tuple[float, int]]:
+    """(w, f_early * 2 + f_late) of each (flip-early?, flip-late?) branch of weight w > 0."""
+    keep_early, keep_late = 1.0 - e_early, 1.0 - e_late
+    branches = ((keep_early * keep_late, 0), (keep_early * e_late, 1),
+                (e_early * keep_late, 2), (e_early * e_late, 3))
+    return [branch for branch in branches if branch[0] > 0.0]
 
 
 def _spin_index_table() -> tuple[tuple[int, ...], ...]:
@@ -199,6 +199,17 @@ def _pattern_grams(pattern: tuple[int, int], efficiency: tuple[float, float],
     return grams[0], grams[1]
 
 
+@lru_cache(maxsize=16)  # one per (efficiencies, false clicks)
+def _gram_support(efficiency: tuple[float, float], false_click: float) -> tuple[tuple, tuple]:
+    """The flat indices j at which some singlet pattern's A_p or B_p is non-zero,
+    and each pattern's (A_p, B_p) values there, in ``SINGLET_PATTERNS`` order."""
+    flat = [tuple(tuple(chain(*gram)) for gram in _pattern_grams(pattern, efficiency, false_click))
+            for pattern in SINGLET_PATTERNS]
+    support = tuple(j for j in range(16) if any(gram[j] for grams in flat for gram in grams))
+    return support, tuple(tuple(tuple(gram[j] for j in support) for gram in grams)
+                          for grams in flat)
+
+
 @lru_cache(maxsize=64)
 def event_ready_state(model: InterferenceModel,
                       errors: SpinPhotonErrorModel) -> HeraldResult:
@@ -216,25 +227,21 @@ def event_ready_state(model: InterferenceModel,
     by ``_SPIN_INDEX``. Both are flat row-major lists; every entry sums its
     terms in the order of the nested (pattern, e, f) and (branch A, branch B,
     e, f) loops, so a flip that sends both bins to one spin adds its two
-    terms in (e, f) order. Zero entries of G, most of them, are skipped:
-    a sum that starts at +0.0 is never -0.0, and adding +-0.0 leaves any
-    other float as it is.
+    terms in (e, f) order. G is formed only on the patterns' Gram support
+    (``_gram_support``: 4 of 16 entries with ideal detectors), where its zero
+    entries are skipped too: off it an entry sums to +0.0, a sum that starts
+    at +0.0 is never -0.0, and adding +-0.0 leaves any other float as it is.
     """
     from .quantum import QuantumState
     v, u = model.visibility, 1.0 - model.visibility
-    gram = [0.0] * 16
-    for pattern in SINGLET_PATTERNS:
-        shared, private = _pattern_grams(pattern, model.detector_efficiency,
-                                         model.false_click_prob)
-        gram = [g + 0.25 * (v * s + u * p)
-                for g, s, p in zip(gram, chain(*shared), chain(*private))]
-    side_a, side_b = ([(w, f_early * 2 + f_late)
-                       for w, f_early, f_late in _flip_branches(e_early, e_late)]
-                      for e_early, e_late in ((errors.a_early, errors.a_late),
-                                              (errors.b_early, errors.b_late)))
-    nonzero = [(j, g) for j, g in enumerate(gram) if g]
+    support, values = _gram_support(model.detector_efficiency, model.false_click_prob)
+    gram = [0.0] * len(support)
+    for shared, private in values:
+        gram = [g + 0.25 * (v * s + u * p) for g, s, p in zip(gram, shared, private)]
+    nonzero = [(j, g) for j, g in zip(support, gram) if g]
     rho = [0.0] * 16
-    for (w_a, branch_a), (w_b, branch_b) in product(side_a, side_b):
+    for (w_a, branch_a), (w_b, branch_b) in product(_flip_branches(errors.a_early, errors.a_late),
+                                                    _flip_branches(errors.b_early, errors.b_late)):
         w = w_a * w_b
         row = _SPIN_INDEX[branch_a * 4 + branch_b]
         for j, g in nonzero:

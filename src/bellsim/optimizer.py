@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 # the spec and its error live with the config section that checks the spec
 from .config import OBJECTIVES, OptimizationSpec, OptimizerError
-from .quantum import QuantumState, times_tensor
-from .readout import (ReadoutBasisSet, ReadoutModel, chsh_combination, expected_correlations,
-                      observable_components)
+from .quantum import QuantumState
+from .readout import (ReadoutBasisSet, ReadoutModel, chsh_combination, correlations_from_rows,
+                      expected_correlations, observable_components, times_tensor)
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -34,17 +34,15 @@ def expected_s(state: QuantumState, readout_a: ReadoutModel, readout_b: ReadoutM
     return chsh_combination(expected_correlations(state, readout_a, readout_b, basis))
 
 
-def tilt_coefficients(state: QuantumState, readout_a: ReadoutModel,
+def tilt_coefficients(rows: list[tuple[float, float, float]],
                       readout_b: ReadoutModel) -> tuple[float, float, float]:
     """(c0, c1, c2) with S(eps) = c0 + c1 cos eps + c2 sin eps for the symmetric tilt.
 
-    With v_a = u_A(a) T at A's angles 0 and pi/2, u_B(-+beta) = (g0, g1 cos beta,
-    -+g1 sin beta) and beta = 3pi/4 + eps: S = 2 g0 v_0[I] + 2 g1 (v_0[Z] cos beta
-    - v_1[X] sin beta).
+    ``rows`` are v_a = u_A(a) T at A's angles 0 and pi/2. With u_B(-+beta) = (g0,
+    g1 cos beta, -+g1 sin beta) and beta = 3pi/4 + eps: S = 2 g0 v_0[I] + 2 g1
+    (v_0[Z] cos beta - v_1[X] sin beta).
     """
-    tensor = state.correlation_tensor
-    v0 = times_tensor(observable_components(readout_a, 0.0), tensor)
-    v1 = times_tensor(observable_components(readout_a, math.pi / 2), tensor)
+    v0, v1 = rows
     g0, g1, _ = observable_components(readout_b, 0.0)
     zz, xx = v0[1], v1[2]
     root2_g1 = math.sqrt(2.0) * g1
@@ -89,9 +87,12 @@ def optimize(spec: OptimizationSpec, state: QuantumState,
     Both objectives are non-decreasing in S, so this is the S maximiser in
     [epsilon_min, epsilon_max]. S spreading by less than ``DEGENERACY_SPAN``
     over the bounds is flagged degenerate and the canonical tilt 0 (or the
-    lower bound, if 0 is outside) is returned.
+    lower bound, if 0 is outside) is returned, with ``expected_s`` there.
     """
-    _, c1, c2 = tilt_coefficients(state, readout_a, readout_b)
+    tensor = state.correlation_tensor
+    rows = [times_tensor(observable_components(readout_a, theta), tensor)
+            for theta in (0.0, math.pi / 2)]  # A's angles in every tilted set
+    _, c1, c2 = tilt_coefficients(rows, readout_b)
     lo, hi = spec.epsilon_min, spec.epsilon_max
     peak = math.atan2(c2, c1)
     eps, trough = _nearest_in(lo, hi, peak), _nearest_in(lo, hi, peak + math.pi)
@@ -100,7 +101,7 @@ def optimize(spec: OptimizationSpec, state: QuantumState,
     if degenerate:
         eps = 0.0 if lo <= 0.0 <= hi else lo
     basis = ReadoutBasisSet.from_tilt(eps)
-    s = expected_s(state, readout_a, readout_b, basis)
+    s = chsh_combination(correlations_from_rows(rows, readout_b, basis))  # expected_s, bit for bit
     if not math.isfinite(s):
         raise OptimizerError(f"objective is not finite at eps={eps}")
     if s > TSIRELSON + 1e-9:

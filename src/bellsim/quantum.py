@@ -6,7 +6,8 @@ in the Z-X plane, so the matrix is real: 16 floats in row-major order,
 validated at construction time in plain Python, so building, checking and
 reading a state loads no numpy; only :meth:`QuantumState.density_matrix`,
 which hands out an array, imports it. The simulator reads the state only
-through the (I, Z, X) correlation tensor and its fidelity to the singlet.
+through its fidelity to the singlet and the (I, Z, X) correlation tensor,
+which ``readout`` contracts with the observables (``times_tensor``).
 
 The eigenvalue floor is checked by an LDL^T factorisation of rho - floor * I:
 every pivot positive means every eigenvalue lies above the floor. The same
@@ -136,16 +137,6 @@ class QuantumState:
 
 # the singlet (|up,down> - |down,up>)/sqrt(2)
 SINGLET = (0.0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0.0)
-
-
-def times_tensor(u: tuple[float, float, float],
-                 tensor: tuple[tuple[float, float, float], ...]) -> tuple[float, float, float]:
-    """The row u T, so that <A (x) B> = (u_A T) . u_B."""
-    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = tensor
-    u0, u1, u2 = u
-    return (u0 * t00 + u1 * t10 + u2 * t20,
-            u0 * t01 + u1 * t11 + u2 * t21,
-            u0 * t02 + u1 * t12 + u2 * t22)
 
 
 def singlet_fidelity(state: QuantumState) -> float:

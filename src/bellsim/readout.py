@@ -8,8 +8,8 @@ window, where ``calibrate_readout`` solves the bright rate. Reading out
 along a tilted axis in the Z-X plane means rotating the spin first and then
 thresholding along Z; the simulator uses the result only as the (I, Z, X)
 components of the observable it measures. From those components and a
-state's correlation tensor come the predicted correlation E(a, b) of each
-setting pair and their CHSH combination S.
+state's correlation tensor T come node A's rows u_A T (``times_tensor``), the
+predicted E(a, b) = (u_A T) . u_B of each setting pair and their CHSH sum S.
 """
 
 from __future__ import annotations
@@ -50,20 +50,24 @@ class ReadoutModel:
 
     @cached_property  # once per model: a replaced model is a new object
     def fidelities(self) -> tuple[float, float]:
-        """(F+, F-) at the model's own window. F+ = P(+1 | bright) is one minus the
-        no-count probability: bright emission runs until an exponential spin flip
-        truncates it, dark counts for the whole window. F- = P(-1 | dark) decays
-        only through dark counts. F+ rises and F- falls with the window."""
-        r_b, r_d, r_f, t_us = (self.bright_rate_per_us, self.dark_rate_per_us,
-                               self.flip_rate_per_us, self.duration_us)
-        total = r_b + r_f
-        if total > 0:
-            # E[exp(-r_b * min(t, T_flip))], flip time exponential with rate r_f
-            survival = (r_f / total) * (1.0 - math.exp(-total * t_us)) + math.exp(-total * t_us)
-        else:
-            survival = 1.0
-        f_minus = math.exp(-r_d * t_us)
-        return 1.0 - f_minus * survival, f_minus
+        """(F+, F-) at the model's own window, from ``_fidelities``."""
+        return _fidelities(self.bright_rate_per_us, self.dark_rate_per_us,
+                           self.flip_rate_per_us, self.duration_us)
+
+
+def _fidelities(r_b: float, r_d: float, r_f: float, t_us: float) -> tuple[float, float]:
+    """(F+, F-) of the rates over a window of ``t_us``. F+ = P(+1 | bright) is one
+    minus the no-count probability: bright emission runs until an exponential spin
+    flip truncates it, dark counts for the whole window. F- = P(-1 | dark) decays
+    only through dark counts. F+ rises and F- falls with the window."""
+    total = r_b + r_f
+    if total > 0:
+        # E[exp(-r_b * min(t, T_flip))], flip time exponential with rate r_f
+        survival = (r_f / total) * (1.0 - math.exp(-total * t_us)) + math.exp(-total * t_us)
+    else:
+        survival = 1.0
+    f_minus = math.exp(-r_d * t_us)
+    return 1.0 - f_minus * survival, f_minus
 
 
 def calibrate_readout(mean_fidelity: float, duration_us: float = 3.7,
@@ -88,10 +92,12 @@ def calibrate_readout(mean_fidelity: float, duration_us: float = 3.7,
             f"anchor F+={target_plus} out of range; lower dark_fidelity or mean_fidelity"
         )
 
-    def gap(r_b: float) -> float:
-        return ReadoutModel(r_b, r_d, flip_rate_per_us, duration_us).fidelities[0] - target_plus
-
     lo, hi = 1e-9, 1e6
+    ReadoutModel(hi, r_d, flip_rate_per_us, duration_us)  # checks what every probe shares
+
+    def gap(r_b: float) -> float:
+        return _fidelities(r_b, r_d, flip_rate_per_us, duration_us)[0] - target_plus
+
     if gap(hi) < 0:
         raise ReadoutError(
             f"anchor F+={target_plus:.6f} unreachable: spin flips cap the bright "
@@ -142,18 +148,33 @@ class ReadoutBasisSet:
                    3 * math.pi / 4 + epsilon)
 
 
+def times_tensor(u: tuple[float, float, float],
+                 tensor: tuple[tuple[float, float, float], ...]) -> tuple[float, float, float]:
+    """The row u T, so that <A (x) B> = (u_A T) . u_B."""
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = tensor
+    u0, u1, u2 = u
+    return (u0 * t00 + u1 * t10 + u2 * t20,
+            u0 * t01 + u1 * t11 + u2 * t21,
+            u0 * t02 + u1 * t12 + u2 * t22)
+
+
+def correlations_from_rows(row_a: list[tuple[float, float, float]], readout_b: ReadoutModel,
+                           basis: ReadoutBasisSet) -> dict[tuple[int, int], float]:
+    """E(a,b) = (u_A T) . u_B per setting pair, from A's rows at ``basis.a0`` and ``a1``."""
+    u_b = [observable_components(readout_b, theta) for theta in (basis.b0, basis.b1)]
+    return {(a, b): row_a[a][0] * u_b[b][0] + row_a[a][1] * u_b[b][1] + row_a[a][2] * u_b[b][2]
+            for a, b in SETTING_PAIRS}
+
+
 def expected_correlations(state: QuantumState, readout_a: ReadoutModel,
                           readout_b: ReadoutModel,
                           basis: ReadoutBasisSet) -> dict[tuple[int, int], float]:
     """Predicted E(a,b) from the state, the readout POVMs, and the angles,
     all four from the state's one correlation tensor."""
-    from .quantum import times_tensor  # a config load builds no state
     tensor = state.correlation_tensor
     row_a = [times_tensor(observable_components(readout_a, theta), tensor)
              for theta in (basis.a0, basis.a1)]
-    u_b = [observable_components(readout_b, theta) for theta in (basis.b0, basis.b1)]
-    return {(a, b): row_a[a][0] * u_b[b][0] + row_a[a][1] * u_b[b][1] + row_a[a][2] * u_b[b][2]
-            for a, b in SETTING_PAIRS}
+    return correlations_from_rows(row_a, readout_b, basis)
 
 
 def chsh_combination(correlations: Mapping[tuple[int, int], float]) -> float:

@@ -146,11 +146,16 @@ def _visible_groups():
     return tuple((visible, np.array(indices)) for visible, indices in groups.items())
 
 
+def flip_branches(e_early, e_late):
+    """(w, f_early, f_late) of the model's flip branches of non-zero weight."""
+    return [(w, *divmod(branch, 2)) for w, branch in h._flip_branches(e_early, e_late)]
+
+
 def joint_source_state(errors, visibility):
     """Both nodes' spins and photons before the beam splitter, as one dense matrix."""
     rho = np.zeros((4 * FOCK_DIM, 4 * FOCK_DIM), dtype=np.complex128)
-    for w_a, fe_a, fl_a in h._flip_branches(errors.a_early, errors.a_late):
-        for w_b, fe_b, fl_b in h._flip_branches(errors.b_early, errors.b_late):
+    for w_a, fe_a, fl_a in flip_branches(errors.a_early, errors.a_late):
+        for w_b, fe_b, fl_b in flip_branches(errors.b_early, errors.b_late):
             vec = np.zeros(4 * FOCK_DIM, dtype=np.complex128)
             for bin_a, bin_b in product(TIME_BINS, repeat=2):
                 s_a = (0 if bin_a == "early" else 1) ^ (fe_a if bin_a == "early" else fl_a)
@@ -237,7 +242,7 @@ def dense_event_ready_state(model, errors, include_same_port=False):
 def spin_photon_state(errors):
     """Node A's (|up, early> + |down, late>)/sqrt(2), the spin flipped per the time bin's rate."""
     rho = np.zeros((4, 4))
-    for w, f_early, f_late in h._flip_branches(errors.a_early, errors.a_late):
+    for w, f_early, f_late in flip_branches(errors.a_early, errors.a_late):
         vec = np.zeros(4)
         vec[(0 ^ f_early) * 2 + 0] = 1 / SQRT2  # ideal: up with early
         vec[(1 ^ f_late) * 2 + 1] = 1 / SQRT2   # ideal: down with late
@@ -513,8 +518,8 @@ def _equivalence_grid():
 def branch_spin_maps(errors):
     """Weight and 0/1 (spin pair, emission pair) matrix of each (A x B) flip branch."""
     out = []
-    for w_a, fe_a, fl_a in h._flip_branches(errors.a_early, errors.a_late):
-        for w_b, fe_b, fl_b in h._flip_branches(errors.b_early, errors.b_late):
+    for w_a, fe_a, fl_a in flip_branches(errors.a_early, errors.a_late):
+        for w_b, fe_b, fl_b in flip_branches(errors.b_early, errors.b_late):
             m = np.zeros((4, 4))
             for bin_a, bin_b in product((0, 1), repeat=2):
                 # ideal: spin up (0) with the early photon, down (1) with the late
@@ -581,8 +586,8 @@ def reference_branch_kets(errors, visibility):
             pair = np.asarray(h._two_photon_amplitudes(bin_a, bin_b, sector_b)).ravel()
             emissions.append((bin_a, bin_b, 0.5 * amp_b * pair))
     weights, kets = [], []
-    for w_a, fe_a, fl_a in h._flip_branches(errors.a_early, errors.a_late):
-        for w_b, fe_b, fl_b in h._flip_branches(errors.b_early, errors.b_late):
+    for w_a, fe_a, fl_a in flip_branches(errors.a_early, errors.a_late):
+        for w_b, fe_b, fl_b in flip_branches(errors.b_early, errors.b_late):
             ket = np.zeros((4, 64))
             for bin_a, bin_b, amp in emissions:
                 # ideal: spin up (0) with the early photon, down (1) with the late
@@ -699,6 +704,8 @@ def nested_list_build(model, errors):
     probability = 0.0
     for s in range(4):
         probability += rho[s][s]
+    if probability < 1e-15:
+        raise h.UnheraldableError("requested detection pattern has zero probability")
     return probability, [[x / probability for x in row] for row in rho]
 
 
@@ -725,20 +732,58 @@ def _bitwise_points():
          h.SpinPhotonErrorModel()),
         (h.InterferenceModel(visibility=0.8, detector_efficiency=(0.6, 0.95)),
          h.SpinPhotonErrorModel()),
+        # a dead port: no singlet pattern can click, so both builds raise
+        (h.InterferenceModel(visibility=0.9, detector_efficiency=(0.0, 1.0)),
+         h.SpinPhotonErrorModel()),
         *_equivalence_grid(),
         *_random_points(400),
     ]
 
 
 def test_event_ready_state_matches_the_nested_list_build_bit_for_bit():
+    unheraldable = 0
     for model, errors in _bitwise_points():
         point = f"{model}, {errors}"
-        probability, rho = nested_list_build(model, errors)
+        try:
+            probability, rho = nested_list_build(model, errors)
+        except h.UnheraldableError as reference_error:
+            with pytest.raises(h.UnheraldableError) as error:
+                h.event_ready_state.__wrapped__(model, errors)
+            assert str(error.value) == str(reference_error), point
+            unheraldable += 1
+            continue
         res = h.event_ready_state.__wrapped__(model, errors)
         assert res.probability.hex() == probability.hex(), point
         assert [z.hex() for z in res.spin_state.data] == [x.hex() for row in rho for x in row], \
             point
         assert all(type(z) is float for z in res.spin_state.data), point
+    assert unheraldable == 1  # the dead port
+
+
+def test_gram_support_is_cached_read_only_and_holds_every_non_zero_entry():
+    for efficiency, false_click, size in [((1.0, 1.0), 0.0, 4), ((0.6, 0.95), 0.0, 4),
+                                          ((1.0, 1.0), 0.01, 6), ((0.6, 0.95), 0.01, 6),
+                                          ((0.0, 1.0), 0.0, 0)]:
+        cached = h._gram_support(efficiency, false_click)
+        assert h._gram_support(efficiency, false_click) is cached
+        support, values = cached
+        # inefficient detectors alone add no entry: a both-early or both-late
+        # emission pair fills only one time bin, and only a false click fills the other
+        assert len(support) == size
+        assert len(values) == len(h.SINGLET_PATTERNS)
+        for pattern, pattern_values in zip(h.SINGLET_PATTERNS, values):
+            for gram, on_support in zip(h._pattern_grams(pattern, efficiency, false_click),
+                                        pattern_values):
+                flat = [x for row in gram for x in row]
+                assert on_support == tuple(flat[j] for j in support)
+                # off the support every entry is +0.0, which the build skips
+                assert all(flat[j].hex() == "0x0.0p+0"
+                           for j in range(16) if j not in support)
+        with pytest.raises(TypeError):
+            values[0][0][0] = 0.5
+        with pytest.raises(TypeError):
+            support[0] = 0
+    assert h._gram_support((1.0, 1.0), 0.0)[0] == (5, 6, 9, 10)
 
 
 def test_pattern_grams_are_cached_and_read_only():

@@ -11,7 +11,7 @@ from bellsim import heralding as h
 from bellsim import optimizer as opt
 from bellsim import quantum as q
 from bellsim.config import default_config
-from bellsim.readout import ReadoutBasisSet, ReadoutModel
+from bellsim.readout import ReadoutBasisSet, ReadoutModel, observable_components, times_tensor
 
 from test_heralding import sweep_points
 from test_quantum import expectation, rotated_povm, singlet
@@ -124,7 +124,9 @@ def test_tensor_correlations_match_observable_path(case):
 @pytest.mark.parametrize("case", range(len(RANDOM_CASES)))
 def test_tilt_coefficients_reproduce_s(case):
     state, ra, rb = RANDOM_CASES[case]
-    c0, c1, c2 = opt.tilt_coefficients(state, ra, rb)
+    rows = [times_tensor(observable_components(ra, theta), state.correlation_tensor)
+            for theta in (0.0, math.pi / 2)]
+    c0, c1, c2 = opt.tilt_coefficients(rows, rb)
     for eps in np.random.default_rng(case).uniform(-math.pi, math.pi, 5):
         assert abs(c0 + c1 * math.cos(eps) + c2 * math.sin(eps)
                    - reference_s(state, ra, rb, eps)) < 1e-12
@@ -247,6 +249,23 @@ def test_uninformative_readout_flags_degeneracy():
     assert result.epsilon == 0.0
 
 
+def test_final_s_is_the_floats_expected_s_gives():
+    cfg = default_config()
+    ra, rb = cfg.readout_model("A"), cfg.readout_model("B")
+    flat = ReadoutModel(0.0, math.log(2.0), 0.0, duration_us=1.0)
+    default_state = cfg.heralded_state().spin_state
+    cases = [(opt.OptimizationSpec(), h.event_ready_state(model, errors).spin_state, ra, rb)
+             for model, errors in sweep_points()]
+    # degenerate: the canonical tilt 0, and the lower bound when 0 is outside the bounds
+    cases += [(opt.OptimizationSpec(), default_state, flat, rb),
+              (opt.OptimizationSpec(epsilon_min=0.1, epsilon_max=0.3), default_state, flat, rb)]
+    for spec, state, readout_a, readout_b in cases:
+        result = opt.optimize(spec, state, readout_a, readout_b)
+        assert (result.expected_s.hex()
+                == opt.expected_s(state, readout_a, readout_b, result.basis).hex())
+    assert result.degenerate and result.epsilon == 0.1
+
+
 def test_optimum_beats_random_probes():
     state, ra, rb = calibrated_inputs()
     spec = opt.OptimizationSpec()
@@ -274,7 +293,8 @@ def test_tsirelson_ceiling_respected():
 
 @pytest.mark.parametrize("bad_s", [math.nan, math.inf, 2 * SQRT2 + 1e-6])
 def test_final_s_is_checked(monkeypatch, bad_s):
-    monkeypatch.setattr(opt, "expected_s", lambda *args: bad_s)
+    # optimize sums its final S from the rows of the closed form, through chsh_combination
+    monkeypatch.setattr(opt, "chsh_combination", lambda *args: bad_s)
     with pytest.raises(opt.OptimizerError):
         opt.optimize(opt.OptimizationSpec(), singlet(), perfect_readout(), perfect_readout())
 
@@ -337,6 +357,7 @@ def test_model_points_do_not_depend_on_how_the_interpreter_sums_floats(monkeypat
 
     def clear_caches():
         h.event_ready_state.cache_clear()
+        h._gram_support.cache_clear()
         h._pattern_grams.cache_clear()
 
     clear_caches()
