@@ -13,8 +13,8 @@ import argparse
 import math
 import sys
 
-from bellsim import bell_stats, engine, heralding, optimizer, quantum, spacetime
-from bellsim.config import default_config, herald_probability
+from bellsim import bell_stats, engine, optimizer, quantum, spacetime
+from bellsim.config import default_config
 
 
 def main() -> int:
@@ -33,14 +33,12 @@ def main() -> int:
     fidelity = quantum.singlet_fidelity(herald.spin_state)
     s_pred = optimizer.expected_s(herald.spin_state, cfg.readout_model("A"),
                                   cfg.readout_model("B"), cfg.basis_set())
-    p_attempt = herald_probability(cfg.link)
 
     print("model predictions")
     print(f"  heralded-state fidelity      {fidelity:.4f}")
-    print(f"  herald probability/attempt   {p_attempt:.3e}")
+    print(f"  herald probability/attempt   {cfg.link.herald_probability:.3e}")
     print(f"  expected S at eps=0.026 pi   {s_pred:.4f}")
-    vis = heralding.hom_visibility(cfg.heralding.hom_counts_indistinguishable,
-                                   cfg.heralding.hom_counts_distinguishable)
+    vis = cfg.heralding.visibility
     print(f"  visibility estimate          {vis.value:.3f} +- {vis.sigma:.3f}")
 
     log = engine.run_experiment(cfg, n_trials=trials, seed=seed)

@@ -25,8 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import heralding, spacetime
-from .config import (ConfigError, OptimizerError, SimulationConfig, default_config,
-                     herald_probability, load_config)
+from .config import ConfigError, OptimizerError, SimulationConfig, default_config, load_config
 from .readout import ReadoutBasisSet, chsh_combination, expected_correlations
 
 if TYPE_CHECKING:
@@ -123,11 +122,7 @@ def cmd_characterize(args) -> int:
     cfg = _load(args)
     herald = cfg.heralded_state()
     fidelity = quantum.singlet_fidelity(herald.spin_state)
-    visibility = heralding.hom_visibility(
-        cfg.heralding.hom_counts_indistinguishable,
-        cfg.heralding.hom_counts_distinguishable,
-    )
-    errors = cfg.spin_photon_errors
+    visibility, errors = cfg.heralding.visibility, cfg.spin_photon_errors
     spin_photon_rows = []
     for side, e_early, e_late in (("A", errors.a_early, errors.a_late),
                                   ("B", errors.b_early, errors.b_late)):
@@ -145,7 +140,7 @@ def cmd_characterize(args) -> int:
     summary = {
         "heralded_fidelity": fidelity,
         "herald_pattern_probability": herald.probability,
-        "herald_probability_per_attempt": herald_probability(cfg.link),
+        "herald_probability_per_attempt": cfg.link.herald_probability,
         "visibility": {"value": visibility.value, "sigma": visibility.sigma},
         "expected_correlations": {f"{a}{b}": e for (a, b), e in sorted(correlations.items())},
         "expected_s": chsh_combination(correlations),
@@ -237,7 +232,7 @@ def cmd_audit(args) -> int:
 def cmd_optimize(args) -> int:
     from . import optimizer
     cfg = _load(args)
-    result = optimizer.optimize(cfg.optimizer.spec(), cfg.heralded_state().spin_state,
+    result = optimizer.optimize(cfg.optimizer.spec, cfg.heralded_state().spin_state,
                                 cfg.readout_model("A"), cfg.readout_model("B"))
     payload = {
         "epsilon_rad": result.epsilon,

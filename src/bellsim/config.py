@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 from .heralding import (HeraldResult, InterferenceModel, SpinPhotonErrorModel,
-                        event_ready_state, hom_visibility)
+                        VisibilityEstimate, event_ready_state, hom_visibility)
 from .randomness import RngModel
 from .readout import ReadoutBasisSet, ReadoutError, ReadoutModel, calibrate_readout
 from .spacetime import SPEED_OF_LIGHT_M_PER_S, Geometry, TimingBudget
@@ -58,12 +58,13 @@ class ReadoutConfig:
 
 @dataclass(frozen=True)
 class BasisConfig:
-    """Readout angles via the symmetric tilt parametrisation (units of pi)."""
+    """Readout angles via the symmetric tilt (units of pi), and the basis set they give."""
 
     epsilon_pi: float = 0.026
+    angles: ReadoutBasisSet = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        ReadoutBasisSet.from_tilt(self.epsilon_pi * math.pi)  # a tilt that overflows fails here
+    def __post_init__(self):  # a tilt that overflows fails here
+        object.__setattr__(self, "angles", ReadoutBasisSet.from_tilt(self.epsilon_pi * math.pi))
 
 
 # Largest expected attempt count 1/p per trial: about 630 years per trial at a
@@ -74,21 +75,12 @@ MAX_EXPECTED_ATTEMPTS = 1e15
 PATTERN_PROBABILITY = 0.25
 
 
-def herald_probability(link: LinkConfig) -> float:
-    """Herald probability per attempt: pattern probability times both arms.
-
-    Each arm multiplies collection efficiency, fibre transmission
-    10^(-loss_db_per_km * km / 10), and detector efficiency. The link config
-    checks every factor's range at construction.
-    """
-    transmission = 10.0 ** (-link.loss_db_per_km * link.fibre_km_per_arm / 10.0)
-    arm = link.collection_efficiency * transmission * link.detector_efficiency
-    return PATTERN_PROBABILITY * arm * arm
-
-
 @dataclass(frozen=True)
 class LinkConfig:
-    """Per-arm photon budget and the attempt clock."""
+    """Per-arm photon budget and attempt clock. ``herald_probability`` per attempt is the
+    pattern probability times both arms (collection efficiency, fibre transmission
+    10^(-loss_db_per_km * km / 10), detector efficiency); ``herald_delay_ns`` is a
+    photon's flight time through one arm to the midpoint."""
 
     collection_efficiency: float = 3.83e-3
     fibre_km_per_arm: float = 0.85
@@ -96,6 +88,8 @@ class LinkConfig:
     detector_efficiency: float = 0.2
     refractive_index: float = 1.47
     attempt_period_ns: float = 20_000.0
+    herald_probability: float = field(init=False, repr=False, compare=False)
+    herald_delay_ns: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check(self, "in [0, 1]", lambda v: 0 <= v <= 1,
@@ -103,7 +97,12 @@ class LinkConfig:
         _check(self, ">= 0", lambda v: v >= 0, "fibre_km_per_arm", "loss_db_per_km")
         _check(self, ">= 1", lambda v: v >= 1, "refractive_index")
         _check(self, "> 0", lambda v: v > 0, "attempt_period_ns")
-        p = herald_probability(self)
+        transmission = 10.0 ** (-self.loss_db_per_km * self.fibre_km_per_arm / 10.0)
+        arm = self.collection_efficiency * transmission * self.detector_efficiency
+        p = PATTERN_PROBABILITY * arm * arm
+        object.__setattr__(self, "herald_probability", p)
+        object.__setattr__(self, "herald_delay_ns", self.fibre_km_per_arm * 1000.0
+                           * self.refractive_index / SPEED_OF_LIGHT_M_PER_S * 1e9)
         if p == 0:
             raise ConfigError("the composed herald probability per attempt is 0: "
                               "the link can never herald")
@@ -138,13 +137,15 @@ class StatisticsConfig:
 
 @dataclass(frozen=True)
 class HeraldingConfig:
-    """The HOM coincidence counts that the reported visibility is estimated from."""
+    """The HOM coincidence counts, and the reported visibility estimated from them."""
 
     hom_counts_indistinguishable: float = 3.0
     hom_counts_distinguishable: float = 28.0
+    visibility: VisibilityEstimate = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        hom_visibility(self.hom_counts_indistinguishable, self.hom_counts_distinguishable)
+        object.__setattr__(self, "visibility", hom_visibility(
+            self.hom_counts_indistinguishable, self.hom_counts_distinguishable))
 
 
 OBJECTIVES = ("expected-s", "expected-complete-significance")
@@ -177,27 +178,26 @@ class OptimizationSpec:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """The readout-tilt optimizer's objective and bounds, in units of pi."""
+    """The readout-tilt optimizer's objective and bounds, in units of pi, and the
+    optimizer's input they give; its checks are the only rules of this section."""
 
     objective: str = "expected-s"
     epsilon_min_pi: float = -0.125
     epsilon_max_pi: float = 0.125
     grid_points: int = 64
     tolerance_rad: float = 1e-4
+    spec: OptimizationSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.spec()
-
-    def spec(self) -> OptimizationSpec:
-        """The optimizer's input; its checks are the only rules of this section."""
-        return OptimizationSpec(self.objective, self.epsilon_min_pi * math.pi,
-                                self.epsilon_max_pi * math.pi, self.grid_points,
-                                self.tolerance_rad)
+        object.__setattr__(self, "spec", OptimizationSpec(
+            self.objective, self.epsilon_min_pi * math.pi, self.epsilon_max_pi * math.pi,
+            self.grid_points, self.tolerance_rad))
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """The whole parameter tree of one simulated experiment, one section per field."""
+    """The whole parameter tree of one simulated experiment, one section per field; a section
+    keeps each value its check builds, in a field no key, ``==``, repr or hash sees."""
 
     interference: InterferenceModel = InterferenceModel()
     spin_photon_errors: SpinPhotonErrorModel = SpinPhotonErrorModel()
@@ -231,7 +231,7 @@ class SimulationConfig:
         readout_end_ns = (t.choice_delay_ns + t.jitter_ns + t.choice_to_readout_ns
                           + 1e3 * max(self.readout_a.duration_us, self.readout_b.duration_us)
                           + t.jitter_ns)
-        if not math.isfinite(max(self.herald_delay_ns() + t.jitter_ns, readout_end_ns)):
+        if not math.isfinite(max(self.link.herald_delay_ns + t.jitter_ns, readout_end_ns)):
             raise ConfigError("the latest event time of a trial overflows: the timing budget, "
                               "1e3 * readout_*.duration_us and the fibre delay must sum to a "
                               "finite number of ns")
@@ -256,7 +256,7 @@ class SimulationConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def basis_set(self) -> ReadoutBasisSet:
-        return ReadoutBasisSet.from_tilt(self.basis.epsilon_pi * math.pi)
+        return self.basis.angles
 
     def readout_model(self, side: str) -> ReadoutModel:
         side = side.upper()
@@ -272,11 +272,6 @@ class SimulationConfig:
 
     def timing_budget(self) -> TimingBudget:
         return self.timing
-
-    def herald_delay_ns(self) -> float:
-        """Photon flight time through one fibre arm to the midpoint."""
-        metres = self.link.fibre_km_per_arm * 1000.0
-        return metres * self.link.refractive_index / SPEED_OF_LIGHT_M_PER_S * 1e9
 
 
 def default_config() -> SimulationConfig:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SimulationConfig, herald_probability
+from .config import SimulationConfig
 # record_events: also reached as engine.record_events
 from .logio import BLOCK_TRIALS, EngineError, TrialLog, TrialRecord, _new_record, record_events
 from .randomness import setting_bits
@@ -95,7 +95,7 @@ def _timestamps(cfg: SimulationConfig, timing_rng: np.random.Generator,
     # at zero jitter every draw is +0.0, which leaves each time as it is
     jitter = timing_rng.uniform(-t.jitter_ns, t.jitter_ns, size=(count, 5)).T
     times = np.empty((5, count))
-    np.add(cfg.herald_delay_ns(), jitter[2], out=times[0])
+    np.add(cfg.link.herald_delay_ns, jitter[2], out=times[0])
     np.add(t.choice_delay_ns, jitter[:2], out=times[1:3])
     # each readout end sums ((choice + choice_to_readout) + window) + jitter
     np.add(times[1:3], t.choice_to_readout_ns, out=times[3:])
@@ -140,7 +140,7 @@ def run_experiment(cfg: SimulationConfig, n_trials: int | None = None,
     if n_trials is not None and n_trials < 0:
         raise EngineError("trial count must be non-negative")
     streams = TrialStreams.from_seed(seed)
-    p = herald_probability(cfg.link)
+    p = cfg.link.herald_probability
     if cfg._cumulative_outcomes is None:  # kept on cfg, as cfg.config_hash is
         cumulative = outcome_distribution(cfg).cumsum(axis=2)
         cumulative.setflags(write=False)

@@ -13,7 +13,9 @@ A readout ends ``choice_to_readout_ns`` plus its site's modelled window
 (``readout_*.duration_us``, the fidelity calibration point) after its choice.
 Margins are reported raw (signed nanoseconds of headroom); a condition
 passes when its margin exceeds the synchronisation/position allowance.
-All checks are translation invariant in time.
+All checks are translation invariant in time. A float margin within its
+rounding error of the allowance is decided from the exact sum of the logged
+times and d * 10^9 / c, and moved to the side that sum lies on.
 
 A ``LocalityReport`` is one flat tuple of four floats, the three margins and
 the allowance, so an audit of many trials leaves one object per trial for the
@@ -108,6 +110,26 @@ class LocalityReport(NamedTuple):
 
 _new = tuple.__new__
 
+# A float margin (x + light time) - y is off its exact value by at most 2^-51 times the
+# sum of the trial's |times| and light times (the light time's two roundings, the sum's
+# two and the conversion of int times); a margin within four times that is a near-tie.
+_NEAR_TIE = 2.0 ** -49
+
+
+def _decide_exactly(times, geometry: Geometry, allowance: float, margins) -> tuple:
+    """``margins`` on the sides of ``allowance`` that their exact values lie on: a float
+    margin that rounding lifted over the allowance becomes the allowance, and one that
+    rounding held at or under it becomes the next float above it."""
+    from fractions import Fraction  # it loads decimal: only a near-tie pays for it
+    t_herald, t_choice_a, t_choice_b, t_done_a, t_done_b = map(Fraction, times)
+    lt_ab, lt_ac, lt_cb = (Fraction(d) * 10**9 / Fraction(SPEED_OF_LIGHT_M_PER_S)
+                           for d in (geometry.ab_m, geometry.ac_m, geometry.cb_m))
+    exact = (t_choice_b + lt_ab - t_done_a, t_choice_a + lt_ab - t_done_b,
+             min(t_choice_a + lt_ac - t_herald, t_choice_b + lt_cb - t_herald))
+    a, above = Fraction(allowance), math.nextafter(allowance, math.inf)
+    return tuple(m if (m > allowance) == (e > a) else above if e > a else allowance
+                 for m, e in zip(margins, exact))
+
 
 def audit_trial(times: tuple[float, float, float, float, float], geometry: Geometry,
                 budget: TimingBudget) -> LocalityReport:
@@ -118,8 +140,13 @@ def audit_trial(times: tuple[float, float, float, float, float], geometry: Geome
     """
     t_herald, t_choice_a, t_choice_b, t_done_a, t_done_b = times
     lt_ab, lt_ac, lt_cb = geometry.light_times_ns
+    a = budget.sync_allowance_ns
     m_a = t_choice_b + lt_ab - t_done_a
     m_b = t_choice_a + lt_ab - t_done_b
     m_c = min(t_choice_a + lt_ac - t_herald, t_choice_b + lt_cb - t_herald)
+    tie = _NEAR_TIE * (abs(t_herald) + abs(t_choice_a) + abs(t_choice_b) + abs(t_done_a)
+                       + abs(t_done_b) + lt_ab + lt_ac + lt_cb)
+    if -tie <= m_a - a <= tie or -tie <= m_b - a <= tie or -tie <= m_c - a <= tie:
+        m_a, m_b, m_c = _decide_exactly(times, geometry, a, (m_a, m_b, m_c))
     # tuple.__new__ skips the NamedTuple's Python-level __new__: a quarter of the audit's time
-    return _new(LocalityReport, (m_a, m_b, m_c, budget.sync_allowance_ns))
+    return _new(LocalityReport, (m_a, m_b, m_c, a))

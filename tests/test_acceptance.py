@@ -191,7 +191,7 @@ def test_c11_property_suites(tmp_path):
                                detector_efficiency=1.0, loss_db_per_km=0.0)
     fast = dataclasses.replace(CFG, link=link)
     log = engine.run_experiment(fast, n_trials=10_000, seed=31)
-    p = engine.herald_probability(link)
+    p = link.herald_probability
     attempts = np.array([r.attempts for r in log.records], dtype=float)
     sigma = math.sqrt((1 - p) / p**2 / attempts.size)
     ok = ok and abs(attempts.mean() - 1 / p) < 3 * sigma

@@ -169,7 +169,7 @@ def test_analyze_reports_whether_the_log_is_partial(tmp_path, fast_config, capsy
     from bellsim.config import load_config
 
     link = load_config(fast_config).link
-    hours = 120 / engine.herald_probability(link) * link.attempt_period_ns / 3600e9
+    hours = 120 / link.herald_probability * link.attempt_period_ns / 3600e9
     full = make_log(tmp_path, fast_config, n=100)
     cut = tmp_path / "cut.jsonl"
     assert run(["simulate", "--config", fast_config, "--n", "245", "--hours", str(hours),
@@ -525,6 +525,16 @@ def test_removed_config_key_is_usage_error(tmp_path, capsys):
         cfg.write_text(f"{section}:\n  {key}: {value}\n")
         assert run(["characterize", "--config", str(cfg)]) == 1
         assert f"unknown key(s): {section}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [("basis", "angles"), ("link", "herald_delay_ns"),
+                                          ("link", "herald_probability"), ("optimizer", "spec")])
+def test_a_kept_value_written_as_a_key_is_usage_error(tmp_path, capsys, section, key):
+    # a section keeps the value its check builds, but no config key sets it
+    cfg = tmp_path / "kept.yaml"
+    cfg.write_text(f"{section}:\n  {key}: 0.5\n")
+    assert run(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 1
+    assert capsys.readouterr().err == f"config error: unknown key(s): {section}.{key}\n"
 
 
 def test_stale_keys_of_every_section_are_one_error(tmp_path, capsys):

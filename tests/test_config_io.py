@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from bellsim import cli, engine, logio
 from bellsim import config as cfg_mod
-from bellsim.readout import ReadoutError
+from bellsim.heralding import hom_visibility
+from bellsim.readout import ReadoutBasisSet, ReadoutError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -336,11 +337,66 @@ def test_config_round_trip_through_dict():
     assert rebuilt == base
 
 
+# (section, kept field) of every value a section's check builds and keeps
+KEPT = [("link", "herald_probability"), ("link", "herald_delay_ns"), ("basis", "angles"),
+        ("heralding", "visibility"), ("optimizer", "spec"), ("readout_a", "model"),
+        ("readout_b", "model")]
+
+# a section of other inputs, whose kept values differ from the default's
+OTHER = {"link": cfg_mod.LinkConfig(loss_db_per_km=4.0, refractive_index=1.5),
+         "basis": cfg_mod.BasisConfig(0.1), "heralding": cfg_mod.HeraldingConfig(7.0),
+         "optimizer": cfg_mod.OptimizerConfig(epsilon_max_pi=0.25),
+         "readout_a": cfg_mod.ReadoutConfig(0.95), "readout_b": cfg_mod.ReadoutConfig(0.95)}
+
+
+def test_a_replaced_section_recomputes_its_kept_values():
+    base = cfg_mod.default_config()
+    link = dataclasses.replace(base.link, loss_db_per_km=4.0, refractive_index=1.5)
+    assert link.herald_probability == cfg_mod.LinkConfig(loss_db_per_km=4.0).herald_probability
+    assert link.herald_probability > base.link.herald_probability
+    assert link.herald_delay_ns == 850.0 * 1.5 / 299_792_458.0 * 1e9
+    cfg = dataclasses.replace(base, basis=cfg_mod.BasisConfig(0.1))
+    assert cfg.basis_set() == ReadoutBasisSet.from_tilt(0.1 * math.pi) != base.basis_set()
+    heralding = dataclasses.replace(base.heralding, hom_counts_indistinguishable=7.0)
+    assert heralding.visibility == hom_visibility(7.0, 28.0) != base.heralding.visibility
+    optimizer = dataclasses.replace(base.optimizer, epsilon_max_pi=0.25)
+    assert optimizer.spec.epsilon_max == 0.25 * math.pi
+    assert optimizer.spec.epsilon_min == base.optimizer.spec.epsilon_min == -0.125 * math.pi
+
+
+def test_a_kept_value_is_built_once_per_section():
+    cfg = cfg_mod.default_config()
+    assert cfg.basis_set() is cfg.basis_set() is cfg.basis.angles
+
+
+def test_no_kept_value_enters_the_hash_equality_or_repr():
+    base = cfg_mod.default_config()
+    assert base.config_hash == "6514d010cc5310a0c534bf47f04fbdb975a3fc2c9ba8310e03fa240362970d9c"
+    assert sum(map(len, cfg_mod.config_to_dict(base).values())) == 42  # keys of the sections
+    for section, name in KEPT:
+        assert name not in cfg_mod.config_to_dict(base)[section]
+        assert f"{name}=" not in repr(getattr(base, section))
+        # a section given another section's kept value is still equal, with an equal hash
+        own, alien = getattr(getattr(base, section), name), getattr(OTHER[section], name)
+        assert alien != own
+        other = dataclasses.replace(getattr(base, section))
+        object.__setattr__(other, name, alien)
+        changed = dataclasses.replace(base, **{section: other})
+        assert changed == base and hash(changed) == hash(base)
+        assert changed.config_hash == base.config_hash
+
+
+@pytest.mark.parametrize("section, name", KEPT)
+def test_a_kept_value_is_no_config_key(section, name):
+    with pytest.raises(cfg_mod.ConfigError, match=rf"unknown key\(s\): {section}\.{name}$"):
+        cfg_mod.config_from_dict({section: {name: 0.5}})
+
+
 def test_derived_models_available():
     cfg = cfg_mod.default_config()
     assert cfg.readout_model("A").fidelities[1] > 0.98
     assert cfg.basis_set().b1 == 3 * math.pi / 4 + 0.026 * math.pi
-    assert cfg.herald_delay_ns() > 0
+    assert cfg.link.herald_delay_ns > 0
     assert cfg.timing_budget().sync_allowance_ns == 16.0
 
 

@@ -43,25 +43,25 @@ def fast_cfg(**experiment):
 def test_unit_efficiencies_reduce_to_pattern_probability():
     link = LinkConfig(collection_efficiency=1.0, fibre_km_per_arm=0.0,
                       loss_db_per_km=8.0, detector_efficiency=1.0)
-    assert abs(engine.herald_probability(link) - 0.25) < 1e-12
+    assert abs(link.herald_probability - 0.25) < 1e-12
 
 
 def test_fibre_only_budget_composition():
     link = LinkConfig(collection_efficiency=1.0, fibre_km_per_arm=0.85,
                       loss_db_per_km=8.0, detector_efficiency=1.0)
     per_arm = 10 ** (-0.68)
-    assert abs(engine.herald_probability(link) - 0.25 * per_arm**2) < 1e-12
-    assert abs(engine.herald_probability(link) - 1.0912895806e-2) < 1e-9
+    assert abs(link.herald_probability - 0.25 * per_arm**2) < 1e-12
+    assert abs(link.herald_probability - 1.0912895806e-2) < 1e-9
 
 
 def test_calibrated_budget_reproduces_headline_rate():
-    p = engine.herald_probability(CFG.link)
+    p = CFG.link.herald_probability
     assert 6.4e-9 / 2 <= p <= 6.4e-9 * 2
     assert abs(p - 6.4e-9) / 6.4e-9 < 0.01  # fitted default lands on the target
 
 
 def test_expected_heralds_in_a_long_run():
-    p = engine.herald_probability(CFG.link)
+    p = CFG.link.herald_probability
     attempts_per_hour = 3600.0 * 1e9 / CFG.link.attempt_period_ns
     heralds_220h = 220.0 * attempts_per_hour * p
     assert 200 <= heralds_220h <= 300  # a few event-ready signals per hour
@@ -105,7 +105,7 @@ def run_trial(cfg, idx, streams, force_settings=None):
     state, one trial at a time; the engine's outcome table must agree with it.
     Settings and timestamps come from the same helpers as the block loop.
     """
-    attempts = int(streams.attempts.geometric(engine.herald_probability(cfg.link)))
+    attempts = int(streams.attempts.geometric(cfg.link.herald_probability))
     if force_settings is not None:
         a, b = force_settings
     else:
@@ -204,10 +204,16 @@ def test_typical_runs_land_in_the_expected_band():
     assert 2.1 <= median <= 2.6
 
 
-def test_unit_probability_makes_every_attempt_count(monkeypatch):
+def heralding_at(cfg, p: float):
+    """``cfg`` on a replaced link whose kept herald probability is set to ``p``."""
+    link = dataclasses.replace(cfg.link)
+    object.__setattr__(link, "herald_probability", p)
+    return dataclasses.replace(cfg, link=link)
+
+
+def test_unit_probability_makes_every_attempt_count():
     # no link budget reaches p = 1: the pattern probability alone is 1/4
-    monkeypatch.setattr(engine, "herald_probability", lambda link: 1.0)
-    log = engine.run_experiment(fast_cfg(), n_trials=10, seed=3)
+    log = engine.run_experiment(heralding_at(fast_cfg(), 1.0), n_trials=10, seed=3)
     assert [r.attempts for r in log.records] == [1] * 10  # degenerate geometric
 
 
@@ -228,7 +234,7 @@ def fibre_limited_link(p: float) -> LinkConfig:
 
 def test_link_beyond_the_attempt_cap_rejected():
     from bellsim.config import MAX_EXPECTED_ATTEMPTS
-    p = engine.herald_probability(fibre_limited_link(2 / MAX_EXPECTED_ATTEMPTS))
+    p = fibre_limited_link(2 / MAX_EXPECTED_ATTEMPTS).herald_probability
     assert abs(p * MAX_EXPECTED_ATTEMPTS - 2) < 1e-9
     with pytest.raises(ConfigError, match="expected attempts per trial"):
         fibre_limited_link(0.5 / MAX_EXPECTED_ATTEMPTS)
@@ -241,16 +247,16 @@ def test_negative_trial_count_rejected():
         engine.run_experiment(CFG, n_trials=-1, seed=1)
 
 
-def test_saturated_attempt_draw_raises(monkeypatch):
-    # numpy's geometric draw returns 2**63 - 1 for every trial at this p
-    monkeypatch.setattr(engine, "herald_probability", lambda link: 1.5e-41)
+def test_saturated_attempt_draw_raises():
+    # numpy's geometric draw returns 2**63 - 1 for every trial at this p, which the
+    # link's attempt cap keeps any budget from reaching
     with pytest.raises(engine.EngineError, match="int64 ceiling"):
-        engine.run_experiment(CFG, n_trials=3, seed=1)
+        engine.run_experiment(heralding_at(CFG, 1.5e-41), n_trials=3, seed=1)
 
 
 def test_geometric_attempt_statistics():
     cfg = fast_cfg()
-    p = engine.herald_probability(cfg.link)
+    p = cfg.link.herald_probability
     log = engine.run_experiment(cfg, n_trials=10_000, seed=11)
     attempts = np.array([r.attempts for r in log.records], dtype=float)
     mean = attempts.mean()
@@ -352,7 +358,7 @@ def test_budget_cut_late_in_the_run_keeps_the_leading_records():
 
 def test_hours_budget_truncates_and_flags_partial():
     cfg = fast_cfg()
-    p = engine.herald_probability(cfg.link)
+    p = cfg.link.herald_probability
     # budget worth ~20 trials out of 100 requested
     hours = 20.0 / p * cfg.link.attempt_period_ns / 3600e9
     log = engine.run_experiment(cfg, n_trials=100, hours=hours, seed=5)
@@ -362,7 +368,7 @@ def test_hours_budget_truncates_and_flags_partial():
 
 def test_pure_hours_budget_is_not_partial():
     cfg = fast_cfg()
-    p = engine.herald_probability(cfg.link)
+    p = cfg.link.herald_probability
     hours = 50.0 / p * cfg.link.attempt_period_ns / 3600e9
     log = engine.run_experiment(cfg, n_trials=None, hours=hours, seed=5)
     assert not log.partial

@@ -316,7 +316,7 @@ def sweep_point_digest():
     the four expected correlations and the optimizer's tilt and S."""
     cfg = default_config()
     ra, rb = cfg.readout_model("A"), cfg.readout_model("B")
-    spec = cfg.optimizer.spec()
+    spec = cfg.optimizer.spec
     digest = hashlib.sha256()
     for model, errors in sweep_points():
         herald = h.event_ready_state(model, errors)

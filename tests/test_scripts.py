@@ -1,8 +1,9 @@
 """The demonstration scripts run end to end as fresh processes.
 
 They reach ``engine.record_events``, ``spacetime.audit_trial``,
-``Geometry.light_times_ns`` and ``heralding.hom_visibility`` the way a user does, so a
-change that moves or deletes one of those breaks a test here.
+``Geometry.light_times_ns``, ``cfg.link.herald_probability`` and
+``cfg.heralding.visibility`` the way a user does, so a change that moves or deletes
+one of those breaks a test here.
 """
 
 import os

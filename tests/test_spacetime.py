@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from bellsim import cli
 from bellsim import spacetime as sp
 from bellsim.config import ConfigError, LinkConfig, config_from_dict, default_config
 from bellsim.engine import record_events, run_experiment
-from bellsim.logio import LogFormatError, read_log, write_log
+from bellsim.logio import LogFormatError, TrialLog, TrialRecord, read_log, write_log
 
 GEOMETRY = sp.Geometry()
 BUDGET = sp.TimingBudget()
@@ -150,11 +151,13 @@ def test_a_margin_equal_to_the_allowance_fails():
     report = sp.LocalityReport(16.0, 16.5, math.nextafter(16.0, 0.0), 16.0)
     assert [c.passed for c in report.checks] == [False, True, False]
     assert not report.all_pass and report.min_margin_ns == math.nextafter(16.0, 0.0)
-    # and through audit_trial: an allowance of exactly A's readout margin fails A alone
+    # and through audit_trial: an allowance of exactly A's readout margin fails A alone;
+    # sites half a light-second apart make each light time 5e8 ns, so each margin is exact
+    geometry = sp.Geometry(149_896_229.0, 149_896_229.0, 149_896_229.0)
     herald, choice_a, choice_b, done_a, done_b = nominal_schedule()
     times = (herald, choice_a + 3.0, choice_b, done_a, done_b)  # B's margin 3 ns wider
-    margin_a = sp.audit_trial(times, GEOMETRY, BUDGET).readout_a_ns
-    report = sp.audit_trial(times, GEOMETRY, sp.TimingBudget(sync_allowance_ns=margin_a))
+    margin_a = sp.audit_trial(times, geometry, BUDGET).readout_a_ns
+    report = sp.audit_trial(times, geometry, sp.TimingBudget(sync_allowance_ns=margin_a))
     assert report.readout_a_ns == report.allowance_ns == margin_a
     assert [c.passed for c in report.checks] == [False, True, True]
     assert not report.all_pass
@@ -174,6 +177,49 @@ def test_report_summaries_agree_with_its_checks(times, allowance):
     assert [c.passed for c in checks] == [c.margin_ns > allowance for c in checks]
     assert report.all_pass == all(c.passed for c in checks)
     assert report.min_margin_ns == min(c.margin_ns for c in checks)
+
+
+# ---- near-ties: the exact margin decides -------------------------------------------
+
+GEOMETRY_1300 = sp.Geometry(ab_m=1300.0, ac_m=650.0, cb_m=650.0)
+# (geometry, times, the tied margin's index, whether its exact value clears 16 ns); the
+# float sum of each tied margin lands on the other side of the allowance
+NEAR_TIES = {
+    "readout-A-1300m": (GEOMETRY_1300, (3000.0, 2500.0, 1871.134110573756,
+                                        6191.467348149733, 6700.0), 0, False),
+    "readout-A-default": (GEOMETRY, (3000.0, 2500.0, 2419.9896669125183,
+                                     6673.610085448864, 6700.0), 0, True),
+    "herald-default": (GEOMETRY, (4671.565109268173, 2552.7549, 2600.0, 6700.0, 6700.0),
+                       2, True),
+}
+
+
+def exact_margins(times, geometry):
+    """The three margins from Fractions of the times and of d * 10^9 / c."""
+    t_h, t_ca, t_cb, t_da, t_db = map(Fraction, times)
+    lt_ab, lt_ac, lt_cb = (Fraction(d) * 10**9 / 299_792_458
+                           for d in (geometry.ab_m, geometry.ac_m, geometry.cb_m))
+    return (t_cb + lt_ab - t_da, t_ca + lt_ab - t_db,
+            min(t_ca + lt_ac - t_h, t_cb + lt_cb - t_h))
+
+
+@pytest.mark.parametrize("case", NEAR_TIES)
+def test_a_near_tie_is_decided_by_the_exact_margin(case):
+    geometry, times, tied, passes = NEAR_TIES[case]
+    exact = exact_margins(times, geometry)
+    assert (exact[tied] > 16) is passes and abs(exact[tied] - 16) < Fraction(1, 10**12)
+    t_h, t_ca, t_cb, t_da, t_db = times
+    lt_ab, lt_ac, lt_cb = geometry.light_times_ns
+    rounded = (t_cb + lt_ab - t_da, t_ca + lt_ab - t_db,
+               min(t_ca + lt_ac - t_h, t_cb + lt_cb - t_h))
+    assert (rounded[tied] > 16.0) is not passes  # the float sums decide it wrongly
+    report = sp.audit_trial(times, geometry, BUDGET)
+    assert [c.passed for c in report.checks] == [m > 16 for m in exact]
+    assert report.all_pass is passes
+    # the tied margin is moved just onto its exact side; the others stay the float sums
+    assert report[tied] == (math.nextafter(16.0, math.inf) if passes else 16.0)
+    assert [m for i, m in enumerate(report[:3]) if i != tied] == [
+        m for i, m in enumerate(rounded) if i != tied]
 
 
 def test_validation():
@@ -256,6 +302,19 @@ def test_readout_window_moves_only_its_own_readout_margin(tmp_path, capsys, side
     failing = {line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]
                if line.endswith(",fail")}
     assert failing == {f"readout-{side}-before-signal-from-choice-{'BA'[own]}"}
+
+
+def test_audit_fails_a_trial_that_rounding_alone_lifts_over_the_allowance(tmp_path, capsys):
+    config = tmp_path / "ab1300.yaml"
+    config.write_text("geometry: {ab_m: 1300.0, ac_m: 650.0, cb_m: 650.0}\n")
+    log = TrialLog(config_hash=config_from_dict(
+        {"geometry": {"ab_m": 1300.0, "ac_m": 650.0, "cb_m": 650.0}}).config_hash, seed=0)
+    log.records.append(TrialRecord(0, 0, 0, 1, 1, *NEAR_TIES["readout-A-1300m"][1], 1))
+    write_log(log, tmp_path / "near.jsonl")
+    assert cli.main(["audit", str(tmp_path / "near.jsonl"), "--config", str(config)]) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1] == "0,readout-A-before-signal-from-choice-B,16.0,fail"
+    assert err == ""
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
